@@ -3,21 +3,24 @@
 A state is 1-distillable exactly when some rank-two projection P on the
 first subsystem makes (P x I) rho^Gamma (P^dag x I) non-PSD; equivalently a
 Schmidt-rank-two vector has negative expectation on the partial transpose.
-The search works over three parametrized families of 2x3 row matrices:
+The search works over three parametrized families of 2x3 row matrices,
+defined once in FAMILIES:
 
     Ay   rows (1, 0, 0) and (0, 1, y): keep level 0, shear level 2 into 1;
     P1a  rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2;
     P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears;
 
-plus fully general isometry rows. Verdicts distinguish a certified witness
-(re-verified eigensolve on the materialized projection) from a mere absence
-of findings at a given search budget.
+plus fully general isometry rows. projected_matrix is the 6x6 compression
+of explicit rows; compression_bases and batched_compressions evaluate a
+named family at many points at once. Verdicts distinguish a certified
+witness (re-verified eigensolve on the materialized projection) from a mere
+absence of findings at a given search budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +34,21 @@ FORM_GENERAL = "general"
 
 DEFAULT_BUDGET = 2000
 NEG_TOL = 1e-10
+
+
+class RowFamily(NamedTuple):
+    keys: tuple        # parameter names, in slot order
+    base: np.ndarray   # 2x3 rows R0 at all parameters zero
+    slots: tuple       # (row, col) entry of R0 that each parameter sets
+
+
+# Every member has rank two: the columns no slot touches hold a 2x2 identity.
+FAMILIES = {
+    FORM_AY: RowFamily(("y",), np.array([[1, 0, 0], [0, 1, 0]], dtype=complex), ((1, 2),)),
+    FORM_P1A: RowFamily(("a",), np.array([[1, 0, 0], [0, 0, 1]], dtype=complex), ((0, 1),)),
+    FORM_P2BC: RowFamily(("b", "c"), np.array([[1, 0, 0], [0, 1, 0]], dtype=complex),
+                         ((0, 2), (1, 2))),
+}
 
 
 class NoSignChange(ValueError):
@@ -70,16 +88,11 @@ class RankTwoProjection:
     def materialize(self) -> np.ndarray:
         """The 2x3 row matrix. Rank two is guaranteed for every parameter
         value of the named forms; general rows are checked orthonormal."""
-        if self.form == FORM_AY:
-            y = complex(self.params["y"])
-            rows = np.array([[1, 0, 0], [0, 1, y]], dtype=complex)
-        elif self.form == FORM_P1A:
-            a = complex(self.params["a"])
-            rows = np.array([[1, a, 0], [0, 0, 1]], dtype=complex)
-        elif self.form == FORM_P2BC:
-            b = complex(self.params["b"])
-            c = complex(self.params["c"])
-            rows = np.array([[1, 0, b], [0, 1, c]], dtype=complex)
+        family = FAMILIES.get(self.form)
+        if family is not None:
+            rows = family.base.copy()
+            for key, slot in zip(family.keys, family.slots):
+                rows[slot] = complex(self.params[key])
         elif self.form == FORM_GENERAL:
             rows = np.array(self.params["rows"], dtype=complex).reshape(2, 3)
             gram = rows @ rows.conj().T
@@ -161,15 +174,48 @@ def npt_check(state: states.QutritState, tol: float = NEG_TOL) -> DistillReport:
     )
 
 
-def projected_min_eig(g: np.ndarray, rows: np.ndarray) -> float:
-    r = np.kron(rows, np.eye(3, dtype=complex))
-    m = r @ g @ r.conj().T
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def projected_matrix(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The 6x6 compression (R x I) g (R x I)^dag of a 9x9 matrix by 2x3 rows R."""
     r = np.kron(rows, np.eye(3, dtype=complex))
     return r @ g @ r.conj().T
+
+
+def projected_min_eig(g: np.ndarray, rows: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(projected_matrix(g, rows))[0])
+
+
+def _lift(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(R^dag x I) u: a 6-vector of the compressed space back in C^3 x C^3."""
+    return np.kron(rows.conj().T, np.eye(3, dtype=complex)) @ u
+
+
+def compression_bases(g: np.ndarray, form: str) -> list:
+    """Blocks B_ij = (P_i x I) g (P_j x I)^dag, with P_0 = R0 of the named
+    family and P_k the unit row matrix of its k-th parameter slot, so that
+    the compression at parameters theta is sum_ij c_i conj(c_j) B_ij with
+    c = (1, theta_1, ..., theta_k)."""
+    family = FAMILIES[form]
+    parts = [family.base]
+    for slot in family.slots:
+        unit = np.zeros((2, 3), dtype=complex)
+        unit[slot] = 1
+        parts.append(unit)
+    rs = [np.kron(p, np.eye(3, dtype=complex)) for p in parts]
+    return [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
+
+
+def batched_compressions(bases: list, params) -> np.ndarray:
+    """Compressions at n parameter points at once, shape (n, 6, 6). params
+    holds one length-n array per parameter of the family, in slot order;
+    bases comes from compression_bases."""
+    n = len(params[0])
+    coefs = [np.ones(n)] + list(params)
+    # assemble sum_{i,j} coef_i conj(coef_j) base_ij
+    alphas = np.zeros((n, 6, 6), dtype=complex)
+    for i, ci in enumerate(coefs):
+        for j, cj in enumerate(coefs):
+            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
+    return alphas
 
 
 def witness_to_pt_vector(g: np.ndarray, proj: RankTwoProjection) -> tuple[np.ndarray, float]:
@@ -177,11 +223,8 @@ def witness_to_pt_vector(g: np.ndarray, proj: RankTwoProjection) -> tuple[np.nda
     reconstructed from a projection witness: psi = (P^dag x I) u with u the
     bottom eigenvector of the projected matrix. Returns (psi, expectation)."""
     rows = proj.materialize()
-    m = projected_matrix(g, rows)
-    w, v = np.linalg.eigh(m)
-    u = v[:, 0]
-    lift = np.kron(rows.conj().T, np.eye(3, dtype=complex))
-    psi = lift @ u
+    w, v = np.linalg.eigh(projected_matrix(g, rows))
+    psi = _lift(rows, v[:, 0])
     val = float(np.real(psi.conj() @ g @ psi))
     return psi, val
 
@@ -327,15 +370,13 @@ def _search_general(g, budget: _Budget, seed: int):
             step = 0.5
             for _ in range(20):
                 budget.take()
-                r = np.kron(rows, np.eye(3, dtype=complex))
-                m = r @ g @ r.conj().T
-                w, v = np.linalg.eigh(m)
+                w, v = np.linalg.eigh(projected_matrix(g, rows))
                 f0 = float(w[0])
                 if best[0] is None or f0 < best[1]:
                     best[0] = RankTwoProjection(FORM_GENERAL, {"rows": rows.copy()})
                     best[1] = f0
                 u = v[:, 0]
-                lifted = np.kron(rows.conj().T, np.eye(3, dtype=complex)) @ u
+                lifted = _lift(rows, u)
                 vmat = u.reshape(2, 3)
                 ymat = (g @ lifted).reshape(3, 3)
                 grad = 2.0 * vmat @ ymat.conj().T

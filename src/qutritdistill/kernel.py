@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import linalg, states
+from .linalg import NotSymmetric
 from .states import ZeroVector
 from ._fmt import complex_pair
 
@@ -42,10 +43,6 @@ class EmptyKernel(ValueError):
 
 
 class SchmidtRankTooHigh(ValueError):
-    pass
-
-
-class NotSymmetric(ValueError):
     pass
 
 

@@ -99,11 +99,6 @@ def eig_hermitian(m) -> EigenDecomposition:
     return EigenDecomposition(values=w, vectors=v)
 
 
-def spectral_norm_hermitian(m) -> float:
-    w, _ = eig_hermitian(m)
-    return float(np.abs(w).max()) if w.size else 0.0
-
-
 def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the first tensor factor: block (i,j) of the output equals
     block (j,i) of the input, blocks being dim_b x dim_b."""
@@ -131,10 +126,6 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     if keep == "B":
         return np.einsum("abad->bd", t)
     raise ValueError("keep must be 'A' or 'B'")
-
-
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def svd(a):

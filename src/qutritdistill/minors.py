@@ -5,16 +5,21 @@ frame K (x) conj(K) before the partial transpose, with
 K = [[1, i], [1, -i]]/sqrt2 on levels 0 and 1 and level 2 untouched: K acts
 on the first qutrit and its complex conjugate on the second. The choice
 matters: under K (x) K the 4th leading minor of form 2 at the origin is
-72/5531904 instead of 640/5531904. Two rank-two row families compress it:
+72/5531904 instead of 640/5531904. Two of distill's rank-two row families
+compress it to a 6x6 matrix:
 
-    form 1:  rows (1, a, 0) and (0, 0, 1)       "P1"
-    form 2:  rows (1, 0, b) and (0, 1, c)       "P2"
+    form 1:  P1a, rows (1, a, 0) and (0, 0, 1)
+    form 2:  P2bc, rows (1, 0, b) and (0, 1, c)
+
+Both the rows and the compression are defined in distill. build_projected
+returns one compression; scan, value_at, psd_scan_form1 and cross_check go
+through distill's batched path with the bases cached per (x, form).
 
 For form 2 the objects of interest are the 4th, 5th and 6th leading principal
 minors of the compressed matrix; their positivity over all complex (b, c) is
 the evidence that no such compression turns negative. F and G are the 5th
 minor and determinant rescaled by fixed integers so their grid minima land
-in a plottable window.
+in a plottable window. For form 1 it is the smallest eigenvalue.
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -22,19 +27,20 @@ denominators. eval_printed_form keeps the polynomials as printed in the
 source analysis; they are not minors of this compression (constant terms
 737, 2680 and 24120 against 640, 1280 and 11520, and non-real values off the
 real (b, c) slice). cross_check compares either set against directly
-computed minors and reports deviations instead of correcting either side.
+computed minors, as deviations relative to the direct value, and reports
+them instead of correcting either side; it is meaningful at x = 1/7 only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
-from . import linalg, states
+from . import distill, linalg, states
 from ._fmt import complex_pair, write_csv
 
 UNDISTILLABLE_X = 1.0 / 7.0
@@ -49,6 +55,7 @@ SCALE_G = 7529536  # applied to the determinant
 WHICH_TOKENS = ("alpha1_psd", "alpha2_minor4", "alpha2_minor5", "alpha2_det", "F", "G")
 
 _BLOCK = {"alpha2_minor4": 4, "alpha2_minor5": 5, "alpha2_det": 6, "F": 5, "G": 6}
+_FORMS = {1: distill.FORM_P1A, 2: distill.FORM_P2BC}
 _AUTO_SCALE = {"F": float(SCALE_F), "G": float(SCALE_G)}
 
 
@@ -74,26 +81,41 @@ def _mixed_frame_pt(x: float) -> np.ndarray:
     return linalg.partial_transpose(mixed_frame_state(x).rho, 3, 3)
 
 
-def _row_family(form_id: int, params) -> np.ndarray:
-    if form_id == 1:
-        a = complex(params if np.isscalar(params) else params[0])
-        return np.array([[1, a, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-    if form_id == 2:
-        b, c = (complex(params[0]), complex(params[1]))
-        return np.array([[1, 0, b], [0, 1, c], [0, 0, 0]], dtype=complex)
-    raise ValueError(f"unknown form_id {form_id}; expected 1 or 2")
+@lru_cache(maxsize=32)
+def _bases(x: float, form: str) -> list:
+    return distill.compression_bases(_mixed_frame_pt(x), form)
+
+
+def _check_x(x: float) -> None:
+    if not (0.0 < x < 1.0):
+        raise states.OutOfRange(f"x must lie in (0, 1), got {x}")
 
 
 def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndarray:
-    """9x9 Hermitian compression (rank <= 6) of the partial transpose in the
-    mixed frame by the chosen row family."""
-    if not (0.0 < x < 1.0):
-        raise states.OutOfRange(f"x must lie in (0, 1), got {x}")
-    g = _mixed_frame_pt(float(x))
-    r = np.kron(_row_family(form_id, params), np.eye(3, dtype=complex))
-    out = r @ g @ r.conj().T
+    """6x6 Hermitian compression of the partial transpose in the mixed frame
+    by the chosen row family; params is a or (a,) for form 1, (b, c) for 2."""
+    _check_x(x)
+    form = _FORMS.get(form_id)
+    if form is None:
+        raise ValueError(f"unknown form_id {form_id}; expected 1 or 2")
+    values = (params,) if np.isscalar(params) else tuple(params)
+    proj = distill.RankTwoProjection(form, dict(zip(distill.FAMILIES[form].keys, values)))
+    out = distill.projected_matrix(_mixed_frame_pt(float(x)), proj.materialize())
     linalg.check_hermitian(out)
     return 0.5 * (out + out.conj().T)
+
+
+def _values(which: str, b: np.ndarray, c: np.ndarray, x: float,
+            scale: float = 1.0) -> np.ndarray:
+    """scan()'s value column at the points of the complex arrays b and c:
+    the smallest eigenvalue of form 1 for alpha1_psd (b carries a, c is
+    unused), else scale times the leading minor of form 2 `which` names."""
+    if which == "alpha1_psd":
+        alphas = distill.batched_compressions(_bases(float(x), distill.FORM_P1A), (b,))
+        return np.linalg.eigvalsh(alphas)[:, 0]
+    k = _BLOCK[which]
+    alphas = distill.batched_compressions(_bases(float(x), distill.FORM_P2BC), (b, c))
+    return np.linalg.det(alphas[:, :k, :k]).real * scale
 
 
 def direct_minors(alpha: np.ndarray) -> np.ndarray:
@@ -221,9 +243,6 @@ def eval_printed_form(which: str, b: complex, c: complex) -> float:
     return float(val.real)
 
 
-_CLOSED_INDEX = {"minor4": 0, "minor5": 1, "det": 2}
-
-
 @dataclass
 class CrossCheckReport:
     which: str
@@ -234,14 +253,7 @@ class CrossCheckReport:
     non_real: list
 
     def to_json(self) -> dict:
-        return {
-            "which": self.which,
-            "n_points": self.n_points,
-            "max_rel_dev": self.max_rel_dev,
-            "passed": self.passed,
-            "worst": self.worst,
-            "non_real": self.non_real,
-        }
+        return asdict(self)
 
 
 def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
@@ -253,23 +265,26 @@ def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
 
     printed=True checks the source's printed polynomials (eval_printed_form)
     instead of the exact ones. Both sets are closed forms at x = 1/7, so at
-    any other x the check reports the gap between the two values of x."""
-    if which not in _CLOSED_INDEX:
+    any other x the check reports the gap between the two values of x.
+    Each deviation is |closed - direct| / |direct|, infinite where only the
+    direct value is zero."""
+    if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}")
-    idx = _CLOSED_INDEX[which]
+    _check_x(x)
     evaluate = eval_printed_form if printed else eval_closed_form
+    points = np.array(grid, dtype=complex).reshape(-1, 2)
+    directs = _values("alpha2_" + which, points[:, 0], points[:, 1], x)
     entries = []
     non_real = []
-    for b, c in grid:
-        alpha = build_projected(2, (b, c), x)
-        direct = float(direct_minors(alpha)[idx])
+    for (b, c), direct in zip(grid, directs.tolist()):
         try:
             closed = evaluate(which, b, c)
         except NonRealValue as exc:
             non_real.append({"b": complex_pair(complex(b)), "c": complex_pair(complex(c)),
                              "error": str(exc)})
             continue
-        dev = abs(closed - direct) / max(1.0, abs(direct))
+        err = abs(closed - direct)
+        dev = err / abs(direct) if direct != 0.0 else (0.0 if err == 0.0 else np.inf)
         entries.append((dev, complex(b), complex(c), closed, direct))
     entries.sort(key=lambda t: -t[0])
     max_dev = entries[0][0] if entries else 0.0
@@ -376,44 +391,6 @@ class GridScan:
         }
 
 
-def _compression_bases(x: float, form_id: int) -> list:
-    """Top-left 6x6 blocks of R_i G R_j^dag for the constant/linear row pieces."""
-    g = _mixed_frame_pt(float(x))
-    eye = np.eye(3, dtype=complex)
-    if form_id == 2:
-        parts = [
-            np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=complex),  # constant
-            np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=complex),  # b
-            np.array([[0, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex),  # c
-        ]
-    else:
-        parts = [
-            np.array([[1, 0, 0], [0, 0, 1], [0, 0, 0]], dtype=complex),  # constant
-            np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex),  # a
-        ]
-    rs = [np.kron(p, eye) for p in parts]
-    return [[(ri @ g @ rj.conj().T)[:6, :6] for rj in rs] for ri in rs]
-
-
-def _batched_values(spec: MinorScanSpec, b_vals: np.ndarray, c_val: complex) -> np.ndarray:
-    form_id = 1 if spec.which == "alpha1_psd" else 2
-    bases = _compression_bases(spec.x, form_id)
-    n = b_vals.size
-    if form_id == 2:
-        coefs = [np.ones(n), b_vals, np.full(n, c_val)]
-    else:
-        coefs = [np.ones(n), b_vals]
-    # assemble sum_{i,j} coef_i conj(coef_j) base_ij
-    alphas = np.zeros((n, 6, 6), dtype=complex)
-    for i, ci in enumerate(coefs):
-        for j, cj in enumerate(coefs):
-            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
-    if spec.which == "alpha1_psd":
-        return np.linalg.eigvalsh(alphas)[:, 0]
-    k = _BLOCK[spec.which]
-    return np.linalg.det(alphas[:, :k, :k]).real * spec.scale
-
-
 def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
     """Evaluate the chosen quantity over the grid. Rows are ordered by
     (c value, re_b, im_b); for alpha1_psd the b columns carry the a parameter
@@ -426,7 +403,7 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
     best = (np.inf, 0j, 0j)
     for c_val in spec.c_values:
         c_val = complex(c_val)
-        values = _batched_values(spec, b_flat, c_val)
+        values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x, spec.scale)
         if not np.all(np.isfinite(values)):
             raise FloatingPointError("non-finite value in grid scan")
         block = np.column_stack([
@@ -450,12 +427,9 @@ def value_at(which: str, b: complex, c: complex, x: float = UNDISTILLABLE_X,
     """Single-point evaluation matching scan()'s value column."""
     if scale is None:
         scale = _AUTO_SCALE.get(which, 1.0)
-    if which == "alpha1_psd":
-        alpha = build_projected(1, b, x)
-        return float(np.linalg.eigvalsh(alpha[:6, :6])[0])
-    alpha = build_projected(2, (b, c), x)
-    k = _BLOCK[which]
-    return float(np.linalg.det(alpha[:k, :k]).real) * scale
+    _check_x(x)
+    b_arr, c_arr = np.array([b], dtype=complex), np.array([c], dtype=complex)
+    return float(_values(which, b_arr, c_arr, x, scale)[0])
 
 
 def refine_minimum(result: GridScan, n_seeds: int = 10) -> dict:
@@ -485,12 +459,8 @@ def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
     verdict is PSD-everywhere at tolerance 1e-10."""
     if a_grid is None:
         a_grid = default_a_grid()
-    entries = []
-    all_psd = True
-    for a in a_grid:
-        alpha = build_projected(1, a, x)
-        min_eig = float(np.linalg.eigvalsh(alpha)[0])
-        ok = min_eig >= -1e-10
-        all_psd = all_psd and ok
-        entries.append({"a": complex(a), "min_eigenvalue": min_eig, "is_psd": ok})
-    return entries, all_psd
+    _check_x(x)
+    values = _values("alpha1_psd", np.array(a_grid, dtype=complex), None, x)
+    entries = [{"a": complex(a), "min_eigenvalue": v, "is_psd": v >= -1e-10}
+               for a, v in zip(a_grid, values.tolist())]
+    return entries, all(e["is_psd"] for e in entries)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from ._fmt import sig17
 
 DIM_A = 3
 DIM_B = 3
@@ -227,7 +226,3 @@ def state_from_json(doc: dict) -> QutritState:
         case_id=doc.get("case"),
         x=doc.get("x"),
     )
-
-
-def format_probability(x: float) -> str:
-    return sig17(x)

@@ -294,6 +294,32 @@ def test_verify_example_off_point_fails_inertia(capsys, tmp_path):
     assert not doc["checks"]["inertia"]["pass"]
 
 
+def test_verify_example_skips_cross_checks_off_reference_point(capsys, tmp_path):
+    # the closed forms hold at x = 1/7 only, so at 0.2 they are not checked;
+    # the PPT state there fails the inertia check and nothing else
+    code, out, _ = run(
+        capsys,
+        ["verify-example", "--x", "0.2", "--grid-step", "0.5", "--json", "--out", str(tmp_path)],
+    )
+    doc = json.loads(out)
+    assert not [k for k in doc["checks"] if k.startswith("cross_")]
+    assert [k for k, v in doc["checks"].items() if not v["pass"]] == ["inertia"]
+    assert code == EXIT_NOT_FOUND
+
+
+def test_verify_example_runs_cross_checks_at_one_seventh(capsys, tmp_path):
+    code, out, _ = run(
+        capsys,
+        ["verify-example", "--x", "1/7", "--grid-step", "0.5", "--json", "--out", str(tmp_path)],
+    )
+    doc = json.loads(out)
+    for name in ("cross_minor4", "cross_minor5", "cross_det"):
+        assert doc["checks"][name]["pass"]
+        assert doc["checks"][name]["n_points"] == 81
+    assert doc["checks"]["alpha1_psd"]["min_eigenvalue"] > 5e-3
+    assert code == EXIT_OK
+
+
 def test_verify_example_writes_master_json(capsys, tmp_path):
     run(
         capsys,

@@ -101,6 +101,33 @@ def test_projected_min_eig_matches_dense_eig():
         assert abs(projected_min_eig(g, rows) - dense) <= 1e-12
 
 
+def test_family_rows_set_their_slots():
+    y, a, b, c = 0.5 - 2j, -1.25j, 3.0 + 0.5j, -0.75
+    cases = (
+        ("Ay", {"y": y}, [[1, 0, 0], [0, 1, y]]),
+        ("P1a", {"a": a}, [[1, a, 0], [0, 0, 1]]),
+        ("P2bc", {"b": b, "c": c}, [[1, 0, b], [0, 1, c]]),
+    )
+    for form, params, expected in cases:
+        rows = RankTwoProjection(form, params).materialize()
+        assert np.array_equal(rows, np.array(expected, dtype=complex))
+    assert set(distill.FAMILIES) == {"Ay", "P1a", "P2bc"}
+
+
+def test_batched_compressions_match_projected_matrix():
+    rng = np.random.default_rng(37)
+    g = pt_mat(states.build_family("v", 0.4))
+    for form, family in distill.FAMILIES.items():
+        bases = distill.compression_bases(g, form)
+        thetas = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in family.keys]
+        batch = distill.batched_compressions(bases, thetas)
+        assert batch.shape == (6, 6, 6)
+        for n in range(6):
+            params = {k: theta[n] for k, theta in zip(family.keys, thetas)}
+            one = distill.projected_matrix(g, RankTwoProjection(form, params).materialize())
+            assert np.abs(batch[n] - one).max() <= 1e-13 * max(1.0, np.abs(one).max())
+
+
 def test_scalar_grid_structure():
     grid = distill._scalar_grid()
     assert len(grid) == 513

@@ -8,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from qutritdistill import minors, states
+from qutritdistill import distill, linalg, minors, states
 from qutritdistill.minors import (
     DEN_DET,
     DEN_MINOR4,
@@ -52,8 +52,8 @@ def test_build_projected_hermitian():
 
 
 def test_build_projected_sizes():
-    assert build_projected(1, (0.0,)).shape == (9, 9)
-    assert build_projected(2, (0.0, 0.0)).shape == (9, 9)
+    assert build_projected(1, (0.0,)).shape == (6, 6)
+    assert build_projected(2, (0.0, 0.0)).shape == (6, 6)
 
 
 def test_build_projected_rejects_bad_x():
@@ -66,6 +66,23 @@ def test_form1_psd_on_default_grid():
     assert len(entries) == 481
     assert all_psd
     assert min(e["min_eigenvalue"] for e in entries) >= -1e-10
+
+
+def test_form1_psd_scan_reports_true_margin():
+    # every entry is the smallest eigenvalue of the 6x6 compression itself,
+    # not of a zero-padded embedding whose padding pins the minimum at 0;
+    # the compression's entries grow like 1 + |a|^2, and so does rounding
+    g = linalg.partial_transpose(mixed_frame_state(1 / 7).rho, 3, 3)
+    entries, all_psd = psd_scan_form1()
+    assert all_psd
+    for e in entries:
+        tol = 1e-14 * (1.0 + abs(e["a"]) ** 2)
+        rows = distill.RankTwoProjection(distill.FORM_P1A, {"a": e["a"]}).materialize()
+        assert abs(e["min_eigenvalue"] - value_at("alpha1_psd", e["a"], 0j)) <= tol
+        assert abs(e["min_eigenvalue"] - distill.projected_min_eig(g, rows)) <= tol
+    margin = min(e["min_eigenvalue"] for e in entries)
+    assert margin > 0
+    assert abs(margin - 5.79e-3) <= 1e-5
 
 
 def test_form1_scan_away_from_reference_point():
@@ -202,6 +219,30 @@ def test_cross_check_det_real_grid():
     assert rep.passed, f"max rel dev {rep.max_rel_dev}"
 
 
+def test_cross_check_deviation_is_relative(monkeypatch):
+    # one unit off in the constant term of the determinant is 2.6e-11 in
+    # absolute terms at the origin but 8.7e-5 relative to the direct value
+    den, terms = CLOSED_FORMS["det"]
+    wrong = dict(terms)
+    wrong[(0, 0, 0)] = 11521
+    monkeypatch.setitem(CLOSED_FORMS, "det", (den, wrong))
+    rep = cross_check("det", default_real_bc_grid())
+    assert not rep.passed
+    assert abs(rep.max_rel_dev - 1 / 11520) <= 1e-9
+
+
+def test_cross_check_matches_per_point_minors():
+    grid = default_real_bc_grid(n=7) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
+    for which, idx in (("minor4", 0), ("minor5", 1), ("det", 2)):
+        rep = cross_check(which, grid, tol=0.0, max_logged=len(grid))
+        assert rep.n_points == len(grid)
+        assert rep.max_rel_dev <= 1e-13
+        for w in rep.worst:
+            b, c = complex(*w["b"]), complex(*w["c"])
+            direct = direct_minors(build_projected(2, (b, c)))[idx]
+            assert abs(w["direct"] - direct) <= 1e-13 * abs(direct)
+
+
 def test_cross_check_minor5_fully_complex_grid_reports_nonreal():
     # off the real slice in both variables, the printed fifth-minor polynomial
     # takes non-real values; the report collects those points instead of a
@@ -265,6 +306,7 @@ def test_scan_scale_identities():
 
 def test_minors_predict_definiteness():
     rng = np.random.default_rng(73)
+    checked = 0
     for _ in range(20):
         b = rng.uniform(-2, 2)
         c = rng.uniform(-2, 2)
@@ -274,6 +316,8 @@ def test_minors_predict_definiteness():
         mins = leading_principal_minors(m)
         if np.all(mins > 1e-12):
             assert np.linalg.eigvalsh(m)[0] > 0
+            checked += 1
+    assert checked == 20
 
 
 def test_refine_minimum_improves_on_grid():
