@@ -11,10 +11,11 @@ defined once in FAMILIES:
     P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears;
 
 plus fully general isometry rows. projected_matrix is the 6x6 compression
-of explicit rows; compression_bases and batched_compressions evaluate a
-named family at many points at once. Verdicts distinguish a certified
-witness (re-verified eigensolve on the materialized projection) from a mere
-absence of findings at a given search budget.
+of explicit rows; compression_bases and compression_chunks evaluate a named
+family at many points at once, in chunks of (m, k, k) leading blocks.
+Verdicts distinguish a certified witness (re-verified eigensolve on the
+materialized projection) from a mere absence of findings at a given search
+budget.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ FORM_GENERAL = "general"
 
 DEFAULT_BUDGET = 2000
 NEG_TOL = 1e-10
+CHUNK = 8192  # points per block of compression_chunks
 
 
 class RowFamily(NamedTuple):
@@ -204,18 +206,29 @@ def compression_bases(g: np.ndarray, form: str) -> list:
     return [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
 
 
-def batched_compressions(bases: list, params) -> np.ndarray:
-    """Compressions at n parameter points at once, shape (n, 6, 6). params
-    holds one length-n array per parameter of the family, in slot order;
-    bases comes from compression_bases."""
+def compression_chunks(bases: list, params, k: int = 6):
+    """Compressions at n parameter points, yielded in order as chunks of
+    shape (m, k, k) with m <= CHUNK: the leading k x k block of
+    sum_ij c_i conj(c_j) B_ij at each point. params holds one length-n array
+    per parameter of the family, in slot order; bases comes from
+    compression_bases.
+
+    The products c_i conj(c_j) are formed once over all n points. From
+    16384 points (256 KiB) on, numpy reuses the temporary conj(c_j) as the
+    output of the product and swaps the operands, and its complex multiply
+    is not bitwise commutative: products formed per chunk would change the
+    last bits of large scans."""
     n = len(params[0])
     coefs = [np.ones(n)] + list(params)
-    # assemble sum_{i,j} coef_i conj(coef_j) base_ij
-    alphas = np.zeros((n, 6, 6), dtype=complex)
-    for i, ci in enumerate(coefs):
-        for j, cj in enumerate(coefs):
-            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
-    return alphas
+    products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
+    blocks = [[np.ascontiguousarray(bij[:k, :k]) for bij in row] for row in bases]
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        alphas = np.zeros((stop - start, k, k), dtype=complex)
+        for prow, brow in zip(products, blocks):
+            for pij, bij in zip(prow, brow):
+                alphas += pij[start:stop, None, None] * bij
+        yield alphas
 
 
 def witness_to_pt_vector(g: np.ndarray, proj: RankTwoProjection) -> tuple[np.ndarray, float]:

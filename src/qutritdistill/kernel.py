@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg, states
 from .linalg import NotSymmetric
@@ -210,6 +209,8 @@ def _factor_rank1(vector: np.ndarray, da: int, db: int) -> tuple[np.ndarray, np.
 def minimize_minor_objective(basis: np.ndarray, n_starts: int = 64, seed: int = 0):
     """Minimize f(c) = sum |2x2 minors of reshape(basis @ c)|^2 over unit-norm
     coefficient vectors c. Returns (best objective, best c)."""
+    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
+
     k = basis.shape[1]
 
     def f(z):

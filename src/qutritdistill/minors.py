@@ -13,7 +13,9 @@ compress it to a 6x6 matrix:
 
 Both the rows and the compression are defined in distill. build_projected
 returns one compression; scan, value_at, psd_scan_form1 and cross_check go
-through distill's batched path with the bases cached per (x, form).
+through distill's chunked path with the bases cached per (x, form): each
+chunk holds only the leading k x k blocks the requested minor needs, and is
+reduced by det or eigvalsh into one preallocated value column.
 
 For form 2 the objects of interest are the 4th, 5th and 6th leading principal
 minors of the compressed matrix; their positivity over all complex (b, c) is
@@ -38,7 +40,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import distill, linalg, states
 from ._fmt import complex_pair, write_csv
@@ -109,13 +110,23 @@ def _values(which: str, b: np.ndarray, c: np.ndarray, x: float,
             scale: float = 1.0) -> np.ndarray:
     """scan()'s value column at the points of the complex arrays b and c:
     the smallest eigenvalue of form 1 for alpha1_psd (b carries a, c is
-    unused), else scale times the leading minor of form 2 `which` names."""
+    unused), else scale times the leading minor of form 2 `which` names.
+    The compressions arrive from distill in chunks of (m, k, k) leading
+    blocks and are reduced into one preallocated column."""
     if which == "alpha1_psd":
-        alphas = distill.batched_compressions(_bases(float(x), distill.FORM_P1A), (b,))
-        return np.linalg.eigvalsh(alphas)[:, 0]
-    k = _BLOCK[which]
-    alphas = distill.batched_compressions(_bases(float(x), distill.FORM_P2BC), (b, c))
-    return np.linalg.det(alphas[:, :k, :k]).real * scale
+        form, params, k = distill.FORM_P1A, (b,), 6
+    else:
+        form, params, k = distill.FORM_P2BC, (b, c), _BLOCK[which]
+    out = np.empty(len(b))
+    start = 0
+    for alphas in distill.compression_chunks(_bases(float(x), form), params, k):
+        stop = start + len(alphas)
+        if which == "alpha1_psd":
+            out[start:stop] = np.linalg.eigvalsh(alphas)[:, 0]
+        else:
+            out[start:stop] = np.linalg.det(alphas).real * scale
+        start = stop
+    return out
 
 
 def direct_minors(alpha: np.ndarray) -> np.ndarray:
@@ -435,6 +446,8 @@ def value_at(which: str, b: complex, c: complex, x: float = UNDISTILLABLE_X,
 def refine_minimum(result: GridScan, n_seeds: int = 10) -> dict:
     """Local descent from the smallest grid values, to support positivity
     claims beyond bare grid resolution. c is held at each seed's value."""
+    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
+
     spec = result.spec
     order = np.argsort(result.samples[:, 4])[:n_seeds]
     best = {"value": result.min_value,

@@ -114,13 +114,13 @@ def test_family_rows_set_their_slots():
     assert set(distill.FAMILIES) == {"Ay", "P1a", "P2bc"}
 
 
-def test_batched_compressions_match_projected_matrix():
+def test_compression_chunks_match_projected_matrix():
     rng = np.random.default_rng(37)
     g = pt_mat(states.build_family("v", 0.4))
     for form, family in distill.FAMILIES.items():
         bases = distill.compression_bases(g, form)
         thetas = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in family.keys]
-        batch = distill.batched_compressions(bases, thetas)
+        batch = np.concatenate(list(distill.compression_chunks(bases, thetas)))
         assert batch.shape == (6, 6, 6)
         for n in range(6):
             params = {k: theta[n] for k, theta in zip(family.keys, thetas)}

@@ -1,0 +1,67 @@
+"""CSV serialization: the block path for finite float arrays writes the same
+bytes as the per-cell sig17 path, and everything else keeps the per-cell
+path."""
+
+import numpy as np
+
+from qutritdistill._fmt import CSV_BLOCK, write_csv
+
+HEADER = ["a", "b", "c", "d", "e"]
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _both_paths(tmp_path, arr):
+    """(bytes via the ndarray block path, bytes via the per-cell list path)."""
+    write_csv(tmp_path / "block.csv", HEADER, arr)
+    write_csv(tmp_path / "cells.csv", HEADER, arr.tolist())
+    return _read(tmp_path / "block.csv"), _read(tmp_path / "cells.csv")
+
+
+def test_block_path_matches_cells_on_random_floats(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 20000  # 10^5 cells
+    mags = 10.0 ** rng.uniform(-300, 300, size=(n, 5))
+    arr = rng.choice([-1.0, 1.0], size=(n, 5)) * mags * rng.uniform(1, 10, size=(n, 5))
+    assert np.isfinite(arr).all()
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+    assert block.count(b"\n") == n + 1
+
+
+def test_block_path_matches_cells_on_edge_values(tmp_path):
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e17]
+    arr = np.array([edge, [-v for v in edge], edge[::-1]])
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+    assert block.splitlines()[1] == b"-0,4.9406564584124654e-324,1.7976931348623157e+308," \
+                                    b"0.10000000000000001,1e+17"
+
+
+def test_block_path_ragged_row_count(tmp_path):
+    n = 2 * CSV_BLOCK + 3
+    arr = np.arange(5 * n, dtype=float).reshape(n, 5) / 7.0
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+    assert block.count(b"\n") == n + 1
+
+
+def test_non_finite_arrays_write_json_spellings(tmp_path):
+    arr = np.array([[np.nan, np.inf, -np.inf, 0.5, -0.0]])
+    path = tmp_path / "nonfinite.csv"
+    write_csv(path, HEADER, arr)
+    assert _read(path) == b"a,b,c,d,e\nNaN,Infinity,-Infinity,0.5,-0\n"
+
+
+def test_list_rows_with_int_and_bool_cells(tmp_path):
+    # the shape of the scan subcommand's rows: an int count and a NaN value
+    rows = [[0.125, -1e-3, 2.5e-17, 1, 0.0, float("nan")],
+            [1.0, 3.0, True, False, 1.0, -0.25]]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["x", "p", "q", "n", "f", "w"], rows)
+    assert _read(path) == (b"x,p,q,n,f,w\n"
+                           b"0.125,-0.001,2.4999999999999999e-17,1,0,NaN\n"
+                           b"1,3,true,false,1,-0.25\n")

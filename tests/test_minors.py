@@ -279,6 +279,44 @@ def test_scan_minor4_positive():
     assert res.passed()
 
 
+def _one_shot_values(which, b, c, x, scale):
+    """The value column assembled in one (n, 6, 6) batch, the reference the
+    chunked path must reproduce bit for bit."""
+    g = linalg.partial_transpose(mixed_frame_state(x).rho, 3, 3)
+    if which == "alpha1_psd":
+        form, params = distill.FORM_P1A, (b,)
+    else:
+        form, params = distill.FORM_P2BC, (b, c)
+    bases = distill.compression_bases(g, form)
+    n = len(b)
+    coefs = [np.ones(n)] + list(params)
+    alphas = np.zeros((n, 6, 6), dtype=complex)
+    for i, ci in enumerate(coefs):
+        for j, cj in enumerate(coefs):
+            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
+    if which == "alpha1_psd":
+        return np.linalg.eigvalsh(alphas)[:, 0]
+    k = {"alpha2_minor4": 4, "alpha2_minor5": 5, "alpha2_det": 6, "F": 5, "G": 6}[which]
+    return np.linalg.det(alphas[:, :k, :k]).real * scale
+
+
+def test_scan_values_bitwise_equal_one_shot_assembly():
+    # 131 x 131 = 17161 points: two full chunks plus a ragged tail, and past
+    # the 16384-point size where numpy starts to form the one-shot products
+    # c_i conj(c_j) in place with swapped operands, which rounds differently
+    n = 131 * 131
+    assert n > 2 * distill.CHUNK and n % distill.CHUNK
+    for which in minors.WHICH_TOKENS:
+        spec = MinorScanSpec(which=which, re_range=(-3.0, 3.5), im_range=(-3.0, 3.5),
+                             step=0.05, c_values=(0.7 - 1.3j,))
+        res = scan(spec)
+        assert res.samples.shape[0] == n
+        b = res.samples[:, 0] + 1j * res.samples[:, 1]
+        c = res.samples[:, 2] + 1j * res.samples[:, 3]
+        ref = _one_shot_values(which, b, c, spec.x, spec.scale)
+        assert np.array_equal(res.samples[:, 4], ref), which
+
+
 def test_scan_f_window():
     spec = MinorScanSpec(which="F", step=0.1)
     res = scan(spec)
