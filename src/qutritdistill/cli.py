@@ -56,6 +56,20 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex value {text!r}") from exc
 
 
+def _check_case(case: str) -> None:
+    if case not in states.CASES:
+        raise UsageError(f"unknown case {case!r}; expected one of {states.CASES}")
+
+
+def _family_state(args) -> tuple[states.QutritState, float]:
+    """The family member named by --case and --x; a bad case or x is a usage error."""
+    _check_case(args.case)
+    x = parse_x(args.x)
+    if not (0.0 <= x <= 1.0):
+        raise UsageError("x must lie in [0, 1]")
+    return states.build_family(args.case, x), x
+
+
 def _emit(args, payload: dict, human: str):
     if args.json:
         sys.stdout.write(json_dumps(payload, indent=2) + "\n")
@@ -72,8 +86,7 @@ def _outpath(args, name: str) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.case not in states.CASES:
-        raise UsageError(f"unknown case {args.case!r}; expected one of {states.CASES}")
+    _check_case(args.case)
     x_min, x_max = parse_x(args.x_min), parse_x(args.x_max)
     if not (0.0 <= x_min < x_max <= 1.0):
         raise UsageError("need 0 <= x-min < x-max <= 1")
@@ -136,8 +149,7 @@ def _norm_target(text: str) -> str:
 
 
 def cmd_threshold(args) -> int:
-    if args.case not in states.CASES:
-        raise UsageError(f"unknown case {args.case!r}; expected one of {states.CASES}")
+    _check_case(args.case)
     target = _norm_target(args.target)
     lo, hi = parse_x(args.bracket[0]), parse_x(args.bracket[1])
     try:
@@ -161,15 +173,13 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.case not in states.CASES:
-        raise UsageError(f"unknown case {args.case!r}; expected one of {states.CASES}")
-    x = parse_x(args.x)
-    if not (0.0 <= x <= 1.0):
-        raise UsageError("x must lie in [0, 1]")
-    state = states.build_family(args.case, x)
+    state, x = _family_state(args)
     try:
         rep = distill.witness_search(state, strategy=args.strategy, budget=args.budget,
                                      seed=args.seed, tol=args.tol)
+    except distill.BudgetExhausted as exc:
+        sys.stderr.write(f"note: {exc}; reporting the best value so far\n")
+        rep = exc.report
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = rep.to_json()
@@ -279,8 +289,7 @@ def cmd_kernel(args) -> int:
         state = _load_basis_file(args.basis_file)
         label = {"basis_file": args.basis_file}
     elif args.case is not None:
-        x = parse_x(args.x)
-        state = states.build_family(args.case, x)
+        state, x = _family_state(args)
         label = {"case": args.case, "x": x}
     else:
         raise UsageError("need either --case or --basis-file")

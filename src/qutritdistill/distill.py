@@ -13,9 +13,14 @@ defined once in FAMILIES:
 plus fully general isometry rows. projected_matrix is the 6x6 compression
 of explicit rows; compression_bases and compression_chunks evaluate a named
 family at many points at once, in chunks of (m, k, k) leading blocks.
-Verdicts distinguish a certified witness (re-verified eigensolve on the
-materialized projection) from a mere absence of findings at a given search
-budget.
+
+Every named-family search runs one routine, _sweep_then_descend: sweep the
+family over a fixed list of parameter points until one clears -1e-6, then
+coordinate-descend from the best point. Each evaluation takes one unit of a
+budget that also counts it in the report; a budget that dies in the sweep
+raises BudgetExhausted with the best-so-far report. Verdicts distinguish a
+certified witness (re-verified eigensolve on the materialized projection)
+from a mere absence of findings at a given search budget.
 """
 
 from __future__ import annotations
@@ -71,15 +76,29 @@ class _Spent(Exception):
 
 
 class _Budget:
-    def __init__(self, n: int):
+    """Evaluations left to one search stage; every one taken is also
+    counted in report.evaluations."""
+
+    def __init__(self, n: int, report):
         self.remaining = int(n)
         self.used = 0
+        self.report = report
 
     def take(self):
         if self.remaining <= 0:
             raise _Spent
         self.remaining -= 1
         self.used += 1
+        self.report.evaluations += 1
+
+
+def _family_rows(form: str, values) -> np.ndarray:
+    """R0 of a named family with its slots set to values, in key order."""
+    family = FAMILIES[form]
+    rows = family.base.copy()
+    for slot, value in zip(family.slots, values):
+        rows[slot] = complex(value)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -92,9 +111,7 @@ class RankTwoProjection:
         value of the named forms; general rows are checked orthonormal."""
         family = FAMILIES.get(self.form)
         if family is not None:
-            rows = family.base.copy()
-            for key, slot in zip(family.keys, family.slots):
-                rows[slot] = complex(self.params[key])
+            rows = _family_rows(self.form, [self.params[key] for key in family.keys])
         elif self.form == FORM_GENERAL:
             rows = np.array(self.params["rows"], dtype=complex).reshape(2, 3)
             gram = rows @ rows.conj().T
@@ -263,6 +280,17 @@ def _scalar_grid() -> list[complex]:
     return pts
 
 
+def _p2bc_samples(seed: int, n: int):
+    """(b, c) = (0, 0), then n - 1 Philox-seeded points with log-uniform
+    magnitudes in [1e-2, 1e2] and uniform phases."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x1B2], dtype=np.uint64)))
+    yield 0j, 0j
+    for _ in range(n - 1):
+        mb, mc = 10.0 ** rng.uniform(-2, 2, size=2)
+        pb, pc = rng.uniform(0, 2 * np.pi, size=2)
+        yield mb * np.exp(1j * pb), mc * np.exp(1j * pc)
+
+
 def _unit_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     d = np.diag(r).copy()
     d = np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))
@@ -291,41 +319,48 @@ def _finalize(report: DistillReport, best, g, tol) -> DistillReport:
     return report
 
 
-def _eval_form(g, form, values, budget: _Budget, best, stop_below=-1e-6):
-    """Evaluate a parametrized family over an iterable of parameter dicts.
-    Stops early once a value clears stop_below; descent polishes from there."""
-    for params in values:
-        budget.take()
-        proj = RankTwoProjection(form, params)
-        val = projected_min_eig(g, proj.materialize())
-        if best[0] is None or val < best[1]:
-            best[0], best[1] = proj, val
-        if best[1] < stop_below:
-            break
+def _sweep_then_descend(g, form, points, budget: _Budget, report, tol, stage):
+    """Evaluate a named family at parameter points (tuples in key order)
+    until one clears -1e-6, then coordinate-descend from the best of them.
+    Raises BudgetExhausted naming stage if the budget dies in the sweep.
+    Returns [projection, value] of the best point seen."""
+    best, start = [None, np.inf], None
+    try:
+        for point in points:
+            budget.take()
+            val = projected_min_eig(g, _family_rows(form, point))
+            if start is None or val < best[1]:
+                start = point
+                best[:] = RankTwoProjection(form, dict(zip(FAMILIES[form].keys, point))), val
+            if best[1] < -1e-6:
+                break
+    except _Spent:
+        raise BudgetExhausted(f"budget exhausted during the {stage}",
+                              _finalize(report, best, g, tol))
+    _descend(g, form, [t for z in start for t in (z.real, z.imag)], budget, best)
     return best
 
-def _coordinate_descent(g, form, keys, theta, budget: _Budget, best, step0=0.5):
-    """Descent over the real/imag parts of the scalar parameters in `keys`."""
-    def make(th):
-        return {k: complex(th[2 * i], th[2 * i + 1]) for i, k in enumerate(keys)}
 
-    theta = list(theta)
-    budget_guard = True
+def _descend(g, form, theta, budget: _Budget, best):
+    """Coordinate descent over the real and imaginary parts theta of the
+    family's parameters, halving the step from 0.5 after each pass that does
+    not improve. Stops at step 1e-9, after such a pass past -1e-6, or when
+    the budget runs out."""
+    keys = FAMILIES[form].keys
+    cur, step = best[1], 0.5
     try:
-        cur = best[1]
-        step = step0
         while step > 1e-9:
             improved = False
             for i in range(len(theta)):
                 for delta in (step, -step):
                     trial = list(theta)
                     trial[i] += delta
+                    point = tuple(complex(re, im) for re, im in zip(trial[::2], trial[1::2]))
                     budget.take()
-                    proj = RankTwoProjection(form, make(trial))
-                    val = projected_min_eig(g, proj.materialize())
+                    val = projected_min_eig(g, _family_rows(form, point))
                     if val < cur - 1e-18:
                         theta, cur = trial, val
-                        best[0], best[1] = proj, val
+                        best[:] = RankTwoProjection(form, dict(zip(keys, point))), val
                         improved = True
                         break
                 if improved:
@@ -335,40 +370,7 @@ def _coordinate_descent(g, form, keys, theta, budget: _Budget, best, step0=0.5):
             if cur < -1e-6 and not improved:
                 break
     except _Spent:
-        budget_guard = False
-    return best, budget_guard
-
-
-def _search_scalar_family(g, form, key, budget: _Budget, report, tol):
-    best = [None, np.inf]
-    grid = ({key: z} for z in _scalar_grid())
-    try:
-        _eval_form(g, form, grid, budget, best)
-    except _Spent:
-        raise BudgetExhausted(f"budget exhausted during the {form} grid",
-                              _finalize(report, best, g, tol))
-    theta = [best[0].params[key].real, best[0].params[key].imag]
-    _coordinate_descent(g, form, [key], theta, budget, best)
-    return best
-
-
-def _search_p2(g, budget: _Budget, seed: int, report, tol):
-    best = [None, np.inf]
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x1B2], dtype=np.uint64)))
-    n_samples = max(8, min(800, budget.remaining // 2))
-    samples = [{"b": 0j, "c": 0j}]
-    for _ in range(n_samples - 1):
-        mb, mc = 10.0 ** rng.uniform(-2, 2, size=2)
-        pb, pc = rng.uniform(0, 2 * np.pi, size=2)
-        samples.append({"b": mb * np.exp(1j * pb), "c": mc * np.exp(1j * pc)})
-    try:
-        _eval_form(g, FORM_P2BC, samples, budget, best)
-    except _Spent:
-        raise BudgetExhausted("budget exhausted during the P2bc sampling",
-                              _finalize(report, best, g, tol))
-    b, c = best[0].params["b"], best[0].params["c"]
-    _coordinate_descent(g, FORM_P2BC, ["b", "c"], [b.real, b.imag, c.real, c.imag], budget, best)
-    return best
+        pass
 
 
 def _search_general(g, budget: _Budget, seed: int):
@@ -431,9 +433,12 @@ def witness_search(
         b  sweep P1a the same way, then Philox-sampled P2bc, then descent;
         c  multi-start projected gradient over general isometry rows.
 
-    budget caps eigensolve evaluations per strategy. The report carries a
+    budget caps eigensolve evaluations per strategy; strategy b gives half
+    of it to the P1a sweep and the rest to P2bc. The report carries a
     certified witness when one is found (re-verified on materialization)
-    and otherwise the best value attained for the evidence trail.
+    and otherwise the best value attained for the evidence trail. A budget
+    too small for a sweep raises BudgetExhausted, whose .report is the
+    best-so-far report of that sweep.
     """
     letters = [ch for ch in strategy.replace("+", "") if not ch.isspace()]
     bad = [ch for ch in letters if ch not in "abc"]
@@ -448,28 +453,20 @@ def witness_search(
 
     for letter in letters:
         if letter == "a":
-            spent = _Budget(budget)
-            try:
-                best = _search_scalar_family(g, FORM_AY, "y", spent, report, tol)
-            finally:
-                report.evaluations += spent.used
+            best = _sweep_then_descend(g, FORM_AY, ((z,) for z in _scalar_grid()),
+                                       _Budget(budget, report), report, tol, "Ay grid")
         elif letter == "b":
-            half = _Budget(budget // 2)
-            try:
-                best = _search_scalar_family(g, FORM_P1A, "a", half, report, tol)
-            finally:
-                report.evaluations += half.used
-            rest = _Budget(budget - half.used)
-            try:
-                best2 = _search_p2(g, rest, seed, report, tol)
-            finally:
-                report.evaluations += rest.used
+            half = _Budget(budget // 2, report)
+            best = _sweep_then_descend(g, FORM_P1A, ((z,) for z in _scalar_grid()),
+                                       half, report, tol, "P1a grid")
+            rest = _Budget(budget - half.used, report)
+            samples = _p2bc_samples(seed, max(8, min(800, rest.remaining // 2)))
+            best2 = _sweep_then_descend(g, FORM_P2BC, samples, rest, report, tol,
+                                        "P2bc sampling")
             if best2[1] < best[1]:
                 best = best2
         else:
-            spent = _Budget(budget)
-            best = _search_general(g, spent, seed)
-            report.evaluations += spent.used
+            best = _search_general(g, _Budget(budget, report), seed)
         if best[0] is not None and best[1] < overall[1]:
             overall = best
         if overall[1] < -tol:

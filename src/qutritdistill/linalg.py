@@ -31,7 +31,8 @@ class NotSymmetric(ValueError):
 
 
 class NonRealMinor(ValueError):
-    pass
+    """A principal minor, or a closed form of one, came out with a
+    non-negligible imaginary part."""
 
 
 class DimensionMismatch(ValueError):

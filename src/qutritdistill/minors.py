@@ -60,12 +60,6 @@ _FORMS = {1: distill.FORM_P1A, 2: distill.FORM_P2BC}
 _AUTO_SCALE = {"F": float(SCALE_F), "G": float(SCALE_G)}
 
 
-class NonRealValue(ArithmeticError):
-    """A closed form produced a non-negligible imaginary part. Principal
-    minors of a Hermitian matrix are real, so this signals a transcription
-    problem in the polynomial being evaluated."""
-
-
 # --- frame and compression ---------------------------------------------------
 
 
@@ -195,8 +189,9 @@ def eval_printed_form(which: str, b: complex, c: complex) -> float:
     with conj(b)^2 terms and are kept exactly as printed; the deeply nested
     sum in the determinant is grouped by balanced parentheses, the reading
     pinned by the constant term 9*536*5 over the common denominator. Raises
-    NonRealValue when the result has a non-negligible imaginary part instead
-    of silently dropping it.
+    linalg.NonRealMinor when the result has a non-negligible imaginary part
+    instead of silently dropping it: principal minors of a Hermitian matrix
+    are real, so that signals a transcription problem in the polynomial.
     """
     b = complex(b)
     c = complex(c)
@@ -248,7 +243,7 @@ def eval_printed_form(which: str, b: complex, c: complex) -> float:
 
     val = complex(val)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
-        raise NonRealValue(
+        raise linalg.NonRealMinor(
             f"{which} at b={b}, c={c} evaluated to {val}; imaginary residue too large"
         )
     return float(val.real)
@@ -290,7 +285,7 @@ def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
     for (b, c), direct in zip(grid, directs.tolist()):
         try:
             closed = evaluate(which, b, c)
-        except NonRealValue as exc:
+        except linalg.NonRealMinor as exc:
             non_real.append({"b": complex_pair(complex(b)), "c": complex_pair(complex(c)),
                              "error": str(exc)})
             continue
@@ -353,6 +348,7 @@ class MinorScanSpec:
     def __post_init__(self):
         if self.which not in WHICH_TOKENS:
             raise ValueError(f"unknown scan target {self.which!r}; expected one of {WHICH_TOKENS}")
+        _check_x(self.x)
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.re_range[1] < self.re_range[0] or self.im_range[1] < self.im_range[0]:

@@ -148,6 +148,32 @@ def test_witness_report_field_names(capsys, tmp_path):
         assert key in doc
 
 
+@pytest.mark.parametrize("strategy, stage", [("a", "Ay grid"), ("b", "P1a grid")])
+def test_witness_budget_too_small_reports_best_so_far(capsys, tmp_path, strategy, stage):
+    argv = ["witness", "--case", "v", "--x", "1/7", "--budget", "50", "--strategy", strategy]
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    assert out.startswith("no witness found (best value 0.0")
+    assert stage in err and "internal error" not in err
+    code, out, _ = run(capsys, argv + ["--json", "--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    doc = json.loads(out)
+    assert doc["witness"] is None
+    assert doc["inertia"] == [1, 0, 8]
+
+
+def test_witness_budget_too_small_keeps_certified_witness(capsys, tmp_path):
+    # just past x = 1/4 the Ay sweep meets values near -7e-8: below the
+    # tolerance, above the -1e-6 that would end the sweep early
+    code, out, err = run(capsys, ["witness", "--case", "i", "--x", "0.2500001",
+                                  "--budget", "20", "--json", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert "Ay grid" in err
+    doc = json.loads(out)
+    assert doc["evidence_level"] == "certified"
+    assert -1e-6 < doc["witness"]["value"] < -1e-10
+
+
 def test_witness_deterministic_stdout(capsys, tmp_path):
     argv = ["witness", "--case", "v", "--x", "0.4", "--json", "--out", str(tmp_path)]
     _, out1, _ = run(capsys, argv)
@@ -238,6 +264,15 @@ def test_kernel_basis_file_found(capsys, tmp_path):
     assert doc["exact_cases"]["found"] or doc["search"]["found"]
 
 
+@pytest.mark.parametrize("extra", [["--case", "vi"], ["--case", "v", "--x", "1.5"],
+                                   ["--case", "v", "--x", "-0.1"]])
+def test_kernel_rejects_bad_case_or_x(capsys, tmp_path, extra):
+    code, out, err = run(capsys, ["kernel"] + extra + ["--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert out == ""
+
+
 def test_kernel_requires_some_input(capsys, tmp_path):
     code, _, err = run(capsys, ["kernel", "--json", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
@@ -263,6 +298,16 @@ def test_grid_csv_header(capsys, tmp_path):
     assert path.exists()
     header = path.read_text().splitlines()[0]
     assert header == "re_b,im_b,re_c,im_c,value"
+
+
+@pytest.mark.parametrize("x", ["0", "1", "1.5", "-0.5"])
+def test_grid_rejects_x_outside_open_unit_interval(capsys, tmp_path, x):
+    code, out, err = run(capsys, ["grid", "--which", "alpha2_minor4", "--step", "0.5",
+                                  "--x", x, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: x must lie in (0, 1)")
+    assert out == ""
+    assert not (tmp_path / "alpha2_minor4_grid.csv").exists()
 
 
 # -------------------------------------------------------------- verify-example

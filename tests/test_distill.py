@@ -202,6 +202,44 @@ def test_budget_exhausted_carries_report():
     assert rep.evaluations <= 50
 
 
+def test_budget_exhausted_in_p1a_grid():
+    st = states.build_family("v", 1 / 7)
+    with pytest.raises(BudgetExhausted, match="P1a grid") as info:
+        witness_search(st, strategy="b", budget=50)
+    rep = info.value.report
+    assert rep.evaluations == 25  # the P1a sweep holds half of the budget
+    assert rep.witness is None
+    assert rep.best_value > 0
+
+
+@pytest.mark.parametrize("x, strategy, evaluations", [
+    (1 / 7, "a", 2000),
+    (1 / 7, "b", 2000),
+    (1 / 7, "c", 1240),
+    (1 / 7, "abc", 5240),
+    (0.5, "a", 2000),
+    (0.5, "b", 2000),
+    (0.5, "c", 40),
+    (0.5, "abc", 2000),
+])
+def test_witness_search_evaluation_counts(x, strategy, evaluations):
+    rep = witness_search(states.build_family("v", x), strategy=strategy)
+    assert rep.evaluations == evaluations
+    assert (rep.witness is not None) == (x == 0.5)
+
+
+def test_sweeps_materialize_only_the_certified_witness(monkeypatch):
+    # family rows are rank two by construction: the sweeps and descents
+    # evaluate them directly, and only _finalize re-materializes the best
+    calls = []
+    materialize = RankTwoProjection.materialize
+    monkeypatch.setattr(RankTwoProjection, "materialize",
+                        lambda self: calls.append(self) or materialize(self))
+    rep = witness_search(states.build_family("v", 0.5), strategy="b")
+    assert rep.evaluations == 2000
+    assert calls == [rep.witness]
+
+
 def test_witness_search_deterministic():
     st = states.build_family("v", 0.4)
     a = witness_search(st, strategy="c", budget=800, seed=5)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qutritdistill import distill, linalg, minors, states
+from qutritdistill.linalg import NonRealMinor
 from qutritdistill.minors import (
     DEN_DET,
     DEN_MINOR4,
@@ -17,7 +18,6 @@ from qutritdistill.minors import (
     SCALE_F,
     SCALE_G,
     MinorScanSpec,
-    NonRealValue,
     build_projected,
     cross_check,
     default_complex_b_grid_c0,
@@ -125,9 +125,9 @@ def test_closed_minor4_real_on_complex_inputs():
 
 
 def test_closed_minor5_and_det_nonreal_off_real_slice():
-    with pytest.raises(NonRealValue):
+    with pytest.raises(NonRealMinor):
         eval_printed_form("minor5", 0.5 + 0.5j, 0.25 - 0.1j)
-    with pytest.raises(NonRealValue):
+    with pytest.raises(NonRealMinor):
         eval_printed_form("det", 0.5 + 0.5j, 0.25 - 0.1j)
 
 
