@@ -1,14 +1,18 @@
 """Product vectors in kernels of rank-five states.
 
-Three routes: direct candidates for two explicit range constructions,
-the cubic-pencil solver on complements inside C2 x C3, and the minor
-objective that stays bounded away from zero when no product vector exists.
+Four routes: direct candidates for two explicit range constructions,
+the cubic-pencil solver on complements inside C2 x C3, the exact lemma for
+kernels spanned by the antisymmetric subspace and one Schmidt-rank-3
+symmetric vector, and the minor objective, which stays bounded away from
+zero on those kernels.
 """
 
 import numpy as np
 
 from qutritdistill import kernel_product_vector
 from qutritdistill.kernel import (
+    antisymmetric_lemma_applies,
+    eq5_family_basis,
     eq5_family_min_objective,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
@@ -45,11 +49,13 @@ res = product_vector_in_2x3_complement(list(q.T))
 print(f"random 3-dim complement: found={res.found}, residual {res.residual:.1e}, "
       f"schmidt rank {schmidt_rank(res.vector, dim_a=2, dim_b=3)}")
 
-# obstructed kernels: antisymmetric subspace plus a balanced diagonal
-# vector; the minor objective cannot reach zero, and the closed-form
-# margin predicts the obstruction size
+# obstructed kernels: antisymmetric subspace plus a diagonal vector of
+# Schmidt rank 3; the lemma excludes product vectors exactly, and the
+# minor objective cannot reach zero. The closed-form margin is the size of
+# the one minor that the sign branches of the would-be product vector leave
 for s in ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.1, 0.45, 0.45)):
+    lemma = antisymmetric_lemma_applies(eq5_family_basis(s))
     val = eq5_family_min_objective(s)
     margin = rank1_exclusion_margin(*s)
-    print(f"s = {s}: min minor objective {val:.6f} "
-          f"(exclusion margin^2 = {margin ** 2:.6f})")
+    print(f"s = {s}: lemma excludes product vectors: {lemma}, "
+          f"min minor objective {val:.6f} (exclusion margin^2 = {margin ** 2:.6f})")

@@ -303,8 +303,13 @@ def cmd_kernel(args) -> int:
     payload["exact_cases"] = exact.to_json()
     payload["search"] = searched.to_json()
     found = exact.found or searched.found
-    _emit(args, payload, "kernel product vector: " + ("found" if found else
-          f"not found at budget (min objective {searched.min_objective})"))
+    if found:
+        verdict = "found"
+    elif searched.evidence_level == "certified":
+        verdict = "none (antisymmetric subspace plus a Schmidt-rank-3 symmetric vector)"
+    else:
+        verdict = f"not found at budget (min objective {searched.min_objective})"
+    _emit(args, payload, "kernel product vector: " + verdict)
     return EXIT_OK if found else EXIT_NOT_FOUND
 
 

@@ -17,8 +17,9 @@ family at many points at once, in chunks of (m, k, k) leading blocks.
 Every named-family search runs one routine, _sweep_then_descend: sweep the
 family over a fixed list of parameter points until one clears -1e-6, then
 coordinate-descend from the best point. Each evaluation takes one unit of a
-budget that also counts it in the report; a budget that dies in the sweep
-raises BudgetExhausted with the best-so-far report. Verdicts distinguish a
+budget that also counts it in the report; a budget that dies in a sweep ends
+that strategy, the remaining strategies still run, and BudgetExhausted then
+carries the merged best-so-far report. Verdicts distinguish a
 certified witness (re-verified eigensolve on the materialized projection)
 from a mere absence of findings at a given search budget.
 """
@@ -63,8 +64,10 @@ class NoSignChange(ValueError):
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when the budget dies before the initial sweep of a strategy
-    completes. Carries the best-so-far report in .report."""
+    """Raised by witness_search when the budget died in the sweep of some
+    strategy, unless a later strategy certified a witness. The message names
+    the first sweep cut short; .report is the best-so-far report over every
+    strategy that ran."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -73,6 +76,15 @@ class BudgetExhausted(RuntimeError):
 
 class _Spent(Exception):
     pass
+
+
+class _SweepCut(Exception):
+    """The budget died in the sweep of stage; best is the best point seen."""
+
+    def __init__(self, stage, best):
+        super().__init__(stage)
+        self.stage = stage
+        self.best = best
 
 
 class _Budget:
@@ -143,7 +155,7 @@ class DistillReport:
     preconditions: Optional[dict] = None
     witness: Optional[RankTwoProjection] = None
     witness_value: Optional[float] = None
-    evidence_level: str = "searched"
+    evidence_level: str = "not_found_at_budget"
     best_value: Optional[float] = None
     evaluations: int = 0
 
@@ -319,10 +331,15 @@ def _finalize(report: DistillReport, best, g, tol) -> DistillReport:
     return report
 
 
-def _sweep_then_descend(g, form, points, budget: _Budget, report, tol, stage):
+def _lower(best, other):
+    """The lower of two [projection, value] pairs; best on a tie."""
+    return other if other[0] is not None and other[1] < best[1] else best
+
+
+def _sweep_then_descend(g, form, points, budget: _Budget, stage):
     """Evaluate a named family at parameter points (tuples in key order)
     until one clears -1e-6, then coordinate-descend from the best of them.
-    Raises BudgetExhausted naming stage if the budget dies in the sweep.
+    Raises _SweepCut naming stage if the budget dies in the sweep.
     Returns [projection, value] of the best point seen."""
     best, start = [None, np.inf], None
     try:
@@ -335,8 +352,7 @@ def _sweep_then_descend(g, form, points, budget: _Budget, report, tol, stage):
             if best[1] < -1e-6:
                 break
     except _Spent:
-        raise BudgetExhausted(f"budget exhausted during the {stage}",
-                              _finalize(report, best, g, tol))
+        raise _SweepCut(stage, best)
     _descend(g, form, [t for z in start for t in (z.real, z.imag)], budget, best)
     return best
 
@@ -437,8 +453,10 @@ def witness_search(
     of it to the P1a sweep and the rest to P2bc. The report carries a
     certified witness when one is found (re-verified on materialization)
     and otherwise the best value attained for the evidence trail. A budget
-    too small for a sweep raises BudgetExhausted, whose .report is the
-    best-so-far report of that sweep.
+    too small for a sweep ends that strategy (b then skips P2bc) and the
+    next letter runs. If any sweep was cut short, BudgetExhausted is raised
+    at the end with the report over all strategies that ran, unless a later
+    strategy certified a witness.
     """
     letters = [ch for ch in strategy.replace("+", "") if not ch.isspace()]
     bad = [ch for ch in letters if ch not in "abc"]
@@ -450,29 +468,40 @@ def witness_search(
     report = npt_check(state, tol=tol)
     g = pt_of(state)
     overall = [None, np.inf]
-
+    cut = []  # stages whose sweep ran out of budget, in order
     for letter in letters:
-        if letter == "a":
-            best = _sweep_then_descend(g, FORM_AY, ((z,) for z in _scalar_grid()),
-                                       _Budget(budget, report), report, tol, "Ay grid")
-        elif letter == "b":
-            half = _Budget(budget // 2, report)
-            best = _sweep_then_descend(g, FORM_P1A, ((z,) for z in _scalar_grid()),
-                                       half, report, tol, "P1a grid")
-            rest = _Budget(budget - half.used, report)
-            samples = _p2bc_samples(seed, max(8, min(800, rest.remaining // 2)))
-            best2 = _sweep_then_descend(g, FORM_P2BC, samples, rest, report, tol,
-                                        "P2bc sampling")
-            if best2[1] < best[1]:
-                best = best2
-        else:
-            best = _search_general(g, _Budget(budget, report), seed)
-        if best[0] is not None and best[1] < overall[1]:
-            overall = best
+        last_cut = False
+        try:
+            if letter == "a":
+                best = _sweep_then_descend(g, FORM_AY, ((z,) for z in _scalar_grid()),
+                                           _Budget(budget, report), "Ay grid")
+            elif letter == "b":
+                half = _Budget(budget // 2, report)
+                best = _sweep_then_descend(g, FORM_P1A, ((z,) for z in _scalar_grid()),
+                                           half, "P1a grid")
+                rest = _Budget(budget - half.used, report)
+                samples = _p2bc_samples(seed, max(8, min(800, rest.remaining // 2)))
+                try:
+                    best = _lower(best, _sweep_then_descend(g, FORM_P2BC, samples, rest,
+                                                            "P2bc sampling"))
+                except _SweepCut as exc:
+                    exc.best = _lower(best, exc.best)
+                    raise
+            else:
+                best = _search_general(g, _Budget(budget, report), seed)
+        except _SweepCut as exc:
+            cut.append(exc.stage)
+            best, last_cut = exc.best, True
+        overall = _lower(overall, best)
         if overall[1] < -tol:
             break
 
-    return _finalize(report, overall, g, tol)
+    report = _finalize(report, overall, g, tol)
+    # a witness from a strategy that ran its sweep in full stands alone; one
+    # from a sweep cut short still reports the cut, as does no witness
+    if cut and (report.witness is None or last_cut):
+        raise BudgetExhausted(f"budget exhausted during the {cut[0]}", report)
+    return report
 
 
 # --- preconditions -----------------------------------------------------------
@@ -510,7 +539,10 @@ def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: i
 
     Every failed item certifies 1-distillability; all items passing is
     consistent with (not proof of) resistance. The kernel product-vector item
-    is search evidence, never a nonexistence proof.
+    carries kernel_product_vector's evidence: "certified" where the exact
+    antisymmetric-subspace lemma covers the kernel (every family state with
+    0 < x < 1), otherwise "not_found_at_budget" from a search, which is no
+    nonexistence proof.
     """
     from . import kernel  # local import; kernel depends on states only
 

@@ -1,15 +1,19 @@
 """Product vectors in kernels and low-dimensional subspaces.
 
-Three mechanisms, in increasing generality:
+Four mechanisms, in increasing generality:
 
   * explicit candidate checks (|22> and |01> against a kernel projector);
   * an exact cubic pencil for 3-dim subspaces of C2 x C3: orthogonality of
     (m|0> + n|1>) x |w> to three spanners is a 3x3 system M(m,n) w = 0
     whose determinant is a homogeneous cubic in (m,n), so a root always
     exists over C and yields a product vector in the orthogonal complement;
+  * an exact lemma for kernels spanned by the antisymmetric subspace and
+    one swap-symmetric vector of Schmidt rank three (every family state
+    with 0 < x < 1): such a kernel holds no product vector;
   * multi-start minimization of the rank-one minor objective
-    f(v) = sum |2x2 minors of the 3x3 coefficient matrix|^2 over a kernel,
-    reporting "not found at budget" rather than claiming nonexistence.
+    f(v) = sum |2x2 minors of the 3x3 coefficient matrix|^2 over any other
+    kernel, with its exact gradient, reporting "not found at budget"
+    rather than claiming nonexistence.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from ._fmt import complex_pair
 
 PENCIL_RESIDUAL_TOL = 1e-9
 SEARCH_FOUND_TOL = 1e-18
+LEMMA_SPLIT_TOL = 1e-10  # deviation of the kernel from the swap split
+LEMMA_RANK_TOL = 1e-6  # smallest singular value of the symmetric vector
 
 
 class DegeneratePencil(RuntimeError):
@@ -206,20 +212,54 @@ def _factor_rank1(vector: np.ndarray, da: int, db: int) -> tuple[np.ndarray, np.
     return u / nu, w / nw
 
 
+def _cross(p, q):
+    """Cross product of two 3-sequences."""
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def minor_objective(z: np.ndarray, basis: np.ndarray):
+    """f(c) = sum |2x2 minors of reshape(basis @ c)|^2 / |c|^4 and its
+    gradient over the real coordinates z = (Re c_0, Im c_0, Re c_1, ...).
+
+    The nine minors are, up to sign, the entries of the cofactor rows
+    x_i = r_(i+1) x r_(i+2) of C = reshape(basis @ c), so phi = sum |x_i|^2
+    has Wirtinger derivative d phi / d conj(r_0) = conj(r_1) x x_2 -
+    conj(r_2) x x_1 (and cyclic); dividing by |c|^4 adds -2 phi c / |c|^6.
+    The value is summed from the |x_i|^2 themselves: the Cauchy-Binet form
+    ((tr G)^2 - |G|^2) / 2 of the Gram matrix G = C C^dag cancels to about
+    -1e-16 at a product vector. Python scalars beat numpy calls on arrays
+    of nine entries."""
+    c = z.view(np.complex128)
+    n2 = float(z @ z)
+    if n2 < 1e-16:
+        return 1e6, np.zeros_like(z)
+    v = (basis @ c).tolist()
+    r0, r1, r2 = v[0:3], v[3:6], v[6:9]
+    x0, x1, x2 = _cross(r1, r2), _cross(r2, r0), _cross(r0, r1)
+    phi = sum(t.real * t.real + t.imag * t.imag for t in x0 + x1 + x2)
+    s0, s1, s2 = ([t.conjugate() for t in r] for r in (r0, r1, r2))
+    dphi = np.array([p - q for a, xa, b, xb in ((s1, x2, s2, x1), (s2, x0, s0, x2), (s0, x1, s1, x0))
+                     for p, q in zip(_cross(a, xa), _cross(b, xb))])
+    # the real gradient is twice the Wirtinger derivative d f / d conj(c)
+    grad = (dphi @ basis.conj()) * (2.0 / n2 ** 2) - (4.0 * phi / n2 ** 3) * c
+    return phi / n2 ** 2, grad.view(np.float64)
+
+
 def minimize_minor_objective(basis: np.ndarray, n_starts: int = 64, seed: int = 0):
     """Minimize f(c) = sum |2x2 minors of reshape(basis @ c)|^2 over unit-norm
-    coefficient vectors c. Returns (best objective, best c)."""
+    coefficient vectors c by L-BFGS-B with the exact gradient of
+    minor_objective, from n_starts seeded random starts. A start that ends
+    below 1e-6 is solved again with ftol = 0 and then polished. Returns
+    (best objective, best c)."""
     from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
 
     k = basis.shape[1]
 
-    def f(z):
-        c = z[:k] + 1j * z[k:]
-        nrm = np.linalg.norm(c)
-        if nrm < 1e-8:
-            return 1e6
-        _, total = rank1_minor_system(basis @ (c / nrm))
-        return total
+    def local(z, ftol):
+        # ftol is relative to max(|f|, 1): near a zero of f, only ftol = 0
+        # keeps L-BFGS-B going below ~1e-17
+        return minimize(minor_objective, z, args=(basis,), jac=True, method="L-BFGS-B",
+                        options={"maxiter": 200, "ftol": ftol, "gtol": 1e-14})
 
     def polish(c):
         # alternate: truncate the lifted vector to rank 1, project back onto
@@ -240,8 +280,10 @@ def minimize_minor_objective(basis: np.ndarray, n_starts: int = 64, seed: int = 
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xAE], dtype=np.uint64)))
     for _ in range(n_starts):
         z0 = rng.normal(size=2 * k)
-        res = minimize(f, z0, method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-16, "gtol": 1e-14})
-        c = res.x[:k] + 1j * res.x[k:]
+        res = local((z0[:k] + 1j * z0[k:]).view(np.float64), 1e-16)
+        if res.fun < 1e-6:
+            res = local(res.x, 0.0)
+        c = res.x.view(np.complex128)
         c = c / np.linalg.norm(c)
         val = float(res.fun)
         if val < 1e-6:
@@ -256,14 +298,37 @@ def minimize_minor_objective(basis: np.ndarray, n_starts: int = 64, seed: int = 
     return best_val, best_c
 
 
+def antisymmetric_lemma_applies(ker: np.ndarray) -> bool:
+    """Whether the span of the orthonormal columns ker is the antisymmetric
+    subspace plus one swap-symmetric vector S of Schmidt rank three. Such a
+    span holds no product vector: if u w^T = A + t S with A antisymmetric,
+    the symmetric part (u w^T + w u^T) / 2 = t S has rank at most two, so
+    t = 0, and a nonzero antisymmetric matrix never has rank one. The lemma
+    is exact; this checks the shape numerically, to LEMMA_SPLIT_TOL for the
+    split and LEMMA_RANK_TOL for the rank of S."""
+    if ker.shape != (9, 4):
+        return False
+    swapped = states.SWAP @ ker
+    m = ker.conj().T @ swapped  # SWAP restricted to the span, if it is invariant
+    if np.linalg.norm(swapped - ker @ m) > LEMMA_SPLIT_TOL:
+        return False
+    vals, vecs = np.linalg.eigh(m)
+    if np.abs(vals - np.array([-1.0, -1.0, -1.0, 1.0])).max() > LEMMA_SPLIT_TOL:
+        return False
+    sym = (ker @ vecs[:, 3]).reshape(3, 3)
+    return bool(np.linalg.svd(sym, compute_uv=False)[-1] > LEMMA_RANK_TOL)
+
+
 def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
                           seed: int = 0) -> ProductVectorResult:
     """Look for a product vector in ker rho.
 
     mode="exact_cases": test the two explicit candidates |22> and |01> by
     projection residual against the kernel projector.
-    mode="search": 64-start minimization of the minor objective over the
-    kernel; found means objective < 1e-18, otherwise not-found-at-budget.
+    mode="search": when antisymmetric_lemma_applies, no product vector
+    exists (evidence "certified", no objective). Otherwise a 64-start
+    minimization of the minor objective over the kernel; found means
+    objective < 1e-18, otherwise not-found-at-budget.
     """
     _, ker = states.range_kernel(state)
     if ker.shape[1] == 0:
@@ -295,6 +360,11 @@ def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
     if mode != "search":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact_cases' or 'search'")
 
+    if antisymmetric_lemma_applies(ker):
+        return ProductVectorResult(
+            found=False, vector=None, u=None, w=None, residual=np.inf,
+            evidence_level="certified",
+        )
     best_val, best_c = minimize_minor_objective(ker, n_starts=64, seed=seed)
     if best_val < SEARCH_FOUND_TOL:
         vector = ker @ best_c
@@ -414,11 +484,9 @@ def rank1_exclusion_margin(s0: float, s1: float, s2: float) -> float:
     return float(np.sqrt(2.0) * np.sqrt(s0) * (s1 * s2) ** 0.25)
 
 
-def eq5_family_min_objective(s, n_starts: int = 8, seed: int = 0) -> float:
-    """Searched minimum of the minor objective over the four-dimensional
-    kernel spanned by the antisymmetric subspace and the symmetric vector
-    with Schmidt weights s = (s0, s1, s2). A minimum bounded away from zero
-    is numerical evidence that no product vector exists there."""
+def eq5_family_basis(s) -> np.ndarray:
+    """Orthonormal columns spanning the antisymmetric subspace and the
+    symmetric vector with Schmidt weights s = (s0, s1, s2)."""
     s = np.asarray(s, dtype=float)
     if s.shape != (3,) or np.any(s < 0):
         raise ValueError("expected three nonnegative weights")
@@ -430,6 +498,12 @@ def eq5_family_min_objective(s, n_starts: int = 8, seed: int = 0) -> float:
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         v = (states.basis_ket(i, j) - states.basis_ket(j, i)) / np.sqrt(2)
         anti.append(v)
-    basis = np.stack(anti + [sym], axis=1)
-    best_val, _ = minimize_minor_objective(basis, n_starts=n_starts, seed=seed)
+    return np.stack(anti + [sym], axis=1)
+
+
+def eq5_family_min_objective(s, n_starts: int = 8, seed: int = 0) -> float:
+    """Searched minimum of the minor objective over eq5_family_basis(s). For
+    three positive weights antisymmetric_lemma_applies, so the minimum is
+    bounded away from zero."""
+    best_val, _ = minimize_minor_objective(eq5_family_basis(s), n_starts=n_starts, seed=seed)
     return best_val

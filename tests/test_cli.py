@@ -232,8 +232,12 @@ def test_kernel_case_not_found(capsys, tmp_path):
     )
     assert code == EXIT_NOT_FOUND
     doc = json.loads(out)
-    assert not doc["search"]["found"]
-    assert doc["search"]["min_objective"] > 1e-6
+    assert doc["search"]["found"] is False
+    assert doc["search"]["evidence_level"] == "certified"
+    from qutritdistill import kernel, states
+
+    _, ker = states.range_kernel(states.build_family("v", 1 / 7))
+    assert kernel.minimize_minor_objective(ker)[0] > 1e-6
 
 
 def test_kernel_basis_file_found(capsys, tmp_path):

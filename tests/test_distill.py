@@ -202,6 +202,27 @@ def test_budget_exhausted_carries_report():
     assert rep.evaluations <= 50
 
 
+def test_budget_exhausted_in_one_letter_keeps_the_others():
+    # b's P1a sweep gets 300 of 600 evaluations and is cut short; a's result
+    # stays, c still runs, and the error names the first sweep cut short
+    st = states.build_family("v", 1 / 7)
+    best = {}
+    for strat in "abc":
+        try:
+            rep = witness_search(st, strategy=strat, budget=600)
+        except BudgetExhausted as exc:
+            rep = exc.report
+        best[strat] = (rep.best_value, rep.evaluations)
+    with pytest.raises(BudgetExhausted, match="P1a grid") as info:
+        witness_search(st, strategy="abc", budget=600)
+    rep = info.value.report
+    assert best["b"][1] == 300
+    assert rep.evaluations == sum(n for _, n in best.values())
+    assert rep.best_value == min(v for v, _ in best.values())
+    assert rep.witness is None
+    assert rep.evidence_level == "not_found_at_budget"
+
+
 def test_budget_exhausted_in_p1a_grid():
     st = states.build_family("v", 1 / 7)
     with pytest.raises(BudgetExhausted, match="P1a grid") as info:
@@ -305,7 +326,11 @@ def test_preconditions_all_pass_at_reference_point():
     assert sub["pass"] and sub["method"] == "exact" and sub["min_schmidt_rank"] == 3
     ker = pre["kernel_no_product_vector"]
     assert ker["pass"]
-    assert ker["min_objective"] > 1e-6
+    assert ker["evidence_level"] == "certified"
+    from qutritdistill import kernel
+
+    _, basis = states.range_kernel(states.build_family("v", 1 / 7))
+    assert kernel.minimize_minor_objective(basis)[0] > 1e-6
 
 
 def test_preconditions_fail_two_negative():

@@ -14,8 +14,12 @@ from qutritdistill.kernel import (
     NotInKernel,
     NotSymmetric,
     SchmidtRankTooHigh,
+    antisymmetric_lemma_applies,
+    eq5_family_basis,
     eq5_family_min_objective,
     kernel_product_vector,
+    minimize_minor_objective,
+    minor_objective,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
     rank1_minor_system,
@@ -154,9 +158,98 @@ def test_no_product_vector_in_obstructed_kernel():
             range_cols.append(col)
     st = states.uniform_state_on_span(range_cols[:5])
     res = kernel_product_vector(st, mode="search")
-    assert not res.found
-    assert res.evidence_level == "not_found_at_budget"
-    assert res.min_objective > 1e-6
+    assert res.found is False
+    assert res.evidence_level == "certified"
+    _, ker = states.range_kernel(st)
+    assert minimize_minor_objective(ker)[0] > 1e-6
+
+
+def state_with_kernel(basis):
+    # uniform state on the orthogonal complement of the orthonormal columns
+    complement = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
+    return states.uniform_state_on_span(list(complement.T))
+
+
+@pytest.mark.parametrize("x", [0.001, 1 / 7, 0.3, 0.9, 0.999])
+def test_lemma_covers_every_family_kernel(x):
+    for case in states.CASES:
+        st = states.build_family(case, x)
+        _, ker = states.range_kernel(st)
+        assert antisymmetric_lemma_applies(ker), case
+        res = kernel_product_vector(st, mode="search")
+        assert res.found is False
+        assert res.evidence_level == "certified"
+        assert res.min_objective is None
+
+
+def test_lemma_leaves_endpoint_kernels_to_the_search():
+    for x in (0.0, 1.0):
+        _, ker = states.range_kernel(states.build_family("v", x))
+        assert ker.shape[1] > 4
+        assert not antisymmetric_lemma_applies(ker)
+
+
+def test_lemma_does_not_fire_on_random_spans():
+    # the benchmark's basis-file input: five random real vectors
+    for seed in range(5):
+        vectors = np.random.default_rng(seed).normal(size=(5, 9, 2))
+        st = states.uniform_state_on_span([v[:, 0] + 1j * v[:, 1] for v in vectors])
+        _, ker = states.range_kernel(st)
+        assert ker.shape == (9, 4)
+        assert not antisymmetric_lemma_applies(ker)
+
+
+def test_lemma_needs_schmidt_rank_three():
+    # with s2 = 0 the symmetric vector has Schmidt rank 2, and eq5_vector is
+    # a product vector inside the kernel: the search has to find one
+    s = (0.5, 0.5, 0.0)
+    basis = eq5_family_basis(s)
+    assert not antisymmetric_lemma_applies(basis)
+    st = state_with_kernel(basis)
+    planted = eq5_vector(s)
+    assert states.schmidt_rank(planted) == 1
+    assert np.linalg.norm(st.rho @ planted) <= 1e-12
+    res = kernel_product_vector(st, mode="search")
+    assert res.found
+    assert res.evidence_level == "searched"
+    assert states.schmidt_rank(res.vector) == 1
+    assert np.linalg.norm(st.rho @ res.vector) <= 1e-10
+
+
+def test_minor_objective_matches_rank1_minor_system():
+    rng = np.random.default_rng(71)
+    basis = np.linalg.qr(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))[0]
+    for _ in range(20):
+        c = rng.normal(size=4) + 1j * rng.normal(size=4)
+        value, _ = minor_objective(c.view(np.float64), basis)
+        v = basis @ c
+        expected = rank1_minor_system(v)[1] / np.linalg.norm(v) ** 4
+        assert abs(value - expected) <= 1e-14 * max(expected, 1.0)
+
+
+def test_minor_objective_gradient_matches_central_differences():
+    rng = np.random.default_rng(73)
+    h = 1e-6
+    for k in (4, 5):
+        basis = np.linalg.qr(rng.normal(size=(9, k)) + 1j * rng.normal(size=(9, k)))[0]
+        for _ in range(10):
+            z = rng.normal(size=2 * k)
+            _, grad = minor_objective(z, basis)
+            numeric = np.array([
+                (minor_objective(z + h * e, basis)[0] - minor_objective(z - h * e, basis)[0]) / (2 * h)
+                for e in np.eye(2 * k)
+            ])
+            assert np.abs(grad - numeric).max() < 1e-8 * np.abs(grad).max()
+
+
+def test_minor_objective_nonnegative_at_kernel_product_vector():
+    # |22> lies in this kernel; the value must not cancel below zero there
+    _, ker = states.range_kernel(explicit_range_state("i"))
+    c = ker.conj().T @ ket(2, 2)
+    assert np.linalg.norm(ker @ c - ket(2, 2)) <= 1e-12
+    value, grad = minor_objective(c.view(np.float64), ker)
+    assert 0.0 <= value <= 1e-28
+    assert np.abs(grad).max() <= 1e-12
 
 
 def test_empty_kernel_raises():
