@@ -100,11 +100,8 @@ def cmd_scan(args) -> int:
         eigs = np.linalg.eigvalsh(g)
         inert = linalg.inertia_of(g)
         if eigs[0] < -args.tol:
-            try:
-                rep = distill.witness_search(state, strategy="a", budget=160, seed=args.seed,
-                                             tol=args.tol)
-            except distill.BudgetExhausted as exc:
-                rep = exc.report  # truncated sweep; best-so-far is still usable
+            rep = distill.witness_search(state, strategy="a", budget=160, seed=args.seed,
+                                         tol=args.tol)
             found = rep.witness is not None
             wval = rep.witness_value if found else rep.best_value
         else:
@@ -177,9 +174,6 @@ def cmd_witness(args) -> int:
     try:
         rep = distill.witness_search(state, strategy=args.strategy, budget=args.budget,
                                      seed=args.seed, tol=args.tol)
-    except distill.BudgetExhausted as exc:
-        sys.stderr.write(f"note: {exc}; reporting the best value so far\n")
-        rep = exc.report
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = rep.to_json()
@@ -348,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory for CSV/JSON files")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--tol", type=float, default=1e-10, dest="tol",
-                        help="negativity tolerance")
     common.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
+    searched = argparse.ArgumentParser(add_help=False)  # subcommands that run witness_search
+    searched.add_argument("--tol", type=float, default=1e-10, help="negativity tolerance")
 
     parser = argparse.ArgumentParser(
         prog="qutritdistill",
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan", parents=[common], help="sweep x for one family case")
+    p = sub.add_parser("scan", parents=[common, searched], help="sweep x for one family case")
     p.add_argument("--case", required=True)
     p.add_argument("--x-min", default="0", dest="x_min")
     p.add_argument("--x-max", default="1", dest="x_max")
@@ -373,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-threshold", type=float, default=1e-9)
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("witness", parents=[common], help="search for a distillability witness")
+    p = sub.add_parser("witness", parents=[common, searched],
+                       help="search for a distillability witness")
     p.add_argument("--case", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--strategy", default="a", help="any combination of a, b, c")

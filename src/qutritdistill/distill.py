@@ -15,18 +15,21 @@ of explicit rows; compression_bases and compression_chunks evaluate a named
 family at many points at once, in chunks of (m, k, k) leading blocks.
 
 Every named-family search runs one routine, _sweep_then_descend: sweep the
-family over a fixed list of parameter points until one clears -1e-6, then
-coordinate-descend from the best point. Each evaluation takes one unit of a
-budget that also counts it in the report; a budget that dies in a sweep ends
-that strategy, the remaining strategies still run, and BudgetExhausted then
-carries the merged best-so-far report. Verdicts distinguish a
-certified witness (re-verified eigensolve on the materialized projection)
-from a mere absence of findings at a given search budget.
+family over a fixed list of parameter points, then coordinate-descend from
+the best point. Two rules govern every stage. A stage stops as soon as its
+best value is below STOP, since one negative compression is all a verdict
+needs. Each evaluation takes one unit of a budget that also counts it in the
+report, and a budget that runs out ends the current stage quietly with its
+best so far; the next stage and the next strategy still run. Verdicts
+distinguish a certified witness (re-verified eigensolve on the materialized
+projection) from a mere absence of findings at a given search budget.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,6 +44,7 @@ FORM_GENERAL = "general"
 
 DEFAULT_BUDGET = 2000
 NEG_TOL = 1e-10
+STOP = -1e-6  # a search stage ends once its best value is below this
 CHUNK = 8192  # points per block of compression_chunks
 
 
@@ -63,28 +67,8 @@ class NoSignChange(ValueError):
     pass
 
 
-class BudgetExhausted(RuntimeError):
-    """Raised by witness_search when the budget died in the sweep of some
-    strategy, unless a later strategy certified a witness. The message names
-    the first sweep cut short; .report is the best-so-far report over every
-    strategy that ran."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
 class _Spent(Exception):
-    pass
-
-
-class _SweepCut(Exception):
-    """The budget died in the sweep of stage; best is the best point seen."""
-
-    def __init__(self, stage, best):
-        super().__init__(stage)
-        self.stage = stage
-        self.best = best
+    """The budget of a search stage ran out; the stage ends with its best."""
 
 
 class _Budget:
@@ -175,6 +159,8 @@ class DistillReport:
             "preconditions": self.preconditions,
             "witness": wit,
             "evidence_level": self.evidence_level,
+            "best_value": self.best_value,
+            "evaluations": self.evaluations,
         }
 
 
@@ -288,7 +274,7 @@ def _scalar_grid() -> list[complex]:
     for ph in phases:
         z = np.exp(1j * ph)
         for m in mags:
-            pts.append(m * z)
+            pts.append(complex(m * z))
     return pts
 
 
@@ -336,68 +322,56 @@ def _lower(best, other):
     return other if other[0] is not None and other[1] < best[1] else best
 
 
-def _sweep_then_descend(g, form, points, budget: _Budget, stage):
+def _sweep_then_descend(g, form, points, budget: _Budget):
     """Evaluate a named family at parameter points (tuples in key order)
-    until one clears -1e-6, then coordinate-descend from the best of them.
-    Raises _SweepCut naming stage if the budget dies in the sweep.
-    Returns [projection, value] of the best point seen."""
+    until one is below STOP, then coordinate-descend from the best of them.
+    Returns [projection, value] of the best point seen, also when the budget
+    runs out first."""
     best, start = [None, np.inf], None
-    try:
+    with suppress(_Spent):
         for point in points:
             budget.take()
             val = projected_min_eig(g, _family_rows(form, point))
             if start is None or val < best[1]:
                 start = point
                 best[:] = RankTwoProjection(form, dict(zip(FAMILIES[form].keys, point))), val
-            if best[1] < -1e-6:
+            if best[1] < STOP:
                 break
-    except _Spent:
-        raise _SweepCut(stage, best)
-    _descend(g, form, [t for z in start for t in (z.real, z.imag)], budget, best)
+        _descend(g, form, [t for z in start for t in (z.real, z.imag)], budget, best)
     return best
 
 
 def _descend(g, form, theta, budget: _Budget, best):
     """Coordinate descent over the real and imaginary parts theta of the
-    family's parameters, halving the step from 0.5 after each pass that does
-    not improve. Stops at step 1e-9, after such a pass past -1e-6, or when
-    the budget runs out."""
+    family's parameters, taking the first trial step that improves and
+    halving the step from 0.5 after each pass that does not. Stops at step
+    1e-9 or right after the step that takes the value below STOP."""
     keys = FAMILIES[form].keys
     cur, step = best[1], 0.5
-    try:
-        while step > 1e-9:
-            improved = False
-            for i in range(len(theta)):
-                for delta in (step, -step):
-                    trial = list(theta)
-                    trial[i] += delta
-                    point = tuple(complex(re, im) for re, im in zip(trial[::2], trial[1::2]))
-                    budget.take()
-                    val = projected_min_eig(g, _family_rows(form, point))
-                    if val < cur - 1e-18:
-                        theta, cur = trial, val
-                        best[:] = RankTwoProjection(form, dict(zip(keys, point))), val
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                step *= 0.5
-            if cur < -1e-6 and not improved:
+    while step > 1e-9 and cur >= STOP:
+        for i, delta in product(range(len(theta)), (step, -step)):
+            trial = list(theta)
+            trial[i] += delta
+            point = tuple(complex(re, im) for re, im in zip(trial[::2], trial[1::2]))
+            budget.take()
+            val = projected_min_eig(g, _family_rows(form, point))
+            if val < cur - 1e-18:
+                theta, cur = trial, val
+                best[:] = RankTwoProjection(form, dict(zip(keys, point))), val
                 break
-    except _Spent:
-        pass
+        else:
+            step *= 0.5
 
 
 def _search_general(g, budget: _Budget, seed: int):
     best = [None, np.inf]
     n_starts = max(1, budget.remaining // 64)
-    for start in range(n_starts):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0xC0 + start], dtype=np.uint64))
-        )
-        rows = _random_isometry_rows(rng)
-        try:
+    with suppress(_Spent):
+        for start in range(n_starts):
+            rng = np.random.Generator(
+                np.random.Philox(key=np.array([seed, 0xC0 + start], dtype=np.uint64))
+            )
+            rows = _random_isometry_rows(rng)
             step = 0.5
             for _ in range(20):
                 budget.take()
@@ -428,10 +402,8 @@ def _search_general(g, budget: _Budget, seed: int):
                     step *= 0.5
                 if not accepted and step < 1e-8:
                     break
-        except _Spent:
-            break
-        if best[1] < -1e-6:
-            break
+            if best[1] < STOP:
+                break
     return best
 
 
@@ -450,13 +422,13 @@ def witness_search(
         c  multi-start projected gradient over general isometry rows.
 
     budget caps eigensolve evaluations per strategy; strategy b gives half
-    of it to the P1a sweep and the rest to P2bc. The report carries a
-    certified witness when one is found (re-verified on materialization)
-    and otherwise the best value attained for the evidence trail. A budget
-    too small for a sweep ends that strategy (b then skips P2bc) and the
-    next letter runs. If any sweep was cut short, BudgetExhausted is raised
-    at the end with the report over all strategies that ran, unless a later
-    strategy certified a witness.
+    of it to the P1a sweep and what P1a leaves to P2bc, and skips P2bc when
+    P1a already got below STOP. The report carries a certified witness when
+    one is found (re-verified on materialization) and otherwise the best
+    value attained for the evidence trail. A budget that runs out ends the
+    current stage with its best so far; the search never raises for a
+    budget, and its report says not_found_at_budget when nothing is
+    certified.
     """
     letters = [ch for ch in strategy.replace("+", "") if not ch.isspace()]
     bad = [ch for ch in letters if ch not in "abc"]
@@ -468,40 +440,23 @@ def witness_search(
     report = npt_check(state, tol=tol)
     g = pt_of(state)
     overall = [None, np.inf]
-    cut = []  # stages whose sweep ran out of budget, in order
     for letter in letters:
-        last_cut = False
-        try:
-            if letter == "a":
-                best = _sweep_then_descend(g, FORM_AY, ((z,) for z in _scalar_grid()),
-                                           _Budget(budget, report), "Ay grid")
-            elif letter == "b":
-                half = _Budget(budget // 2, report)
-                best = _sweep_then_descend(g, FORM_P1A, ((z,) for z in _scalar_grid()),
-                                           half, "P1a grid")
+        if letter == "a":
+            best = _sweep_then_descend(g, FORM_AY, ((z,) for z in _scalar_grid()),
+                                       _Budget(budget, report))
+        elif letter == "b":
+            half = _Budget(budget // 2, report)
+            best = _sweep_then_descend(g, FORM_P1A, ((z,) for z in _scalar_grid()), half)
+            if best[1] >= STOP:
                 rest = _Budget(budget - half.used, report)
                 samples = _p2bc_samples(seed, max(8, min(800, rest.remaining // 2)))
-                try:
-                    best = _lower(best, _sweep_then_descend(g, FORM_P2BC, samples, rest,
-                                                            "P2bc sampling"))
-                except _SweepCut as exc:
-                    exc.best = _lower(best, exc.best)
-                    raise
-            else:
-                best = _search_general(g, _Budget(budget, report), seed)
-        except _SweepCut as exc:
-            cut.append(exc.stage)
-            best, last_cut = exc.best, True
+                best = _lower(best, _sweep_then_descend(g, FORM_P2BC, samples, rest))
+        else:
+            best = _search_general(g, _Budget(budget, report), seed)
         overall = _lower(overall, best)
         if overall[1] < -tol:
             break
-
-    report = _finalize(report, overall, g, tol)
-    # a witness from a strategy that ran its sweep in full stands alone; one
-    # from a sweep cut short still reports the cut, as does no witness
-    if cut and (report.witness is None or last_cut):
-        raise BudgetExhausted(f"budget exhausted during the {cut[0]}", report)
-    return report
+    return _finalize(report, overall, g, tol)
 
 
 # --- preconditions -----------------------------------------------------------

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from qutritdistill import cli
+from qutritdistill import cli, states
 from qutritdistill.cli import EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, NAMED_X, parse_x
+from qutritdistill.distill import witness_search
 
 
 C1 = (33 - 12 * np.sqrt(6)) / 25
@@ -144,22 +145,29 @@ def test_witness_report_field_names(capsys, tmp_path):
         "preconditions",
         "witness",
         "evidence_level",
+        "best_value",
+        "evaluations",
     ):
         assert key in doc
+    assert doc["evaluations"] == witness_search(states.build_family("v", 0.5)).evaluations
 
 
-@pytest.mark.parametrize("strategy, stage", [("a", "Ay grid"), ("b", "P1a grid")])
-def test_witness_budget_too_small_reports_best_so_far(capsys, tmp_path, strategy, stage):
+# ids name the sweep the budget cuts short
+@pytest.mark.parametrize("strategy", ["a", "b"], ids=["a-Ay grid", "b-P1a grid"])
+def test_witness_budget_too_small_reports_best_so_far(capsys, tmp_path, strategy):
     argv = ["witness", "--case", "v", "--x", "1/7", "--budget", "50", "--strategy", strategy]
     code, out, err = run(capsys, argv + ["--out", str(tmp_path)])
     assert code == EXIT_NOT_FOUND
     assert out.startswith("no witness found (best value 0.0")
-    assert stage in err and "internal error" not in err
-    code, out, _ = run(capsys, argv + ["--json", "--out", str(tmp_path)])
+    assert err == ""
+    code, out, err = run(capsys, argv + ["--json", "--out", str(tmp_path)])
     assert code == EXIT_NOT_FOUND
+    assert err == ""
     doc = json.loads(out)
     assert doc["witness"] is None
     assert doc["inertia"] == [1, 0, 8]
+    assert doc["evaluations"] == 50
+    assert doc["evidence_level"] == "not_found_at_budget"
 
 
 def test_witness_budget_too_small_keeps_certified_witness(capsys, tmp_path):
@@ -168,10 +176,21 @@ def test_witness_budget_too_small_keeps_certified_witness(capsys, tmp_path):
     code, out, err = run(capsys, ["witness", "--case", "i", "--x", "0.2500001",
                                   "--budget", "20", "--json", "--out", str(tmp_path)])
     assert code == EXIT_OK
-    assert "Ay grid" in err
+    assert err == ""
     doc = json.loads(out)
     assert doc["evidence_level"] == "certified"
     assert -1e-6 < doc["witness"]["value"] < -1e-10
+
+
+def test_tol_only_on_searching_subcommands(capsys, tmp_path):
+    code, _, err = run(capsys, ["grid", "--which", "alpha2_minor4", "--step", "0.5",
+                                "--tol", "1e-3", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "--tol" in err
+    code, out, _ = run(capsys, ["witness", "--case", "i", "--x", "0.05", "--tol", "1e-9",
+                                "--json", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert json.loads(out)["evidence_level"] == "certified"
 
 
 def test_witness_deterministic_stdout(capsys, tmp_path):

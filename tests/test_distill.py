@@ -6,7 +6,6 @@ import pytest
 
 from qutritdistill import distill, states
 from qutritdistill.distill import (
-    BudgetExhausted,
     NoSignChange,
     RankTwoProjection,
     find_threshold,
@@ -194,41 +193,38 @@ def test_witness_lifts_to_schmidt_rank_two_vector():
 
 def test_budget_exhausted_carries_report():
     st = states.build_family("v", 1 / 7)  # no early negative exit possible here
-    with pytest.raises(BudgetExhausted) as info:
-        witness_search(st, strategy="a", budget=50)
-    rep = info.value.report
-    assert rep.best_value is not None
+    rep = witness_search(st, strategy="a", budget=50)
+    assert rep.evaluations == 50
+    assert rep.best_value is not None and rep.best_value > 0
     assert rep.witness is None
-    assert rep.evaluations <= 50
+    assert rep.evidence_level == "not_found_at_budget"
 
 
 def test_budget_exhausted_in_one_letter_keeps_the_others():
-    # b's P1a sweep gets 300 of 600 evaluations and is cut short; a's result
-    # stays, c still runs, and the error names the first sweep cut short
+    # b's P1a sweep gets 300 of 600 evaluations and is cut short; P2bc runs
+    # on the other 300, and a's and c's results stay in the merged report
     st = states.build_family("v", 1 / 7)
     best = {}
     for strat in "abc":
-        try:
-            rep = witness_search(st, strategy=strat, budget=600)
-        except BudgetExhausted as exc:
-            rep = exc.report
+        rep = witness_search(st, strategy=strat, budget=600)
         best[strat] = (rep.best_value, rep.evaluations)
-    with pytest.raises(BudgetExhausted, match="P1a grid") as info:
-        witness_search(st, strategy="abc", budget=600)
-    rep = info.value.report
-    assert best["b"][1] == 300
+    rep = witness_search(st, strategy="abc", budget=600)
+    assert best["b"][1] == 600
     assert rep.evaluations == sum(n for _, n in best.values())
     assert rep.best_value == min(v for v, _ in best.values())
     assert rep.witness is None
     assert rep.evidence_level == "not_found_at_budget"
 
 
-def test_budget_exhausted_in_p1a_grid():
-    st = states.build_family("v", 1 / 7)
-    with pytest.raises(BudgetExhausted, match="P1a grid") as info:
-        witness_search(st, strategy="b", budget=50)
-    rep = info.value.report
-    assert rep.evaluations == 25  # the P1a sweep holds half of the budget
+def test_budget_exhausted_in_p1a_grid(monkeypatch):
+    # the P1a sweep holds half of the budget; P2bc runs on what it leaves
+    forms = []
+    family_rows = distill._family_rows
+    monkeypatch.setattr(distill, "_family_rows",
+                        lambda form, values: forms.append(form) or family_rows(form, values))
+    rep = witness_search(states.build_family("v", 1 / 7), strategy="b", budget=50)
+    assert rep.evaluations == 50
+    assert forms == ["P1a"] * 25 + ["P2bc"] * 25
     assert rep.witness is None
     assert rep.best_value > 0
 
@@ -238,10 +234,10 @@ def test_budget_exhausted_in_p1a_grid():
     (1 / 7, "b", 2000),
     (1 / 7, "c", 1240),
     (1 / 7, "abc", 5240),
-    (0.5, "a", 2000),
-    (0.5, "b", 2000),
+    (0.5, "a", 8),  # the descent stops at the first step below STOP
+    (0.5, "b", 1),  # P1a at a = 0 is below STOP: no descent, no P2bc
     (0.5, "c", 40),
-    (0.5, "abc", 2000),
+    (0.5, "abc", 8),
 ])
 def test_witness_search_evaluation_counts(x, strategy, evaluations):
     rep = witness_search(states.build_family("v", x), strategy=strategy)
@@ -257,7 +253,7 @@ def test_sweeps_materialize_only_the_certified_witness(monkeypatch):
     monkeypatch.setattr(RankTwoProjection, "materialize",
                         lambda self: calls.append(self) or materialize(self))
     rep = witness_search(states.build_family("v", 0.5), strategy="b")
-    assert rep.evaluations == 2000
+    assert rep.evaluations == 1
     assert calls == [rep.witness]
 
 
@@ -280,7 +276,10 @@ def test_report_json_fields():
         "preconditions",
         "witness",
         "evidence_level",
+        "best_value",
+        "evaluations",
     }
+    assert doc["evaluations"] == rep.evaluations
     assert set(doc["witness"].keys()) == {"form", "params", "value"}
 
 
