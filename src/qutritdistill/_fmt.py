@@ -12,8 +12,6 @@ CSV_BLOCK = 4096  # rows per formatting call in write_csv
 
 def sig17(x: float) -> str:
     """Render a float at 17 significant digits (shortest round-trip superset)."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
@@ -82,28 +80,21 @@ def json_dumps(obj, indent: int = 0, _level: int = 0) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of floats/ints/strings with LF endings and sig17 floats.
+    """Write numeric rows (a 2-D array, or equal-length lists of floats and
+    ints) with LF endings and sig17 floats.
 
-    A finite 2-D float64 array is written CSV_BLOCK rows per formatting call:
-    "%.17g" renders every finite float exactly as sig17 does. Anything else
-    (lists with int or bool cells, arrays holding NaN or +-inf) goes cell by
-    cell, so non-finite values still read NaN and Infinity."""
+    The rows go through one float64 array and are written CSV_BLOCK rows per
+    formatting call: "%.17g" renders every finite float exactly as sig17
+    does, and integers as their digits. A block holding NaN or +-inf is
+    respelled to NaN and Infinity, as sig17 writes them; finite blocks skip
+    that pass."""
+    arr = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
-                and np.isfinite(rows).all()):
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, len(rows), CSV_BLOCK):
-                block = rows[start:start + CSV_BLOCK]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
-            return
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, float):
-                    cells.append(sig17(v))
-                elif isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, len(arr), CSV_BLOCK):
+            block = arr[start:start + CSV_BLOCK]
+            text = (line * len(block)) % tuple(block.ravel().tolist())
+            if not np.isfinite(block).all():
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write(text)

@@ -149,6 +149,8 @@ def cmd_threshold(args) -> int:
     _check_case(args.case)
     target = _norm_target(args.target)
     lo, hi = parse_x(args.bracket[0]), parse_x(args.bracket[1])
+    if not (0.0 <= lo < hi <= 1.0):
+        raise UsageError("need 0 <= LO < HI <= 1 for --bracket")
     try:
         res = distill.find_threshold(args.case, target, (lo, hi), tol=args.tol_threshold)
     except distill.NoSignChange as exc:
@@ -194,6 +196,8 @@ def cmd_verify_example(args) -> int:
     if not (0.0 < x < 1.0):
         raise UsageError("x must lie in (0, 1)")
     step = args.grid_step
+    if not math.isfinite(step):
+        raise UsageError("grid step must be finite")
     if step <= 0:
         raise UsageError("grid step must be positive")
     checks = {}
@@ -270,12 +274,17 @@ def _load_basis_file(path: str) -> states.QutritState:
             v = np.array([complex(re, im) for re, im in entry], dtype=complex)
             if v.shape != (9,):
                 raise ValueError("each vector needs exactly 9 [re, im] pairs")
+            if not np.isfinite(v).all():
+                raise ValueError("entries must be finite")
             vectors.append(v)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"cannot read basis file {path!r}: {exc}") from exc
     if not vectors:
         raise UsageError("basis file is empty")
-    return states.uniform_state_on_span(vectors)
+    try:
+        return states.uniform_state_on_span(vectors)
+    except states.ZeroVector as exc:
+        raise UsageError(f"basis file {path!r} spans only the zero vector") from exc
 
 
 def cmd_kernel(args) -> int:
@@ -320,7 +329,6 @@ def cmd_grid(args) -> int:
             im_range=(args.im_min, args.im_max),
             step=args.step,
             c_values=c_values,
-            scale=args.scale,
             x=x,
         )
     except ValueError as exc:
@@ -396,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, default=3.0)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--c", action="append", help="c value (repeatable), e.g. --c 1+1j")
-    p.add_argument("--scale", type=float, default=None)
     p.add_argument("--x", default="1/7")
     p.set_defaults(func=cmd_grid)
     return parser

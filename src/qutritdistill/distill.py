@@ -462,7 +462,19 @@ def witness_search(
 # --- preconditions -----------------------------------------------------------
 
 
-def _negative_subspace_check(g: np.ndarray, tol: float, seed: int) -> dict:
+def _negative_subspace_check(g: np.ndarray, tol: float) -> dict:
+    """Smallest Schmidt rank in the span of the negative eigenvectors of g.
+
+    A vector of Schmidt rank <= 2 there makes the state 1-distillable, so the
+    item passes only when there is none. With k = 0 negative eigenvalues it
+    passes vacuously; with k = 1 it takes the rank of the one eigenvector.
+    With k >= 2 it always fails: for A and B the 3x3 coefficient matrices of
+    the two most negative eigenvectors, det(A + tB) is a cubic in t, so
+    either det B = 0 or the cubic has a root t and A + tB has rank <= 2.
+    The rank reported is the smallest among B and A + tB at the roots of the
+    cubic. It is exact for k = 2 (a rank-one A + tB sits at a root); for
+    k >= 3 it is an upper bound from the span of two eigenvectors.
+    """
     dec = linalg.eig_hermitian(g)
     scale = max(float(np.abs(dec.values).max()), 1e-300)
     neg_vecs = dec.vectors[:, dec.values < -tol * scale]
@@ -472,32 +484,26 @@ def _negative_subspace_check(g: np.ndarray, tol: float, seed: int) -> dict:
     if k == 1:
         r = states.schmidt_rank(neg_vecs[:, 0])
         return {"pass": r == 3, "method": "exact", "min_schmidt_rank": int(r)}
-    # heuristic: push the third singular value of the coefficient matrix down
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EB], dtype=np.uint64)))
-
-    def third_sv(c):
-        c = c / np.linalg.norm(c)
-        vec = neg_vecs @ c
-        s = np.linalg.svd(vec.reshape(3, 3), compute_uv=False)
-        return float(s[2])
-
-    best = np.inf
-    for _ in range(512):
-        c = rng.normal(size=k) + 1j * rng.normal(size=k)
-        best = min(best, third_sv(c))
-    rank = 3 if best > 1e-6 else 2
-    return {"pass": best > 1e-6, "method": "heuristic", "min_schmidt_rank": rank}
+    a, b = neg_vecs[:, 0], neg_vecs[:, 1]
+    ts = np.arange(4.0)  # four samples fix the cubic det(A + tB)
+    dets = [np.linalg.det((a + t * b).reshape(3, 3)) for t in ts]
+    roots = np.roots(np.linalg.solve(np.vander(ts), dets))
+    rank = min(states.schmidt_rank(v) for v in [b] + [a + t * b for t in roots])
+    return {"pass": False, "method": "exact", "min_schmidt_rank": int(rank)}
 
 
 def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: int = 0) -> dict:
     """Necessary conditions for an NPT state to resist 1-distillation.
 
     Every failed item certifies 1-distillability; all items passing is
-    consistent with (not proof of) resistance. The kernel product-vector item
-    carries kernel_product_vector's evidence: "certified" where the exact
-    antisymmetric-subspace lemma covers the kernel (every family state with
-    0 < x < 1), otherwise "not_found_at_budget" from a search, which is no
-    nonexistence proof.
+    consistent with (not proof of) resistance. The negative-subspace item is
+    decided exactly (see _negative_subspace_check): it fails whenever the
+    partial transpose has two or more negative eigenvalues. The kernel
+    product-vector item carries kernel_product_vector's evidence:
+    "certified" where the exact antisymmetric-subspace lemma covers the
+    kernel (every family state with 0 < x < 1), otherwise
+    "not_found_at_budget" from a search, which is no nonexistence proof.
+    seed drives that search only.
     """
     from . import kernel  # local import; kernel depends on states only
 
@@ -522,7 +528,7 @@ def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: i
         "local_dims_exceed_two": True,  # 3x3 throughout this package
         "rank_exceeds_four": rank > 4,
         "rank_exceeds_marginals": rank > max(rank_a, rank_b),
-        "negative_subspace_min_schmidt_rank": _negative_subspace_check(g, 1e-10, seed),
+        "negative_subspace_min_schmidt_rank": _negative_subspace_check(g, 1e-10),
         "kernel_no_product_vector": kernel_item,
         "pt_inertia_one_negative": tuple(inert) == (1, 0, 8),
     }
@@ -544,9 +550,10 @@ def find_threshold(
 ) -> ThresholdResult:
     """Bisect the x where the chosen partial-transpose eigenvalue crosses zero.
 
-    target: "min_eig" (smallest) or "second_eig" (second smallest). A strict
-    sign change across the bracket is required; flat or same-sign brackets
-    raise NoSignChange instead of returning an arbitrary point.
+    target: "min_eig" (smallest) or "second_eig" (second smallest). The
+    bracket needs lo < hi (ValueError otherwise) and a strict sign change
+    across it; flat or same-sign brackets raise NoSignChange instead of
+    returning an arbitrary point.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(_TARGETS)}")
@@ -557,6 +564,8 @@ def find_threshold(
         return float(np.linalg.eigvalsh(g)[idx])
 
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo < hi:
+        raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
     flo, fhi = f(lo), f(hi)
     if flo == 0.0 or fhi == 0.0 or (flo < 0) == (fhi < 0):
         raise NoSignChange(

@@ -345,10 +345,9 @@ def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
                 w = np.zeros(3, dtype=complex)
                 u[a] = 1.0
                 w[b] = 1.0
-                _, total = rank1_minor_system(cand)
                 return ProductVectorResult(
                     found=True, vector=cand, u=u, w=w,
-                    residual=residual + total, evidence_level="exact",
+                    residual=residual, evidence_level="exact",
                 )
             if best is None or residual < best:
                 best = residual
@@ -467,7 +466,7 @@ def takagi_canonicalize_kernel_state(a: np.ndarray, state: states.QutritState):
     coeff = states.coefficient_matrix(a)
     fac = linalg.takagi(coeff)
     u = fac.unitary.conj().T
-    op = states.LocalOperator(u, u, unitary_flag=True)
+    op = states.LocalOperator(u, u)
     rotated = states.from_density(states.apply_local(state, op),
                                   case_id=state.case_id, x=state.x)
     s = fac.singular_values

@@ -59,11 +59,6 @@ class TakagiFactorization(NamedTuple):
     singular_values: np.ndarray   # nonnegative, descending
 
 
-class PsdCertificate(NamedTuple):
-    min_eigenvalue: float
-    eigenvector: np.ndarray
-
-
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -127,13 +122,6 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     if keep == "B":
         return np.einsum("abad->bd", t)
     raise ValueError("keep must be 'A' or 'B'")
-
-
-def svd(a):
-    """A = U diag(s) V^dag with s descending; returns (U, s, V)."""
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
-    return u, s, vh.conj().T
 
 
 def matrix_rank(a, tol: float | None = None) -> int:
@@ -232,14 +220,3 @@ def leading_principal_minors(m) -> np.ndarray:
             raise NonRealMinor(f"minor {k} has imaginary part {d.imag:.3e}")
         out[k - 1] = d.real
     return out
-
-
-def is_psd(m, tol: float = 1e-10):
-    """PSD verdict with a certificate: (verdict, (min eigenvalue, eigenvector)).
-
-    The eigenvector doubles as a negativity witness when the verdict is False.
-    """
-    dec = eig_hermitian(m)
-    lam = float(dec.values[0])
-    vec = dec.vectors[:, 0]
-    return lam >= -tol, PsdCertificate(min_eigenvalue=lam, eigenvector=vec)

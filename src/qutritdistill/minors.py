@@ -20,8 +20,10 @@ reduced by det or eigvalsh into one preallocated value column.
 For form 2 the objects of interest are the 4th, 5th and 6th leading principal
 minors of the compressed matrix; their positivity over all complex (b, c) is
 the evidence that no such compression turns negative. F and G are the 5th
-minor and determinant rescaled by fixed integers so their grid minima land
-in a plottable window. For form 1 it is the smallest eigenvalue.
+minor and determinant times the fixed integers SCALE_F and SCALE_G, so that
+their grid minima land in the window [1, 10] that GridScan.passed checks;
+the scale follows from the target alone and cannot be set. For form 1 it is
+the smallest eigenvalue.
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -66,7 +68,7 @@ _AUTO_SCALE = {"F": float(SCALE_F), "G": float(SCALE_G)}
 def mixed_frame_state(x: float = UNDISTILLABLE_X) -> states.QutritState:
     state = states.build_family("v", x)
     k = states.phase_mix_on_01()
-    op = states.LocalOperator(k, k.conj(), unitary_flag=True)
+    op = states.LocalOperator(k, k.conj())
     return states.from_density(states.apply_local(state, op), case_id="v", x=x)
 
 
@@ -100,17 +102,18 @@ def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndar
     return 0.5 * (out + out.conj().T)
 
 
-def _values(which: str, b: np.ndarray, c: np.ndarray, x: float,
-            scale: float = 1.0) -> np.ndarray:
+def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:
     """scan()'s value column at the points of the complex arrays b and c:
     the smallest eigenvalue of form 1 for alpha1_psd (b carries a, c is
-    unused), else scale times the leading minor of form 2 `which` names.
+    unused), else the leading minor of form 2 `which` names, times SCALE_F
+    for F and SCALE_G for G.
     The compressions arrive from distill in chunks of (m, k, k) leading
     blocks and are reduced into one preallocated column."""
     if which == "alpha1_psd":
         form, params, k = distill.FORM_P1A, (b,), 6
     else:
         form, params, k = distill.FORM_P2BC, (b, c), _BLOCK[which]
+    scale = _AUTO_SCALE.get(which, 1.0)
     out = np.empty(len(b))
     start = 0
     for alphas in distill.compression_chunks(_bases(float(x), form), params, k):
@@ -121,16 +124,6 @@ def _values(which: str, b: np.ndarray, c: np.ndarray, x: float,
             out[start:stop] = np.linalg.det(alphas).real * scale
         start = stop
     return out
-
-
-def direct_minors(alpha: np.ndarray) -> np.ndarray:
-    """[4th, 5th, 6th] leading principal minors, computed by determinant."""
-    alpha = linalg.as_matrix(alpha)
-    vals = []
-    for k in (4, 5, 6):
-        d = np.linalg.det(alpha[:k, :k])
-        vals.append(d.real)
-    return np.array(vals)
 
 
 # --- closed forms ------------------------------------------------------------
@@ -330,11 +323,6 @@ def default_real_bc_grid(lo: float = -2.0, hi: float = 2.0, n: int = 21) -> list
     return [(complex(bv), complex(cv)) for bv in vals for cv in vals]
 
 
-def default_complex_b_grid_c0(lo: float = -2.0, hi: float = 2.0, n: int = 21) -> list:
-    vals = np.linspace(lo, hi, n)
-    return [(complex(re, im), 0j) for re in vals for im in vals]
-
-
 @dataclass
 class MinorScanSpec:
     which: str
@@ -342,21 +330,25 @@ class MinorScanSpec:
     im_range: tuple = (-3.0, 3.0)
     step: float = 0.05
     c_values: tuple = (0j,)
-    scale: Optional[float] = None
     x: float = UNDISTILLABLE_X
 
     def __post_init__(self):
         if self.which not in WHICH_TOKENS:
             raise ValueError(f"unknown scan target {self.which!r}; expected one of {WHICH_TOKENS}")
         _check_x(self.x)
+        if not np.isfinite([*self.re_range, *self.im_range, self.step]).all():
+            raise ValueError("grid ranges and step must be finite")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.re_range[1] < self.re_range[0] or self.im_range[1] < self.im_range[0]:
             raise ValueError("empty grid range")
         if not self.c_values:
             raise ValueError("need at least one c value")
-        if self.scale is None:
-            self.scale = _AUTO_SCALE.get(self.which, 1.0)
+
+    @property
+    def scale(self) -> float:
+        """SCALE_F for F, SCALE_G for G, 1 otherwise; set by which alone."""
+        return _AUTO_SCALE.get(self.which, 1.0)
 
     def axis(self, which_axis: str) -> np.ndarray:
         lo, hi = self.re_range if which_axis == "re" else self.im_range
@@ -410,7 +402,7 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
     best = (np.inf, 0j, 0j)
     for c_val in spec.c_values:
         c_val = complex(c_val)
-        values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x, spec.scale)
+        values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x)
         if not np.all(np.isfinite(values)):
             raise FloatingPointError("non-finite value in grid scan")
         block = np.column_stack([
@@ -429,14 +421,11 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
     return result
 
 
-def value_at(which: str, b: complex, c: complex, x: float = UNDISTILLABLE_X,
-             scale: Optional[float] = None) -> float:
+def value_at(which: str, b: complex, c: complex, x: float = UNDISTILLABLE_X) -> float:
     """Single-point evaluation matching scan()'s value column."""
-    if scale is None:
-        scale = _AUTO_SCALE.get(which, 1.0)
     _check_x(x)
     b_arr, c_arr = np.array([b], dtype=complex), np.array([c], dtype=complex)
-    return float(_values(which, b_arr, c_arr, x, scale)[0])
+    return float(_values(which, b_arr, c_arr, x)[0])
 
 
 def refine_minimum(result: GridScan, n_seeds: int = 10) -> dict:
@@ -453,7 +442,7 @@ def refine_minimum(result: GridScan, n_seeds: int = 10) -> dict:
         c_val = complex(re_c, im_c)
 
         def f(z):
-            return value_at(spec.which, complex(z[0], z[1]), c_val, spec.x, spec.scale)
+            return value_at(spec.which, complex(z[0], z[1]), c_val, spec.x)
 
         res = minimize(f, [re_b, im_b], method="Nelder-Mead",
                        options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 200})

@@ -78,18 +78,18 @@ class QutritState:
 
 @dataclass(frozen=True)
 class LocalOperator:
+    """A pair of local unitaries, one per qutrit; both are checked unitary."""
+
     op_a: np.ndarray
     op_b: np.ndarray
-    unitary_flag: bool = False
 
     def __post_init__(self):
-        if self.unitary_flag:
-            for op in (self.op_a, self.op_b):
-                m = np.asarray(op, dtype=complex)
-                if m.shape[0] != m.shape[1]:
-                    raise linalg.DimensionMismatch("unitary operators must be square")
-                if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > linalg.UNITARY_TOL:
-                    raise ValueError("operator flagged unitary is not unitary")
+        for op in (self.op_a, self.op_b):
+            m = np.asarray(op, dtype=complex)
+            if m.shape[0] != m.shape[1]:
+                raise linalg.DimensionMismatch("unitary operators must be square")
+            if np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() > linalg.UNITARY_TOL:
+                raise ValueError("local operator is not unitary")
 
 
 def build_family(case_id: str, x: float) -> QutritState:
@@ -202,27 +202,3 @@ def schmidt_rank(v, dim_a: int = DIM_A, dim_b: int = DIM_B, tol: float = 1e-9) -
     mat = coefficient_matrix(vec / nrm, dim_a, dim_b)
     s = np.linalg.svd(mat, compute_uv=False)
     return int(np.count_nonzero(s > tol))
-
-
-def state_to_json(state: QutritState) -> dict:
-    rho = state.rho
-    return {
-        "case": state.case_id,
-        "x": None if state.x is None else float(state.x),
-        "rho_re": [[float(rho[i, j].real) for j in range(DIM)] for i in range(DIM)],
-        "rho_im": [[float(rho[i, j].imag) for j in range(DIM)] for i in range(DIM)],
-    }
-
-
-def state_from_json(doc: dict) -> QutritState:
-    re = np.array(doc["rho_re"], dtype=float)
-    im = np.array(doc["rho_im"], dtype=float)
-    rho = re + 1j * im
-    dec = linalg.eig_hermitian(rho)
-    lam = dec.values[dec.values > 1e-12][::-1]
-    return QutritState(
-        rho=rho,
-        eigenvalues=lam,
-        case_id=doc.get("case"),
-        x=doc.get("x"),
-    )

@@ -333,6 +333,50 @@ def test_grid_rejects_x_outside_open_unit_interval(capsys, tmp_path, x):
     assert not (tmp_path / "alpha2_minor4_grid.csv").exists()
 
 
+def test_grid_has_no_scale_option(capsys, tmp_path):
+    # F and G carry fixed scales that GridScan.passed relies on
+    code, out, err = run(capsys, ["grid", "--which", "F", "--scale", "1",
+                                  "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "--scale" in err
+    assert out == ""
+
+
+# ----------------------------------------------------------- degenerate inputs
+
+
+THRESHOLD = ["threshold", "--case", "v", "--target", "min-eig", "--bracket"]
+
+
+@pytest.mark.parametrize("argv", [
+    THRESHOLD + ["0.2", "0.1"],
+    THRESHOLD + ["nan", "0.2"],
+    THRESHOLD + ["0.1", "inf"],
+    THRESHOLD + ["-0.1", "0.2"],
+    THRESHOLD + ["0.1", "1.5"],
+    ["grid", "--which", "F", "--step", "nan"],
+    ["grid", "--which", "F", "--step", "inf"],
+    ["grid", "--which", "F", "--re-min", "nan"],
+    ["verify-example", "--grid-step", "nan"],
+    ["kernel", "--basis-file", "NAN_ENTRY"],
+    ["kernel", "--basis-file", "ALL_ZERO"],
+])
+def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
+    vectors = np.eye(9)[:5].astype(complex)
+    files = {"ALL_ZERO": np.zeros_like(vectors), "NAN_ENTRY": vectors.copy()}
+    files["NAN_ENTRY"][4, 3] = np.nan
+    for name, vs in files.items():
+        (tmp_path / name).write_text(
+            json.dumps([[[z.real, z.imag] for z in v] for v in vs.tolist()]))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, argv + ["--out", str(out_dir)])
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # -------------------------------------------------------------- verify-example
 
 

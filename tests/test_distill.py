@@ -312,6 +312,12 @@ def test_threshold_requires_sign_change():
         find_threshold("v", "second_eig", (0.05, 0.14))
 
 
+@pytest.mark.parametrize("bracket", [(0.2, 0.1), (0.15, 0.15), (float("nan"), 0.2)])
+def test_threshold_requires_ordered_bracket(bracket):
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_threshold("v", "min_eig", bracket)
+
+
 # ------------------------------------------------------------- preconditions
 
 
@@ -335,6 +341,23 @@ def test_preconditions_all_pass_at_reference_point():
 def test_preconditions_fail_two_negative():
     pre = precondition_report(states.build_family("v", 0.5))
     assert not pre["pt_inertia_one_negative"]
+    assert pre["negative_subspace_min_schmidt_rank"] == {
+        "pass": False, "method": "exact", "min_schmidt_rank": 2}
+
+
+def test_two_negative_eigenvalues_always_hold_a_schmidt_rank_two_vector():
+    # det(A + tB) is a cubic in t, so the span of two negative eigenvectors
+    # always holds a vector of Schmidt rank <= 2, whatever the matrix
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        h = z + z.conj().T
+        w = np.linalg.eigvalsh(h)
+        h -= 0.5 * (w[1] + w[2]) * np.eye(9)
+        assert np.count_nonzero(np.linalg.eigvalsh(h) < 0) == 2
+        sub = distill._negative_subspace_check(h, 1e-10)
+        assert not sub["pass"] and sub["method"] == "exact"
+        assert sub["min_schmidt_rank"] <= 2
 
 
 def test_preconditions_vacuous_when_ppt():

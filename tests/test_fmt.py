@@ -1,10 +1,10 @@
-"""CSV serialization: the block path for finite float arrays writes the same
-bytes as the per-cell sig17 path, and everything else keeps the per-cell
-path."""
+"""CSV serialization: the blocked "%.17g" writer produces the bytes a
+per-cell sig17 rendering would, for arrays and for lists of rows, with NaN
+and Infinity spelled as in JSON."""
 
 import numpy as np
 
-from qutritdistill._fmt import CSV_BLOCK, write_csv
+from qutritdistill._fmt import CSV_BLOCK, sig17, write_csv
 
 HEADER = ["a", "b", "c", "d", "e"]
 
@@ -15,10 +15,14 @@ def _read(path):
 
 
 def _both_paths(tmp_path, arr):
-    """(bytes via the ndarray block path, bytes via the per-cell list path)."""
+    """(bytes write_csv gives for arr, bytes of the per-cell sig17 reference);
+    the list form of arr must write the same bytes as the array."""
     write_csv(tmp_path / "block.csv", HEADER, arr)
-    write_csv(tmp_path / "cells.csv", HEADER, arr.tolist())
-    return _read(tmp_path / "block.csv"), _read(tmp_path / "cells.csv")
+    write_csv(tmp_path / "list.csv", HEADER, arr.tolist())
+    block = _read(tmp_path / "block.csv")
+    assert _read(tmp_path / "list.csv") == block
+    lines = [",".join(HEADER)] + [",".join(sig17(v) for v in row) for row in arr.tolist()]
+    return block, ("\n".join(lines) + "\n").encode()
 
 
 def test_block_path_matches_cells_on_random_floats(tmp_path):
@@ -59,9 +63,18 @@ def test_non_finite_arrays_write_json_spellings(tmp_path):
 def test_list_rows_with_int_and_bool_cells(tmp_path):
     # the shape of the scan subcommand's rows: an int count and a NaN value
     rows = [[0.125, -1e-3, 2.5e-17, 1, 0.0, float("nan")],
-            [1.0, 3.0, True, False, 1.0, -0.25]]
+            [1.0, 3.0, -2, 0, 1.0, -0.25]]
     path = tmp_path / "rows.csv"
     write_csv(path, ["x", "p", "q", "n", "f", "w"], rows)
     assert _read(path) == (b"x,p,q,n,f,w\n"
                            b"0.125,-0.001,2.4999999999999999e-17,1,0,NaN\n"
-                           b"1,3,true,false,1,-0.25\n")
+                           b"1,3,-2,0,1,-0.25\n")
+
+
+def test_non_finite_value_in_a_later_block(tmp_path):
+    # the first block is finite, the second holds -inf
+    arr = np.full((CSV_BLOCK + 2, 5), 0.5)
+    arr[CSV_BLOCK + 1, 2] = -np.inf
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+    assert block.splitlines()[-1] == b"0.5,0.5,-Infinity,0.5,0.5"

@@ -1,5 +1,5 @@
 """Rank-five symmetric two-qutrit family: construction, local frames,
-range/kernel extraction, Schmidt ranks, serialization."""
+range/kernel extraction, Schmidt ranks, wrapping a density matrix."""
 
 import numpy as np
 import pytest
@@ -19,8 +19,6 @@ from qutritdistill.states import (
     schmidt_rank,
     coefficient_matrix,
     uniform_state_on_span,
-    state_to_json,
-    state_from_json,
 )
 
 
@@ -112,13 +110,13 @@ def test_family_weight_placement():
 
 def test_apply_local_identity():
     st = build_family("iii", 0.4)
-    out = apply_local(st, LocalOperator(np.eye(3), np.eye(3), unitary_flag=True))
+    out = apply_local(st, LocalOperator(np.eye(3), np.eye(3)))
     np.testing.assert_allclose(out, st.rho, atol=1e-14)
 
 
 def test_apply_local_hadamard_maps_case_i_to_ii():
     k = states.hadamard_on_01()
-    op = LocalOperator(k, k, unitary_flag=True)
+    op = LocalOperator(k, k)
     for x in (0.1, 0.3, 0.7):
         out = apply_local(build_family("i", x), op)
         np.testing.assert_allclose(out, build_family("ii", x).rho, atol=1e-12)
@@ -126,7 +124,7 @@ def test_apply_local_hadamard_maps_case_i_to_ii():
 
 def test_apply_local_phase_mix_keeps_spectrum():
     k = states.phase_mix_on_01()
-    op = LocalOperator(k, k.conj(), unitary_flag=True)
+    op = LocalOperator(k, k.conj())
     st = build_family("v", 1 / 7)
     out = apply_local(st, op)
     assert np.linalg.norm(out - out.conj().T) <= 1e-12
@@ -140,7 +138,7 @@ def test_local_unitary_spectrum_invariance():
     st = build_family("v", 0.35)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        out = apply_local(st, LocalOperator(q, q, unitary_flag=True))
+        out = apply_local(st, LocalOperator(q, q))
         np.testing.assert_allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(st.rho), atol=1e-11
         )
@@ -227,16 +225,7 @@ def test_uniform_state_on_span_redundant_vectors():
     np.testing.assert_allclose(lam[:2], [0.5, 0.5], atol=1e-12)
 
 
-# --------------------------------------------------------------- serialization
-
-
-def test_json_round_trip():
-    st = build_family("iv", 1 / 7)
-    doc = state_to_json(st)
-    back = state_from_json(doc)
-    np.testing.assert_allclose(back.rho, st.rho, atol=1e-14)
-    assert back.case_id == st.case_id
-    assert back.x == st.x
+# ------------------------------------------------------------- from_density
 
 
 def test_from_density_normalizes():
