@@ -6,7 +6,7 @@ Submodules:
     linalg   Hermitian/symmetric matrix primitives (partial transpose,
              Takagi, inertia, principal minors)
     states   the five one-parameter state families and local operations
-    distill  NPT checks, witness search, threshold bisection
+    distill  NPT checks, witness search, PPT thresholds
     kernel   product vectors in kernels and 2x3 subspaces
     minors   closed-form vs direct minor scans at x = 1/7
     cli      command-line front end

@@ -152,10 +152,9 @@ def cmd_threshold(args) -> int:
     if not (0.0 <= lo < hi <= 1.0):
         raise UsageError("need 0 <= LO < HI <= 1 for --bracket")
     try:
-        res = distill.find_threshold(args.case, target, (lo, hi), tol=args.tol_threshold)
+        res = distill.find_threshold(args.case, target, (lo, hi))
     except distill.NoSignChange as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     payload = {
         "case": args.case,
         "target": target,
@@ -368,11 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("threshold", parents=[common], help="bisect an eigenvalue crossing")
+    p = sub.add_parser("threshold", parents=[common], help="locate an eigenvalue crossing")
     p.add_argument("--case", required=True)
     p.add_argument("--target", required=True, help="min-eig or second-eig")
     p.add_argument("--bracket", nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--tol-threshold", type=float, default=1e-9)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("witness", parents=[common, searched],

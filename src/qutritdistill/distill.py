@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -265,9 +266,10 @@ def _bit_reversed(n: int) -> list[int]:
     return sorted(range(n), key=lambda p: int(format(p, f"0{bits}b")[::-1], 2))
 
 
-def _scalar_grid() -> list[complex]:
+@cache
+def _scalar_grid() -> tuple[complex, ...]:
     """{0} then 16 log-spaced magnitudes x 32 phases, ordered so that any
-    prefix spans all magnitudes and well-spread phases."""
+    prefix spans all magnitudes and well-spread phases. Built once."""
     mags = np.logspace(-2, 2, 16)
     phases = [2 * np.pi * p / 32 for p in _bit_reversed(32)]
     pts = [0j]
@@ -275,7 +277,7 @@ def _scalar_grid() -> list[complex]:
         z = np.exp(1j * ph)
         for m in mags:
             pts.append(complex(m * z))
-    return pts
+    return tuple(pts)
 
 
 def _p2bc_samples(seed: int, n: int):
@@ -364,7 +366,17 @@ def _descend(g, form, theta, budget: _Budget, best):
 
 
 def _search_general(g, budget: _Budget, seed: int):
+    """Multi-start projected gradient over orthonormal 2x3 rows; every row
+    matrix is solved once, and the search stops once its best is below STOP."""
     best = [None, np.inf]
+
+    def solve(rows):
+        budget.take()
+        w, v = np.linalg.eigh(projected_matrix(g, rows))
+        if w[0] < best[1]:
+            best[:] = RankTwoProjection(FORM_GENERAL, {"rows": rows.copy()}), float(w[0])
+        return float(w[0]), v[:, 0]
+
     n_starts = max(1, budget.remaining // 64)
     with suppress(_Spent):
         for start in range(n_starts):
@@ -372,36 +384,24 @@ def _search_general(g, budget: _Budget, seed: int):
                 np.random.Philox(key=np.array([seed, 0xC0 + start], dtype=np.uint64))
             )
             rows = _random_isometry_rows(rng)
+            f0, u = solve(rows)
             step = 0.5
             for _ in range(20):
-                budget.take()
-                w, v = np.linalg.eigh(projected_matrix(g, rows))
-                f0 = float(w[0])
-                if best[0] is None or f0 < best[1]:
-                    best[0] = RankTwoProjection(FORM_GENERAL, {"rows": rows.copy()})
-                    best[1] = f0
-                u = v[:, 0]
-                lifted = _lift(rows, u)
-                vmat = u.reshape(2, 3)
-                ymat = (g @ lifted).reshape(3, 3)
-                grad = 2.0 * vmat @ ymat.conj().T
-                accepted = False
+                if best[1] < STOP:
+                    return best
+                ymat = (g @ _lift(rows, u)).reshape(3, 3)
+                grad = 2.0 * u.reshape(2, 3) @ ymat.conj().T
                 for _half in range(5):
-                    trial = rows - step * grad
-                    q, rr = np.linalg.qr(trial.conj().T)
-                    trial_rows = _unit_phase_fix(q, rr).conj().T
-                    budget.take()
-                    f1 = projected_min_eig(g, trial_rows)
+                    q, rr = np.linalg.qr((rows - step * grad).conj().T)
+                    trial = _unit_phase_fix(q, rr).conj().T
+                    f1, u1 = solve(trial)
                     if f1 < f0 - 1e-15:
-                        rows = trial_rows
-                        if f1 < best[1]:
-                            best[0] = RankTwoProjection(FORM_GENERAL, {"rows": rows.copy()})
-                            best[1] = f1
-                        accepted = True
+                        rows, f0, u = trial, f1, u1
                         break
                     step *= 0.5
-                if not accepted and step < 1e-8:
-                    break
+                else:  # no trial improved
+                    if step < 1e-8:
+                        break
             if best[1] < STOP:
                 break
     return best
@@ -469,11 +469,12 @@ def _negative_subspace_check(g: np.ndarray, tol: float) -> dict:
     item passes only when there is none. With k = 0 negative eigenvalues it
     passes vacuously; with k = 1 it takes the rank of the one eigenvector.
     With k >= 2 it always fails: for A and B the 3x3 coefficient matrices of
-    the two most negative eigenvectors, det(A + tB) is a cubic in t, so
-    either det B = 0 or the cubic has a root t and A + tB has rank <= 2.
-    The rank reported is the smallest among B and A + tB at the roots of the
-    cubic. It is exact for k = 2 (a rank-one A + tB sits at a root); for
-    k >= 3 it is an upper bound from the span of two eigenvectors.
+    the two most negative eigenvectors, det(mA + nB) is a homogeneous cubic,
+    so it has a root (m : n) and mA + nB has rank <= 2. The rank reported is
+    the smallest among mA + nB at the roots from linalg.pencil_roots; when
+    the cubic vanishes identically, every vector of the span qualifies and
+    A stands for them. It is exact for k = 2 (a rank-one mA + nB sits at a
+    root); for k >= 3 it is an upper bound from the span of two eigenvectors.
     """
     dec = linalg.eig_hermitian(g)
     scale = max(float(np.abs(dec.values).max()), 1e-300)
@@ -485,10 +486,11 @@ def _negative_subspace_check(g: np.ndarray, tol: float) -> dict:
         r = states.schmidt_rank(neg_vecs[:, 0])
         return {"pass": r == 3, "method": "exact", "min_schmidt_rank": int(r)}
     a, b = neg_vecs[:, 0], neg_vecs[:, 1]
-    ts = np.arange(4.0)  # four samples fix the cubic det(A + tB)
-    dets = [np.linalg.det((a + t * b).reshape(3, 3)) for t in ts]
-    roots = np.roots(np.linalg.solve(np.vander(ts), dets))
-    rank = min(states.schmidt_rank(v) for v in [b] + [a + t * b for t in roots])
+    try:
+        roots = linalg.pencil_roots(a.reshape(3, 3), b.reshape(3, 3))
+    except linalg.SingularPencil:
+        roots = [(1.0, 0.0)]
+    rank = min(states.schmidt_rank(m * a + n * b) for m, n in roots)
     return {"pass": False, "method": "exact", "min_schmidt_rank": int(rank)}
 
 
@@ -534,7 +536,7 @@ def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: i
     }
 
 
-# --- threshold bisection -----------------------------------------------------
+# --- threshold ---------------------------------------------------------------
 
 _TARGETS = {
     "min_eig": 0,
@@ -542,47 +544,43 @@ _TARGETS = {
 }
 
 
-def find_threshold(
-    case_id: str,
-    target: str,
-    bracket: tuple,
-    tol: float = 1e-9,
-) -> ThresholdResult:
-    """Bisect the x where the chosen partial-transpose eigenvalue crosses zero.
+def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult:
+    """The x in the bracket where the chosen partial-transpose eigenvalue
+    crosses zero. The family is linear in x, so its partial transpose G(x)
+    is too, and an eigenvalue of G vanishes exactly at the real roots of
+    the pencil det(G(0) + x (G(1) - G(0))) (linalg.pencil_roots). x_star is
+    the smallest such root in (lo, hi) at which the target eigenvalue itself
+    vanishes, to 1e-10 of the spectral norm.
 
     target: "min_eig" (smallest) or "second_eig" (second smallest). The
     bracket needs lo < hi (ValueError otherwise) and a strict sign change
     across it; flat or same-sign brackets raise NoSignChange instead of
-    returning an arbitrary point.
+    returning an arbitrary point. The result keeps the bracket as given;
+    iterations counts the eigensolves spent, two at the ends and one per
+    root checked.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(_TARGETS)}")
     idx = _TARGETS[target]
 
-    def f(x):
-        g = pt_of(states.build_family(case_id, x))
-        return float(np.linalg.eigvalsh(g)[idx])
+    def eigs(x):
+        return np.linalg.eigvalsh(pt_of(states.build_family(case_id, x)))
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = float(eigs(lo)[idx]), float(eigs(hi)[idx])
     if flo == 0.0 or fhi == 0.0 or (flo < 0) == (fhi < 0):
         raise NoSignChange(
             f"{target} does not strictly change sign on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
-    iters = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        iters += 1
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if iters > 200:  # 2^-200 of the bracket; unreachable
-            break
-    return ThresholdResult(x_star=0.5 * (lo + hi), bracket=(lo, hi), target=target, iterations=iters)
+    g0 = pt_of(states.build_family(case_id, 0.0))
+    g1 = pt_of(states.build_family(case_id, 1.0))
+    roots = [n / m for m, n in linalg.pencil_roots(g0, g1 - g0) if abs(m) > 0]
+    real = sorted(t.real for t in roots if abs(t.imag) <= 1e-8 and lo < t.real < hi)
+    for solves, t in enumerate(real, start=3):
+        w = eigs(t)
+        if abs(w[idx]) <= 1e-10 * np.abs(w).max():
+            return ThresholdResult(x_star=float(t), bracket=(lo, hi), target=target,
+                                   iterations=solves)
+    raise linalg.NoConvergence(f"no pencil root in ({lo}, {hi}) zeroes {target}")

@@ -6,7 +6,8 @@ Four mechanisms, in increasing generality:
   * an exact cubic pencil for 3-dim subspaces of C2 x C3: orthogonality of
     (m|0> + n|1>) x |w> to three spanners is a 3x3 system M(m,n) w = 0
     whose determinant is a homogeneous cubic in (m,n), so a root always
-    exists over C and yields a product vector in the orthogonal complement;
+    exists over C and yields a product vector in the orthogonal complement
+    (the roots come from the QZ algorithm, linalg.pencil_roots);
   * an exact lemma for kernels spanned by the antisymmetric subspace and
     one swap-symmetric vector of Schmidt rank three (every family state
     with 0 < x < 1): such a kernel holds no product vector;
@@ -144,9 +145,9 @@ def _pencil_result(vs_mat: np.ndarray, rows: np.ndarray, m: complex, n: complex,
 def product_vector_in_2x3_complement(vs: Sequence[np.ndarray]) -> ProductVectorResult:
     """Product vector orthogonal to up to three given vectors in C2 x C3.
 
-    det M(m,n) is a homogeneous cubic; roots come from the companion matrix
-    of the n = 1 chart plus the (1 : 0) point when the leading coefficient
-    drops, each polished by two Newton steps on the fitted cubic.
+    M(m,n) = m a + n b is a 3x3 pencil; its roots (m : n) come from
+    linalg.pencil_roots, and the one leaving the smallest singular value of
+    M is kept.
     """
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vs]
     if len(vs) > 3:
@@ -159,45 +160,14 @@ def product_vector_in_2x3_complement(vs: Sequence[np.ndarray]) -> ProductVectorR
     vs_mat = np.stack(vs)  # rows span the subspace to avoid
     rows = vs_mat.reshape(3, 2, 3)
 
-    # cubic coefficients from four sample points of det M(m, 1)
-    sample_m = np.array([0.0, 1.0, -1.0, 2.0])
-    dets = np.array([np.linalg.det(_pencil_matrix(rows, m, 1.0)) for m in sample_m])
-    vand = np.vander(sample_m, 4)  # columns m^3, m^2, m, 1
-    coeffs = np.linalg.solve(vand, dets)  # [c3, c2, c1, c0]
-
-    scale = max(1.0, float(np.linalg.norm(vs_mat, axis=1).max())) ** 3
-    if np.abs(coeffs).max() <= 1e-12 * scale:
+    try:
+        roots = linalg.pencil_roots(rows[:, 0, :].conj(), rows[:, 1, :].conj())
+    except linalg.SingularPencil:
         res = _pencil_result(vs_mat, rows, 1.0, 0.0, "exact")
-        raise DegeneratePencil("det M(m,n) vanishes identically", res)
-
-    lead_small = abs(coeffs[0]) <= 1e-12 * np.abs(coeffs).max()
-    trimmed = coeffs.copy()
-    k = 0
-    while k < 3 and abs(trimmed[k]) <= 1e-14 * np.abs(coeffs).max():
-        k += 1
-    poly = trimmed[k:]
-    candidates = []
-    if len(poly) > 1:
-        dpoly = np.polyder(poly)
-        for root in np.roots(poly):
-            m = complex(root)
-            for _ in range(2):  # Newton polish on the fitted cubic
-                deriv = np.polyval(dpoly, m)
-                if abs(deriv) < 1e-300:
-                    break
-                m = m - np.polyval(poly, m) / deriv
-            candidates.append((m, 1.0))
-    if lead_small or not candidates:
-        candidates.append((1.0, 0.0))
-
-    best = None
-    for m, n in candidates:
-        norm_mn = np.hypot(abs(m), abs(n))
-        mat = _pencil_matrix(rows, m / norm_mn, n / norm_mn)
-        sigma = np.linalg.svd(mat, compute_uv=False)[-1]
-        if best is None or sigma < best[0]:
-            best = (sigma, m, n)
-    return _pencil_result(vs_mat, rows, best[1], best[2], "exact")
+        raise DegeneratePencil("det M(m,n) vanishes identically", res) from None
+    sigmas = [np.linalg.svd(_pencil_matrix(rows, m, n), compute_uv=False)[-1] for m, n in roots]
+    m, n = roots[int(np.argmin(sigmas))]
+    return _pencil_result(vs_mat, rows, m, n, "exact")
 
 
 # --- kernel searches ---------------------------------------------------------

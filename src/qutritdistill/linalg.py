@@ -3,7 +3,8 @@
 All functions take and return plain numpy arrays (complex double precision)
 with value semantics: inputs are never mutated. Matrices here are small
 (9x9 and below in practice, nothing beyond ~100x100), so everything runs on
-numpy's LAPACK-backed dense routines.
+numpy's LAPACK-backed dense routines, except the QZ algorithm behind
+pencil_roots, which comes from scipy.linalg.
 
 Conventions:
     - bipartite vectors index as |a,b> -> position dimB*a + b (row-major);
@@ -20,6 +21,7 @@ import numpy as np
 HERM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 MINOR_IMAG_TOL = 1e-10
+PENCIL_TOL = 1e-12
 
 
 class NotHermitian(ValueError):
@@ -41,6 +43,10 @@ class DimensionMismatch(ValueError):
 
 class NoConvergence(RuntimeError):
     pass
+
+
+class SingularPencil(ValueError):
+    """det(m a + n b) vanishes for every (m, n)."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -203,6 +209,31 @@ def inertia_of(m, zero_tol: float | None = None) -> Inertia:
     neg = int(np.count_nonzero(w < -zero_tol))
     pos = int(np.count_nonzero(w > zero_tol))
     return Inertia(negative=neg, zero=len(w) - neg - pos, positive=pos)
+
+
+def pencil_roots(a, b) -> np.ndarray:
+    """Homogeneous roots (m : n) of det(m a + n b) = 0 for square a and b,
+    as the rows of a (k, 2) array, each scaled to unit norm. The root (1 : 0)
+    appears exactly when a is singular, (0 : 1) when b is.
+
+    The roots come from the QZ algorithm (Moler and Stewart 1973), which is
+    backward stable: with alpha, beta the diagonals of the generalized Schur
+    form, det(beta_i a - alpha_i b) = 0. A pair with both |alpha_i| and
+    |beta_i| below PENCIL_TOL times the norm of a and of b marks a pencil
+    that vanishes identically, which raises SingularPencil.
+    """
+    from scipy.linalg import eigvals  # deferred: scipy.linalg is slow to import
+
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"need two square matrices of one shape, got {a.shape}, {b.shape}")
+    alpha, beta = eigvals(a, b, homogeneous_eigvals=True)
+    small = ((np.abs(alpha) <= PENCIL_TOL * np.linalg.norm(a))
+             & (np.abs(beta) <= PENCIL_TOL * np.linalg.norm(b)))
+    if small.any():
+        raise SingularPencil("det(m a + n b) vanishes identically")
+    roots = np.stack([beta, -alpha], axis=1)
+    return roots / np.linalg.norm(roots, axis=1, keepdims=True)
 
 
 def leading_principal_minors(m) -> np.ndarray:

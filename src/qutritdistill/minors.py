@@ -21,9 +21,10 @@ For form 2 the objects of interest are the 4th, 5th and 6th leading principal
 minors of the compressed matrix; their positivity over all complex (b, c) is
 the evidence that no such compression turns negative. F and G are the 5th
 minor and determinant times the fixed integers SCALE_F and SCALE_G, so that
-their grid minima land in the window [1, 10] that GridScan.passed checks;
-the scale follows from the target alone and cannot be set. For form 1 it is
-the smallest eigenvalue.
+their grid minima at c = 0 land in the window [1, 10]; the scale follows
+from the target alone and cannot be set. GridScan.passed asks a positive
+minimum of every minor, on any c panel. For form 1 it is the smallest
+eigenvalue.
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -373,8 +374,6 @@ class GridScan:
     argmin: tuple  # (b, c)
 
     def passed(self) -> bool:
-        if self.spec.which in ("F", "G"):
-            return bool(1.0 <= self.min_value <= 10.0)
         if self.spec.which == "alpha1_psd":
             return bool(self.min_value >= -1e-10)
         return bool(self.min_value > 0.0)

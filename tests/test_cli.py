@@ -61,9 +61,9 @@ def test_threshold_accuracy(capsys, tmp_path):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert abs(doc["x_star"] - C1) <= 1e-7
+    assert abs(doc["x_star"] - C1) <= 1e-13
     assert doc["case"] == "v"
-    assert doc["iterations"] > 10
+    assert list(doc) == ["case", "target", "x_star", "bracket", "iterations", "seed"]
 
 
 def test_threshold_second_eig_underscore_spelling(capsys, tmp_path):
@@ -79,7 +79,7 @@ def test_threshold_second_eig_underscore_spelling(capsys, tmp_path):
         ],
     )
     assert code == EXIT_OK
-    assert abs(json.loads(out)["x_star"] - 3 / 11) <= 1e-7
+    assert abs(json.loads(out)["x_star"] - 3 / 11) <= 1e-13
 
 
 def test_threshold_no_sign_change_is_usage_error(capsys, tmp_path):
@@ -94,7 +94,17 @@ def test_threshold_no_sign_change_is_usage_error(capsys, tmp_path):
         ],
     )
     assert code == EXIT_USAGE
-    assert err.strip()
+    assert err.startswith("usage error: second_eig does not strictly change sign")
+
+
+def test_threshold_has_no_tol_option(capsys, tmp_path):
+    # the crossing is a pencil root, not a bisection to a tolerance
+    code, out, err = run(capsys, ["threshold", "--case", "v", "--target", "min-eig",
+                                  "--bracket", "0.1", "0.2", "--tol-threshold", "1e-9",
+                                  "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "--tol-threshold" in err
+    assert out == ""
 
 
 # --------------------------------------------------------------------- witness

@@ -1,10 +1,10 @@
-"""NPT checks, projection-witness search, threshold bisection, and the
+"""NPT checks, projection-witness search, PPT thresholds, and the
 precondition battery for undistillability evidence."""
 
 import numpy as np
 import pytest
 
-from qutritdistill import distill, states
+from qutritdistill import distill, linalg, states
 from qutritdistill.distill import (
     NoSignChange,
     RankTwoProjection,
@@ -232,11 +232,11 @@ def test_budget_exhausted_in_p1a_grid(monkeypatch):
 @pytest.mark.parametrize("x, strategy, evaluations", [
     (1 / 7, "a", 2000),
     (1 / 7, "b", 2000),
-    (1 / 7, "c", 1240),
-    (1 / 7, "abc", 5240),
+    (1 / 7, "c", 651),  # one evaluation per distinct row matrix
+    (1 / 7, "abc", 4651),
     (0.5, "a", 8),  # the descent stops at the first step below STOP
     (0.5, "b", 1),  # P1a at a = 0 is below STOP: no descent, no P2bc
-    (0.5, "c", 40),
+    (0.5, "c", 1),  # the first random start is below STOP
     (0.5, "abc", 8),
 ])
 def test_witness_search_evaluation_counts(x, strategy, evaluations):
@@ -288,23 +288,49 @@ def test_report_json_fields():
 
 def test_threshold_first_sign_change():
     res = find_threshold("v", "min_eig", (0.1, 0.2))
-    assert abs(res.x_star - C1) <= 1e-7
-    assert res.iterations < 60
+    assert abs(res.x_star - C1) <= 1e-13
+    assert res.bracket == (0.1, 0.2)
 
 
 def test_threshold_second_eig():
     res = find_threshold("v", "second_eig", (0.2, 0.4))
-    assert abs(res.x_star - 3 / 11) <= 1e-7
+    assert abs(res.x_star - 3 / 11) <= 1e-13
 
 
 def test_threshold_case_i_quarter():
     res = find_threshold("i", "min_eig", (0.2, 0.3))
-    assert abs(res.x_star - 0.25) <= 1e-7
+    assert abs(res.x_star - 0.25) <= 1e-13
 
 
 def test_threshold_case_i_seventh():
     res = find_threshold("i", "min_eig", (0.1, 0.2))
-    assert abs(res.x_star - 1 / 7) <= 1e-7
+    assert abs(res.x_star - 1 / 7) <= 1e-13
+
+
+def test_threshold_skips_roots_of_other_eigenvalues():
+    # at 1/25 the second eigenvalue of case i vanishes, not the smallest
+    res = find_threshold("i", "min_eig", (0.02, 0.2))
+    assert abs(res.x_star - 1 / 7) <= 1e-13
+    assert res.iterations == 4  # two ends, then the roots 1/25 and 1/7
+
+
+@pytest.mark.parametrize("case, crossings", [
+    ("i", [1 / 25, 1 / 7, 1 / 4, 1]),
+    ("ii", [1 / 25, 1 / 7, 1 / 4, 1]),
+    ("iii", [1 / 25, 1 / 7, 1 / 4, 1]),
+    ("iv", [1 / 25, 1 / 7, 1 / 4, 1]),
+    ("v", [0, C1, 3 / 11, 3 / 5]),
+])
+def test_partial_transpose_crossings_are_pencil_roots(case, crossings):
+    # G(x) is linear in x, so every x in [0, 1] where an eigenvalue of the
+    # partial transpose vanishes is a real root of det(G(0) + x (G(1) - G(0)))
+    g0 = pt_mat(states.build_family(case, 0.0))
+    g1 = pt_mat(states.build_family(case, 1.0))
+    roots = [n / m for m, n in linalg.pencil_roots(g0, g1 - g0) if abs(m) > 0]
+    real = sorted(t.real for t in roots if abs(t.imag) <= 1e-13 and -1e-13 <= t.real <= 1 + 1e-13)
+    distinct = [t for k, t in enumerate(real) if k == 0 or t - real[k - 1] > 1e-9]
+    assert len(distinct) == len(crossings)
+    assert np.abs(np.array(distinct) - crossings).max() <= 1e-13
 
 
 def test_threshold_requires_sign_change():
@@ -358,6 +384,14 @@ def test_two_negative_eigenvalues_always_hold_a_schmidt_rank_two_vector():
         sub = distill._negative_subspace_check(h, 1e-10)
         assert not sub["pass"] and sub["method"] == "exact"
         assert sub["min_schmidt_rank"] <= 2
+
+
+def test_negative_subspace_singular_pencil():
+    # negative eigenvectors |00> and |01>: det(mA + nB) vanishes identically
+    # and every vector of their span is a product vector
+    g = np.diag([-2.0, -1.0] + [1.0] * 7).astype(complex)
+    sub = distill._negative_subspace_check(g, 1e-10)
+    assert sub == {"pass": False, "method": "exact", "min_schmidt_rank": 1}
 
 
 def test_preconditions_vacuous_when_ppt():

@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers: eigendecompositions, partial transpose,
-Takagi factorization, inertia, principal minors, ranks."""
+Takagi factorization, inertia, principal minors, ranks, pencil roots."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from qutritdistill.linalg import (
     NotHermitian,
     NotSymmetric,
     DimensionMismatch,
+    SingularPencil,
     eig_hermitian,
     partial_transpose,
     partial_trace,
@@ -18,6 +19,7 @@ from qutritdistill.linalg import (
     takagi,
     inertia_of,
     leading_principal_minors,
+    pencil_roots,
 )
 
 
@@ -329,3 +331,30 @@ def test_matrix_rank_examples():
     two = np.zeros((3, 3))
     two[0, 0] = two[1, 1] = 1.0
     assert matrix_rank(two) == 2
+
+
+# ---------------------------------------------------------------- pencil_roots
+
+
+def test_pencil_roots_diagonal_with_root_at_infinity():
+    # det(m a + n b) = (m + n)(2m)(3n): roots (1 : -1), (0 : 1) where b is
+    # singular, and (1 : 0) where a is
+    a = np.diag([1.0, 2.0, 0.0])
+    b = np.diag([1.0, 0.0, 3.0])
+    roots = pencil_roots(a, b)
+    assert roots.shape == (3, 2)
+    np.testing.assert_allclose(np.linalg.norm(roots, axis=1), 1.0, atol=1e-15)
+    for m, n in roots:
+        assert abs(np.linalg.det(m * a + n * b)) <= 1e-15
+    ratios = sorted(abs(m) / abs(n) if abs(n) > 0 else np.inf for m, n in roots)
+    np.testing.assert_allclose(ratios, [0.0, 1.0, np.inf], atol=1e-15)
+
+
+def test_pencil_roots_singular_pencil():
+    # a and b share the null vector e_2: det(m a + n b) = 0 for every (m, n)
+    a = np.diag([1.0, 2.0, 0.0])
+    b = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(SingularPencil):
+        pencil_roots(a, b)
+    with pytest.raises(SingularPencil):
+        pencil_roots(np.zeros((3, 3)), np.zeros((3, 3)))
