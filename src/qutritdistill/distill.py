@@ -180,16 +180,15 @@ def pt_of(state: states.QutritState | np.ndarray) -> np.ndarray:
 
 def npt_check(state: states.QutritState, tol: float = NEG_TOL) -> DistillReport:
     """NPT verdict with the partial-transpose inertia; no witness search."""
-    g = pt_of(state)
-    dec = linalg.eig_hermitian(g)
-    inert = linalg.inertia_of(g)
-    min_eig = float(dec.values[0])
-    return DistillReport(
-        is_npt=min_eig < -tol,
-        inertia=inert,
-        min_eig_gamma=min_eig,
-        negative_count=inert.negative,
-    )
+    return _npt_report(pt_of(state), tol)
+
+
+def _npt_report(g: np.ndarray, tol: float) -> DistillReport:
+    """npt_check of the state whose partial transpose is g."""
+    w = linalg.eig_hermitian(g).values
+    inert = linalg.inertia_of_spectrum(w)
+    return DistillReport(is_npt=bool(w[0] < -tol), inertia=inert, min_eig_gamma=float(w[0]),
+                         negative_count=inert.negative)
 
 
 def projected_matrix(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -314,7 +313,7 @@ def _finalize(report: DistillReport, best, g, tol) -> DistillReport:
         check = projected_min_eig(g, best[0].materialize())
         if check < -tol:
             report.witness = best[0]
-            report.witness_value = check
+            report.witness_value = report.best_value = check
             report.evidence_level = "certified"
     return report
 
@@ -437,8 +436,8 @@ def witness_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    report = npt_check(state, tol=tol)
     g = pt_of(state)
+    report = _npt_report(g, tol)
     overall = [None, np.inf]
     for letter in letters:
         if letter == "a":
@@ -524,7 +523,7 @@ def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: i
             "min_objective": pv.min_objective,
         }
     except kernel.EmptyKernel:
-        kernel_item = {"pass": True, "evidence_level": "exact", "min_objective": None}
+        kernel_item = {"pass": True, "evidence_level": "proved", "min_objective": None}
 
     return {
         "local_dims_exceed_two": True,  # 3x3 throughout this package

@@ -15,6 +15,10 @@ Four mechanisms, in increasing generality:
     f(v) = sum |2x2 minors of the 3x3 coefficient matrix|^2 over any other
     kernel, with its exact gradient, reporting "not found at budget"
     rather than claiming nonexistence.
+
+A product vector from a candidate or a pencil root is "certified": its
+residual is re-checked numerically. A check that finds none is
+"not_found_at_budget".
 """
 
 from __future__ import annotations
@@ -64,7 +68,11 @@ class ProductVectorResult:
     w: Optional[np.ndarray]
     residual: float
     min_objective: Optional[float] = None
-    evidence_level: str = "exact"
+    evidence_level: Optional[str] = None  # None: from found, for a re-checked residual
+
+    def __post_init__(self):
+        if self.evidence_level is None:
+            self.evidence_level = "certified" if self.found else "not_found_at_budget"
 
     def to_json(self) -> dict:
         factors = None
@@ -121,8 +129,8 @@ def _pencil_matrix(rows: np.ndarray, m: complex, n: complex) -> np.ndarray:
     return m * rows[:, 0, :].conj() + n * rows[:, 1, :].conj()
 
 
-def _pencil_result(vs_mat: np.ndarray, rows: np.ndarray, m: complex, n: complex,
-                   evidence: str) -> ProductVectorResult:
+def _pencil_result(vs_mat: np.ndarray, rows: np.ndarray, m: complex,
+                   n: complex) -> ProductVectorResult:
     norm_mn = np.hypot(abs(m), abs(n))
     u = np.array([m, n], dtype=complex) / norm_mn
     mat = _pencil_matrix(rows, u[0], u[1])
@@ -133,12 +141,7 @@ def _pencil_result(vs_mat: np.ndarray, rows: np.ndarray, m: complex, n: complex,
     overlap = vs_mat.conj() @ vector
     residual = float(np.linalg.norm(overlap)) + _minor_objective_23(vector)
     return ProductVectorResult(
-        found=residual <= PENCIL_RESIDUAL_TOL,
-        vector=vector,
-        u=u,
-        w=w,
-        residual=residual,
-        evidence_level=evidence,
+        found=residual <= PENCIL_RESIDUAL_TOL, vector=vector, u=u, w=w, residual=residual,
     )
 
 
@@ -163,11 +166,11 @@ def product_vector_in_2x3_complement(vs: Sequence[np.ndarray]) -> ProductVectorR
     try:
         roots = linalg.pencil_roots(rows[:, 0, :].conj(), rows[:, 1, :].conj())
     except linalg.SingularPencil:
-        res = _pencil_result(vs_mat, rows, 1.0, 0.0, "exact")
+        res = _pencil_result(vs_mat, rows, 1.0, 0.0)
         raise DegeneratePencil("det M(m,n) vanishes identically", res) from None
     sigmas = [np.linalg.svd(_pencil_matrix(rows, m, n), compute_uv=False)[-1] for m, n in roots]
     m, n = roots[int(np.argmin(sigmas))]
-    return _pencil_result(vs_mat, rows, m, n, "exact")
+    return _pencil_result(vs_mat, rows, m, n)
 
 
 # --- kernel searches ---------------------------------------------------------
@@ -294,7 +297,8 @@ def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
     """Look for a product vector in ker rho.
 
     mode="exact_cases": test the two explicit candidates |22> and |01> by
-    projection residual against the kernel projector.
+    projection residual against the kernel projector (evidence "certified"
+    for a hit, "not_found_at_budget" otherwise).
     mode="search": when antisymmetric_lemma_applies, no product vector
     exists (evidence "certified", no objective). Otherwise a 64-start
     minimization of the minor objective over the kernel; found means
@@ -315,16 +319,11 @@ def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
                 w = np.zeros(3, dtype=complex)
                 u[a] = 1.0
                 w[b] = 1.0
-                return ProductVectorResult(
-                    found=True, vector=cand, u=u, w=w,
-                    residual=residual, evidence_level="exact",
-                )
+                return ProductVectorResult(found=True, vector=cand, u=u, w=w,
+                                           residual=residual)
             if best is None or residual < best:
                 best = residual
-        return ProductVectorResult(
-            found=False, vector=None, u=None, w=None,
-            residual=best, evidence_level="exact",
-        )
+        return ProductVectorResult(found=False, vector=None, u=None, w=None, residual=best)
 
     if mode != "search":
         raise ValueError(f"unknown mode {mode!r}; expected 'exact_cases' or 'search'")
@@ -404,7 +403,6 @@ def span_0001_exclusion_check(state: states.QutritState) -> SpanExclusionVerdict
         u=u3,
         w=res.w,
         residual=res.residual + annihilation,
-        evidence_level="exact",
     )
     return SpanExclusionVerdict(True, r00, r01, lifted)
 

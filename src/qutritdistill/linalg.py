@@ -199,8 +199,11 @@ def inertia_of(m, zero_tol: float | None = None) -> Inertia:
 
     Default tol is 1e-10 times the spectral norm.
     """
-    dec = eig_hermitian(m)
-    w = dec.values
+    return inertia_of_spectrum(eig_hermitian(m).values, zero_tol)
+
+
+def inertia_of_spectrum(w: np.ndarray, zero_tol: float | None = None) -> Inertia:
+    """inertia_of from the eigenvalues w of a Hermitian matrix already solved."""
     if zero_tol is None:
         norm2 = float(np.abs(w).max()) if w.size else 0.0
         zero_tol = 1e-10 * max(norm2, 1e-300)

@@ -12,10 +12,11 @@ compress it to a 6x6 matrix:
     form 2:  P2bc, rows (1, 0, b) and (0, 1, c)
 
 Both the rows and the compression are defined in distill. build_projected
-returns one compression; scan, value_at, psd_scan_form1 and cross_check go
-through distill's chunked path with the bases cached per (x, form): each
-chunk holds only the leading k x k blocks the requested minor needs, and is
-reduced by det or eigvalsh into one preallocated value column.
+returns one compression, the per-point reference; scan, psd_scan_form1 and
+cross_check go through distill's chunked path with the bases cached per
+(x, form): each chunk holds only the leading k x k blocks the requested
+minor needs, and is reduced by det or eigvalsh into one preallocated value
+column.
 
 For form 2 the objects of interest are the 4th, 5th and 6th leading principal
 minors of the compressed matrix; their positivity over all complex (b, c) is
@@ -28,10 +29,13 @@ eigenvalue.
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
-denominators. eval_printed_form keeps the polynomials as printed in the
-source analysis; they are not minors of this compression (constant terms
-737, 2680 and 24120 against 640, 1280 and 11520, and non-real values off the
-real (b, c) slice). cross_check compares either set against directly
+denominators. certify_positive proves a table positive for every complex
+(b, c) in exact rational arithmetic; all three tables pass, which settles
+the sign of these minors at x = 1/7 where a grid can only sample it.
+eval_printed_form keeps the polynomials as printed in the source analysis;
+they are not minors of this compression (constant terms 737, 2680 and 24120
+against 640, 1280 and 11520, and non-real values off the real (b, c)
+slice). cross_check compares either set against directly
 computed minors, as deviations relative to the direct value, and reports
 them instead of correcting either side; it is meaningful at x = 1/7 only.
 """
@@ -39,7 +43,9 @@ them instead of correcting either side; it is meaningful at x = 1/7 only.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -172,6 +178,27 @@ def eval_closed_form(which: str, b: complex, c: complex) -> float:
     qs = (1.0, q, q * q, q * q * q)
     rs = (1.0, r)
     return sum([coef * ps[i] * qs[j] * rs[k] for (i, j, k), coef in terms.items()]) / den
+
+
+def certify_positive(terms: dict) -> bool:
+    """Exact proof that sum of coef * p^i * q^j * r^k over the (i, j, k):
+    coef entries of a CLOSED_FORMS table is positive whenever p = |b|^2,
+    q = |c|^2 and r = Re(bc) for some complex (b, c).
+
+    Since |Re(bc)| <= |b||c| <= (p + q)/2, each term with k >= 1 is at least
+    -|coef| p^i q^j ((p + q)/2)^k. The bound is a polynomial in p, q >= 0
+    alone, so a positive constant term and no negative coefficient prove the
+    claim. Arithmetic is in fractions.Fraction; False means "not proved",
+    not "negative somewhere"."""
+    bound: dict = {}
+    for (i, j, k), coef in terms.items():
+        if k == 0:
+            bound[i, j] = bound.get((i, j), 0) + Fraction(coef)
+            continue
+        for t in range(k + 1):  # -|coef| p^i q^j ((p + q)/2)^k, binomially
+            key = (i + t, j + k - t)
+            bound[key] = bound.get(key, 0) - Fraction(abs(coef) * comb(k, t), 2 ** k)
+    return bound.get((0, 0), 0) > 0 and all(v >= 0 for v in bound.values())
 
 
 def eval_printed_form(which: str, b: complex, c: complex) -> float:
@@ -418,36 +445,6 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
     if out_csv is not None:
         write_csv(out_csv, ["re_b", "im_b", "re_c", "im_c", "value"], samples)
     return result
-
-
-def value_at(which: str, b: complex, c: complex, x: float = UNDISTILLABLE_X) -> float:
-    """Single-point evaluation matching scan()'s value column."""
-    _check_x(x)
-    b_arr, c_arr = np.array([b], dtype=complex), np.array([c], dtype=complex)
-    return float(_values(which, b_arr, c_arr, x)[0])
-
-
-def refine_minimum(result: GridScan, n_seeds: int = 10) -> dict:
-    """Local descent from the smallest grid values, to support positivity
-    claims beyond bare grid resolution. c is held at each seed's value."""
-    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
-
-    spec = result.spec
-    order = np.argsort(result.samples[:, 4])[:n_seeds]
-    best = {"value": result.min_value,
-            "b": complex(result.argmin[0]), "c": complex(result.argmin[1])}
-    for idx in order:
-        re_b, im_b, re_c, im_c, _ = result.samples[idx]
-        c_val = complex(re_c, im_c)
-
-        def f(z):
-            return value_at(spec.which, complex(z[0], z[1]), c_val, spec.x)
-
-        res = minimize(f, [re_b, im_b], method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 200})
-        if res.fun < best["value"]:
-            best = {"value": float(res.fun), "b": complex(res.x[0], res.x[1]), "c": c_val}
-    return best
 
 
 def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,

@@ -203,6 +203,17 @@ def test_tol_only_on_searching_subcommands(capsys, tmp_path):
     assert json.loads(out)["evidence_level"] == "certified"
 
 
+def test_witness_best_value_is_the_certified_value(capsys, tmp_path):
+    # strategy c finds its best with eigh; the certified value is re-solved
+    # with eigvalsh and differs in the last digits, so it must be reported once
+    code, out, _ = run(capsys, ["witness", "--case", "i", "--x", "0.3", "--strategy", "c",
+                                "--json", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["evidence_level"] == "certified"
+    assert doc["best_value"] == doc["witness"]["value"]
+
+
 def test_witness_deterministic_stdout(capsys, tmp_path):
     argv = ["witness", "--case", "v", "--x", "0.4", "--json", "--out", str(tmp_path)]
     _, out1, _ = run(capsys, argv)
@@ -398,6 +409,8 @@ def test_verify_example_default_passes(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["pass"], {k: v for k, v in doc["checks"].items()}
     assert code == EXIT_OK
+    for which in ("alpha2_minor4", "F", "G"):
+        assert doc["checks"][which]["evidence_level"] == "proved"
 
 
 def test_verify_example_off_point_fails_inertia(capsys, tmp_path):
@@ -414,6 +427,10 @@ def test_verify_example_off_point_fails_inertia(capsys, tmp_path):
     assert code == EXIT_NOT_FOUND
     doc = json.loads(out)
     assert not doc["checks"]["inertia"]["pass"]
+    # every minor grid has a negative point there
+    for which in ("alpha2_minor4", "F", "G"):
+        assert not doc["checks"][which]["pass"]
+        assert doc["checks"][which]["evidence_level"] == "searched"
 
 
 def test_verify_example_skips_cross_checks_off_reference_point(capsys, tmp_path):
@@ -427,6 +444,10 @@ def test_verify_example_skips_cross_checks_off_reference_point(capsys, tmp_path)
     assert not [k for k in doc["checks"] if k.startswith("cross_")]
     assert [k for k, v in doc["checks"].items() if not v["pass"]] == ["inertia"]
     assert code == EXIT_NOT_FOUND
+    # without the cross-checks nothing is proved: a positive grid is all there is
+    for which in ("alpha2_minor4", "F", "G"):
+        assert doc["checks"][which]["evidence_level"] == "not_found_at_budget"
+
 
 
 def test_verify_example_runs_cross_checks_at_one_seventh(capsys, tmp_path):
@@ -440,6 +461,9 @@ def test_verify_example_runs_cross_checks_at_one_seventh(capsys, tmp_path):
         assert doc["checks"][name]["n_points"] == 81
     assert doc["checks"]["alpha1_psd"]["min_eigenvalue"] > 5e-3
     assert code == EXIT_OK
+    for which in ("alpha2_minor4", "F", "G"):
+        assert doc["checks"][which]["evidence_level"] == "proved"
+        assert "refined_min" not in doc["checks"][which]
 
 
 def test_verify_example_writes_master_json(capsys, tmp_path):
@@ -473,3 +497,46 @@ def test_usage_error_without_subcommand():
         text=True,
     )
     assert proc.returncode == EXIT_USAGE
+
+
+# ------------------------------------------------------------ evidence levels
+
+EVIDENCE_LEVELS = {"proved", "certified", "searched", "not_found_at_budget"}
+
+
+def _evidence_levels(doc):
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            if key == "evidence_level":
+                yield val
+            else:
+                yield from _evidence_levels(val)
+    elif isinstance(doc, list):
+        for val in doc:
+            yield from _evidence_levels(val)
+
+
+def test_every_evidence_level_is_in_the_vocabulary(capsys, tmp_path):
+    from qutritdistill.distill import precondition_report
+
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([[[1.0 if k == j else 0.0, 0.0] for k in range(9)]
+                                 for j in (0, 4, 8, 1, 5)]))
+    commands = [
+        ["witness", "--case", "v", "--x", "0.5"],
+        ["witness", "--case", "v", "--x", "1/7", "--budget", "50"],
+        ["kernel", "--case", "v", "--x", "1/7"],
+        ["kernel", "--case", "i", "--x", "0"],
+        ["kernel", "--basis-file", str(basis)],
+        ["verify-example", "--x", "1/7", "--grid-step", "0.5"],
+        ["verify-example", "--x", "0.3", "--grid-step", "0.5"],
+    ]
+    seen = []
+    for argv in commands:
+        _, out, _ = run(capsys, argv + ["--json", "--out", str(tmp_path)])
+        seen += list(_evidence_levels(json.loads(out)))
+    for state in (states.build_family("v", 1 / 7), states.build_family("v", 0.5),
+                  states.from_density(np.eye(9))):
+        seen += list(_evidence_levels(precondition_report(state)))
+    assert set(seen) <= EVIDENCE_LEVELS, sorted(set(seen) - EVIDENCE_LEVELS)
+    assert set(seen) == EVIDENCE_LEVELS

@@ -128,7 +128,7 @@ def test_pencil_degenerate_carries_result():
 def test_exact_case_22():
     res = kernel_product_vector(explicit_range_state("i"), mode="exact_cases")
     assert res.found
-    assert res.evidence_level == "exact"
+    assert res.evidence_level == "certified"
     assert abs(abs(np.vdot(res.vector, ket(2, 2))) - 1.0) <= 1e-12
 
 

@@ -19,15 +19,14 @@ from qutritdistill.minors import (
     SCALE_G,
     MinorScanSpec,
     build_projected,
+    certify_positive,
     cross_check,
     default_real_bc_grid,
     eval_closed_form,
     eval_printed_form,
     mixed_frame_state,
     psd_scan_form1,
-    refine_minimum,
     scan,
-    value_at,
 )
 
 
@@ -82,7 +81,8 @@ def test_form1_psd_scan_reports_true_margin():
     for e in entries:
         tol = 1e-14 * (1.0 + abs(e["a"]) ** 2)
         rows = distill.RankTwoProjection(distill.FORM_P1A, {"a": e["a"]}).materialize()
-        assert abs(e["min_eigenvalue"] - value_at("alpha1_psd", e["a"], 0j)) <= tol
+        direct = np.linalg.eigvalsh(build_projected(1, e["a"]))[0]
+        assert abs(e["min_eigenvalue"] - direct) <= tol
         assert abs(e["min_eigenvalue"] - distill.projected_min_eig(g, rows)) <= tol
     margin = min(e["min_eigenvalue"] for e in entries)
     assert margin > 0
@@ -208,6 +208,31 @@ def test_closed_positive_on_real_grid():
         assert eval_closed_form("minor4", b, c) > 0
         assert eval_closed_form("det", b, c) > 0
         assert direct_minors(build_projected(2, (b, c)))[2] > 0
+
+
+def _doctored(which, key, coef):
+    terms = dict(CLOSED_FORMS[which][1])
+    terms[key] = coef
+    return terms
+
+
+@pytest.mark.parametrize("terms, proved", [
+    (CLOSED_FORMS["minor4"][1], True),
+    (CLOSED_FORMS["minor5"][1], True),
+    (CLOSED_FORMS["det"][1], True),
+    # q coefficient 260 - 600/2 < 0
+    (_doctored("minor4", (0, 0, 1), 600), False),
+    # a negative Re(bc) coefficient is bounded by its modulus as well
+    (_doctored("minor4", (0, 0, 1), -600), False),
+    # zero constant term: the minor vanishes at the origin
+    (_doctored("minor5", (0, 0, 0), 0), False),
+    # p^2 coefficient of the determinant bound is 18144 - 18720/2 = 8784;
+    # one unit past the edge fails
+    (_doctored("det", (2, 0, 0), 9359), False),
+    (_doctored("det", (2, 0, 0), 9360), True),
+])
+def test_certify_positive(terms, proved):
+    assert certify_positive(terms) is proved
 
 
 # ----------------------------------------------------------------- cross_check
@@ -340,13 +365,17 @@ def test_scan_g_offset_panel():
 
 
 def test_scan_scale_identities():
+    # F and G samples are the 5th minor and determinant of build_projected,
+    # times SCALE_F and SCALE_G, on c panels off the origin too
     rng = np.random.default_rng(71)
-    for _ in range(10):
-        b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        d = direct_minors(build_projected(2, (b, c)))
-        assert abs(value_at("F", b, c) - SCALE_F * d[1]) <= 1e-9 * max(1, abs(d[1]) * SCALE_F)
-        assert abs(value_at("G", b, c) - SCALE_G * d[2]) <= 1e-9 * max(1, abs(d[2]) * SCALE_G)
+    panels = tuple(complex(*rng.uniform(-2, 2, size=2)) for _ in range(2))
+    for which, k, scale in (("F", 1, SCALE_F), ("G", 2, SCALE_G)):
+        res = scan(MinorScanSpec(which=which, re_range=(-2, 2), im_range=(-2, 2),
+                                 step=0.5, c_values=panels))
+        for idx in rng.choice(len(res.samples), size=10, replace=False):
+            re_b, im_b, re_c, im_c, val = res.samples[idx]
+            d = direct_minors(build_projected(2, (complex(re_b, im_b), complex(re_c, im_c))))
+            assert abs(val - scale * d[k]) <= 1e-9 * max(1, abs(d[k]) * scale)
 
 
 def test_minors_predict_definiteness():
@@ -363,14 +392,6 @@ def test_minors_predict_definiteness():
             assert np.linalg.eigvalsh(m)[0] > 0
             checked += 1
     assert checked == 20
-
-
-def test_refine_minimum_improves_on_grid():
-    spec = MinorScanSpec(which="alpha2_minor4", step=0.2)
-    res = scan(spec)
-    ref = refine_minimum(res)
-    assert ref["value"] <= res.min_value + 1e-15
-    assert ref["value"] > 0
 
 
 def test_scan_csv_exact_header_and_determinism(tmp_path):
@@ -398,12 +419,3 @@ def test_scan_spec_validation():
         MinorScanSpec(which="F", step=0.0)
     with pytest.raises(Exception):
         MinorScanSpec(which="F", re_range=(3, -3))
-
-
-def test_value_at_matches_scan_sample():
-    spec = MinorScanSpec(which="F", step=1.0)
-    res = scan(spec)
-    for row in res.samples[:5]:
-        re_b, im_b, re_c, im_c, val = row
-        again = value_at("F", complex(re_b, im_b), complex(re_c, im_c))
-        assert abs(val - again) <= 1e-9 * max(1.0, abs(val))
