@@ -10,8 +10,10 @@ defined once in FAMILIES:
     P1a  rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2;
     P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears;
 
-plus fully general isometry rows. projected_matrix is the 6x6 compression
-of explicit rows; compression_bases and compression_chunks evaluate a named
+plus, for strategy c, general orthonormal rows built without a search from
+one vector of least Schmidt rank in the negative eigenspace
+(_negative_schmidt_vector). projected_matrix is the 6x6 compression of
+explicit rows; compression_bases and compression_chunks evaluate a named
 family at many points at once, in chunks of (m, k, k) leading blocks.
 
 Every named-family search runs one routine, _sweep_then_descend: sweep the
@@ -180,12 +182,11 @@ def pt_of(state: states.QutritState | np.ndarray) -> np.ndarray:
 
 def npt_check(state: states.QutritState, tol: float = NEG_TOL) -> DistillReport:
     """NPT verdict with the partial-transpose inertia; no witness search."""
-    return _npt_report(pt_of(state), tol)
+    return _npt_report(linalg.eig_hermitian(pt_of(state)).values, tol)
 
 
-def _npt_report(g: np.ndarray, tol: float) -> DistillReport:
-    """npt_check of the state whose partial transpose is g."""
-    w = linalg.eig_hermitian(g).values
+def _npt_report(w: np.ndarray, tol: float) -> DistillReport:
+    """npt_check of the state whose partial transpose has spectrum w."""
     inert = linalg.inertia_of_spectrum(w)
     return DistillReport(is_npt=bool(w[0] < -tol), inertia=inert, min_eig_gamma=float(w[0]),
                          negative_count=inert.negative)
@@ -290,18 +291,6 @@ def _p2bc_samples(seed: int, n: int):
         yield mb * np.exp(1j * pb), mc * np.exp(1j * pc)
 
 
-def _unit_phase_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    d = np.diag(r).copy()
-    d = np.where(np.abs(d) < 1e-300, 1.0, d / np.abs(d))
-    return q * d.conj()
-
-
-def _random_isometry_rows(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    q, r = np.linalg.qr(z)
-    return _unit_phase_fix(q, r).conj().T
-
-
 # --- search internals --------------------------------------------------------
 
 
@@ -364,46 +353,18 @@ def _descend(g, form, theta, budget: _Budget, best):
             step *= 0.5
 
 
-def _search_general(g, budget: _Budget, seed: int):
-    """Multi-start projected gradient over orthonormal 2x3 rows; every row
-    matrix is solved once, and the search stops once its best is below STOP."""
-    best = [None, np.inf]
-
-    def solve(rows):
-        budget.take()
-        w, v = np.linalg.eigh(projected_matrix(g, rows))
-        if w[0] < best[1]:
-            best[:] = RankTwoProjection(FORM_GENERAL, {"rows": rows.copy()}), float(w[0])
-        return float(w[0]), v[:, 0]
-
-    n_starts = max(1, budget.remaining // 64)
-    with suppress(_Spent):
-        for start in range(n_starts):
-            rng = np.random.Generator(
-                np.random.Philox(key=np.array([seed, 0xC0 + start], dtype=np.uint64))
-            )
-            rows = _random_isometry_rows(rng)
-            f0, u = solve(rows)
-            step = 0.5
-            for _ in range(20):
-                if best[1] < STOP:
-                    return best
-                ymat = (g @ _lift(rows, u)).reshape(3, 3)
-                grad = 2.0 * u.reshape(2, 3) @ ymat.conj().T
-                for _half in range(5):
-                    q, rr = np.linalg.qr((rows - step * grad).conj().T)
-                    trial = _unit_phase_fix(q, rr).conj().T
-                    f1, u1 = solve(trial)
-                    if f1 < f0 - 1e-15:
-                        rows, f0, u = trial, f1, u1
-                        break
-                    step *= 0.5
-                else:  # no trial improved
-                    if step < 1e-8:
-                        break
-            if best[1] < STOP:
-                break
-    return best
+def _construct_general(g, dec: linalg.EigenDecomposition, budget: _Budget):
+    """Strategy c, one evaluation: the orthonormal rows R = U[:, :2]^dag of
+    the two leading left Schmidt vectors of psi = _negative_schmidt_vector.
+    With k >= 2 negative eigenvalues w of g, psi has Schmidt rank <= 2, the
+    compressed space holds it, and the compression's smallest eigenvalue is
+    at most <psi|g|psi> <= w[1] <= w[k-1] < 0. Otherwise psi is the bottom
+    eigenvector; if its Schmidt rank is 3 the rows keep its rank-2
+    truncation, whose compression may or may not be negative."""
+    u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(3, 3))[0]
+    rows = u[:, :2].conj().T
+    budget.take()
+    return [RankTwoProjection(FORM_GENERAL, {"rows": rows}), projected_min_eig(g, rows)]
 
 
 def witness_search(
@@ -418,26 +379,31 @@ def witness_search(
 
         a  sweep the Ay family, then coordinate descent;
         b  sweep P1a the same way, then Philox-sampled P2bc, then descent;
-        c  multi-start projected gradient over general isometry rows.
+        c  one evaluation of the general rows that hold a Schmidt-rank-2
+           vector of the negative eigenspace (_construct_general).
 
-    budget caps eigensolve evaluations per strategy; strategy b gives half
-    of it to the P1a sweep and what P1a leaves to P2bc, and skips P2bc when
-    P1a already got below STOP. The report carries a certified witness when
-    one is found (re-verified on materialization) and otherwise the best
-    value attained for the evidence trail. A budget that runs out ends the
-    current stage with its best so far; the search never raises for a
-    budget, and its report says not_found_at_budget when nothing is
-    certified.
+    budget caps eigensolve evaluations per strategy of a and b; strategy b
+    gives half of it to the P1a sweep and what P1a leaves to P2bc, and skips
+    P2bc when P1a already got below STOP. c always spends one evaluation.
+    seed drives only b's P2bc samples. The report carries a certified
+    witness when one is found (re-verified on materialization) and otherwise
+    the best value attained for the evidence trail. A budget that runs out
+    ends the current stage with its best so far; the search never raises
+    for a budget, and its report says not_found_at_budget when nothing is
+    certified. A strategy with no letter raises ValueError.
     """
     letters = [ch for ch in strategy.replace("+", "") if not ch.isspace()]
     bad = [ch for ch in letters if ch not in "abc"]
     if bad:
         raise ValueError(f"unknown strategy letters {bad}; expected a subset of 'abc'")
+    if not letters:
+        raise ValueError("strategy needs at least one of the letters a, b, c")
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
     g = pt_of(state)
-    report = _npt_report(g, tol)
+    dec = linalg.eig_hermitian(g)
+    report = _npt_report(dec.values, tol)
     overall = [None, np.inf]
     for letter in letters:
         if letter == "a":
@@ -451,7 +417,7 @@ def witness_search(
                 samples = _p2bc_samples(seed, max(8, min(800, rest.remaining // 2)))
                 best = _lower(best, _sweep_then_descend(g, FORM_P2BC, samples, rest))
         else:
-            best = _search_general(g, _Budget(budget, report), seed)
+            best = _construct_general(g, dec, _Budget(budget, report))
         overall = _lower(overall, best)
         if overall[1] < -tol:
             break
@@ -461,45 +427,45 @@ def witness_search(
 # --- preconditions -----------------------------------------------------------
 
 
-def _negative_subspace_check(g: np.ndarray, tol: float) -> dict:
-    """Smallest Schmidt rank in the span of the negative eigenvectors of g.
+def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
+    """A unit vector of least Schmidt rank in the span of the two most
+    negative eigenvectors a, b of a 9x9 Hermitian matrix, from its
+    eigendecomposition dec; a itself when fewer than two eigenvalues are
+    negative (by linalg.inertia_of_spectrum).
 
-    A vector of Schmidt rank <= 2 there makes the state 1-distillable, so the
-    item passes only when there is none. With k = 0 negative eigenvalues it
-    passes vacuously; with k = 1 it takes the rank of the one eigenvector.
-    With k >= 2 it always fails: for A and B the 3x3 coefficient matrices of
-    the two most negative eigenvectors, det(mA + nB) is a homogeneous cubic,
-    so it has a root (m : n) and mA + nB has rank <= 2. The rank reported is
-    the smallest among mA + nB at the roots from linalg.pencil_roots; when
-    the cubic vanishes identically, every vector of the span qualifies and
-    A stands for them. It is exact for k = 2 (a rank-one mA + nB sits at a
-    root); for k >= 3 it is an upper bound from the span of two eigenvectors.
+    With k >= 2 negative eigenvalues such a vector has Schmidt rank <= 2,
+    which makes the state 1-distillable: for A and B the 3x3 coefficient
+    matrices of a and b, det(mA + nB) is a homogeneous cubic, so it has a
+    root (m : n) and mA + nB has rank <= 2. The vector is m a + n b at the
+    root from linalg.pencil_roots of lowest Schmidt rank, ties broken by the
+    smallest third singular value. When the cubic vanishes identically,
+    every vector of the span qualifies and a stands for them. The least
+    rank is exact for k = 2 (a rank-one mA + nB sits at a root); for k >= 3
+    it is an upper bound from the span of two eigenvectors.
     """
-    dec = linalg.eig_hermitian(g)
-    scale = max(float(np.abs(dec.values).max()), 1e-300)
-    neg_vecs = dec.vectors[:, dec.values < -tol * scale]
-    k = neg_vecs.shape[1]
-    if k == 0:
-        return {"pass": True, "method": "vacuous", "min_schmidt_rank": None}
-    if k == 1:
-        r = states.schmidt_rank(neg_vecs[:, 0])
-        return {"pass": r == 3, "method": "exact", "min_schmidt_rank": int(r)}
-    a, b = neg_vecs[:, 0], neg_vecs[:, 1]
+    a = dec.vectors[:, 0]
+    if linalg.inertia_of_spectrum(dec.values).negative < 2:
+        return a
+    b = dec.vectors[:, 1]
     try:
         roots = linalg.pencil_roots(a.reshape(3, 3), b.reshape(3, 3))
     except linalg.SingularPencil:
-        roots = [(1.0, 0.0)]
-    rank = min(states.schmidt_rank(m * a + n * b) for m, n in roots)
-    return {"pass": False, "method": "exact", "min_schmidt_rank": int(rank)}
+        return a
+    return min((m * a + n * b for m, n in roots),
+               key=lambda v: (states.schmidt_rank(v),
+                              np.linalg.svd(v.reshape(3, 3), compute_uv=False)[2]))
 
 
 def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: int = 0) -> dict:
     """Necessary conditions for an NPT state to resist 1-distillation.
 
     Every failed item certifies 1-distillability; all items passing is
-    consistent with (not proof of) resistance. The negative-subspace item is
-    decided exactly (see _negative_subspace_check): it fails whenever the
-    partial transpose has two or more negative eigenvalues. The kernel
+    consistent with (not proof of) resistance. The negative-subspace item
+    takes the Schmidt rank of _negative_schmidt_vector, from the same
+    eigendecomposition as the inertia: it passes vacuously with no negative
+    eigenvalue, passes with one whose eigenvector has Schmidt rank 3, and
+    fails whenever the partial transpose has two or more. Its evidence is
+    "certified", since the rank is a floating-point one. The kernel
     product-vector item carries kernel_product_vector's evidence:
     "certified" where the exact antisymmetric-subspace lemma covers the
     kernel (every family state with 0 < x < 1), otherwise
@@ -513,7 +479,9 @@ def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: i
     rank = linalg.matrix_rank(rho, tol=1e-10)
     rank_a = linalg.matrix_rank(linalg.partial_trace(rho, 3, 3, "A"), tol=1e-10)
     rank_b = linalg.matrix_rank(linalg.partial_trace(rho, 3, 3, "B"), tol=1e-10)
-    inert = linalg.inertia_of(g)
+    dec = linalg.eig_hermitian(g)
+    inert = linalg.inertia_of_spectrum(dec.values)
+    srank = states.schmidt_rank(_negative_schmidt_vector(dec)) if inert.negative else None
 
     try:
         pv = kernel.kernel_product_vector(state, mode="search", seed=seed)
@@ -529,7 +497,11 @@ def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: i
         "local_dims_exceed_two": True,  # 3x3 throughout this package
         "rank_exceeds_four": rank > 4,
         "rank_exceeds_marginals": rank > max(rank_a, rank_b),
-        "negative_subspace_min_schmidt_rank": _negative_subspace_check(g, 1e-10),
+        "negative_subspace_min_schmidt_rank": {
+            "pass": inert.negative == 0 or (inert.negative == 1 and srank == 3),
+            "evidence_level": "certified",
+            "min_schmidt_rank": srank,
+        },
         "kernel_no_product_vector": kernel_item,
         "pt_inertia_one_negative": tuple(inert) == (1, 0, 8),
     }

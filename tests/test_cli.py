@@ -204,14 +204,23 @@ def test_tol_only_on_searching_subcommands(capsys, tmp_path):
 
 
 def test_witness_best_value_is_the_certified_value(capsys, tmp_path):
-    # strategy c finds its best with eigh; the certified value is re-solved
-    # with eigvalsh and differs in the last digits, so it must be reported once
+    # the certified value is re-solved from the materialized rows; the
+    # report must carry that one number as both best_value and value
     code, out, _ = run(capsys, ["witness", "--case", "i", "--x", "0.3", "--strategy", "c",
                                 "--json", "--out", str(tmp_path)])
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["evidence_level"] == "certified"
     assert doc["best_value"] == doc["witness"]["value"]
+
+
+@pytest.mark.parametrize("strategy", ["", " + "], ids=["empty", "plus-only"])
+def test_witness_without_strategy_letters_is_usage_error(capsys, tmp_path, strategy):
+    code, out, err = run(capsys, ["witness", "--case", "v", "--x", "0.5", "--strategy", strategy,
+                                  "--json", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_witness_deterministic_stdout(capsys, tmp_path):

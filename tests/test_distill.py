@@ -19,6 +19,7 @@ from qutritdistill.linalg import partial_transpose
 
 
 C1 = (33 - 12 * np.sqrt(6)) / 25
+C2 = (24 * np.sqrt(2) - 33) / 7
 
 
 def pt_mat(state):
@@ -232,11 +233,11 @@ def test_budget_exhausted_in_p1a_grid(monkeypatch):
 @pytest.mark.parametrize("x, strategy, evaluations", [
     (1 / 7, "a", 2000),
     (1 / 7, "b", 2000),
-    (1 / 7, "c", 651),  # one evaluation per distinct row matrix
-    (1 / 7, "abc", 4651),
+    (1 / 7, "c", 1),  # c is one construction, no search
+    (1 / 7, "abc", 4001),
     (0.5, "a", 8),  # the descent stops at the first step below STOP
     (0.5, "b", 1),  # P1a at a = 0 is below STOP: no descent, no P2bc
-    (0.5, "c", 1),  # the first random start is below STOP
+    (0.5, "c", 1),  # two negative eigenvalues: the rows hold a Schmidt-rank-2 vector
     (0.5, "abc", 8),
 ])
 def test_witness_search_evaluation_counts(x, strategy, evaluations):
@@ -258,11 +259,55 @@ def test_sweeps_materialize_only_the_certified_witness(monkeypatch):
 
 
 def test_witness_search_deterministic():
-    st = states.build_family("v", 0.4)
-    a = witness_search(st, strategy="c", budget=800, seed=5)
-    b = witness_search(st, strategy="c", budget=800, seed=5)
+    # at 1/7 strategy b reaches its seeded P2bc samples
+    st = states.build_family("v", 1 / 7)
+    a = witness_search(st, strategy="b", budget=800, seed=5)
+    b = witness_search(st, strategy="b", budget=800, seed=5)
     assert a.best_value == b.best_value
     assert a.evaluations == b.evaluations
+
+
+def random_states_with_two_or_more_negative_eigenvalues(n_each=4):
+    """Random states of rank 1-8 whose partial transpose has k >= 2
+    negative eigenvalues, with that spectrum."""
+    rng = np.random.default_rng(1)
+    for rank in range(1, 9):
+        for _ in range(n_each):
+            z = rng.normal(size=(9, rank)) + 1j * rng.normal(size=(9, rank))
+            rho = z @ z.conj().T
+            rho /= np.trace(rho).real
+            w = np.linalg.eigvalsh(partial_transpose(rho, 3, 3))
+            if linalg.inertia_of_spectrum(w).negative >= 2:
+                yield states.QutritState(rho=rho, eigenvalues=np.linalg.eigvalsh(rho)), w
+
+
+def test_strategy_c_certifies_two_negative_eigenvalues_in_one_evaluation():
+    # the rows hold a Schmidt-rank-2 vector of the negative eigenspace, so
+    # the compression is at most the second eigenvalue of the partial transpose
+    seen = 0
+    for st, w in random_states_with_two_or_more_negative_eigenvalues():
+        rep = witness_search(st, strategy="c")
+        assert rep.evaluations == 1
+        assert rep.evidence_level == "certified"
+        assert rep.witness.form == "general"
+        assert rep.witness_value <= w[1] + 1e-12
+        seen += 1
+    assert seen >= 20
+
+
+def test_strategy_c_on_the_family_outside_the_window():
+    # c certifies every NPT family point in one evaluation, except case v
+    # on [c2, c1]: one negative eigenvalue whose eigenvector has Schmidt rank 3
+    for case in states.CASES:
+        for x in np.linspace(0.001, 0.999, 500):
+            rep = witness_search(states.build_family(case, float(x)), strategy="c")
+            assert rep.evaluations == 1
+            window = case == "v" and C2 <= x <= C1
+            if rep.is_npt and not window:
+                assert rep.evidence_level == "certified", (case, x)
+            else:
+                assert rep.evidence_level == "not_found_at_budget", (case, x)
+                assert rep.witness is None
 
 
 def test_report_json_fields():
@@ -354,7 +399,7 @@ def test_preconditions_all_pass_at_reference_point():
     assert pre["rank_exceeds_marginals"]
     assert pre["pt_inertia_one_negative"]
     sub = pre["negative_subspace_min_schmidt_rank"]
-    assert sub["pass"] and sub["method"] == "exact" and sub["min_schmidt_rank"] == 3
+    assert sub == {"pass": True, "evidence_level": "certified", "min_schmidt_rank": 3}
     ker = pre["kernel_no_product_vector"]
     assert ker["pass"]
     assert ker["evidence_level"] == "certified"
@@ -368,7 +413,7 @@ def test_preconditions_fail_two_negative():
     pre = precondition_report(states.build_family("v", 0.5))
     assert not pre["pt_inertia_one_negative"]
     assert pre["negative_subspace_min_schmidt_rank"] == {
-        "pass": False, "method": "exact", "min_schmidt_rank": 2}
+        "pass": False, "evidence_level": "certified", "min_schmidt_rank": 2}
 
 
 def test_two_negative_eigenvalues_always_hold_a_schmidt_rank_two_vector():
@@ -381,22 +426,24 @@ def test_two_negative_eigenvalues_always_hold_a_schmidt_rank_two_vector():
         w = np.linalg.eigvalsh(h)
         h -= 0.5 * (w[1] + w[2]) * np.eye(9)
         assert np.count_nonzero(np.linalg.eigvalsh(h) < 0) == 2
-        sub = distill._negative_subspace_check(h, 1e-10)
-        assert not sub["pass"] and sub["method"] == "exact"
-        assert sub["min_schmidt_rank"] <= 2
+        psi = distill._negative_schmidt_vector(linalg.eig_hermitian(h))
+        assert abs(np.linalg.norm(psi) - 1) <= 1e-12
+        assert states.schmidt_rank(psi) <= 2
 
 
 def test_negative_subspace_singular_pencil():
     # negative eigenvectors |00> and |01>: det(mA + nB) vanishes identically
     # and every vector of their span is a product vector
     g = np.diag([-2.0, -1.0] + [1.0] * 7).astype(complex)
-    sub = distill._negative_subspace_check(g, 1e-10)
-    assert sub == {"pass": False, "method": "exact", "min_schmidt_rank": 1}
+    psi = distill._negative_schmidt_vector(linalg.eig_hermitian(g))
+    assert states.schmidt_rank(psi) == 1
 
 
 def test_preconditions_vacuous_when_ppt():
     pre = precondition_report(states.build_family("v", 0.2))
     assert not pre["pt_inertia_one_negative"]
+    assert pre["negative_subspace_min_schmidt_rank"] == {
+        "pass": True, "evidence_level": "certified", "min_schmidt_rank": None}
 
 
 # ----------------------------------------------------- structural cross-checks
