@@ -87,14 +87,43 @@ def write_csv(path, header: list[str], rows) -> None:
     formatting call: "%.17g" renders every finite float exactly as sig17
     does, and integers as their digits. A block holding NaN or +-inf is
     respelled to NaN and Infinity, as sig17 writes them; finite blocks skip
-    that pass."""
+    that pass.
+
+    A grid's axis columns repeat a few values over many rows, so each column
+    keeps a memo from a value's bit pattern to its "%.17g" text and formats
+    each distinct value once. Keys are bits, not floats, so -0.0 and 0.0
+    stay apart. A column whose memo would pass CSV_BLOCK entries drops it for
+    the rest of the file and is formatted cell by cell."""
     arr = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    memos: list[dict | None] = [{} for _ in header]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(arr), CSV_BLOCK):
             block = arr[start:start + CSV_BLOCK]
-            text = (line * len(block)) % tuple(block.ravel().tolist())
+            cells = np.empty(block.shape, dtype=object)
+            for j, memo in enumerate(memos):
+                texts = None if memo is None else _memo_texts(memo, block[:, j])
+                if texts is None:
+                    memos[j] = None
+                    texts = block[:, j]
+                cells[:, j] = texts
+            line = ",".join("%.17g" if m is None else "%s" for m in memos) + "\n"
+            text = (line * len(block)) % tuple(cells.ravel().tolist())
             if not np.isfinite(block).all():
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             fh.write(text)
+
+
+def _memo_texts(memo: dict, column: np.ndarray) -> np.ndarray | None:
+    """The texts of column as an object array, formatting only the values
+    memo lacks and adding them to it; None if memo would pass CSV_BLOCK
+    entries."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    keys_list = keys.tolist()
+    fresh = [i for i, k in enumerate(keys_list) if k not in memo]
+    if len(memo) + len(fresh) > CSV_BLOCK:
+        return None
+    values = keys.view(np.float64).tolist()
+    for i in fresh:
+        memo[keys_list[i]] = format(values[i], ".17g")
+    return np.array([memo[k] for k in keys_list], dtype=object)[inverse]

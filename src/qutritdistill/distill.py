@@ -456,21 +456,26 @@ def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
                               np.linalg.svd(v.reshape(3, 3), compute_uv=False)[2]))
 
 
-def precondition_report(state: states.QutritState, tol: float = NEG_TOL, seed: int = 0) -> dict:
+def precondition_report(state: states.QutritState, seed: int = 0) -> dict:
     """Necessary conditions for an NPT state to resist 1-distillation.
 
     Every failed item certifies 1-distillability; all items passing is
-    consistent with (not proof of) resistance. The negative-subspace item
-    takes the Schmidt rank of _negative_schmidt_vector, from the same
-    eigendecomposition as the inertia: it passes vacuously with no negative
-    eigenvalue, passes with one whose eigenvector has Schmidt rank 3, and
-    fails whenever the partial transpose has two or more. Its evidence is
-    "certified", since the rank is a floating-point one. The kernel
-    product-vector item carries kernel_product_vector's evidence:
-    "certified" where the exact antisymmetric-subspace lemma covers the
-    kernel (every family state with 0 < x < 1), otherwise
-    "not_found_at_budget" from a search, which is no nonexistence proof.
-    seed drives that search only.
+    consistent with (not proof of) resistance. The tolerances are fixed: the
+    ranks of rho and its marginals count singular values above 1e-10, the
+    inertia counts eigenvalues beyond 1e-10 times the spectral norm of the
+    partial transpose (linalg.inertia_of_spectrum), and the Schmidt rank
+    counts singular values of the unit vector above 1e-9.
+
+    The negative-subspace item takes the Schmidt rank of
+    _negative_schmidt_vector, from the same eigendecomposition as the
+    inertia: it passes vacuously with no negative eigenvalue, passes with one
+    whose eigenvector has Schmidt rank 3, and fails whenever the partial
+    transpose has two or more. Its evidence is "certified", since the rank
+    is a floating-point one. The kernel product-vector item carries
+    kernel_product_vector's evidence: "certified" where the exact
+    antisymmetric-subspace lemma covers the kernel (every family state with
+    0 < x < 1), otherwise "not_found_at_budget" from a search, which is no
+    nonexistence proof. seed drives that search only.
     """
     from . import kernel  # local import; kernel depends on states only
 

@@ -2,6 +2,8 @@
 per-cell sig17 rendering would, for arrays and for lists of rows, with NaN
 and Infinity spelled as in JSON."""
 
+import tracemalloc
+
 import numpy as np
 
 from qutritdistill._fmt import CSV_BLOCK, sig17, write_csv
@@ -21,8 +23,13 @@ def _both_paths(tmp_path, arr):
     write_csv(tmp_path / "list.csv", HEADER, arr.tolist())
     block = _read(tmp_path / "block.csv")
     assert _read(tmp_path / "list.csv") == block
-    lines = [",".join(HEADER)] + [",".join(sig17(v) for v in row) for row in arr.tolist()]
-    return block, ("\n".join(lines) + "\n").encode()
+    return block, _sig17_csv(HEADER, arr.tolist())
+
+
+def _sig17_csv(header, rows):
+    """The per-cell sig17 reference bytes of a CSV file."""
+    lines = [",".join(header)] + [",".join(sig17(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def test_block_path_matches_cells_on_random_floats(tmp_path):
@@ -78,3 +85,74 @@ def test_non_finite_value_in_a_later_block(tmp_path):
     block, cells = _both_paths(tmp_path, arr)
     assert block == cells
     assert block.splitlines()[-1] == b"0.5,0.5,-Infinity,0.5,0.5"
+
+
+def test_memo_dropped_when_a_column_turns_distinct_mid_file(tmp_path):
+    # column a repeats 7 values in the first block, then takes a fresh value
+    # per row, so its memo passes CSV_BLOCK entries in the second block; the
+    # third block repeats again but is written cell by cell
+    n = 3 * CSV_BLOCK
+    rows = np.arange(n)
+    arr = np.column_stack([
+        np.where(rows < CSV_BLOCK, (rows % 7) / 3.0, rows / 7.0),
+        (rows % 11) * 0.1,
+        np.full(n, -2.5),
+        rows // CSV_BLOCK * 1e-17,
+        np.sqrt(rows + 0.5),
+    ])
+    arr[2 * CSV_BLOCK:, 0] = 1.0 / 3.0
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+
+
+def test_memo_keeps_signed_zeros_apart(tmp_path):
+    arr = np.zeros((2 * CSV_BLOCK + 1, 5))
+    arr[::2, 1] = -0.0
+    arr[:, 3] = -0.0
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+    lines = block.splitlines()
+    assert lines[1] == b"0,-0,0,-0,0"
+    assert lines[2] == b"0,0,0,-0,0"
+
+
+def test_memoised_column_with_non_finite_values(tmp_path):
+    n = CSV_BLOCK + 9
+    arr = np.tile(np.array([np.nan, np.inf, -np.inf, 1.5])[:, None], ((n + 3) // 4, 5))[:n]
+    arr[:, 4] = np.arange(n) / 3.0
+    block, cells = _both_paths(tmp_path, arr)
+    assert block == cells
+    assert block.splitlines()[1:5] == [
+        b"NaN,NaN,NaN,NaN,0",
+        b"Infinity,Infinity,Infinity,Infinity,0.33333333333333331",
+        b"-Infinity,-Infinity,-Infinity,-Infinity,0.66666666666666663",
+        b"1.5,1.5,1.5,1.5,1",
+    ]
+
+
+def test_multi_panel_scan_csv_matches_cells(tmp_path):
+    from qutritdistill.minors import MinorScanSpec, scan
+
+    spec = MinorScanSpec(which="alpha2_minor4", step=0.05,
+                         c_values=(0j, complex(-0.0, 0.5), 1 - 1j))
+    path = tmp_path / "scan.csv"
+    res = scan(spec, out_csv=str(path))
+    assert len(res.samples) > 2 * CSV_BLOCK
+    header = ["re_b", "im_b", "re_c", "im_c", "value"]
+    assert _read(path) == _sig17_csv(header, res.samples.tolist())
+
+
+def test_write_csv_memory_stays_below_one_column(tmp_path):
+    # a grid-shaped 400,000 x 5 array: the writer holds a block at a time,
+    # never a copy of a column (3.2 MB)
+    n = 400_000
+    rows = np.arange(n)
+    arr = np.column_stack([rows // 600 * 0.01, rows % 600 * 0.01, np.full(n, 0.5),
+                           np.full(n, -1.5), np.sin(rows)])
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", HEADER, arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arr[:, 0].nbytes
