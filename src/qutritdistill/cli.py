@@ -330,7 +330,10 @@ def cmd_grid(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     csv_path = _outpath(args, f"{args.which}_grid.csv")
-    gs = minors.scan(spec, out_csv=csv_path)
+    try:
+        gs = minors.scan(spec, out_csv=csv_path)
+    except distill.NonFiniteProduct as exc:
+        raise UsageError(f"grid too large for float64: {exc}") from exc
     payload = gs.to_json()
     payload["csv"] = csv_path
     payload["seed"] = args.seed

@@ -14,7 +14,11 @@ plus, for strategy c, general orthonormal rows built without a search from
 one vector of least Schmidt rank in the negative eigenspace
 (_negative_schmidt_vector). projected_matrix is the 6x6 compression of
 explicit rows; compression_bases and compression_chunks evaluate a named
-family at many points at once, in chunks of (m, k, k) leading blocks.
+family at many points at once, in chunks of (m, k, k) leading blocks. A
+chunk sums, entry by entry, only the terms whose base entry is nonzero,
+into a contiguous (k, k, m) array yielded as its transposed view; skipping
+the exact zeros leaves every bit of the dense sum, as long as no parameter
+product c_i conj(c_j) overflows, which raises NonFiniteProduct instead.
 
 Every named-family search runs one routine, _sweep_then_descend: sweep the
 family over a fixed list of parameter points, then coordinate-descend from
@@ -68,6 +72,10 @@ FAMILIES = {
 
 class NoSignChange(ValueError):
     pass
+
+
+class NonFiniteProduct(ValueError):
+    """A parameter product c_i conj(c_j) of compression_chunks is not finite."""
 
 
 class _Spent(Exception):
@@ -229,6 +237,19 @@ def compression_chunks(bases: list, params, k: int = 6):
     per parameter of the family, in slot order; bases comes from
     compression_bases.
 
+    Most entries of the leading blocks B_ij are exact zeros, so each entry
+    (r, s) sums only its terms c_i conj(c_j) B_ij[r, s] with a nonzero
+    B_ij[r, s], in (i, j) order, starting from +0. That is bitwise the dense
+    sum over every (i, j): in round-to-nearest a sum that starts at +0 never
+    becomes -0, and adding +0 or -0 to it changes nothing. Each term keeps
+    the dense operand order, product times base entry. Each chunk is one
+    contiguous (k, k, m) array, filled one entry (r, s) at a time over its m
+    points, and yielded as its (m, k, k) transposed view.
+
+    The skipped terms are only harmless while every product is finite: a
+    dense sum turns an overflowed product into NaN through inf * 0, so a
+    non-finite product raises NonFiniteProduct before anything is summed.
+
     The products c_i conj(c_j) are formed once over all n points. From
     16384 points (256 KiB) on, numpy reuses the temporary conj(c_j) as the
     output of the product and swaps the operands, and its complex multiply
@@ -236,15 +257,20 @@ def compression_chunks(bases: list, params, k: int = 6):
     last bits of large scans."""
     n = len(params[0])
     coefs = [np.ones(n)] + list(params)
-    products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
-    blocks = [[np.ascontiguousarray(bij[:k, :k]) for bij in row] for row in bases]
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
+    if not all(np.isfinite(pij).all() for prow in products for pij in prow):
+        raise NonFiniteProduct("a parameter product c_i conj(c_j) is not finite")
+    pairs = [(pij, bij) for prow, brow in zip(products, bases) for pij, bij in zip(prow, brow)]
+    terms = [[(pij, bij[r, s]) for pij, bij in pairs if bij[r, s] != 0]
+             for r in range(k) for s in range(k)]
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        alphas = np.zeros((stop - start, k, k), dtype=complex)
-        for prow, brow in zip(products, blocks):
-            for pij, bij in zip(prow, brow):
-                alphas += pij[start:stop, None, None] * bij
-        yield alphas
+        cols = np.zeros((k, k, stop - start), dtype=complex)
+        for col, entry in zip(cols.reshape(k * k, -1), terms):
+            for pij, brs in entry:
+                col += pij[start:stop] * brs
+        yield cols.transpose(2, 0, 1)
 
 
 def witness_to_pt_vector(g: np.ndarray, proj: RankTwoProjection) -> tuple[np.ndarray, float]:

@@ -38,6 +38,9 @@ against 640, 1280 and 11520, and non-real values off the real (b, c)
 slice). cross_check compares either set against directly
 computed minors, as deviations relative to the direct value, and reports
 them instead of correcting either side; it is meaningful at x = 1/7 only.
+It evaluates the exact set in one array pass over the grid, bitwise equal
+to eval_closed_form point by point, and the printed set point by point,
+since each non-real printed value is reported on its own.
 """
 
 from __future__ import annotations
@@ -166,18 +169,28 @@ def eval_closed_form(which: str, b: complex, c: complex) -> float:
     The value is real for every complex (b, c), since it depends on b and c
     only through |b|^2, |c|^2 and Re(bc). It does not hold at other x.
     """
+    return float(_closed_form(which, complex(b), complex(c)))
+
+
+def _closed_form(which: str, b, c):
+    """eval_closed_form at complex scalars or at equal-shape complex arrays
+    b and c. Both take the same IEEE operations in the same order, so an
+    array pass is bitwise equal to per-point calls: Re(bc) is spelled out as
+    b.real * c.real - b.imag * c.imag, and the terms are added left to
+    right, never by the compensated float sum of newer Pythons."""
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}; expected minor4, minor5 or det")
     den, terms = CLOSED_FORMS[which]
-    b = complex(b)
-    c = complex(c)
     p = b.real * b.real + b.imag * b.imag
     q = c.real * c.real + c.imag * c.imag
-    r = (b * c).real
+    r = b.real * c.real - b.imag * c.imag
     ps = (1.0, p, p * p, p * p * p)
     qs = (1.0, q, q * q, q * q * q)
     rs = (1.0, r)
-    return sum([coef * ps[i] * qs[j] * rs[k] for (i, j, k), coef in terms.items()]) / den
+    total = 0.0
+    for (i, j, k), coef in terms.items():
+        total = total + coef * ps[i] * qs[j] * rs[k]
+    return total / den
 
 
 def certify_positive(terms: dict) -> bool:
@@ -298,34 +311,36 @@ def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}")
     _check_x(x)
-    evaluate = eval_printed_form if printed else eval_closed_form
     points = np.array(grid, dtype=complex).reshape(-1, 2)
     directs = _values("alpha2_" + which, points[:, 0], points[:, 1], x)
-    entries = []
     non_real = []
-    for (b, c), direct in zip(grid, directs.tolist()):
-        try:
-            closed = evaluate(which, b, c)
-        except linalg.NonRealMinor as exc:
-            non_real.append({"b": complex_pair(complex(b)), "c": complex_pair(complex(c)),
-                             "error": str(exc)})
-            continue
-        err = abs(closed - direct)
-        dev = err / abs(direct) if direct != 0.0 else (0.0 if err == 0.0 else np.inf)
-        entries.append((dev, complex(b), complex(c), closed, direct))
-    entries.sort(key=lambda t: -t[0])
-    max_dev = entries[0][0] if entries else 0.0
+    if printed:  # per point, to report each non-real value
+        kept, closed = [], []
+        for idx, (b, c) in enumerate(points.tolist()):
+            try:
+                closed.append(eval_printed_form(which, b, c))
+                kept.append(idx)
+            except linalg.NonRealMinor as exc:
+                non_real.append({"b": complex_pair(b), "c": complex_pair(c), "error": str(exc)})
+        points, directs, closed = points[kept], directs[kept], np.array(closed)
+    else:
+        closed = _closed_form(which, points[:, 0], points[:, 1])
+    err = np.abs(closed - directs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        devs = np.where(directs != 0.0, err / np.abs(directs), np.where(err == 0.0, 0.0, np.inf))
+    order = np.argsort(-devs, kind="stable")
+    max_dev = float(devs[order[0]]) if len(order) else 0.0
     worst = [
         {
-            "b": complex_pair(bb), "c": complex_pair(cc),
-            "closed": cl, "direct": dr, "deviation": dv,
+            "b": complex_pair(complex(points[t, 0])), "c": complex_pair(complex(points[t, 1])),
+            "closed": float(closed[t]), "direct": float(directs[t]), "deviation": float(devs[t]),
         }
-        for dv, bb, cc, cl, dr in entries[:max_logged]
-        if dv > tol
+        for t in order[:max_logged].tolist()
+        if devs[t] > tol
     ]
     return CrossCheckReport(
         which=which,
-        n_points=len(entries) + len(non_real),
+        n_points=len(devs) + len(non_real),
         max_rel_dev=max_dev,
         passed=(max_dev <= tol) and not non_real,
         worst=worst,

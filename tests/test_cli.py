@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,30 @@ def test_grid_rejects_x_outside_open_unit_interval(capsys, tmp_path, x):
     assert err.startswith("usage error: x must lie in (0, 1)")
     assert out == ""
     assert not (tmp_path / "alpha2_minor4_grid.csv").exists()
+
+
+HUGE_GRID = ["--re-min=-1e200", "--re-max=1e200", "--im-min=-1e200", "--im-max=1e200",
+             "--step", "1e199"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--which", "alpha2_minor4"] + HUGE_GRID,
+    ["--which", "G"] + HUGE_GRID,
+    ["--which", "alpha1_psd"] + HUGE_GRID,
+    ["--which", "G", "--step", "0.5", "--c=1e200"],
+])
+def test_grid_overflow_is_usage_error(capsys, tmp_path, argv):
+    # |b|^2 or |c|^2 = 1e400 overflows float64: the grid stops with one usage
+    # error line and no RuntimeWarning, and writes no CSV
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["grid"] + argv + ["--json", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:")
+    assert err.count("\n") == 1
+    assert out == ""
+    assert caught == []
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_grid_has_no_scale_option(capsys, tmp_path):

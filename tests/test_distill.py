@@ -1,6 +1,8 @@
 """NPT checks, projection-witness search, PPT thresholds, and the
 precondition battery for undistillability evidence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,51 @@ def test_compression_chunks_match_projected_matrix():
             params = {k: theta[n] for k, theta in zip(family.keys, thetas)}
             one = distill.projected_matrix(g, RankTwoProjection(form, params).materialize())
             assert np.abs(batch[n] - one).max() <= 1e-13 * max(1.0, np.abs(one).max())
+
+
+def _dense_compressions(bases, params, k):
+    """The leading k x k blocks assembled as one (n, 6, 6) batch from every
+    term c_i conj(c_j) B_ij, exact zeros of B_ij included."""
+    coefs = [np.ones(len(params[0]))] + list(params)
+    alphas = np.zeros((len(coefs[0]), 6, 6), dtype=complex)
+    for i, ci in enumerate(coefs):
+        for j, cj in enumerate(coefs):
+            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
+    return np.ascontiguousarray(alphas[:, :k, :k])
+
+
+@pytest.mark.parametrize("form", sorted(distill.FAMILIES))
+def test_compression_chunks_bitwise_equal_dense_assembly(form):
+    # 2 * CHUNK + 1001 = 17385 points: two full chunks, a ragged tail, and
+    # past the 16384 points from which numpy forms the products in place;
+    # zero and signed-zero parameters, magnitudes 1e-3 to 1e3
+    rng = np.random.default_rng(41)
+    n = 2 * distill.CHUNK + 1001
+    assert n > 16384
+    params = []
+    for _ in distill.FAMILIES[form].keys:
+        z = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
+        z[::7] = 0
+        z[3::11] = complex(-0.0, 0.5)
+        params.append(z)
+    bases = distill.compression_bases(pt_mat(states.build_family("v", 0.4)), form)
+    for k in (4, 5, 6):
+        chunks = list(distill.compression_chunks(bases, params, k))
+        assert [len(a) for a in chunks] == [distill.CHUNK, distill.CHUNK, 1001]
+        got = np.concatenate(chunks)
+        assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), k
+
+
+@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+def test_compression_chunks_reject_non_finite_products(bad):
+    # 1e200 squared overflows; a dense sum would turn it into NaN through
+    # inf * 0, so the products are checked, without a warning, before any sum
+    bases = distill.compression_bases(pt_mat(states.build_family("v", 0.4)), distill.FORM_P2BC)
+    params = (np.array([0.5, bad, 1j]), np.zeros(3, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(distill.NonFiniteProduct):
+            next(distill.compression_chunks(bases, params, 4))
 
 
 def test_scalar_grid_structure():

@@ -262,15 +262,23 @@ def test_cross_check_deviation_is_relative(monkeypatch):
 
 
 def test_cross_check_matches_per_point_minors():
+    # tol = -1 logs every point: worst is ordered by deviation, largest
+    # first, with ties left in grid order
     grid = default_real_bc_grid(n=7) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
+    index = {(complex(b), complex(c)): t for t, (b, c) in enumerate(grid)}
     for which, idx in (("minor4", 0), ("minor5", 1), ("det", 2)):
-        rep = cross_check(which, grid, tol=0.0, max_logged=len(grid))
-        assert rep.n_points == len(grid)
+        rep = cross_check(which, grid, tol=-1.0, max_logged=len(grid))
+        assert rep.n_points == len(rep.worst) == len(grid)
         assert rep.max_rel_dev <= 1e-13
+        keys = []
         for w in rep.worst:
             b, c = complex(*w["b"]), complex(*w["c"])
             direct = direct_minors(build_projected(2, (b, c)))[idx]
             assert abs(w["direct"] - direct) <= 1e-13 * abs(direct)
+            assert w["closed"] == eval_closed_form(which, b, c)
+            keys.append((-w["deviation"], index[b, c]))
+        assert keys == sorted(keys)
+        assert len({dev for dev, _ in keys}) < len(keys), which  # ties to order
 
 
 def test_cross_check_minor5_fully_complex_grid_reports_nonreal():
@@ -297,6 +305,19 @@ def test_cross_check_logs_worst_points():
     devs = [w["deviation"] for w in rep.worst]
     assert devs == sorted(devs, reverse=True)
     assert abs(devs[0] - rep.max_rel_dev) <= 1e-18
+
+
+def test_closed_form_array_pass_bitwise_equal_per_point():
+    # cross_check evaluates the exact closed forms over its whole grid in one
+    # array pass; each value must carry the bits eval_closed_form gives its
+    # point, on verify-example's 81 x 81 grid and on random complex points
+    rng = np.random.default_rng(83)
+    rand = 10.0 ** rng.uniform(-2, 2, (5000, 2)) * np.exp(2j * np.pi * rng.random((5000, 2)))
+    points = np.concatenate([np.array(default_real_bc_grid(-2.0, 2.0, 81), dtype=complex), rand])
+    for which in CLOSED_FORMS:
+        values = minors._closed_form(which, points[:, 0], points[:, 1])
+        ref = np.array([eval_closed_form(which, b, c) for b, c in points.tolist()])
+        assert values.tobytes() == ref.tobytes(), which
 
 
 # ----------------------------------------------------------------- grid scans
@@ -331,20 +352,23 @@ def _one_shot_values(which, b, c, x, scale):
 
 
 def test_scan_values_bitwise_equal_one_shot_assembly():
-    # 131 x 131 = 17161 points: two full chunks plus a ragged tail, and past
-    # the 16384-point size where numpy starts to form the one-shot products
-    # c_i conj(c_j) in place with swapped operands, which rounds differently
+    # 131 x 131 = 17161 points per panel: two full chunks plus a ragged tail,
+    # and past the 16384-point size where numpy starts to form the one-shot
+    # products c_i conj(c_j) in place with swapped operands, which rounds
+    # differently. The panels are a generic c, the c = 0 of the default grid
+    # and a c whose real part is -0.0.
     n = 131 * 131
     assert n > 2 * distill.CHUNK and n % distill.CHUNK
+    panels = (0.7 - 1.3j, 0j, complex(-0.0, 0.5))
     for which in minors.WHICH_TOKENS:
         spec = MinorScanSpec(which=which, re_range=(-3.0, 3.5), im_range=(-3.0, 3.5),
-                             step=0.05, c_values=(0.7 - 1.3j,))
+                             step=0.05, c_values=panels)
         res = scan(spec)
-        assert res.samples.shape[0] == n
-        b = res.samples[:, 0] + 1j * res.samples[:, 1]
-        c = res.samples[:, 2] + 1j * res.samples[:, 3]
-        ref = _one_shot_values(which, b, c, spec.x, spec.scale)
-        assert np.array_equal(res.samples[:, 4], ref), which
+        assert res.samples.shape[0] == len(panels) * n
+        b = res.samples[:n, 0] + 1j * res.samples[:n, 1]
+        for p, c_val in enumerate(panels):
+            ref = _one_shot_values(which, b, np.full(n, c_val), spec.x, spec.scale)
+            assert np.array_equal(res.samples[p * n:(p + 1) * n, 4], ref), (which, c_val)
 
 
 def test_scan_f_window():
