@@ -332,7 +332,7 @@ def cmd_grid(args) -> int:
     csv_path = _outpath(args, f"{args.which}_grid.csv")
     try:
         gs = minors.scan(spec, out_csv=csv_path)
-    except distill.NonFiniteProduct as exc:
+    except (distill.NonFiniteProduct, minors.NonFiniteValue) as exc:
         raise UsageError(f"grid too large for float64: {exc}") from exc
     payload = gs.to_json()
     payload["csv"] = csv_path

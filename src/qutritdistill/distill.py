@@ -13,11 +13,14 @@ defined once in FAMILIES:
 plus, for strategy c, general orthonormal rows built without a search from
 one vector of least Schmidt rank in the negative eigenspace
 (_negative_schmidt_vector). projected_matrix is the 6x6 compression of
-explicit rows; compression_bases and compression_chunks evaluate a named
-family at many points at once, in chunks of (m, k, k) leading blocks. A
-chunk sums, entry by entry, only the terms whose base entry is nonzero,
-into a contiguous (k, k, m) array yielded as its transposed view; skipping
-the exact zeros leaves every bit of the dense sum, as long as no parameter
+explicit rows. It builds R x I as one broadcast multiply (_kron_eye3),
+which forms the same products in the same operand order as np.kron, so
+every bit matches np.kron without its per-call shape handling.
+compression_bases and compression_chunks evaluate a named family at many
+points at once, in chunks of (m, k, k) leading blocks. A chunk sums,
+entry by entry, only the terms whose base entry is nonzero, into a
+contiguous (k, k, m) array yielded as its transposed view; skipping the
+exact zeros leaves every bit of the dense sum, as long as no parameter
 product c_i conj(c_j) overflows, which raises NonFiniteProduct instead.
 
 Every named-family search runs one routine, _sweep_then_descend: sweep the
@@ -53,6 +56,8 @@ DEFAULT_BUDGET = 2000
 NEG_TOL = 1e-10
 STOP = -1e-6  # a search stage ends once its best value is below this
 CHUNK = 8192  # points per block of compression_chunks
+EYE3 = np.eye(3, dtype=complex)
+EYE3.flags.writeable = False
 
 
 class RowFamily(NamedTuple):
@@ -200,9 +205,17 @@ def _npt_report(w: np.ndarray, tol: float) -> DistillReport:
                          negative_count=inert.negative)
 
 
+def _kron_eye3(rows: np.ndarray) -> np.ndarray:
+    """kron(rows, I_3) for a p x q complex matrix, as the one broadcast
+    multiply rows[i, j] * I_3[k, l] that np.kron itself performs."""
+    p, q = rows.shape
+    return (rows[:, None, :, None] * EYE3[None, :, None, :]).reshape(3 * p, 3 * q)
+
+
 def projected_matrix(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The 6x6 compression (R x I) g (R x I)^dag of a 9x9 matrix by 2x3 rows R."""
-    r = np.kron(rows, np.eye(3, dtype=complex))
+    """The 6x6 compression (R x I) g (R x I)^dag of a 9x9 matrix by 2x3 rows R.
+    R x I is _kron_eye3(R): the products np.kron forms, bit for bit."""
+    r = _kron_eye3(rows)
     return r @ g @ r.conj().T
 
 
@@ -212,7 +225,7 @@ def projected_min_eig(g: np.ndarray, rows: np.ndarray) -> float:
 
 def _lift(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(R^dag x I) u: a 6-vector of the compressed space back in C^3 x C^3."""
-    return np.kron(rows.conj().T, np.eye(3, dtype=complex)) @ u
+    return _kron_eye3(rows.conj().T) @ u
 
 
 def compression_bases(g: np.ndarray, form: str) -> list:
@@ -226,7 +239,7 @@ def compression_bases(g: np.ndarray, form: str) -> list:
         unit = np.zeros((2, 3), dtype=complex)
         unit[slot] = 1
         parts.append(unit)
-    rs = [np.kron(p, np.eye(3, dtype=complex)) for p in parts]
+    rs = [_kron_eye3(p) for p in parts]
     return [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
 
 

@@ -72,6 +72,11 @@ _FORMS = {1: distill.FORM_P1A, 2: distill.FORM_P2BC}
 _AUTO_SCALE = {"F": float(SCALE_F), "G": float(SCALE_G)}
 
 
+class NonFiniteValue(ValueError):
+    """A grid value of scan overflowed float64, though every parameter
+    product was finite."""
+
+
 # --- frame and compression ---------------------------------------------------
 
 
@@ -118,7 +123,9 @@ def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:
     unused), else the leading minor of form 2 `which` names, times SCALE_F
     for F and SCALE_G for G.
     The compressions arrive from distill in chunks of (m, k, k) leading
-    blocks and are reduced into one preallocated column."""
+    blocks and are reduced into one preallocated column. A value that
+    overflows comes out inf or NaN without a RuntimeWarning; scan rejects
+    it."""
     if which == "alpha1_psd":
         form, params, k = distill.FORM_P1A, (b,), 6
     else:
@@ -126,13 +133,14 @@ def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:
     scale = _AUTO_SCALE.get(which, 1.0)
     out = np.empty(len(b))
     start = 0
-    for alphas in distill.compression_chunks(_bases(float(x), form), params, k):
-        stop = start + len(alphas)
-        if which == "alpha1_psd":
-            out[start:stop] = np.linalg.eigvalsh(alphas)[:, 0]
-        else:
-            out[start:stop] = np.linalg.det(alphas).real * scale
-        start = stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alphas in distill.compression_chunks(_bases(float(x), form), params, k):
+            stop = start + len(alphas)
+            if which == "alpha1_psd":
+                out[start:stop] = np.linalg.eigvalsh(alphas)[:, 0]
+            else:
+                out[start:stop] = np.linalg.det(alphas).real * scale
+            start = stop
     return out
 
 
@@ -445,7 +453,7 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
         c_val = complex(c_val)
         values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x)
         if not np.all(np.isfinite(values)):
-            raise FloatingPointError("non-finite value in grid scan")
+            raise NonFiniteValue("non-finite value in grid scan")
         block = np.column_stack([
             b_flat.real, b_flat.imag,
             np.full(b_flat.size, c_val.real), np.full(b_flat.size, c_val.imag),

@@ -44,17 +44,27 @@ def swap_operator() -> np.ndarray:
 SWAP = swap_operator()
 
 
-def symmetric_basis() -> np.ndarray:
-    """The five shared eigenvectors as rows of a (5, 9) array.
-
-    Order: sym(0,1), sym(1,2), sym(0,2), (00 - 11)/sqrt2, (00 + 11 - 2*22)/sqrt6.
-    """
+def _build_symmetric_basis() -> np.ndarray:
     sym01 = (basis_ket(0, 1) + basis_ket(1, 0)) / np.sqrt(2)
     sym12 = (basis_ket(1, 2) + basis_ket(2, 1)) / np.sqrt(2)
     sym02 = (basis_ket(0, 2) + basis_ket(2, 0)) / np.sqrt(2)
     diag_diff = (basis_ket(0, 0) - basis_ket(1, 1)) / np.sqrt(2)
     diag_trace = (basis_ket(0, 0) + basis_ket(1, 1) - 2 * basis_ket(2, 2)) / np.sqrt(6)
     return np.vstack([sym01, sym12, sym02, diag_diff, diag_trace])
+
+
+SYMMETRIC_BASIS = _build_symmetric_basis()
+SYMMETRIC_BASIS.flags.writeable = False
+
+
+def symmetric_basis() -> np.ndarray:
+    """The five shared eigenvectors as rows of a (5, 9) array: a fresh copy
+    of the module constant SYMMETRIC_BASIS, which build_family reads, so a
+    caller that changes the copy changes no later state.
+
+    Order: sym(0,1), sym(1,2), sym(0,2), (00 - 11)/sqrt2, (00 + 11 - 2*22)/sqrt6.
+    """
+    return SYMMETRIC_BASIS.copy()
 
 
 # case id -> index of the distinguished basis vector in symmetric_basis()
@@ -102,9 +112,8 @@ def build_family(case_id: str, x: float) -> QutritState:
         raise OutOfRange(f"x={x} outside [0, 1]")
     lam = np.full(5, (1.0 - x) / 4.0)
     lam[CASE_INDEX[case_id]] = x
-    basis = symmetric_basis()
     rho = np.zeros((DIM, DIM), dtype=complex)
-    for w, vec in zip(lam, basis):
+    for w, vec in zip(lam, SYMMETRIC_BASIS):
         rho += w * np.outer(vec, vec.conj())
     return QutritState(
         rho=rho,

@@ -366,6 +366,9 @@ def test_grid_rejects_x_outside_open_unit_interval(capsys, tmp_path, x):
 
 HUGE_GRID = ["--re-min=-1e200", "--re-max=1e200", "--im-min=-1e200", "--im-max=1e200",
              "--step", "1e199"]
+# |b|^2 = 1e120 is finite, but the |b|^6 term of every form-2 minor from the 4th on is not
+LARGE_GRID = ["--re-min=-1e60", "--re-max=1e60", "--im-min=-1e60", "--im-max=1e60",
+              "--step", "1e59"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -373,10 +376,15 @@ HUGE_GRID = ["--re-min=-1e200", "--re-max=1e200", "--im-min=-1e200", "--im-max=1
     ["--which", "G"] + HUGE_GRID,
     ["--which", "alpha1_psd"] + HUGE_GRID,
     ["--which", "G", "--step", "0.5", "--c=1e200"],
+    ["--which", "G"] + LARGE_GRID,
+    ["--which", "F"] + LARGE_GRID,
+    ["--which", "alpha2_minor4"] + LARGE_GRID,
+    ["--which", "G", "--step", "0.5", "--c=1e60"],
 ])
 def test_grid_overflow_is_usage_error(capsys, tmp_path, argv):
-    # |b|^2 or |c|^2 = 1e400 overflows float64: the grid stops with one usage
-    # error line and no RuntimeWarning, and writes no CSV
+    # |b|^2 or |c|^2 = 1e400 overflows float64, and so does a minor at
+    # |b| = 1e60: the grid stops with one usage error line and no
+    # RuntimeWarning, and writes no CSV
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, ["grid"] + argv + ["--json", "--out", str(tmp_path)])

@@ -116,6 +116,60 @@ def test_family_rows_set_their_slots():
     assert set(distill.FAMILIES) == {"Ay", "P1a", "P2bc"}
 
 
+def _bits(a):
+    """The real and imaginary parts of a complex array as raw float64 bits."""
+    return np.ascontiguousarray(a).view(np.float64).view(np.uint64)
+
+
+def _kron_rows():
+    """2x3 rows with negative real and imaginary parts and -0.0 entries, the
+    base rows of the three families, and 200 seeded random rows."""
+    signed = np.array([[-1.5 - 0.25j, complex(-0.0, 2.0), complex(3.0, -0.0)],
+                       [complex(-0.0, -0.0), -2j, complex(-0.5, -0.0)]])
+    rng = np.random.default_rng(43)
+    randoms = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(200)]
+    return [signed, -signed] + [f.base for f in distill.FAMILIES.values()] + randoms
+
+
+def test_kron_eye3_bitwise_equals_np_kron():
+    # the broadcast multiply forms np.kron's own products, so every bit
+    # agrees, signed zeros included: for the 2x3 rows R of projected_matrix
+    # and compression_bases and for the 3x2 R^dag that _lift takes
+    eye = np.eye(3, dtype=complex)
+    negative_zeros = 0
+    for rows in _kron_rows():
+        for mat in (rows, rows.conj().T):
+            got, want = distill._kron_eye3(mat), np.kron(mat, eye)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
+            negative_zeros += np.count_nonzero((want.view(np.float64) == 0)
+                                               & np.signbit(want.view(np.float64)))
+    assert negative_zeros > 0
+
+
+def test_projected_matrix_bitwise_equals_kron_formula():
+    g = pt_mat(states.build_family("v", 1 / 7))
+    eye = np.eye(3, dtype=complex)
+    u = np.random.default_rng(44).normal(size=6) + 0j
+    for rows in _kron_rows():
+        r = np.kron(rows, eye)
+        assert np.array_equal(_bits(distill.projected_matrix(g, rows)),
+                              _bits(r @ g @ r.conj().T))
+        assert np.array_equal(_bits(distill._lift(rows, u)),
+                              _bits(np.kron(rows.conj().T, eye) @ u))
+    for form, family in distill.FAMILIES.items():
+        units = [np.zeros((2, 3), dtype=complex) for _ in family.slots]
+        for unit, slot in zip(units, family.slots):
+            unit[slot] = 1
+        rs = [np.kron(p, eye) for p in [family.base] + units]
+        want = [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
+        assert np.array_equal(_bits(np.array(distill.compression_bases(g, form))),
+                              _bits(np.array(want)))
+
+
 def test_compression_chunks_match_projected_matrix():
     rng = np.random.default_rng(37)
     g = pt_mat(states.build_family("v", 0.4))

@@ -95,6 +95,29 @@ def test_family_invariants_over_grid():
             )
 
 
+def test_family_bitwise_equals_fresh_basis_sum():
+    # build_family reads the basis built once at import; a basis rebuilt
+    # from its kets gives the same rho, bit for bit, for every case and x
+    fresh = states._build_symmetric_basis()
+    assert symmetric_basis().tobytes() == fresh.tobytes()
+    for case in CASES:
+        for x in np.linspace(0.0, 1.0, 101):
+            lam = np.full(5, (1.0 - x) / 4.0)
+            lam[CASE_INDEX[case]] = x
+            rho = np.zeros((9, 9), dtype=complex)
+            for w, vec in zip(lam, fresh):
+                rho += w * np.outer(vec, vec.conj())
+            assert build_family(case, float(x)).rho.tobytes() == rho.tobytes(), (case, x)
+
+
+def test_symmetric_basis_copy_cannot_change_later_states():
+    before = build_family("v", 0.3).rho
+    e = symmetric_basis()
+    e[:] = 0
+    assert build_family("v", 0.3).rho.tobytes() == before.tobytes()
+    assert np.abs(symmetric_basis()).max() > 0
+
+
 def test_family_weight_placement():
     # the case label selects which basis vector carries weight x
     for case in CASES:
