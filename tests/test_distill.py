@@ -52,6 +52,19 @@ def test_npt_check_two_negative_point():
     assert rep.negative_count >= 2
 
 
+def test_is_npt_follows_the_inertia():
+    # one rule: NPT exactly when the inertia counts a negative eigenvalue,
+    # also inside 1e-10 of the PPT boundary c1 of case v
+    for case in states.CASES:
+        for x in np.linspace(0.0, 1.0, 500):
+            rep = npt_check(states.build_family(case, float(x)))
+            assert rep.is_npt == (rep.negative_count > 0), (case, x)
+    below = npt_check(states.build_family("v", C1 - 1e-10))
+    above = npt_check(states.build_family("v", C1 + 1e-10))
+    assert below.is_npt and tuple(below.inertia) == (1, 0, 8)
+    assert not above.is_npt and tuple(above.inertia) == (0, 0, 9)
+
+
 def test_npt_check_matches_direct_eigenvalues():
     for case in ("i", "iii", "v"):
         for x in (0.05, 0.2, 0.8):
@@ -66,7 +79,7 @@ def test_npt_check_matches_direct_eigenvalues():
 
 
 def test_rank_two_projection_materialize():
-    p = RankTwoProjection("Ay", {"y": 0.5})
+    p = RankTwoProjection("P2bc", {"b": 0, "c": 0.5})
     rows = p.materialize()
     assert rows.shape == (2, 3)
     # raw two-parameter rows, full row rank; only the sign of the compressed
@@ -106,14 +119,17 @@ def test_projected_min_eig_matches_dense_eig():
 def test_family_rows_set_their_slots():
     y, a, b, c = 0.5 - 2j, -1.25j, 3.0 + 0.5j, -0.75
     cases = (
-        ("Ay", {"y": y}, [[1, 0, 0], [0, 1, y]]),
+        ("P2bc", {"b": 0j, "c": y}, [[1, 0, 0], [0, 1, y]]),
         ("P1a", {"a": a}, [[1, a, 0], [0, 0, 1]]),
         ("P2bc", {"b": b, "c": c}, [[1, 0, b], [0, 1, c]]),
     )
     for form, params, expected in cases:
         rows = RankTwoProjection(form, params).materialize()
         assert np.array_equal(rows, np.array(expected, dtype=complex))
-    assert set(distill.FAMILIES) == {"Ay", "P1a", "P2bc"}
+    # one family per chart: P2bc at b = 0 holds the rows (1, 0, 0), (0, 1, y)
+    assert set(distill.FAMILIES) == {"P1a", "P2bc"}
+    with pytest.raises(ValueError, match="unknown form"):
+        RankTwoProjection("Ay", {"y": y}).materialize()
 
 
 def _bits(a):
@@ -252,6 +268,28 @@ def test_witness_found_case_v_high_x():
     rep = witness_search(states.build_family("v", 0.9), strategy="a")
     assert rep.witness is not None
     assert rep.witness_value < -1e-10
+
+
+@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.9])
+def test_strategy_a_descends_in_b_on_case_iii(x):
+    # the b = 0 sweep stays above STOP in case iii; the descent then moves
+    # b off that line and certifies
+    rep = witness_search(states.build_family("iii", x), strategy="a")
+    assert rep.evidence_level == "certified"
+    assert rep.witness.form == "P2bc"
+    assert rep.witness.params["b"] != 0
+    assert rep.witness_value < -1e-6
+
+
+def test_strategy_a_sweeps_p2bc_at_b_zero():
+    # a witness from the sweep alone keeps b = 0: its rows are (1, 0, 0)
+    # and (0, 1, c)
+    for case, x, evaluations in (("i", 0.05, 1), ("v", 0.5, 8)):
+        rep = witness_search(states.build_family(case, x), strategy="a")
+        assert rep.evaluations == evaluations
+        assert rep.witness.form == "P2bc"
+        assert rep.witness.params["b"] == 0
+        assert rep.witness.params["c"] == distill._scalar_grid()[evaluations - 1]
 
 
 def test_witness_strategies_agree_on_sign():

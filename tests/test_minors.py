@@ -89,6 +89,24 @@ def test_form1_psd_scan_reports_true_margin():
     assert abs(margin - 5.79e-3) <= 1e-5
 
 
+@pytest.mark.parametrize("x, box, step, passed", [
+    # positive definite at 1/7: a negative minimum near |a| = 1e8 (-0.27 at
+    # a = 7e7 - 8e7i here) is roundoff of entries of size 1 + |a|^2 ~ 1e16
+    (1 / 7, 1e8, 1e7, True),
+    # below c2 the form-1 compression is negative, -0.0241, far past the floor
+    (0.1, 6.0, 0.1, False),
+])
+def test_alpha1_psd_floor_scales_with_the_rows(x, box, step, passed):
+    spec = MinorScanSpec(which="alpha1_psd", re_range=(-box, box), im_range=(-box, box),
+                         step=step, x=x)
+    gs = scan(spec)
+    assert gs.passed() is passed
+    a = gs.samples[:, 0] + 1j * gs.samples[:, 1]
+    entries, all_psd = psd_scan_form1(a.tolist(), x=x)
+    assert all_psd is passed
+    assert [e["min_eigenvalue"] for e in entries] == gs.samples[:, 4].tolist()
+
+
 def test_form1_scan_away_from_reference_point():
     # exploratory frame at a two-negative point; structure only, the verdict
     # is whatever it is
