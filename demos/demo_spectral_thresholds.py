@@ -2,7 +2,8 @@
 
 The one-parameter branches change character where eigenvalues of the
 partial transpose cross zero. The partial transpose is linear in x, so
-those crossings are roots of a matrix pencil, found by the QZ algorithm.
+those crossings are roots of a matrix pencil, found as the eigenvalues of
+one standard eigenproblem.
 Case v has a PPT window between two crossings; case i is PPT on [1/7, 1/4].
 """
 

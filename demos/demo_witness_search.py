@@ -1,41 +1,36 @@
 """Certify 1-distillability with rank-two projection witnesses.
 
 A state is 1-distillable when compressing the partial transpose by some
-rank-two projection on one side exposes a negative eigenvalue. The search
-sweeps structured two-parameter row families, then polishes by descent.
+rank-two projection on one side exposes a negative eigenvalue. The witness
+is built, not searched for: a vector of least Schmidt rank in the negative
+eigenspace of the partial transpose gives the projection's rows, and one
+eigensolve of the compression decides.
 """
-
-import numpy as np
 
 from qutritdistill import build_family, witness_search
 from qutritdistill.distill import witness_to_pt_vector
 from qutritdistill.linalg import partial_transpose
 from qutritdistill.states import schmidt_rank
 
-for case, x in (("i", 0.05), ("i", 0.30), ("v", 0.50), ("v", 0.90)):
+for case, x in (("i", 0.05), ("i", 0.30), ("iii", 0.50), ("v", 0.50), ("v", 0.90)):
     st = build_family(case, x)
-    rep = witness_search(st, strategy="a")
-    w = rep.witness
-    print(f"case {case} at x={x}: witness {w.form} params {w.params}")
+    rep = witness_search(st)
+    print(f"case {case} at x={x}: {rep.negative_count} negative eigenvalue(s), "
+          f"min {rep.min_eig_gamma:.6f}")
     print(f"  projected eigenvalue {rep.witness_value:.6f}  "
-          f"({rep.evaluations} eigensolves)")
+          f"({rep.evaluations} eigensolve, {rep.witness.form} rows)")
 
     # the witness converts to an explicit Schmidt-rank-2 vector with
     # negative partial-transpose expectation
     g = partial_transpose(st.rho, 3, 3)
-    psi, val = witness_to_pt_vector(g, w)
+    psi, val = witness_to_pt_vector(g, rep.witness)
     print(f"  lifted vector: schmidt rank {schmidt_rank(psi)}, "
           f"<psi|G|psi> = {val:.6f}")
 
-# all three strategies agree on a clearly distillable point
-st = build_family("v", 0.5)
-print()
-print("strategy comparison at case v, x=0.5:")
-for strat in ("a", "b", "c"):
-    rep = witness_search(st, strategy=strat, budget=1500)
-    print(f"  {strat}: value {rep.witness_value:.6f} in {rep.evaluations} evaluations")
-
-# inside the PPT window nothing can be found; the report keeps the best value
-rep = witness_search(build_family("v", 0.2), strategy="a", budget=600)
-print()
-print(f"case v, x=0.2 (PPT): witness {rep.witness}, best value {rep.best_value:+.3e}")
+# with one negative eigenvalue of Schmidt rank 3 (case v on [c2, c1]) and
+# inside the PPT window nothing is certified; the report keeps the value
+for x in (1 / 7, 0.2):
+    rep = witness_search(build_family("v", x))
+    print()
+    print(f"case v, x={x:.4f} (inertia {tuple(rep.inertia)}): witness {rep.witness}, "
+          f"value {rep.best_value:+.3e}")

@@ -1,12 +1,12 @@
 """Rank-five symmetric two-qutrit states: PPT boundaries, 1-distillability
-witness searches, kernel product-vector analysis, and positivity scans of
+witnesses, kernel product-vector analysis, and positivity scans of
 projection-compressed partial transposes.
 
 Submodules:
     linalg   Hermitian/symmetric matrix primitives (partial transpose,
              Takagi, inertia, principal minors)
     states   the five one-parameter state families and local operations
-    distill  NPT checks, witness search, PPT thresholds
+    distill  NPT checks, the witness construction, PPT thresholds
     kernel   product vectors in kernels and 2x3 subspaces
     minors   closed-form vs direct minor scans at x = 1/7
     cli      command-line front end

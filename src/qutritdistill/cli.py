@@ -107,7 +107,7 @@ def cmd_scan(args) -> int:
         inert = linalg.inertia_of_spectrum(eigs)
         found, wval = False, float("nan")
         if inert.negative:
-            rep = distill.witness_search(state, strategy="a", budget=160, seed=args.seed)
+            rep = distill.witness_search(state)
             found, wval = rep.witness is not None, rep.best_value
         rows.append([float(x), float(eigs[0]), float(eigs[1]), inert.negative,
                      1.0 if found else 0.0, float(wval)])
@@ -173,12 +173,21 @@ def cmd_threshold(args) -> int:
 # --- witness -----------------------------------------------------------------
 
 
+def _check_strategy(text: str) -> None:
+    """--strategy is accepted syntax only: any combination of the letters a,
+    b, c (spaces and '+' ignored) runs the one witness construction."""
+    letters = [ch for ch in text.replace("+", "") if not ch.isspace()]
+    bad = [ch for ch in letters if ch not in "abc"]
+    if bad:
+        raise UsageError(f"unknown strategy letters {bad}; expected a subset of 'abc'")
+    if not letters:
+        raise UsageError("strategy needs at least one of the letters a, b, c")
+
+
 def cmd_witness(args) -> int:
     state, x = _family_state(args)
-    try:
-        rep = distill.witness_search(state, args.strategy, args.budget, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _check_strategy(args.strategy)
+    rep = distill.witness_search(state)
     payload = rep.to_json()
     payload["case"] = args.case
     payload["x"] = x
@@ -352,7 +361,8 @@ def cmd_grid(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default=".", help="output directory for CSV/JSON files")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for the kernel product-vector search")
     common.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
 
     parser = _Parser(
@@ -375,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket", nargs=2, required=True, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("witness", parents=[common], help="search for a distillability witness")
+    p = sub.add_parser("witness", parents=[common], help="construct a distillability witness")
     p.add_argument("--case", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--strategy", default="a", help="any combination of a, b, c")
-    p.add_argument("--budget", type=int, default=distill.DEFAULT_BUDGET)
+    p.add_argument("--strategy", default="c", help="any combination of a, b, c; accepted "
+                   "for compatibility, every spelling runs the one construction")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify-example", parents=[common],

@@ -1,46 +1,41 @@
-"""NPT detection and 1-distillability witness search.
+"""NPT detection and the 1-distillability witness.
 
 A state is 1-distillable exactly when some rank-two projection P on the
 first subsystem makes (P x I) rho^Gamma (P^dag x I) non-PSD; equivalently a
-Schmidt-rank-two vector has negative expectation on the partial transpose.
-The search works over two parametrized families of 2x3 row matrices,
-defined once in FAMILIES, one for each chart of the row spaces it covers:
+Schmidt-rank-two vector has negative expectation on the partial transpose
+(DiVincenzo et al., PRA 61, 062312, 2000). witness_search builds that
+projection without a search: from one eigendecomposition of the partial
+transpose it takes a vector of least Schmidt rank in the negative
+eigenspace (_negative_schmidt_vector), whose two leading left Schmidt
+vectors are the orthonormal rows of the projection, and one eigensolve of
+the compression decides. A witness is certified when the compression of
+the materialized rows has an eigenvalue below -NEG_TOL; otherwise the
+report keeps the value reached, which proves nothing about other
+projections. A report is NPT exactly when the partial transpose's inertia
+counts a negative eigenvalue.
+
+The compressions that minors scans use run over two parametrized families
+of 2x3 row matrices, defined once in FAMILIES, one for each chart of the
+row spaces they cover:
 
     P1a  rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2;
-    P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears;
+    P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears.
 
-plus, for strategy c, general orthonormal rows built without a search from
-one vector of least Schmidt rank in the negative eigenspace
-(_negative_schmidt_vector). projected_matrix is the 6x6 compression of
-explicit rows. It builds R x I as one broadcast multiply (_kron_eye3),
-which forms the same products in the same operand order as np.kron, so
-every bit matches np.kron without its per-call shape handling.
-compression_bases and compression_chunks evaluate a named family at many
-points at once, in chunks of (m, k, k) leading blocks. A chunk sums,
-entry by entry, only the terms whose base entry is nonzero, into a
-contiguous (k, k, m) array yielded as its transposed view; skipping the
-exact zeros leaves every bit of the dense sum, as long as no parameter
-product c_i conj(c_j) overflows, which raises NonFiniteProduct instead.
-
-Every named-family search runs one routine, _sweep_then_descend: sweep the
-family over a fixed list of parameter points, then coordinate-descend from
-the best point. Two rules govern every stage. A stage stops as soon as its
-best value is below STOP, since one negative compression is all a verdict
-needs. Each evaluation takes one unit of a budget that also counts it in the
-report, and a budget that runs out ends the current stage quietly with its
-best so far; the next stage and the next strategy still run. Verdicts
-distinguish a certified witness (re-verified eigensolve on the materialized
-projection) from a mere absence of findings at a given search budget. A
-report is NPT exactly when the partial transpose's inertia counts a
-negative eigenvalue.
+projected_matrix is the 6x6 compression of explicit rows. It builds R x I
+as one broadcast multiply (_kron_eye3), which forms the same products in
+the same operand order as np.kron, so every bit matches np.kron without
+its per-call shape handling. compression_bases and compression_chunks
+evaluate a named family at many points at once, in chunks of (m, k, k)
+leading blocks. A chunk sums, entry by entry, only the terms whose base
+entry is nonzero, into a contiguous (k, k, m) array yielded as its
+transposed view; skipping the exact zeros leaves every bit of the dense
+sum, as long as no parameter product c_i conj(c_j) overflows, which raises
+NonFiniteProduct instead.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -52,9 +47,7 @@ FORM_P1A = "P1a"
 FORM_P2BC = "P2bc"
 FORM_GENERAL = "general"
 
-DEFAULT_BUDGET = 2000
 NEG_TOL = 1e-10
-STOP = -1e-6  # a search stage ends once its best value is below this
 CHUNK = 8192  # points per block of compression_chunks
 EYE3 = np.eye(3, dtype=complex)
 EYE3.flags.writeable = False
@@ -82,36 +75,6 @@ class NonFiniteProduct(ValueError):
     """A parameter product c_i conj(c_j) of compression_chunks is not finite."""
 
 
-class _Spent(Exception):
-    """The budget of a search stage ran out; the stage ends with its best."""
-
-
-class _Budget:
-    """Evaluations left to one search stage; every one taken is also
-    counted in report.evaluations."""
-
-    def __init__(self, n: int, report):
-        self.remaining = int(n)
-        self.used = 0
-        self.report = report
-
-    def take(self):
-        if self.remaining <= 0:
-            raise _Spent
-        self.remaining -= 1
-        self.used += 1
-        self.report.evaluations += 1
-
-
-def _family_rows(form: str, values) -> np.ndarray:
-    """R0 of a named family with its slots set to values, in key order."""
-    family = FAMILIES[form]
-    rows = family.base.copy()
-    for slot, value in zip(family.slots, values):
-        rows[slot] = complex(value)
-    return rows
-
-
 @dataclass(frozen=True)
 class RankTwoProjection:
     form: str
@@ -122,7 +85,9 @@ class RankTwoProjection:
         value of the named forms; general rows are checked orthonormal."""
         family = FAMILIES.get(self.form)
         if family is not None:
-            rows = _family_rows(self.form, [self.params[key] for key in family.keys])
+            rows = family.base.copy()
+            for slot, key in zip(family.slots, family.keys):
+                rows[slot] = complex(self.params[key])
         elif self.form == FORM_GENERAL:
             rows = np.array(self.params["rows"], dtype=complex).reshape(2, 3)
             gram = rows @ rows.conj().T
@@ -151,7 +116,6 @@ class DistillReport:
     inertia: linalg.Inertia
     min_eig_gamma: float
     negative_count: int
-    preconditions: Optional[dict] = None
     witness: Optional[RankTwoProjection] = None
     witness_value: Optional[float] = None
     evidence_level: str = "not_found_at_budget"
@@ -171,7 +135,6 @@ class DistillReport:
             "inertia": [self.inertia.negative, self.inertia.zero, self.inertia.positive],
             "min_eig_gamma": float(self.min_eig_gamma),
             "negative_count": int(self.negative_count),
-            "preconditions": self.preconditions,
             "witness": wit,
             "evidence_level": self.evidence_level,
             "best_value": self.best_value,
@@ -297,171 +260,32 @@ def witness_to_pt_vector(g: np.ndarray, proj: RankTwoProjection) -> tuple[np.nda
     return psi, val
 
 
-# --- parameter grids ---------------------------------------------------------
+def witness_search(state: states.QutritState) -> DistillReport:
+    """The rank-two projection whose orthonormal rows R = U[:, :2]^dag are
+    the two leading left Schmidt vectors of psi = _negative_schmidt_vector,
+    and its verdict from one eigensolve of the compression.
 
-
-def _bit_reversed(n: int) -> list[int]:
-    bits = max(1, (n - 1).bit_length())
-    return sorted(range(n), key=lambda p: int(format(p, f"0{bits}b")[::-1], 2))
-
-
-@cache
-def _scalar_grid() -> tuple[complex, ...]:
-    """{0} then 16 log-spaced magnitudes x 32 phases, ordered so that any
-    prefix spans all magnitudes and well-spread phases. Built once."""
-    mags = np.logspace(-2, 2, 16)
-    phases = [2 * np.pi * p / 32 for p in _bit_reversed(32)]
-    pts = [0j]
-    for ph in phases:
-        z = np.exp(1j * ph)
-        for m in mags:
-            pts.append(complex(m * z))
-    return tuple(pts)
-
-
-def _p2bc_samples(seed: int, n: int):
-    """(b, c) = (0, 0), then n - 1 Philox-seeded points with log-uniform
-    magnitudes in [1e-2, 1e2] and uniform phases."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x1B2], dtype=np.uint64)))
-    yield 0j, 0j
-    for _ in range(n - 1):
-        mb, mc = 10.0 ** rng.uniform(-2, 2, size=2)
-        pb, pc = rng.uniform(0, 2 * np.pi, size=2)
-        yield mb * np.exp(1j * pb), mc * np.exp(1j * pc)
-
-
-# --- search internals --------------------------------------------------------
-
-
-def _finalize(report: DistillReport, best, g) -> DistillReport:
-    """Stamp best-so-far onto the report, and a certified witness if the best
-    value and its re-solve from the materialized rows are below -NEG_TOL."""
-    report.best_value = None if best[0] is None else float(best[1])
-    if best[0] is not None and best[1] < -NEG_TOL:
-        check = projected_min_eig(g, best[0].materialize())
-        if check < -NEG_TOL:
-            report.witness = best[0]
-            report.witness_value = report.best_value = check
-            report.evidence_level = "certified"
-    return report
-
-
-def _lower(best, other):
-    """The lower of two [projection, value] pairs; best on a tie."""
-    return other if other[0] is not None and other[1] < best[1] else best
-
-
-def _sweep_then_descend(g, form, points, budget: _Budget):
-    """Evaluate a named family at parameter points (tuples in key order)
-    until one is below STOP, then coordinate-descend from the best of them.
-    Returns [projection, value] of the best point seen, also when the budget
-    runs out first."""
-    best, start = [None, np.inf], None
-    with suppress(_Spent):
-        for point in points:
-            budget.take()
-            val = projected_min_eig(g, _family_rows(form, point))
-            if start is None or val < best[1]:
-                start = point
-                best[:] = RankTwoProjection(form, dict(zip(FAMILIES[form].keys, point))), val
-            if best[1] < STOP:
-                break
-        _descend(g, form, [t for z in start for t in (z.real, z.imag)], budget, best)
-    return best
-
-
-def _descend(g, form, theta, budget: _Budget, best):
-    """Coordinate descent over the real and imaginary parts theta of the
-    family's parameters, taking the first trial step that improves and
-    halving the step from 0.5 after each pass that does not. Stops at step
-    1e-9 or right after the step that takes the value below STOP."""
-    keys = FAMILIES[form].keys
-    cur, step = best[1], 0.5
-    while step > 1e-9 and cur >= STOP:
-        for i, delta in product(range(len(theta)), (step, -step)):
-            trial = list(theta)
-            trial[i] += delta
-            point = tuple(complex(re, im) for re, im in zip(trial[::2], trial[1::2]))
-            budget.take()
-            val = projected_min_eig(g, _family_rows(form, point))
-            if val < cur - 1e-18:
-                theta, cur = trial, val
-                best[:] = RankTwoProjection(form, dict(zip(keys, point))), val
-                break
-        else:
-            step *= 0.5
-
-
-def _construct_general(g, dec: linalg.EigenDecomposition, budget: _Budget):
-    """Strategy c, one evaluation: the orthonormal rows R = U[:, :2]^dag of
-    the two leading left Schmidt vectors of psi = _negative_schmidt_vector.
-    With k >= 2 negative eigenvalues w of g, psi has Schmidt rank <= 2, the
-    compressed space holds it, and the compression's smallest eigenvalue is
-    at most <psi|g|psi> <= w[1] <= w[k-1] < 0. Otherwise psi is the bottom
+    With k >= 2 negative eigenvalues w of the partial transpose g, psi has
+    Schmidt rank <= 2, the compressed space holds it, and the compression's
+    smallest eigenvalue is at most <psi|g|psi> <= w[1] <= w[k-1] < 0: the
+    report carries a certified witness. Otherwise psi is the bottom
     eigenvector; if its Schmidt rank is 3 the rows keep its rank-2
-    truncation, whose compression may or may not be negative."""
-    u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(3, 3))[0]
-    rows = u[:, :2].conj().T
-    budget.take()
-    return [RankTwoProjection(FORM_GENERAL, {"rows": rows}), projected_min_eig(g, rows)]
-
-
-def witness_search(
-    state: states.QutritState,
-    strategy: str = "a",
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-) -> DistillReport:
-    """Search for a rank-two projection exposing negativity of the partial
-    transpose. strategy is any combination of the letters a, b, c:
-
-        a  sweep P2bc along the line b = 0 with c on the scalar grid,
-           then coordinate descent in both b and c;
-        b  the same for P1a, then Philox-sampled P2bc, then descent;
-        c  one evaluation of the general rows that hold a Schmidt-rank-2
-           vector of the negative eigenspace (_construct_general).
-
-    budget caps eigensolve evaluations per strategy of a and b; strategy b
-    gives half of it to the P1a sweep and what P1a leaves to P2bc, and skips
-    P2bc when P1a already got below STOP. c always spends one evaluation.
-    seed drives only b's P2bc samples. The report carries a certified
-    witness when one is found (below -NEG_TOL, re-verified on
-    materialization) and otherwise the best value attained for the evidence
-    trail. A budget that runs out ends the current stage with its best so
-    far; the search never raises for a budget, and its report says
-    not_found_at_budget when nothing is certified. A strategy with no letter
-    raises ValueError.
+    truncation, whose compression may or may not be negative. The witness
+    is certified when the compression of the materialized rows has an
+    eigenvalue below -NEG_TOL; best_value is that eigenvalue either way,
+    and evaluations is 1.
     """
-    letters = [ch for ch in strategy.replace("+", "") if not ch.isspace()]
-    bad = [ch for ch in letters if ch not in "abc"]
-    if bad:
-        raise ValueError(f"unknown strategy letters {bad}; expected a subset of 'abc'")
-    if not letters:
-        raise ValueError("strategy needs at least one of the letters a, b, c")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-
     g = pt_of(state)
     dec = linalg.eig_hermitian(g)
     report = _npt_report(dec.values)
-    overall = [None, np.inf]
-    for letter in letters:
-        if letter == "a":
-            best = _sweep_then_descend(g, FORM_P2BC, ((0j, z) for z in _scalar_grid()),
-                                       _Budget(budget, report))
-        elif letter == "b":
-            half = _Budget(budget // 2, report)
-            best = _sweep_then_descend(g, FORM_P1A, ((z,) for z in _scalar_grid()), half)
-            if best[1] >= STOP:
-                rest = _Budget(budget - half.used, report)
-                samples = _p2bc_samples(seed, max(8, min(800, rest.remaining // 2)))
-                best = _lower(best, _sweep_then_descend(g, FORM_P2BC, samples, rest))
-        else:
-            best = _construct_general(g, dec, _Budget(budget, report))
-        overall = _lower(overall, best)
-        if overall[1] < -NEG_TOL:
-            break
-    return _finalize(report, overall, g)
+    u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(3, 3))[0]
+    proj = RankTwoProjection(FORM_GENERAL, {"rows": u[:, :2].conj().T})
+    report.best_value = projected_min_eig(g, proj.materialize())
+    report.evaluations = 1
+    if report.best_value < -NEG_TOL:
+        report.witness, report.witness_value = proj, report.best_value
+        report.evidence_level = "certified"
+    return report
 
 
 # --- preconditions -----------------------------------------------------------

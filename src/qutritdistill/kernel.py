@@ -7,7 +7,7 @@ Four mechanisms, in increasing generality:
     (m|0> + n|1>) x |w> to three spanners is a 3x3 system M(m,n) w = 0
     whose determinant is a homogeneous cubic in (m,n), so a root always
     exists over C and yields a product vector in the orthogonal complement
-    (the roots come from the QZ algorithm, linalg.pencil_roots);
+    (the roots come from linalg.pencil_roots, one numpy eigenproblem);
   * an exact lemma for kernels spanned by the antisymmetric subspace and
     one swap-symmetric vector of Schmidt rank three (every family state
     with 0 < x < 1): such a kernel holds no product vector;

@@ -3,8 +3,8 @@
 All functions take and return plain numpy arrays (complex double precision)
 with value semantics: inputs are never mutated. Matrices here are small
 (9x9 and below in practice, nothing beyond ~100x100), so everything runs on
-numpy's LAPACK-backed dense routines, except the QZ algorithm behind
-pencil_roots, which comes from scipy.linalg.
+numpy's LAPACK-backed dense routines, pencil_roots included: it reduces
+det(m a + n b) = 0 to one standard eigenproblem.
 
 Conventions:
     - bipartite vectors index as |a,b> -> position dimB*a + b (row-major);
@@ -205,27 +205,33 @@ def inertia_of_spectrum(w: np.ndarray) -> Inertia:
 
 
 def pencil_roots(a, b) -> np.ndarray:
-    """Homogeneous roots (m : n) of det(m a + n b) = 0 for square a and b,
-    as the rows of a (k, 2) array, each scaled to unit norm. The root (1 : 0)
-    appears exactly when a is singular, (0 : 1) when b is.
+    """Homogeneous roots (m : n) of det(m a + n b) = 0 for k x k matrices a
+    and b, as the rows of a (k, 2) array, each scaled to unit norm. The root
+    (1 : 0) appears exactly when a is singular, (0 : 1) when b is.
 
-    The roots come from the QZ algorithm (Moler and Stewart 1973), which is
-    backward stable: with alpha, beta the diagonals of the generalized Schur
-    form, det(beta_i a - alpha_i b) = 0. A pair with both |alpha_i| and
-    |beta_i| below PENCIL_TOL times the norm of a and of b marks a pencil
-    that vanishes identically, which raises SingularPencil.
+    det(m a + n b) is a form of degree k in (m, n), so it vanishes
+    identically as soon as it vanishes at k + 1 distinct directions. The
+    directions tried are (m0 : n0) = (cos t, sin t), t = pi j / (k + 1) for
+    j = 0..k. A direction counts as singular when the smallest singular value
+    of c = m0 a + n0 b is at most PENCIL_TOL (|m0| |a| + |n0| |b|), Frobenius
+    norms; when all k + 1 are, SingularPencil is raised. Otherwise c is the
+    direction with the largest such relative singular value, d = -n0 a + m0 b
+    completes the rotation, and every eigenvalue l of c^-1 d gives the root
+    (m : n) = (-m0 l - n0, -n0 l + m0), since d - l c = m a + n b.
     """
-    from scipy.linalg import eigvals  # deferred: scipy.linalg is slow to import
-
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"need two square matrices of one shape, got {a.shape}, {b.shape}")
-    alpha, beta = eigvals(a, b, homogeneous_eigvals=True)
-    small = ((np.abs(alpha) <= PENCIL_TOL * np.linalg.norm(a))
-             & (np.abs(beta) <= PENCIL_TOL * np.linalg.norm(b)))
-    if small.any():
+    t = np.pi * np.arange(a.shape[0] + 1) / (a.shape[0] + 1)
+    m0, n0 = np.cos(t), np.sin(t)
+    pencils = m0[:, None, None] * a + n0[:, None, None] * b
+    scale = np.abs(m0) * np.linalg.norm(a) + np.abs(n0) * np.linalg.norm(b)
+    smallest = np.linalg.svd(pencils, compute_uv=False)[:, -1]
+    if (smallest <= PENCIL_TOL * scale).all():
         raise SingularPencil("det(m a + n b) vanishes identically")
-    roots = np.stack([beta, -alpha], axis=1)
+    j = int(np.argmax(smallest / np.maximum(scale, 1e-300)))  # scale 0: a or b is zero
+    lam = np.linalg.eigvals(np.linalg.solve(pencils[j], -n0[j] * a + m0[j] * b))
+    roots = np.stack([-m0[j] * lam - n0[j], -n0[j] * lam + m0[j]], axis=1)
     return roots / np.linalg.norm(roots, axis=1, keepdims=True)
 
 

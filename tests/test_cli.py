@@ -153,7 +153,6 @@ def test_witness_report_field_names(capsys, tmp_path):
         "inertia",
         "min_eig_gamma",
         "negative_count",
-        "preconditions",
         "witness",
         "evidence_level",
         "best_value",
@@ -163,34 +162,28 @@ def test_witness_report_field_names(capsys, tmp_path):
     assert doc["evaluations"] == witness_search(states.build_family("v", 0.5)).evaluations
 
 
-# ids name the sweep the budget cuts short
-@pytest.mark.parametrize("strategy", ["a", "b"], ids=["a-P2bc b=0 grid", "b-P1a grid"])
-def test_witness_budget_too_small_reports_best_so_far(capsys, tmp_path, strategy):
-    argv = ["witness", "--case", "v", "--x", "1/7", "--budget", "50", "--strategy", strategy]
-    code, out, err = run(capsys, argv + ["--out", str(tmp_path)])
-    assert code == EXIT_NOT_FOUND
-    assert out.startswith("no witness found (best value 0.0")
-    assert err == ""
-    code, out, err = run(capsys, argv + ["--json", "--out", str(tmp_path)])
-    assert code == EXIT_NOT_FOUND
-    assert err == ""
-    doc = json.loads(out)
-    assert doc["witness"] is None
-    assert doc["inertia"] == [1, 0, 8]
-    assert doc["evaluations"] == 50
-    assert doc["evidence_level"] == "not_found_at_budget"
+def test_witness_has_no_budget_option(capsys, tmp_path):
+    # the witness is one construction: there is no search to give a budget
+    code, out, err = run(capsys, ["witness", "--case", "v", "--x", "1/7", "--budget", "50",
+                                  "--json", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "--budget" in err
 
 
-def test_witness_budget_too_small_keeps_certified_witness(capsys, tmp_path):
-    # just past x = 1/4 the b = 0 sweep of P2bc meets values near -7e-8:
-    # below -NEG_TOL, above the -1e-6 that would end the sweep early
-    code, out, err = run(capsys, ["witness", "--case", "i", "--x", "0.2500001",
-                                  "--budget", "20", "--json", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    assert err == ""
-    doc = json.loads(out)
-    assert doc["evidence_level"] == "certified"
-    assert -1e-6 < doc["witness"]["value"] < -1e-10
+def test_every_strategy_spelling_runs_the_construction(capsys, tmp_path):
+    for x, exit_code in (("0.5", EXIT_OK), ("1/7", EXIT_NOT_FOUND), ("0.2", EXIT_NOT_FOUND)):
+        argv = ["witness", "--case", "v", "--x", x, "--json", "--out", str(tmp_path)]
+        code, default, _ = run(capsys, argv)
+        assert code == exit_code
+        assert json.loads(default)["evaluations"] == 1
+        for strategy in ("a", "b", "c", "ab", "abc", "a + c"):
+            assert run(capsys, argv + ["--strategy", strategy]) == (exit_code, default, "")
+    code, out, err = run(capsys, ["witness", "--case", "v", "--x", "0.5", "--strategy", "abd"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: unknown strategy letters ['d']; expected a subset of 'abc'\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,6 +259,49 @@ def test_scan_brackets_both_crossings(capsys, tmp_path):
         "witness_value",
     ]
     assert len(rows) == 27
+
+
+def test_scan_witness_column_covers_every_npt_point(capsys, tmp_path):
+    # the construction certifies every NPT x outside [c2, c1], where case v
+    # has one negative eigenvalue with a Schmidt-rank-3 eigenvector; cases
+    # i-iv share their spectra, so their witness columns agree as well
+    window = (NAMED_X["c2"], NAMED_X["c1"])
+    found = {}
+    for case in states.CASES:
+        code, _, _ = run(capsys, ["scan", "--case", case, "--steps", "200", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / f"scan_{case}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 200
+        found[case] = [row["witness_found"] for row in rows]
+        npt = [row for row in rows if float(row["negative_count"]) > 0]
+        assert len(npt) == (174 if case == "v" else 179)
+        for row in npt:
+            x = float(row["x"])
+            if not window[0] <= x <= window[1]:
+                assert row["witness_found"] == "1", (case, x)
+                assert float(row["witness_value"]) < -1e-10, (case, x)
+        assert all(row["witness_found"] == "0" for row in rows if row not in npt)
+    assert found["i"] == found["ii"] == found["iii"] == found["iv"]
+    assert found["i"].count("1") == 179
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is imported only by the kernel search; threshold, witness and
+    # scan solve their pencils and eigenproblems with numpy alone
+    script = (
+        "import sys\n"
+        "from qutritdistill import cli\n"
+        "for argv in sys.argv[2:]:\n"
+        "    assert cli.main(argv.split() + ['--out', sys.argv[1]]) in (0, 10), argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    commands = ["threshold --case v --target min-eig --bracket 0.1 0.2",
+                "witness --case v --x 0.5", "scan --case v --steps 50"]
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)] + commands,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_scan_rejects_bad_case(capsys, tmp_path):
@@ -568,7 +604,7 @@ def test_every_evidence_level_is_in_the_vocabulary(capsys, tmp_path):
                                  for j in (0, 4, 8, 1, 5)]))
     commands = [
         ["witness", "--case", "v", "--x", "0.5"],
-        ["witness", "--case", "v", "--x", "1/7", "--budget", "50"],
+        ["witness", "--case", "v", "--x", "1/7"],
         ["kernel", "--case", "v", "--x", "1/7"],
         ["kernel", "--case", "i", "--x", "0"],
         ["kernel", "--basis-file", str(basis)],

@@ -1,4 +1,4 @@
-"""NPT checks, projection-witness search, PPT thresholds, and the
+"""NPT checks, the projection witness, PPT thresholds, and the
 precondition battery for undistillability evidence."""
 
 import warnings
@@ -245,64 +245,25 @@ def test_compression_chunks_reject_non_finite_products(bad):
             next(distill.compression_chunks(bases, params, 4))
 
 
-def test_scalar_grid_structure():
-    grid = distill._scalar_grid()
-    assert len(grid) == 513
-    assert grid[0] == 0
-    mags = np.abs(np.asarray(grid[1:]))
-    assert np.min(mags) >= 1e-2 - 1e-12
-    assert np.max(mags) <= 1e2 + 1e-10
-
-
 # ------------------------------------------------------------- witness search
 
 
 def test_witness_found_case_i_low_x():
-    rep = witness_search(states.build_family("i", 0.05), strategy="a")
+    rep = witness_search(states.build_family("i", 0.05))
     assert rep.witness is not None
     assert rep.witness_value < -1e-10
     assert rep.evidence_level == "certified"
 
 
 def test_witness_found_case_v_high_x():
-    rep = witness_search(states.build_family("v", 0.9), strategy="a")
+    rep = witness_search(states.build_family("v", 0.9))
     assert rep.witness is not None
     assert rep.witness_value < -1e-10
 
 
-@pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.9])
-def test_strategy_a_descends_in_b_on_case_iii(x):
-    # the b = 0 sweep stays above STOP in case iii; the descent then moves
-    # b off that line and certifies
-    rep = witness_search(states.build_family("iii", x), strategy="a")
-    assert rep.evidence_level == "certified"
-    assert rep.witness.form == "P2bc"
-    assert rep.witness.params["b"] != 0
-    assert rep.witness_value < -1e-6
-
-
-def test_strategy_a_sweeps_p2bc_at_b_zero():
-    # a witness from the sweep alone keeps b = 0: its rows are (1, 0, 0)
-    # and (0, 1, c)
-    for case, x, evaluations in (("i", 0.05, 1), ("v", 0.5, 8)):
-        rep = witness_search(states.build_family(case, x), strategy="a")
-        assert rep.evaluations == evaluations
-        assert rep.witness.form == "P2bc"
-        assert rep.witness.params["b"] == 0
-        assert rep.witness.params["c"] == distill._scalar_grid()[evaluations - 1]
-
-
-def test_witness_strategies_agree_on_sign():
-    st = states.build_family("v", 0.5)
-    for strat in ("a", "b", "c"):
-        rep = witness_search(st, strategy=strat, budget=1500)
-        assert rep.witness is not None, strat
-        assert rep.witness_value < -1e-6, strat
-
-
 def test_no_witness_at_reference_point():
     st = states.build_family("v", 1 / 7)
-    rep = witness_search(st, strategy="ab", budget=2000)
+    rep = witness_search(st)
     assert rep.witness is None
     assert rep.best_value is not None and rep.best_value > -1e-12
 
@@ -311,7 +272,7 @@ def test_witness_soundness_reverify():
     # a certified witness must reproduce its negative value from scratch
     for case, x in (("i", 0.05), ("i", 0.3), ("v", 0.5), ("v", 0.9)):
         st = states.build_family(case, x)
-        rep = witness_search(st, strategy="a")
+        rep = witness_search(st)
         assert rep.witness is not None
         rows = rep.witness.materialize()
         g = pt_mat(st)
@@ -322,7 +283,7 @@ def test_witness_soundness_reverify():
 
 def test_witness_lifts_to_schmidt_rank_two_vector():
     st = states.build_family("v", 0.5)
-    rep = witness_search(st, strategy="a")
+    rep = witness_search(st)
     g = pt_mat(st)
     vec, val = witness_to_pt_vector(g, rep.witness)
     assert states.schmidt_rank(vec) <= 2
@@ -331,79 +292,13 @@ def test_witness_lifts_to_schmidt_rank_two_vector():
     assert val < -1e-12
 
 
-def test_budget_exhausted_carries_report():
-    st = states.build_family("v", 1 / 7)  # no early negative exit possible here
-    rep = witness_search(st, strategy="a", budget=50)
-    assert rep.evaluations == 50
-    assert rep.best_value is not None and rep.best_value > 0
-    assert rep.witness is None
-    assert rep.evidence_level == "not_found_at_budget"
-
-
-def test_budget_exhausted_in_one_letter_keeps_the_others():
-    # b's P1a sweep gets 300 of 600 evaluations and is cut short; P2bc runs
-    # on the other 300, and a's and c's results stay in the merged report
-    st = states.build_family("v", 1 / 7)
-    best = {}
-    for strat in "abc":
-        rep = witness_search(st, strategy=strat, budget=600)
-        best[strat] = (rep.best_value, rep.evaluations)
-    rep = witness_search(st, strategy="abc", budget=600)
-    assert best["b"][1] == 600
-    assert rep.evaluations == sum(n for _, n in best.values())
-    assert rep.best_value == min(v for v, _ in best.values())
-    assert rep.witness is None
-    assert rep.evidence_level == "not_found_at_budget"
-
-
-def test_budget_exhausted_in_p1a_grid(monkeypatch):
-    # the P1a sweep holds half of the budget; P2bc runs on what it leaves
-    forms = []
-    family_rows = distill._family_rows
-    monkeypatch.setattr(distill, "_family_rows",
-                        lambda form, values: forms.append(form) or family_rows(form, values))
-    rep = witness_search(states.build_family("v", 1 / 7), strategy="b", budget=50)
-    assert rep.evaluations == 50
-    assert forms == ["P1a"] * 25 + ["P2bc"] * 25
-    assert rep.witness is None
-    assert rep.best_value > 0
-
-
-@pytest.mark.parametrize("x, strategy, evaluations", [
-    (1 / 7, "a", 2000),
-    (1 / 7, "b", 2000),
-    (1 / 7, "c", 1),  # c is one construction, no search
-    (1 / 7, "abc", 4001),
-    (0.5, "a", 8),  # the descent stops at the first step below STOP
-    (0.5, "b", 1),  # P1a at a = 0 is below STOP: no descent, no P2bc
-    (0.5, "c", 1),  # two negative eigenvalues: the rows hold a Schmidt-rank-2 vector
-    (0.5, "abc", 8),
-])
-def test_witness_search_evaluation_counts(x, strategy, evaluations):
-    rep = witness_search(states.build_family("v", x), strategy=strategy)
-    assert rep.evaluations == evaluations
-    assert (rep.witness is not None) == (x == 0.5)
-
-
-def test_sweeps_materialize_only_the_certified_witness(monkeypatch):
-    # family rows are rank two by construction: the sweeps and descents
-    # evaluate them directly, and only _finalize re-materializes the best
-    calls = []
-    materialize = RankTwoProjection.materialize
-    monkeypatch.setattr(RankTwoProjection, "materialize",
-                        lambda self: calls.append(self) or materialize(self))
-    rep = witness_search(states.build_family("v", 0.5), strategy="b")
-    assert rep.evaluations == 1
-    assert calls == [rep.witness]
-
-
 def test_witness_search_deterministic():
-    # at 1/7 strategy b reaches its seeded P2bc samples
-    st = states.build_family("v", 1 / 7)
-    a = witness_search(st, strategy="b", budget=800, seed=5)
-    b = witness_search(st, strategy="b", budget=800, seed=5)
-    assert a.best_value == b.best_value
-    assert a.evaluations == b.evaluations
+    for x in (1 / 7, 0.5):
+        st = states.build_family("v", x)
+        a, b = witness_search(st), witness_search(st)
+        assert a.best_value == b.best_value
+        assert a.evaluations == b.evaluations == 1
+        assert a.to_json() == b.to_json()
 
 
 def random_states_with_two_or_more_negative_eigenvalues(n_each=4):
@@ -425,7 +320,7 @@ def test_strategy_c_certifies_two_negative_eigenvalues_in_one_evaluation():
     # the compression is at most the second eigenvalue of the partial transpose
     seen = 0
     for st, w in random_states_with_two_or_more_negative_eigenvalues():
-        rep = witness_search(st, strategy="c")
+        rep = witness_search(st)
         assert rep.evaluations == 1
         assert rep.evidence_level == "certified"
         assert rep.witness.form == "general"
@@ -435,11 +330,12 @@ def test_strategy_c_certifies_two_negative_eigenvalues_in_one_evaluation():
 
 
 def test_strategy_c_on_the_family_outside_the_window():
-    # c certifies every NPT family point in one evaluation, except case v
-    # on [c2, c1]: one negative eigenvalue whose eigenvector has Schmidt rank 3
+    # the construction certifies every NPT family point in one evaluation,
+    # except case v on [c2, c1]: one negative eigenvalue whose eigenvector
+    # has Schmidt rank 3
     for case in states.CASES:
         for x in np.linspace(0.001, 0.999, 500):
-            rep = witness_search(states.build_family(case, float(x)), strategy="c")
+            rep = witness_search(states.build_family(case, float(x)))
             assert rep.evaluations == 1
             window = case == "v" and C2 <= x <= C1
             if rep.is_npt and not window:
@@ -449,15 +345,33 @@ def test_strategy_c_on_the_family_outside_the_window():
                 assert rep.witness is None
 
 
+def test_witness_value_is_bounded_by_the_partial_transpose():
+    # orthonormal rows make the compression a Cauchy-interlaced one, so a
+    # certified value lies between the smallest eigenvalue of the partial
+    # transpose and -NEG_TOL, whatever the scale of the rows
+    certified = 0
+    for case in states.CASES:
+        for x in np.linspace(0.001, 0.999, 100):
+            st = states.build_family(case, float(x))
+            rep = witness_search(st)
+            if rep.witness is None:
+                continue
+            rows = rep.witness.materialize()
+            assert np.abs(rows @ rows.conj().T - np.eye(2)).max() <= 1e-12, (case, x)
+            lam = np.linalg.eigvalsh(pt_mat(st))[0]
+            assert lam - 1e-12 <= rep.witness_value < -1e-10, (case, x)
+            certified += 1
+    assert certified >= 400
+
+
 def test_report_json_fields():
-    rep = witness_search(states.build_family("i", 0.05), strategy="a")
+    rep = witness_search(states.build_family("i", 0.05))
     doc = rep.to_json()
     assert set(doc.keys()) == {
         "is_npt",
         "inertia",
         "min_eig_gamma",
         "negative_count",
-        "preconditions",
         "witness",
         "evidence_level",
         "best_value",
@@ -616,8 +530,8 @@ def test_vacuous_premise_alternating_minimization():
 def test_monotone_consistency_across_regimes():
     # distillable regions produce witnesses; the PPT window never does
     for x in (0.35, 0.6, 0.85):
-        rep = witness_search(states.build_family("v", x), strategy="a")
+        rep = witness_search(states.build_family("v", x))
         assert rep.witness is not None
     for x in (0.16, 0.22, 0.26):
-        rep = witness_search(states.build_family("v", x), strategy="a", budget=600)
+        rep = witness_search(states.build_family("v", x))
         assert rep.witness is None

@@ -1,6 +1,8 @@
 """Dense linear-algebra helpers: eigendecompositions, partial transpose,
 Takagi factorization, inertia, principal minors, ranks, pencil roots."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,19 @@ def test_pencil_roots_diagonal_with_root_at_infinity():
         assert abs(np.linalg.det(m * a + n * b)) <= 1e-15
     ratios = sorted(abs(m) / abs(n) if abs(n) > 0 else np.inf for m, n in roots)
     np.testing.assert_allclose(ratios, [0.0, 1.0, np.inf], atol=1e-15)
+
+
+def test_pencil_roots_with_a_zero_matrix():
+    # det(m 0 + n I) = n^3 and det(m I + n 0) = m^3: a triple root at
+    # (1 : 0), resp. (0 : 1); the direction where the pencil is zero has
+    # scale zero and must not be the one solved
+    eye = np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, root in ((np.zeros((3, 3)), eye, (1, 0)), (eye, np.zeros((3, 3)), (0, 1))):
+            roots = pencil_roots(a, b)
+            assert roots.shape == (3, 2)
+            np.testing.assert_allclose(np.abs(roots), np.tile(root, (3, 1)), atol=1e-15)
 
 
 def test_pencil_roots_singular_pencil():
