@@ -3,8 +3,8 @@
 Four routes: direct candidates for two explicit range constructions,
 the cubic-pencil solver on complements inside C2 x C3, the exact lemma for
 kernels spanned by the antisymmetric subspace and one Schmidt-rank-3
-symmetric vector, and the minor objective, which stays bounded away from
-zero on those kernels.
+symmetric vector, and the exact decision on the cubic minors of M(u),
+which agrees with the lemma on those kernels and decides any other.
 """
 
 import numpy as np
@@ -12,12 +12,12 @@ import numpy as np
 from qutritdistill import kernel_product_vector
 from qutritdistill.kernel import (
     antisymmetric_lemma_applies,
+    decide_kernel,
     eq5_family_basis,
-    eq5_family_min_objective,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
 )
-from qutritdistill.states import basis_ket, schmidt_rank, uniform_state_on_span
+from qutritdistill.states import basis_ket, range_kernel, schmidt_rank, uniform_state_on_span
 
 
 def sym(i, j):
@@ -50,12 +50,25 @@ print(f"random 3-dim complement: found={res.found}, residual {res.residual:.1e},
       f"schmidt rank {schmidt_rank(res.vector, dim_a=2, dim_b=3)}")
 
 # obstructed kernels: antisymmetric subspace plus a diagonal vector of
-# Schmidt rank 3; the lemma excludes product vectors exactly, and the
-# minor objective cannot reach zero. The closed-form margin is the size of
-# the one minor that the sign branches of the would-be product vector leave
+# Schmidt rank 3; the lemma excludes product vectors exactly, and the exact
+# decision on the minors of M(u) agrees, with a margin well above roundoff.
+# The closed-form margin is the size of the one 2x2 minor that the sign
+# branches of the would-be product vector leave
 for s in ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.1, 0.45, 0.45)):
-    lemma = antisymmetric_lemma_applies(eq5_family_basis(s))
-    val = eq5_family_min_objective(s)
+    basis = eq5_family_basis(s)
+    lemma = antisymmetric_lemma_applies(basis)
+    complement = np.linalg.qr(basis, mode="complete")[0][:, 4:]
+    decided = decide_kernel(*range_kernel(uniform_state_on_span(list(complement.T))))
     margin = rank1_exclusion_margin(*s)
-    print(f"s = {s}: lemma excludes product vectors: {lemma}, "
-          f"min minor objective {val:.6f} (exclusion margin^2 = {margin ** 2:.6f})")
+    print(f"s = {s}: lemma excludes product vectors: {lemma}, decision: "
+          f"found={decided.found} ({decided.evidence_level}, margin {decided.margin:.4f}), "
+          f"exclusion margin^2 = {margin ** 2:.6f}")
+
+# a random 4-dim range leaves a 5-dim kernel, which always holds a product
+# vector; a random 5-dim range leaves a 4-dim kernel, which generically holds none
+rng = np.random.default_rng(11)
+for d in (4, 5):
+    st = uniform_state_on_span(list(rng.normal(size=(d, 9)) + 1j * rng.normal(size=(d, 9))))
+    res = kernel_product_vector(st, mode="search")
+    print(f"random {d}-dim range: found={res.found} ({res.evidence_level}), "
+          f"residual {res.residual:.1e}, margin {res.margin}")

@@ -3,9 +3,10 @@
 Subcommands: scan, threshold, witness, verify-example, kernel, grid.
 Exit codes: 0 success or verdict PASS, 10 completed with a negative verdict
 (no witness found, a verification check failed, no product vector), 2 usage
-errors, 1 internal errors. All outputs are deterministic for a fixed
-argument list including --seed: JSON uses 17-significant-digit floats and
-insertion-ordered keys, CSV uses LF endings.
+errors, 1 internal errors. No command draws random numbers, so every output
+is a function of the argument list (--seed is only echoed in JSON): JSON
+uses 17-significant-digit floats and insertion-ordered keys, CSV uses LF
+endings.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def cmd_kernel(args) -> int:
         raise UsageError("need either --case or --basis-file")
     try:
         exact = kernel.kernel_product_vector(state, mode="exact_cases")
-        searched = kernel.kernel_product_vector(state, mode="search", seed=args.seed)
+        searched = kernel.kernel_product_vector(state, mode="search")
     except kernel.EmptyKernel:
         raise UsageError("state has a trivial kernel; nothing to search")
     payload = dict(label)
@@ -317,10 +318,12 @@ def cmd_kernel(args) -> int:
     found = exact.found or searched.found
     if found:
         verdict = "found"
-    elif searched.evidence_level == "certified":
+    elif searched.evidence_level == "not_found_at_budget":
+        verdict = "not found (no zero of the minors passed the residual check)"
+    elif searched.margin is None:
         verdict = "none (antisymmetric subspace plus a Schmidt-rank-3 symmetric vector)"
     else:
-        verdict = f"not found at budget (min objective {searched.min_objective})"
+        verdict = f"none (minor cubics rule out every u, margin {sig17(searched.margin)})"
     _emit(args, payload, "kernel product vector: " + verdict)
     return EXIT_OK if found else EXIT_NOT_FOUND
 
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default=".", help="output directory for CSV/JSON files")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for the kernel product-vector search")
+                        help="echoed in JSON; no command draws random numbers")
     common.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
 
     parser = _Parser(

@@ -320,7 +320,7 @@ def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
                               np.linalg.svd(v.reshape(3, 3), compute_uv=False)[2]))
 
 
-def precondition_report(state: states.QutritState, seed: int = 0) -> dict:
+def precondition_report(state: states.QutritState) -> dict:
     """Necessary conditions for an NPT state to resist 1-distillation.
 
     Every failed item certifies 1-distillability; all items passing is
@@ -336,10 +336,10 @@ def precondition_report(state: states.QutritState, seed: int = 0) -> dict:
     whose eigenvector has Schmidt rank 3, and fails whenever the partial
     transpose has two or more. Its evidence is "certified", since the rank
     is a floating-point one. The kernel product-vector item carries
-    kernel_product_vector's evidence: "certified" where the exact
-    antisymmetric-subspace lemma covers the kernel (every family state with
-    0 < x < 1), otherwise "not_found_at_budget" from a search, which is no
-    nonexistence proof. seed drives that search only.
+    kernel_product_vector's evidence and margin: "proved" where the
+    antisymmetric-subspace lemma covers a family state with 0 < x < 1,
+    otherwise the exact decision's "certified", or "not_found_at_budget"
+    when no zero of the minors passed its residual check.
     """
     from . import kernel  # local import; kernel depends on states only
 
@@ -353,14 +353,14 @@ def precondition_report(state: states.QutritState, seed: int = 0) -> dict:
     srank = states.schmidt_rank(_negative_schmidt_vector(dec)) if inert.negative else None
 
     try:
-        pv = kernel.kernel_product_vector(state, mode="search", seed=seed)
+        pv = kernel.kernel_product_vector(state, mode="search")
         kernel_item = {
             "pass": not pv.found,
             "evidence_level": pv.evidence_level,
-            "min_objective": pv.min_objective,
+            "margin": pv.margin,
         }
     except kernel.EmptyKernel:
-        kernel_item = {"pass": True, "evidence_level": "proved", "min_objective": None}
+        kernel_item = {"pass": True, "evidence_level": "proved", "margin": None}
 
     return {
         "local_dims_exceed_two": True,  # 3x3 throughout this package

@@ -11,18 +11,23 @@ Four mechanisms, in increasing generality:
   * an exact lemma for kernels spanned by the antisymmetric subspace and
     one swap-symmetric vector of Schmidt rank three (every family state
     with 0 < x < 1): such a kernel holds no product vector;
-  * multi-start minimization of the rank-one minor objective
-    f(v) = sum |2x2 minors of the 3x3 coefficient matrix|^2 over any other
-    kernel, with its exact gradient, reporting "not found at budget"
-    rather than claiming nonexistence.
+  * an exact decision for any other kernel: u x w lies in ker rho exactly
+    when the d x 3 matrix M(u) = [u^T conj(R_i)] of the range reshapes R_i
+    drops rank, so u is a common zero in P^2 of its 3x3 minors, cubic forms
+    whose coefficients come out exactly; linear algebra on their Macaulay
+    matrices rules every u out or yields the zeros (decide_kernel).
 
-A product vector from a candidate or a pencil root is "certified": its
-residual is re-checked numerically. A check that finds none is
-"not_found_at_budget".
+A product vector from a candidate, a pencil root or a zero of the minors is
+"certified": its residual is re-checked numerically. A none verdict is
+"certified" when it rests on the lemma or on a Macaulay matrix of full column
+rank (its margin sigma_min / sigma_max is reported), and "proved" when the
+lemma covers a family state with 0 < x < 1, whose kernel a sympy test derives
+for symbolic x. A check that finds none otherwise is "not_found_at_budget".
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +39,7 @@ from .states import ZeroVector
 from ._fmt import complex_pair
 
 PENCIL_RESIDUAL_TOL = 1e-9
-SEARCH_FOUND_TOL = 1e-18
+RANK_TOL = 1e-10  # singular values below RANK_TOL max(sigma_max, 1) count as zero
 LEMMA_SPLIT_TOL = 1e-10  # deviation of the kernel from the swap split
 LEMMA_RANK_TOL = 1e-6  # smallest singular value of the symmetric vector
 
@@ -67,7 +72,7 @@ class ProductVectorResult:
     u: Optional[np.ndarray]
     w: Optional[np.ndarray]
     residual: float
-    min_objective: Optional[float] = None
+    margin: Optional[float] = None  # sigma_min / sigma_max behind a none verdict
     evidence_level: Optional[str] = None  # None: from found, for a re-checked residual
 
     def __post_init__(self):
@@ -85,39 +90,16 @@ class ProductVectorResult:
             "found": bool(self.found),
             "factors": factors,
             "residual": float(self.residual),
-            "min_objective": None if self.min_objective is None else float(self.min_objective),
+            "margin": None if self.margin is None else float(self.margin),
             "evidence_level": self.evidence_level,
         }
-
-
-# --- rank-one minor system ---------------------------------------------------
-
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def rank1_minor_system(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nine 2x2 minors of the 3x3 coefficient matrix of v, and the sum of
-    their squared moduli. All nine vanish exactly when v is a product vector.
-    No normalization is applied."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape != (9,):
-        raise linalg.DimensionMismatch(f"expected a 9-component vector, got {v.shape}")
-    if np.linalg.norm(v) == 0.0:
-        raise ZeroVector("zero vector has no coefficient matrix of interest")
-    c = v.reshape(3, 3)
-    minors = np.empty((3, 3), dtype=complex)
-    for i, (r0, r1) in enumerate(_PAIRS):
-        for j, (c0, c1) in enumerate(_PAIRS):
-            minors[i, j] = c[r0, c0] * c[r1, c1] - c[r0, c1] * c[r1, c0]
-    total = float(np.sum(np.abs(minors) ** 2))
-    return minors, total
 
 
 def _minor_objective_23(v6: np.ndarray) -> float:
     # 2x3 coefficient matrix: three 2x2 minors
     c = v6.reshape(2, 3)
     total = 0.0
-    for c0, c1 in _PAIRS:
+    for c0, c1 in ((0, 1), (0, 2), (1, 2)):
         total += abs(c[0, c0] * c[1, c1] - c[0, c1] * c[1, c0]) ** 2
     return float(total)
 
@@ -173,102 +155,126 @@ def product_vector_in_2x3_complement(vs: Sequence[np.ndarray]) -> ProductVectorR
     return _pencil_result(vs_mat, rows, m, n)
 
 
-# --- kernel searches ---------------------------------------------------------
+# --- exact decision in the u-plane -------------------------------------------
 
 
-def _factor_rank1(vector: np.ndarray, da: int, db: int) -> tuple[np.ndarray, np.ndarray]:
-    c = vector.reshape(da, db)
-    uu, ss, vh = np.linalg.svd(c)
-    u = uu[:, 0] * np.sqrt(ss[0])
-    w = vh[0].conj() * np.sqrt(ss[0])
-    nu, nw = np.linalg.norm(u), np.linalg.norm(w)
-    return u / nu, w / nw
+def _monomial_tables():
+    """The Levi-Civita symbol; the (27, 10) map taking u_a u_e u_f, flattened
+    over (a, e, f), to its cubic monomial; and the (3, 10, 15) shifts with
+    shift[a] @ v4(u) = u_a v3(u), for v3 and v4 the Veronese vectors over
+    the cubic and quartic monomials (exponent triples in itertools order)."""
+    cubics, quartics = ([e for e in itertools.product(range(deg + 1), repeat=3) if sum(e) == deg]
+                        for deg in (3, 4))
+    eps, cube, shift = np.zeros((3, 3, 3)), np.zeros((27, 10)), np.zeros((3, 10, 15))
+    for p in itertools.permutations(range(3)):
+        eps[p] = 1.0 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0
+    for n, idx in enumerate(itertools.product(range(3), repeat=3)):
+        cube[n, cubics.index(tuple(np.bincount(idx, minlength=3)))] = 1.0
+    for a, (m, e) in itertools.product(range(3), enumerate(cubics)):
+        shift[a, m, quartics.index(tuple(k + (j == a) for j, k in enumerate(e)))] = 1.0
+    return eps, cube, shift
 
 
-def _cross(p, q):
-    """Cross product of two 3-sequences."""
-    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+_EPS, _CUBE, _SHIFT = _monomial_tables()
+# two fixed generic linear forms for the shift eigenproblem
+_FORM_G = np.array([1.0, 0.5 + 0.7j, -0.3 + 0.4j])
+_FORM_H = np.array([0.2 - 0.6j, 1.0, 0.8 + 0.1j])
 
 
-def minor_objective(z: np.ndarray, basis: np.ndarray):
-    """f(c) = sum |2x2 minors of reshape(basis @ c)|^2 / |c|^4 and its
-    gradient over the real coordinates z = (Re c_0, Im c_0, Re c_1, ...).
-
-    The nine minors are, up to sign, the entries of the cofactor rows
-    x_i = r_(i+1) x r_(i+2) of C = reshape(basis @ c), so phi = sum |x_i|^2
-    has Wirtinger derivative d phi / d conj(r_0) = conj(r_1) x x_2 -
-    conj(r_2) x x_1 (and cyclic); dividing by |c|^4 adds -2 phi c / |c|^6.
-    The value is summed from the |x_i|^2 themselves: the Cauchy-Binet form
-    ((tr G)^2 - |G|^2) / 2 of the Gram matrix G = C C^dag cancels to about
-    -1e-16 at a product vector. Python scalars beat numpy calls on arrays
-    of nine entries."""
-    c = z.view(np.complex128)
-    n2 = float(z @ z)
-    if n2 < 1e-16:
-        return 1e6, np.zeros_like(z)
-    v = (basis @ c).tolist()
-    r0, r1, r2 = v[0:3], v[3:6], v[6:9]
-    x0, x1, x2 = _cross(r1, r2), _cross(r2, r0), _cross(r0, r1)
-    phi = sum(t.real * t.real + t.imag * t.imag for t in x0 + x1 + x2)
-    s0, s1, s2 = ([t.conjugate() for t in r] for r in (r0, r1, r2))
-    dphi = np.array([p - q for a, xa, b, xb in ((s1, x2, s2, x1), (s2, x0, s0, x2), (s0, x1, s1, x0))
-                     for p, q in zip(_cross(a, xa), _cross(b, xb))])
-    # the real gradient is twice the Wirtinger derivative d f / d conj(c)
-    grad = (dphi @ basis.conj()) * (2.0 / n2 ** 2) - (4.0 * phi / n2 ** 3) * c
-    return phi / n2 ** 2, grad.view(np.float64)
+def _null_space(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Orthonormal null-space columns of mat and the margin sigma_n / sigma_max
+    over its n columns (0 with fewer rows than columns). Singular values
+    count as zero below RANK_TOL max(sigma_max, 1): the minors of M(u) at a
+    unit u are at most 1 in modulus, since sigma_max(M(u)) <= 1 for an
+    orthonormal range basis, so a matrix of roundoff-sized coefficients
+    (minors vanishing identically) has rank 0, not full rank."""
+    _, s, vh = np.linalg.svd(mat)
+    s = np.concatenate([s, np.zeros(mat.shape[1] - s.size)])
+    rank = int(np.count_nonzero(s > RANK_TOL * max(s[0], 1.0)))
+    return vh[rank:].conj().T, float(s[-1] / s[0]) if s[0] > 0 else 0.0
 
 
-def minimize_minor_objective(basis: np.ndarray, n_starts: int = 64, seed: int = 0):
-    """Minimize f(c) = sum |2x2 minors of reshape(basis @ c)|^2 over unit-norm
-    coefficient vectors c by L-BFGS-B with the exact gradient of
-    minor_objective, from n_starts seeded random starts. A start that ends
-    below 1e-6 is solved again with ftol = 0 and then polished. Returns
-    (best objective, best c)."""
-    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
+def _line_points(rbar: np.ndarray) -> list:
+    """Points of the line u = (m, n, 0) where M(u) = m a + n b drops rank:
+    the roots of the first row triple whose 3x3 pencil is not singular (a
+    common zero is a root of every triple), or e0 when every triple's
+    determinant vanishes on the line."""
+    a, b = rbar[:, 0, :], rbar[:, 1, :]
+    for t in itertools.combinations(range(len(rbar)), 3):
+        try:
+            roots = linalg.pencil_roots(a[list(t)], b[list(t)])
+        except linalg.SingularPencil:
+            continue
+        return [np.array([m, n, 0.0]) for m, n in roots]
+    return [np.eye(3)[0]]
 
-    k = basis.shape[1]
 
-    def local(z, ftol):
-        # ftol is relative to max(|f|, 1): near a zero of f, only ftol = 0
-        # keeps L-BFGS-B going below ~1e-17
-        return minimize(minor_objective, z, args=(basis,), jac=True, method="L-BFGS-B",
-                        options={"maxiter": 200, "ftol": ftol, "gtol": 1e-14})
+def _shift_points(null4: np.ndarray) -> np.ndarray:
+    """The r points whose quartic Veronese vectors span null4 (15 x r): with
+    N = V4 T, (G N)^+ (H N) = T^-1 diag(h(u) / g(u)) T for the shift maps of
+    the forms g and h, so each eigenvector x gives N x ~ v4(u), and the
+    3 x 10 matrix [_SHIFT[a] N x] = u v3(u)^T has u as its left singular
+    vector."""
+    gn, hn = (np.einsum("a,amq,qr->mr", f, _SHIFT, null4) for f in (_FORM_G, _FORM_H))
+    _, vecs = np.linalg.eig(np.linalg.lstsq(gn, hn, rcond=None)[0])
+    return np.linalg.svd(np.einsum("amq,qr->ram", _SHIFT, null4 @ vecs))[0][:, :, 0]
 
-    def polish(c):
-        # alternate: truncate the lifted vector to rank 1, project back onto
-        # the span; collapses a near-zero objective to roundoff level
-        for _ in range(8):
-            v = basis @ c
-            cm = v.reshape(3, 3)
-            u, s, vh = np.linalg.svd(cm)
-            r1 = s[0] * np.outer(u[:, 0], vh[0])
-            c2 = basis.conj().T @ r1.reshape(-1)
-            nrm = np.linalg.norm(c2)
-            if nrm < 1e-12:
-                break
-            c = c2 / nrm
-        return c
 
-    best_val, best_c = np.inf, None
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xAE], dtype=np.uint64)))
-    for _ in range(n_starts):
-        z0 = rng.normal(size=2 * k)
-        res = local((z0[:k] + 1j * z0[k:]).view(np.float64), 1e-16)
-        if res.fun < 1e-6:
-            res = local(res.x, 0.0)
-        c = res.x.view(np.complex128)
-        c = c / np.linalg.norm(c)
-        val = float(res.fun)
-        if val < 1e-6:
-            c2 = polish(c)
-            _, val2 = rank1_minor_system(basis @ c2)
-            if val2 < val:
-                c, val = c2, float(val2)
-        if val < best_val:
-            best_val, best_c = val, c
-        if best_val < SEARCH_FOUND_TOL:
-            break
-    return best_val, best_c
+def _lift(rbar: np.ndarray, ker: np.ndarray, u: np.ndarray) -> ProductVectorResult:
+    """u x w for w the null vector of M(u), found when sigma_min(M(u)) /
+    max(sigma_max, 1) and the distance of u x w from the kernel are both at
+    most PENCIL_RESIDUAL_TOL (M(u) = 0 when u x C3 lies in the kernel).
+
+    (u, w) is first polished by three Gauss-Newton steps on the bilinear
+    M(u) w = N(w) u = 0, Jacobian [N(w), M(u)], with singular values below
+    1e-6 of the largest dropped: they span the directions along the
+    solution set (scaling, and w within a plane when u x w lies in the
+    kernel for a plane of w). At such a multiple zero the shift
+    eigenproblem gives u only to about the square or cube root of roundoff;
+    the steps bring u x w back to roundoff."""
+    w = np.linalg.svd(np.einsum("a,iab->ib", u, rbar))[2][-1].conj()
+    for _ in range(3):
+        m, n = np.einsum("a,iab->ib", u, rbar), np.einsum("iab,b->ia", rbar, w)
+        step = np.linalg.lstsq(np.hstack([n, m]), -(m @ w), rcond=1e-6)[0]
+        u, w = u + step[:3], w + step[3:]
+        u, w = u / np.linalg.norm(u), w / np.linalg.norm(w)
+    _, s, vh = np.linalg.svd(np.einsum("a,iab->ib", u, rbar))
+    w = vh[-1].conj()
+    vector = np.kron(u, w)
+    residual = float(np.linalg.norm(vector - ker @ (ker.conj().T @ vector)))
+    sigma_min = s[2] if s.size == 3 else 0.0
+    found = sigma_min <= PENCIL_RESIDUAL_TOL * max(s[0], 1.0) and residual <= PENCIL_RESIDUAL_TOL
+    return ProductVectorResult(found=bool(found), vector=vector, u=u, w=w, residual=residual)
+
+
+def decide_kernel(rng: np.ndarray, ker: np.ndarray) -> ProductVectorResult:
+    """Decide whether ker rho, with range columns rng, holds a product vector.
+
+    With d = rank rho <= 2, M(e0) has a null vector. Otherwise the C(d,3)
+    minors of M(u) are cubic forms; when their coefficient matrix over the
+    ten cubic monomials, or the degree-4 Macaulay matrix of the minors times
+    u_0, u_1, u_2 over the fifteen quartic ones, has full column rank, no
+    u != 0 exists, since its Veronese vector would be a null vector: a
+    certified none with that matrix's margin. When the degree-4 nullity
+    exceeds the degree-3 one, the zeros form a curve, which meets the line
+    u = (m, n, 0); otherwise they are finitely many points, read from the
+    degree-4 null space. The found candidate with the least residual is
+    returned, or else the closest miss."""
+    d = rng.shape[1]
+    rbar = rng.T.conj().reshape(d, 3, 3)
+    if d <= 2:
+        return _lift(rbar, ker, np.eye(3)[0])
+    i, j, k = np.array(list(itertools.combinations(range(d), 3))).T
+    minors = np.einsum("bcd,nab,nec,nfd->naef", _EPS, rbar[i], rbar[j], rbar[k])
+    cubics = minors.reshape(-1, 27) @ _CUBE
+    null3, margin = _null_space(cubics)
+    if null3.shape[1]:
+        null4, margin = _null_space(np.einsum("pm,amq->apq", cubics, _SHIFT).reshape(-1, 15))
+    if not null3.shape[1] or not null4.shape[1]:
+        return ProductVectorResult(found=False, vector=None, u=None, w=None, residual=np.inf,
+                                   margin=margin, evidence_level="certified")
+    points = _line_points(rbar) if null4.shape[1] > null3.shape[1] else _shift_points(null4)
+    return min((_lift(rbar, ker, u) for u in points), key=lambda r: (not r.found, r.residual))
 
 
 def antisymmetric_lemma_applies(ker: np.ndarray) -> bool:
@@ -292,24 +298,26 @@ def antisymmetric_lemma_applies(ker: np.ndarray) -> bool:
     return bool(np.linalg.svd(sym, compute_uv=False)[-1] > LEMMA_RANK_TOL)
 
 
-def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
-                          seed: int = 0) -> ProductVectorResult:
+def kernel_product_vector(state: states.QutritState,
+                          mode: str = "exact_cases") -> ProductVectorResult:
     """Look for a product vector in ker rho.
 
     mode="exact_cases": test the two explicit candidates |22> and |01> by
     projection residual against the kernel projector (evidence "certified"
     for a hit, "not_found_at_budget" otherwise).
     mode="search": when antisymmetric_lemma_applies, no product vector
-    exists (evidence "certified", no objective). Otherwise a 64-start
-    minimization of the minor objective over the kernel; found means
-    objective < 1e-18, otherwise not-found-at-budget.
+    exists: evidence "proved" for a family state with 0 < x < 1, whose
+    kernel is derived symbolically, "certified" for any other state.
+    Otherwise the exact decision of decide_kernel: a certified product vector, a
+    certified none with its margin, or "not_found_at_budget" when no zero of
+    the minors passes the residual check. Nothing is random.
     """
-    _, ker = states.range_kernel(state)
+    rng, ker = states.range_kernel(state)
     if ker.shape[1] == 0:
         raise EmptyKernel("state has trivial kernel")
-    proj = ker @ ker.conj().T
 
     if mode == "exact_cases":
+        proj = ker @ ker.conj().T
         best = None
         for a, b in ((2, 2), (0, 1)):
             cand = states.basis_ket(a, b)
@@ -329,23 +337,13 @@ def kernel_product_vector(state: states.QutritState, mode: str = "exact_cases",
         raise ValueError(f"unknown mode {mode!r}; expected 'exact_cases' or 'search'")
 
     if antisymmetric_lemma_applies(ker):
+        family = (state.case_id in states.CASE_INDEX and state.x is not None and 0 < state.x < 1
+                  and np.array_equal(state.rho, states.build_family(state.case_id, state.x).rho))
         return ProductVectorResult(
             found=False, vector=None, u=None, w=None, residual=np.inf,
-            evidence_level="certified",
+            evidence_level="proved" if family else "certified",
         )
-    best_val, best_c = minimize_minor_objective(ker, n_starts=64, seed=seed)
-    if best_val < SEARCH_FOUND_TOL:
-        vector = ker @ best_c
-        u, w = _factor_rank1(vector, 3, 3)
-        residual = float(np.linalg.norm(vector - proj @ vector)) + best_val
-        return ProductVectorResult(
-            found=True, vector=vector, u=u, w=w, residual=residual,
-            min_objective=best_val, evidence_level="searched",
-        )
-    return ProductVectorResult(
-        found=False, vector=None, u=None, w=None, residual=np.inf,
-        min_objective=best_val, evidence_level="not_found_at_budget",
-    )
+    return decide_kernel(rng, ker)
 
 
 # --- two-dimensional span exclusion ------------------------------------------
@@ -466,11 +464,3 @@ def eq5_family_basis(s) -> np.ndarray:
         v = (states.basis_ket(i, j) - states.basis_ket(j, i)) / np.sqrt(2)
         anti.append(v)
     return np.stack(anti + [sym], axis=1)
-
-
-def eq5_family_min_objective(s, n_starts: int = 8, seed: int = 0) -> float:
-    """Searched minimum of the minor objective over eq5_family_basis(s). For
-    three positive weights antisymmetric_lemma_applies, so the minimum is
-    bounded away from zero."""
-    best_val, _ = minimize_minor_objective(eq5_family_basis(s), n_starts=n_starts, seed=seed)
-    return best_val

@@ -287,8 +287,9 @@ def test_scan_witness_column_covers_every_npt_point(capsys, tmp_path):
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # scipy is imported only by the kernel search; threshold, witness and
-    # scan solve their pencils and eigenproblems with numpy alone
+    # every command runs on numpy alone: threshold, witness and scan solve
+    # their pencils and eigenproblems with it, and kernel decides product
+    # vectors by linear algebra on the minors of M(u)
     script = (
         "import sys\n"
         "from qutritdistill import cli\n"
@@ -296,8 +297,13 @@ def test_commands_run_without_scipy(tmp_path):
         "    assert cli.main(argv.split() + ['--out', sys.argv[1]]) in (0, 10), argv\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
+    rng = np.random.default_rng(3)
+    for n in (5, 4):
+        (tmp_path / f"basis{n}.json").write_text(json.dumps(rng.normal(size=(n, 9, 2)).tolist()))
     commands = ["threshold --case v --target min-eig --bracket 0.1 0.2",
-                "witness --case v --x 0.5", "scan --case v --steps 50"]
+                "witness --case v --x 0.5", "scan --case v --steps 50",
+                f"kernel --basis-file {tmp_path / 'basis5.json'}",
+                f"kernel --basis-file {tmp_path / 'basis4.json'}", "kernel --case v --x 0"]
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)] + commands,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -321,11 +327,14 @@ def test_kernel_case_not_found(capsys, tmp_path):
     assert code == EXIT_NOT_FOUND
     doc = json.loads(out)
     assert doc["search"]["found"] is False
-    assert doc["search"]["evidence_level"] == "certified"
+    assert doc["search"]["evidence_level"] == "proved"
+    assert doc["search"]["margin"] is None
     from qutritdistill import kernel, states
 
-    _, ker = states.range_kernel(states.build_family("v", 1 / 7))
-    assert kernel.minimize_minor_objective(ker)[0] > 1e-6
+    # the exact decision, without the lemma, also rules out every u
+    decided = kernel.decide_kernel(*states.range_kernel(states.build_family("v", 1 / 7)))
+    assert decided.found is False and decided.evidence_level == "certified"
+    assert decided.margin >= 1e-3
 
 
 def test_kernel_basis_file_found(capsys, tmp_path):

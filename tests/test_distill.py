@@ -453,13 +453,13 @@ def test_preconditions_all_pass_at_reference_point():
     assert pre["pt_inertia_one_negative"]
     sub = pre["negative_subspace_min_schmidt_rank"]
     assert sub == {"pass": True, "evidence_level": "certified", "min_schmidt_rank": 3}
-    ker = pre["kernel_no_product_vector"]
-    assert ker["pass"]
-    assert ker["evidence_level"] == "certified"
+    assert pre["kernel_no_product_vector"] == {"pass": True, "evidence_level": "proved",
+                                               "margin": None}
     from qutritdistill import kernel
 
-    _, basis = states.range_kernel(states.build_family("v", 1 / 7))
-    assert kernel.minimize_minor_objective(basis)[0] > 1e-6
+    decided = kernel.decide_kernel(*states.range_kernel(states.build_family("v", 1 / 7)))
+    assert decided.found is False and decided.evidence_level == "certified"
+    assert decided.margin >= 1e-3
 
 
 def test_preconditions_fail_two_negative():

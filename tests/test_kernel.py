@@ -1,5 +1,6 @@
 """Product vectors in kernels: the cubic-pencil solver on C2xC3 complements,
-rank-1 minor systems, exclusion checks, and Takagi canonicalization."""
+the exact decision on the minors of M(u), exclusion checks, and Takagi
+canonicalization."""
 
 import itertools
 
@@ -15,14 +16,11 @@ from qutritdistill.kernel import (
     NotSymmetric,
     SchmidtRankTooHigh,
     antisymmetric_lemma_applies,
+    decide_kernel,
     eq5_family_basis,
-    eq5_family_min_objective,
     kernel_product_vector,
-    minimize_minor_objective,
-    minor_objective,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
-    rank1_minor_system,
     span_0001_exclusion_check,
     takagi_canonicalize_kernel_state,
 )
@@ -146,7 +144,7 @@ def test_search_mode_finds_in_generic_kernel():
 
 def test_no_product_vector_in_obstructed_kernel():
     # kernel = antisymmetric subspace + the balanced Schmidt-rank-3 symmetric
-    # vector; the minor objective stays bounded away from zero
+    # vector; the exact decision, without the lemma, rules out every u
     s = (1 / 3, 1 / 3, 1 / 3)
     diag = sum(np.sqrt(s[j]) * ket(j, j) for j in range(3))
     kernel_span = [antisym(0, 1), antisym(0, 2), antisym(1, 2), diag]
@@ -160,8 +158,10 @@ def test_no_product_vector_in_obstructed_kernel():
     res = kernel_product_vector(st, mode="search")
     assert res.found is False
     assert res.evidence_level == "certified"
-    _, ker = states.range_kernel(st)
-    assert minimize_minor_objective(ker)[0] > 1e-6
+    decided = decide_kernel(*states.range_kernel(st))
+    assert decided.found is False
+    assert decided.evidence_level == "certified"
+    assert decided.margin >= 1e-3
 
 
 def state_with_kernel(basis):
@@ -178,15 +178,51 @@ def test_lemma_covers_every_family_kernel(x):
         assert antisymmetric_lemma_applies(ker), case
         res = kernel_product_vector(st, mode="search")
         assert res.found is False
-        assert res.evidence_level == "certified"
-        assert res.min_objective is None
+        assert res.evidence_level == "proved"
+        assert res.margin is None
+
+
+def test_family_kernel_holds_lemma_span_symbolically():
+    # for symbolic x, every rho_case(x) annihilates the antisymmetric
+    # subspace and |00> + |11> + |22>, because each of the five eigenvectors
+    # is orthogonal to them; for 0 < x < 1 rho has rank five, so these four
+    # vectors span the kernel and the lemma's verdict is a proof
+    x = sympy.symbols("x")
+    r2, r6 = sympy.sqrt(2), sympy.sqrt(6)
+
+    def kv(*terms):
+        v = sympy.zeros(9, 1)
+        for coef, i, j in terms:
+            v[3 * i + j] += coef
+        return v
+
+    eigvecs = [kv((1 / r2, 0, 1), (1 / r2, 1, 0)), kv((1 / r2, 1, 2), (1 / r2, 2, 1)),
+               kv((1 / r2, 0, 2), (1 / r2, 2, 0)), kv((1 / r2, 0, 0), (-1 / r2, 1, 1)),
+               kv((1 / r6, 0, 0), (1 / r6, 1, 1), (-2 / r6, 2, 2))]
+    np.testing.assert_allclose(np.array(sympy.Matrix.hstack(*eigvecs).T, dtype=complex),
+                               states.symmetric_basis(), atol=1e-15)
+    lemma_span = [kv((1, i, j), (-1, j, i)) for i, j in ((0, 1), (0, 2), (1, 2))]
+    lemma_span.append(kv((1, 0, 0), (1, 1, 1), (1, 2, 2)))
+    for case, idx in states.CASE_INDEX.items():
+        weights = [(1 - x) / 4] * 5
+        weights[idx] = x
+        rho = sum((w * v * v.T for w, v in zip(weights, eigvecs)), sympy.zeros(9, 9))
+        assert sympy.simplify(sympy.trace(rho)) == 1
+        for v in lemma_span:
+            assert sympy.simplify(rho * v) == sympy.zeros(9, 1), case
 
 
 def test_lemma_leaves_endpoint_kernels_to_the_search():
-    for x in (0.0, 1.0):
-        _, ker = states.range_kernel(states.build_family("v", x))
-        assert ker.shape[1] > 4
-        assert not antisymmetric_lemma_applies(ker)
+    # at x = 0 and x = 1 the rank drops and the kernel gains product vectors
+    for case in states.CASES:
+        for x in (0.0, 1.0):
+            st = states.build_family(case, x)
+            _, ker = states.range_kernel(st)
+            assert ker.shape[1] > 4
+            assert not antisymmetric_lemma_applies(ker)
+            res = kernel_product_vector(st, mode="search")
+            assert res.found and res.residual <= 1e-9, (case, x)
+            assert np.linalg.norm(st.rho @ res.vector) <= 1e-9
 
 
 def test_lemma_does_not_fire_on_random_spans():
@@ -201,7 +237,7 @@ def test_lemma_does_not_fire_on_random_spans():
 
 def test_lemma_needs_schmidt_rank_three():
     # with s2 = 0 the symmetric vector has Schmidt rank 2, and eq5_vector is
-    # a product vector inside the kernel: the search has to find one
+    # a product vector inside the kernel: the decision has to find one
     s = (0.5, 0.5, 0.0)
     basis = eq5_family_basis(s)
     assert not antisymmetric_lemma_applies(basis)
@@ -211,45 +247,10 @@ def test_lemma_needs_schmidt_rank_three():
     assert np.linalg.norm(st.rho @ planted) <= 1e-12
     res = kernel_product_vector(st, mode="search")
     assert res.found
-    assert res.evidence_level == "searched"
+    assert res.evidence_level == "certified"
+    assert res.residual <= 1e-9
     assert states.schmidt_rank(res.vector) == 1
     assert np.linalg.norm(st.rho @ res.vector) <= 1e-10
-
-
-def test_minor_objective_matches_rank1_minor_system():
-    rng = np.random.default_rng(71)
-    basis = np.linalg.qr(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))[0]
-    for _ in range(20):
-        c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        value, _ = minor_objective(c.view(np.float64), basis)
-        v = basis @ c
-        expected = rank1_minor_system(v)[1] / np.linalg.norm(v) ** 4
-        assert abs(value - expected) <= 1e-14 * max(expected, 1.0)
-
-
-def test_minor_objective_gradient_matches_central_differences():
-    rng = np.random.default_rng(73)
-    h = 1e-6
-    for k in (4, 5):
-        basis = np.linalg.qr(rng.normal(size=(9, k)) + 1j * rng.normal(size=(9, k)))[0]
-        for _ in range(10):
-            z = rng.normal(size=2 * k)
-            _, grad = minor_objective(z, basis)
-            numeric = np.array([
-                (minor_objective(z + h * e, basis)[0] - minor_objective(z - h * e, basis)[0]) / (2 * h)
-                for e in np.eye(2 * k)
-            ])
-            assert np.abs(grad - numeric).max() < 1e-8 * np.abs(grad).max()
-
-
-def test_minor_objective_nonnegative_at_kernel_product_vector():
-    # |22> lies in this kernel; the value must not cancel below zero there
-    _, ker = states.range_kernel(explicit_range_state("i"))
-    c = ker.conj().T @ ket(2, 2)
-    assert np.linalg.norm(ker @ c - ket(2, 2)) <= 1e-12
-    value, grad = minor_objective(c.view(np.float64), ker)
-    assert 0.0 <= value <= 1e-28
-    assert np.abs(grad).max() <= 1e-12
 
 
 def test_empty_kernel_raises():
@@ -261,21 +262,12 @@ def test_empty_kernel_raises():
 # --------------------------------------------------------- rank-1 minors
 
 
-def test_minors_product_vector_all_zero():
-    minors, total = rank1_minor_system(ket(0, 0))
-    np.testing.assert_allclose(minors, np.zeros((3, 3)), atol=1e-15)
-    assert total == 0.0
-
-
-def test_minors_bell_like_entry():
-    minors, total = rank1_minor_system(ket(0, 0) + ket(1, 1))
-    assert abs(minors[0, 0] - 1.0) <= 1e-15
-    assert abs(total - 1.0) <= 1e-15
-
-
-def test_minors_zero_vector_raises():
-    with pytest.raises(states.ZeroVector):
-        rank1_minor_system(np.zeros(9))
+def minors_2x2(v):
+    # the nine 2x2 minors of the 3x3 coefficient matrix of v
+    c = v.reshape(3, 3)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    return np.array([[c[r0, c0] * c[r1, c1] - c[r0, c1] * c[r1, c0] for c0, c1 in pairs]
+                     for r0, r1 in pairs])
 
 
 def test_obstructing_minor_all_sign_branches():
@@ -286,9 +278,9 @@ def test_obstructing_minor_all_sign_branches():
     target = rank1_exclusion_margin(*s) ** 2
     assert abs(target - 2 / 9) <= 1e-15
     for signs in itertools.product((1, -1), repeat=3):
-        minors, total = rank1_minor_system(eq5_vector(s, signs))
+        minors = minors_2x2(eq5_vector(s, signs))
         assert abs(abs(minors[0, 1]) ** 2 - target) <= 1e-12
-        assert total > 1e-3
+        assert np.sum(np.abs(minors) ** 2) > 1e-3
 
 
 def test_obstructing_minor_symbolic_identity():
@@ -436,6 +428,8 @@ def test_found_vectors_are_sound():
 
 
 def test_converse_family_objective_bounded_away():
+    # the exact decision, without the lemma, rules out every u on Eq. 5
+    # kernels with weights bounded away from zero, with a margin to spare
     rng = np.random.default_rng(61)
     for k in range(100):
         s = rng.uniform(0.05, 1.0, size=3)
@@ -443,8 +437,11 @@ def test_converse_family_objective_bounded_away():
         if np.min(s) < 0.05:
             s = s + 0.05
             s = s / s.sum()
-        val = eq5_family_min_objective(tuple(s), seed=k)
-        assert val > 1e-6, (s, val)
+        basis = eq5_family_basis(tuple(s))
+        assert antisymmetric_lemma_applies(basis)
+        res = decide_kernel(*states.range_kernel(state_with_kernel(basis)))
+        assert res.found is False and res.evidence_level == "certified", s
+        assert res.margin >= 1e-3, (s, res.margin)
 
 
 def test_result_json_shape():
@@ -454,7 +451,117 @@ def test_result_json_shape():
         "found",
         "factors",
         "residual",
-        "min_objective",
+        "margin",
         "evidence_level",
     }
     assert set(doc["factors"].keys()) == {"u", "w"}
+
+
+# ------------------------------------------------------------ exact decision
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_decision_on_random_spans(d):
+    # a range of dimension d <= 4 leaves a kernel of dimension >= 5, which
+    # always holds a product vector (the rank-<=2 locus of a d x 3 matrix of
+    # linear forms in P^2 is nonempty); a generic larger range leaves none
+    rng = np.random.default_rng(900 + d)
+    for _ in range(20):
+        vectors = rng.normal(size=(d, 9)) + 1j * rng.normal(size=(d, 9))
+        st = states.uniform_state_on_span(list(vectors))
+        res = kernel_product_vector(st, mode="search")
+        assert res.evidence_level == "certified"
+        if d <= 4:
+            assert res.found
+            assert res.residual <= 1e-9
+            assert states.schmidt_rank(res.vector) == 1
+            assert np.linalg.norm(st.rho @ res.vector) <= 1e-9
+            assert res.margin is None
+        else:
+            assert res.found is False
+            assert res.margin >= 1e-3
+
+
+def test_decision_finds_planted_product_vector():
+    # a random 4-dim kernel holds no product vector unless one is planted
+    rng = np.random.default_rng(907)
+    for _ in range(20):
+        u, w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        planted = np.kron(u, w)
+        others = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+        st = state_with_kernel(np.linalg.qr(np.column_stack([planted, others]))[0])
+        res = kernel_product_vector(st, mode="search")
+        assert res.found and res.evidence_level == "certified"
+        assert res.residual <= 1e-9
+        overlap = abs(np.vdot(res.vector, planted)) / np.linalg.norm(planted)
+        assert abs(overlap - 1.0) <= 1e-9
+
+
+def test_decision_finds_structured_product_vectors():
+    # kernels whose minors vanish identically (u x C3 or C3 x w inside) or
+    # to higher order at a point (u x w for a plane of w), or whose zeros
+    # form a curve (C2 x C2, u x u on a conic), each under a random local
+    # unitary: a decision on roundoff-sized minors or an unpolished multiple
+    # zero would miss them
+    rng = np.random.default_rng(919)
+
+    def cv(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for _ in range(10):
+        u, w = cv(3), cv(3)
+        kernels = [
+            [np.kron(u, e) for e in np.eye(3)],
+            [np.kron(u, e) for e in np.eye(3)] + [cv(9)],
+            [np.kron(e, w) for e in np.eye(3)] + [cv(9)],
+            [np.kron(u, cv(3)), np.kron(u, cv(3))],
+            [np.kron(u, cv(3)), np.kron(u, cv(3)), cv(9), cv(9)],
+            [ket(i, j) for i in (0, 1) for j in (0, 1)],
+            [np.kron(v, v) for v in (np.array([1, t, t * t]) for t in cv(5))],
+        ]
+        local = np.kron(*(np.linalg.qr(cv(3, 3))[0] for _ in range(2)))
+        for vs in kernels:
+            st = state_with_kernel(np.linalg.qr(local @ np.array(vs).T)[0])
+            res = kernel_product_vector(st, mode="search")
+            assert res.found and res.evidence_level == "certified", len(vs)
+            assert res.residual <= 1e-9
+            assert np.linalg.norm(st.rho @ res.vector) <= 1e-9
+
+
+def test_decision_agrees_with_lemma_on_family_kernels():
+    for case in states.CASES:
+        for x in np.linspace(0.0, 1.0, 202)[1:-1]:
+            rng, ker = states.range_kernel(states.build_family(case, float(x)))
+            assert antisymmetric_lemma_applies(ker)
+            res = decide_kernel(rng, ker)
+            assert res.found is False and res.evidence_level == "certified", (case, x)
+            assert res.margin >= 0.1, (case, x, res.margin)
+
+
+def test_decision_agrees_with_lemma_on_eq5_kernels():
+    # the lemma applies exactly when all three weights are positive
+    rng = np.random.default_rng(911)
+    for k in range(100):
+        s = rng.dirichlet(np.ones(3))
+        if k % 4 == 0:
+            s[k % 3] = 0.0
+            s = s / s.sum()
+        basis = eq5_family_basis(tuple(s))
+        lemma = antisymmetric_lemma_applies(basis)
+        assert lemma == bool(np.all(s > 0)), s
+        res = decide_kernel(*states.range_kernel(state_with_kernel(basis)))
+        assert res.evidence_level == "certified"
+        assert res.found is not lemma, s
+        if res.found:
+            assert res.residual <= 1e-9
+        else:
+            assert res.margin >= 1e-6, (s, res.margin)
+
+
+def test_lemma_verdict_is_proved_only_for_family_states():
+    st = states.build_family("v", 0.3)
+    rotated = states.from_density(states.apply_local(
+        st, states.LocalOperator(states.hadamard_on_01(), states.hadamard_on_01())),
+        case_id="v", x=0.3)
+    assert kernel_product_vector(st, mode="search").evidence_level == "proved"
+    assert kernel_product_vector(rotated, mode="search").evidence_level == "certified"
