@@ -1,10 +1,10 @@
 """Product vectors in kernels of rank-five states.
 
-Four routes: direct candidates for two explicit range constructions,
-the cubic-pencil solver on complements inside C2 x C3, the exact lemma for
-kernels spanned by the antisymmetric subspace and one Schmidt-rank-3
-symmetric vector, and the exact decision on the cubic minors of M(u),
-which agrees with the lemma on those kernels and decides any other.
+Three routes: direct candidates for two explicit range constructions,
+the exact lemma for kernels spanned by the antisymmetric subspace and one
+Schmidt-rank-3 symmetric vector, and the exact decision on the cubic minors
+of M(u), which agrees with the lemma on those kernels and decides any
+other. Its line pencil also solves complements inside C2 x C3.
 """
 
 import numpy as np
@@ -39,9 +39,9 @@ res = kernel_product_vector(st2, mode="exact_cases")
 print(f"range type 2: found={res.found}, overlap with |01> = "
       f"{abs(np.vdot(res.vector, basis_ket(0, 1))):.6f}")
 
-# the pencil always finds a product vector orthogonal to three given
-# vectors in C2 x C3: det of the 3x3 pencil matrix is a cubic, cubics
-# over C have roots
+# the decision's line pencil always finds a product vector orthogonal to
+# three given vectors in C2 x C3: det M(m, n) of the 3x3 pencil is a cubic
+# in (m : n), and cubics over C have roots
 rng = np.random.default_rng(7)
 m = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
 q, _ = np.linalg.qr(m)

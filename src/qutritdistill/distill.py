@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import linalg, states
+from . import kernel, linalg, states
 from ._fmt import complex_pair
 
 FORM_P1A = "P1a"
@@ -341,8 +341,6 @@ def precondition_report(state: states.QutritState) -> dict:
     otherwise the exact decision's "certified", or "not_found_at_budget"
     when no zero of the minors passed its residual check.
     """
-    from . import kernel  # local import; kernel depends on states only
-
     rho = state.rho
     g = pt_of(state)
     rank = linalg.matrix_rank(rho, tol=1e-10)

@@ -1,13 +1,8 @@
 """Product vectors in kernels and low-dimensional subspaces.
 
-Four mechanisms, in increasing generality:
+Three mechanisms, in increasing generality:
 
   * explicit candidate checks (|22> and |01> against a kernel projector);
-  * an exact cubic pencil for 3-dim subspaces of C2 x C3: orthogonality of
-    (m|0> + n|1>) x |w> to three spanners is a 3x3 system M(m,n) w = 0
-    whose determinant is a homogeneous cubic in (m,n), so a root always
-    exists over C and yields a product vector in the orthogonal complement
-    (the roots come from linalg.pencil_roots, one numpy eigenproblem);
   * an exact lemma for kernels spanned by the antisymmetric subspace and
     one swap-symmetric vector of Schmidt rank three (every family state
     with 0 < x < 1): such a kernel holds no product vector;
@@ -17,7 +12,12 @@ Four mechanisms, in increasing generality:
     whose coefficients come out exactly; linear algebra on their Macaulay
     matrices rules every u out or yields the zeros (decide_kernel).
 
-A product vector from a candidate, a pencil root or a zero of the minors is
+The C2 x C3 solver (product_vector_in_2x3_complement) is decide_kernel's
+line pencil: u x w with u = (m, n) is orthogonal to vectors v_i exactly
+when M(u) = [u^T conj(V_i)] drops rank, and for three rows its determinant
+is a cubic in (m : n), whose roots over C always yield a product vector.
+
+A product vector from a candidate, a line root or a zero of the minors is
 "certified": its residual is re-checked numerically. A none verdict is
 "certified" when it rests on the lemma or on a Macaulay matrix of full column
 rank (its margin sigma_min / sigma_max is reported), and "proved" when the
@@ -42,15 +42,6 @@ PENCIL_RESIDUAL_TOL = 1e-9
 RANK_TOL = 1e-10  # singular values below RANK_TOL max(sigma_max, 1) count as zero
 LEMMA_SPLIT_TOL = 1e-10  # deviation of the kernel from the swap split
 LEMMA_RANK_TOL = 1e-6  # smallest singular value of the symmetric vector
-
-
-class DegeneratePencil(RuntimeError):
-    """det M(m,n) vanishes identically; every direction works. Carries a
-    representative product vector in .result."""
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
 
 
 class EmptyKernel(ValueError):
@@ -95,66 +86,6 @@ class ProductVectorResult:
         }
 
 
-def _minor_objective_23(v6: np.ndarray) -> float:
-    # 2x3 coefficient matrix: three 2x2 minors
-    c = v6.reshape(2, 3)
-    total = 0.0
-    for c0, c1 in ((0, 1), (0, 2), (1, 2)):
-        total += abs(c[0, c0] * c[1, c1] - c[0, c1] * c[1, c0]) ** 2
-    return float(total)
-
-
-# --- cubic pencil in C2 x C3 -------------------------------------------------
-
-
-def _pencil_matrix(rows: np.ndarray, m: complex, n: complex) -> np.ndarray:
-    return m * rows[:, 0, :].conj() + n * rows[:, 1, :].conj()
-
-
-def _pencil_result(vs_mat: np.ndarray, rows: np.ndarray, m: complex,
-                   n: complex) -> ProductVectorResult:
-    norm_mn = np.hypot(abs(m), abs(n))
-    u = np.array([m, n], dtype=complex) / norm_mn
-    mat = _pencil_matrix(rows, u[0], u[1])
-    _, _, vh = np.linalg.svd(mat)
-    w = vh[-1].conj()
-    vector = np.kron(u, w)
-    # violation: component of the candidate inside the spanned subspace
-    overlap = vs_mat.conj() @ vector
-    residual = float(np.linalg.norm(overlap)) + _minor_objective_23(vector)
-    return ProductVectorResult(
-        found=residual <= PENCIL_RESIDUAL_TOL, vector=vector, u=u, w=w, residual=residual,
-    )
-
-
-def product_vector_in_2x3_complement(vs: Sequence[np.ndarray]) -> ProductVectorResult:
-    """Product vector orthogonal to up to three given vectors in C2 x C3.
-
-    M(m,n) = m a + n b is a 3x3 pencil; its roots (m : n) come from
-    linalg.pencil_roots, and the one leaving the smallest singular value of
-    M is kept.
-    """
-    vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vs]
-    if len(vs) > 3:
-        raise ValueError("at most three spanning vectors supported")
-    for v in vs:
-        if v.shape != (6,):
-            raise linalg.DimensionMismatch(f"expected 6-component vectors, got {v.shape}")
-    while len(vs) < 3:
-        vs.append(np.zeros(6, dtype=complex))
-    vs_mat = np.stack(vs)  # rows span the subspace to avoid
-    rows = vs_mat.reshape(3, 2, 3)
-
-    try:
-        roots = linalg.pencil_roots(rows[:, 0, :].conj(), rows[:, 1, :].conj())
-    except linalg.SingularPencil:
-        res = _pencil_result(vs_mat, rows, 1.0, 0.0)
-        raise DegeneratePencil("det M(m,n) vanishes identically", res) from None
-    sigmas = [np.linalg.svd(_pencil_matrix(rows, m, n), compute_uv=False)[-1] for m, n in roots]
-    m, n = roots[int(np.argmin(sigmas))]
-    return _pencil_result(vs_mat, rows, m, n)
-
-
 # --- exact decision in the u-plane -------------------------------------------
 
 
@@ -194,19 +125,18 @@ def _null_space(mat: np.ndarray) -> tuple[np.ndarray, float]:
     return vh[rank:].conj().T, float(s[-1] / s[0]) if s[0] > 0 else 0.0
 
 
-def _line_points(rbar: np.ndarray) -> list:
-    """Points of the line u = (m, n, 0) where M(u) = m a + n b drops rank:
-    the roots of the first row triple whose 3x3 pencil is not singular (a
-    common zero is a root of every triple), or e0 when every triple's
-    determinant vanishes on the line."""
+def _line_points(rbar: np.ndarray) -> np.ndarray:
+    """Roots (m : n) of the line where M(m, n) = m a + n b, a and b the first
+    two rows of every rbar[i], drops rank: the roots of the first row triple
+    whose 3x3 pencil is not singular (a common zero is a root of every
+    triple), or (1 : 0) when every triple's determinant vanishes on the line."""
     a, b = rbar[:, 0, :], rbar[:, 1, :]
     for t in itertools.combinations(range(len(rbar)), 3):
         try:
-            roots = linalg.pencil_roots(a[list(t)], b[list(t)])
+            return linalg.pencil_roots(a[list(t)], b[list(t)])
         except linalg.SingularPencil:
-            continue
-        return [np.array([m, n, 0.0]) for m, n in roots]
-    return [np.eye(3)[0]]
+            pass
+    return np.eye(2)[:1]
 
 
 def _shift_points(null4: np.ndarray) -> np.ndarray:
@@ -221,7 +151,8 @@ def _shift_points(null4: np.ndarray) -> np.ndarray:
 
 
 def _lift(rbar: np.ndarray, ker: np.ndarray, u: np.ndarray) -> ProductVectorResult:
-    """u x w for w the null vector of M(u), found when sigma_min(M(u)) /
+    """u x w for w the null vector of M(u) = [u^T rbar_i] (u in C2 or C3,
+    rbar of shape (d, u.size, 3)), found when sigma_min(M(u)) /
     max(sigma_max, 1) and the distance of u x w from the kernel are both at
     most PENCIL_RESIDUAL_TOL (M(u) = 0 when u x C3 lies in the kernel).
 
@@ -236,14 +167,14 @@ def _lift(rbar: np.ndarray, ker: np.ndarray, u: np.ndarray) -> ProductVectorResu
     for _ in range(3):
         m, n = np.einsum("a,iab->ib", u, rbar), np.einsum("iab,b->ia", rbar, w)
         step = np.linalg.lstsq(np.hstack([n, m]), -(m @ w), rcond=1e-6)[0]
-        u, w = u + step[:3], w + step[3:]
+        u, w = u + step[:u.size], w + step[u.size:]
         u, w = u / np.linalg.norm(u), w / np.linalg.norm(w)
     _, s, vh = np.linalg.svd(np.einsum("a,iab->ib", u, rbar))
+    s = np.concatenate([s, np.zeros(3 - s.size)])  # d < 3 rows: sigma_min is 0
     w = vh[-1].conj()
     vector = np.kron(u, w)
     residual = float(np.linalg.norm(vector - ker @ (ker.conj().T @ vector)))
-    sigma_min = s[2] if s.size == 3 else 0.0
-    found = sigma_min <= PENCIL_RESIDUAL_TOL * max(s[0], 1.0) and residual <= PENCIL_RESIDUAL_TOL
+    found = s[2] <= PENCIL_RESIDUAL_TOL * max(s[0], 1.0) and residual <= PENCIL_RESIDUAL_TOL
     return ProductVectorResult(found=bool(found), vector=vector, u=u, w=w, residual=residual)
 
 
@@ -273,8 +204,33 @@ def decide_kernel(rng: np.ndarray, ker: np.ndarray) -> ProductVectorResult:
     if not null3.shape[1] or not null4.shape[1]:
         return ProductVectorResult(found=False, vector=None, u=None, w=None, residual=np.inf,
                                    margin=margin, evidence_level="certified")
-    points = _line_points(rbar) if null4.shape[1] > null3.shape[1] else _shift_points(null4)
+    if null4.shape[1] > null3.shape[1]:
+        points = [np.array([m, n, 0.0]) for m, n in _line_points(rbar)]
+    else:
+        points = _shift_points(null4)
     return min((_lift(rbar, ker, u) for u in points), key=lambda r: (not r.found, r.residual))
+
+
+def product_vector_in_2x3_complement(vs: Sequence[np.ndarray]) -> ProductVectorResult:
+    """Product vector u x w in C2 x C3 orthogonal to every given vector v_i.
+
+    One SVD of the stacked conj(v_i) gives orthonormal rows rbar (rank
+    counted with RANK_TOL), reshaped 2 x 3, and the complement ker. u x w is
+    orthogonal to every v_i exactly when M(u) = [u^T rbar_i] drops rank,
+    at a root (m : n) of _line_points; with at most three independent v_i
+    one always exists. The root with the least sigma_min(M(u)) is lifted.
+    """
+    vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vs]
+    for v in vs:
+        if v.shape != (6,):
+            raise linalg.DimensionMismatch(f"expected 6-component vectors, got {v.shape}")
+    _, s, vh = np.linalg.svd(np.reshape(vs, (-1, 6)).conj())
+    rank = int(np.count_nonzero(s > RANK_TOL * max(s.max(initial=0.0), 1.0)))
+    rbar, ker = vh[:rank].reshape(rank, 2, 3), vh[rank:].conj().T
+    roots = _line_points(rbar)
+    # sigma_min of each M(u); with fewer than three rows the one root is e0
+    sigmas = np.linalg.svd(np.einsum("ra,iab->rib", roots, rbar), compute_uv=False)
+    return _lift(rbar, ker, roots[np.argmin(sigmas[:, 2:].sum(axis=1))])
 
 
 def antisymmetric_lemma_applies(ker: np.ndarray) -> bool:
@@ -366,10 +322,11 @@ class SpanExclusionVerdict:
 
 
 def span_0001_exclusion_check(state: states.QutritState) -> SpanExclusionVerdict:
-    """Does the range contain span{|00>, |01>}? If yes, produce a kernel
-    product vector: range vectors orthogonal to that span only constrain the
-    A-levels {1,2} slice, where the cubic pencil always delivers a direction
-    (m:n) and a B-side vector w with (0, m, n) x w annihilated by rho."""
+    """Does the range contain span{|00>, |01>}? If yes, look for a kernel
+    product vector (0, m, n) x w: rho annihilates it exactly when (m, n) x w
+    is orthogonal to the A-level-{1,2} slices of every range vector, which
+    span at most rank - 2 dimensions of C2 x C3, so product_vector_in_2x3_complement
+    always finds one for rank <= 5."""
     rng_basis, _ = states.range_kernel(state)
     proj = rng_basis @ rng_basis.conj().T
     k00 = states.basis_ket(0, 0)
@@ -379,18 +336,7 @@ def span_0001_exclusion_check(state: states.QutritState) -> SpanExclusionVerdict
     if r00 > 1e-10 or r01 > 1e-10:
         return SpanExclusionVerdict(False, r00, r01)
 
-    # orthonormal range directions orthogonal to the contained 2-dim span
-    span = np.stack([k00, k01], axis=1)
-    reduced = rng_basis - span @ (span.conj().T @ rng_basis)
-    q, r = np.linalg.qr(reduced)
-    keep = np.abs(np.diag(r)) > 1e-10
-    rest = q[:, keep]  # 9 x 3
-    restricted = rest.reshape(3, 3, rest.shape[1])[1:, :, :]  # drop A-level 0
-    vs = [restricted[:, :, j].reshape(6) for j in range(rest.shape[1])]
-    try:
-        res = product_vector_in_2x3_complement(vs)
-    except DegeneratePencil as exc:
-        res = exc.result
+    res = product_vector_in_2x3_complement(list(rng_basis[3:].T))
     u3 = np.zeros(3, dtype=complex)
     u3[1:] = res.u
     vector = np.kron(u3, res.w)

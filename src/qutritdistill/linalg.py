@@ -77,17 +77,18 @@ def herm_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def check_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
     """Return m as an array, raising NotHermitian if ||M - M^dag|| is too big.
 
-    The tolerance is relative to max(1, ||M||_max).
+    The tolerance is HERM_TOL relative to max(1, ||M||_max).
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"not square: {a.shape}")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if herm_defect(a) > tol * scale:
-        raise NotHermitian(f"Hermiticity defect {herm_defect(a):.3e} exceeds {tol * scale:.3e}")
+    defect, bound = herm_defect(a), HERM_TOL * scale
+    if defect > bound:
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {bound:.3e}")
     return a
 
 

@@ -17,6 +17,8 @@ from . import linalg
 DIM_A = 3
 DIM_B = 3
 DIM = DIM_A * DIM_B
+RANGE_TOL = 1e-10  # eigenvalues above RANGE_TOL times the largest span the range
+SCHMIDT_TOL = 1e-9  # Schmidt coefficients of the unit vector counted nonzero
 
 
 class OutOfRange(ValueError):
@@ -185,12 +187,12 @@ def from_density(m: np.ndarray, case_id=None, x=None) -> QutritState:
                        degenerate=bool(np.any(lam < 1e-15)))
 
 
-def range_kernel(state: QutritState | np.ndarray, tol: float = 1e-10):
+def range_kernel(state: QutritState | np.ndarray):
     """Orthonormal bases (columns) of the range and kernel of a PSD matrix."""
     rho = state.rho if isinstance(state, QutritState) else np.asarray(state, dtype=complex)
     dec = linalg.eig_hermitian(rho)
     scale = max(float(dec.values.max()), 1e-300)
-    mask = dec.values > tol * scale
+    mask = dec.values > RANGE_TOL * scale
     rng = dec.vectors[:, mask]
     ker = dec.vectors[:, ~mask]
     return rng, ker
@@ -203,11 +205,11 @@ def coefficient_matrix(v: np.ndarray, dim_a: int = DIM_A, dim_b: int = DIM_B) ->
     return vec.reshape(dim_a, dim_b)
 
 
-def schmidt_rank(v, dim_a: int = DIM_A, dim_b: int = DIM_B, tol: float = 1e-9) -> int:
+def schmidt_rank(v, dim_a: int = DIM_A, dim_b: int = DIM_B) -> int:
     vec = np.asarray(v, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ZeroVector("cannot take the Schmidt rank of the zero vector")
     mat = coefficient_matrix(vec / nrm, dim_a, dim_b)
     s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(s > SCHMIDT_TOL))

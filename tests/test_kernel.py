@@ -10,7 +10,6 @@ import sympy
 
 from qutritdistill import kernel, states
 from qutritdistill.kernel import (
-    DegeneratePencil,
     EmptyKernel,
     NotInKernel,
     NotSymmetric,
@@ -113,11 +112,43 @@ def test_pencil_against_projective_grid_oracle():
 
 
 def test_pencil_degenerate_carries_result():
-    with pytest.raises(DegeneratePencil) as info:
-        product_vector_in_2x3_complement([np.eye(6)[0]])
-    res = info.value.result
+    # one spanner: every triple of rows is missing, so the line root is e0
+    res = product_vector_in_2x3_complement([np.eye(6)[0]])
     assert res.found
     assert res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("vs", [[], [np.zeros(6)]], ids=["empty", "zero"])
+def test_pencil_rank_zero_input(vs):
+    res = product_vector_in_2x3_complement(vs)
+    assert res.found
+    assert res.residual <= 1e-9
+    assert abs(np.linalg.norm(res.vector) - 1.0) <= 1e-12
+
+
+def test_pencil_four_or_five_vectors_orthogonal_to_planted_product():
+    rng = np.random.default_rng(67)
+    for k in (4, 5):
+        for _ in range(20):
+            planted = np.kron(rng.normal(size=2) + 1j * rng.normal(size=2),
+                              rng.normal(size=3) + 1j * rng.normal(size=3))
+            planted /= np.linalg.norm(planted)
+            vs = rng.normal(size=(k, 6)) + 1j * rng.normal(size=(k, 6))
+            vs -= np.outer(vs @ planted.conj(), planted)  # orthogonal to planted
+            res = product_vector_in_2x3_complement(list(vs))
+            assert res.found
+            assert res.residual <= 1e-9
+            assert abs(abs(np.vdot(planted, res.vector)) - 1.0) <= 1e-9
+
+
+def test_pencil_four_generic_vectors_report_none():
+    # a generic 2-dim complement misses the 3-fold of product vectors in P5
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        vs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        res = product_vector_in_2x3_complement(list(vs))
+        assert not res.found
+        assert res.evidence_level == "not_found_at_budget"
 
 
 # --------------------------------------------------- kernel_product_vector
@@ -309,6 +340,44 @@ def test_span_exclusion_contained_produces_vector():
     pv = verdict.product_vector
     assert pv is not None and pv.found
     assert np.linalg.norm(st.rho @ pv.vector) <= 1e-10
+
+
+def random_vectors(rng, k):
+    return list(rng.normal(size=(k, 9)) + 1j * rng.normal(size=(k, 9)))
+
+
+def test_span_exclusion_finds_every_seeded_rank5_range():
+    # the A-level-{1,2} slices of a rank-5 range holding |00>, |01> span
+    # three dimensions of C2 x C3, whose complement always holds a product vector
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        st = states.uniform_state_on_span([ket(0, 0), ket(0, 1)] + random_vectors(rng, 3))
+        verdict = span_0001_exclusion_check(st)
+        assert verdict.contained
+        pv = verdict.product_vector
+        assert pv.found
+        assert np.linalg.norm(st.rho @ pv.vector) <= 1e-10
+
+
+def test_span_exclusion_rank6_planted_and_generic():
+    rng = np.random.default_rng(5)
+    u = np.array([0.0, 0.6 + 0.2j, -0.3 + 0.7j])
+    w = np.array([0.5j, 1.0, -0.4 + 0.1j])
+    planted = np.kron(u, w) / np.linalg.norm(np.kron(u, w))
+    others = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+    others -= np.outer(others @ planted.conj(), planted)
+    st = states.uniform_state_on_span([ket(0, 0), ket(0, 1)] + list(others))
+    assert np.linalg.matrix_rank(st.rho) == 6
+    verdict = span_0001_exclusion_check(st)
+    assert verdict.contained and verdict.product_vector.found
+    assert np.linalg.norm(st.rho @ verdict.product_vector.vector) <= 1e-10
+    assert abs(abs(np.vdot(planted, verdict.product_vector.vector)) - 1.0) <= 1e-9
+
+    # four generic slices leave a 2-dim complement of C2 x C3: a verdict, no vector
+    st = states.uniform_state_on_span([ket(0, 0), ket(0, 1)] + random_vectors(rng, 4))
+    verdict = span_0001_exclusion_check(st)
+    assert verdict.contained
+    assert not verdict.product_vector.found
 
 
 def test_span_exclusion_family_not_contained():
