@@ -15,10 +15,10 @@ from qutritdistill.states import schmidt_rank
 for case, x in (("i", 0.05), ("i", 0.30), ("iii", 0.50), ("v", 0.50), ("v", 0.90)):
     st = build_family(case, x)
     rep = witness_search(st)
-    print(f"case {case} at x={x}: {rep.negative_count} negative eigenvalue(s), "
+    print(f"case {case} at x={x}: {rep.inertia.negative} negative eigenvalue(s), "
           f"min {rep.min_eig_gamma:.6f}")
-    print(f"  projected eigenvalue {rep.witness_value:.6f}  "
-          f"({rep.evaluations} eigensolve, {rep.witness.form} rows)")
+    print(f"  projected eigenvalue {rep.best_value:.6f}  "
+          f"(one eigensolve, orthonormal rows of shape {rep.witness.shape})")
 
     # the witness converts to an explicit Schmidt-rank-2 vector with
     # negative partial-transpose expectation

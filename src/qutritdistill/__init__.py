@@ -6,14 +6,15 @@ Submodules:
     linalg   Hermitian/symmetric matrix primitives (partial transpose,
              Takagi, inertia, principal minors)
     states   the five one-parameter state families and local operations
-    distill  NPT checks, the witness construction, PPT thresholds
+    distill  NPT checks, the witness construction (2x3 orthonormal rows),
+             PPT thresholds
     kernel   product vectors in kernels and 2x3 subspaces
     minors   closed-form vs direct minor scans at x = 1/7
     cli      command-line front end
 """
 
 from . import distill, kernel, linalg, minors, states
-from .distill import DistillReport, RankTwoProjection, find_threshold, npt_check, witness_search
+from .distill import DistillReport, find_threshold, npt_check, witness_search
 from .kernel import ProductVectorResult, kernel_product_vector, product_vector_in_2x3_complement
 from .minors import build_projected, cross_check, eval_closed_form, psd_scan_form1, scan
 from .states import CASES, QutritState, build_family
@@ -25,7 +26,6 @@ __all__ = [
     "DistillReport",
     "ProductVectorResult",
     "QutritState",
-    "RankTwoProjection",
     "build_family",
     "build_projected",
     "cli",

@@ -194,7 +194,7 @@ def cmd_witness(args) -> int:
     payload["x"] = x
     payload["seed"] = args.seed
     found = rep.witness is not None
-    _emit(args, payload, ("witness found: value " + sig17(rep.witness_value)) if found
+    _emit(args, payload, ("witness found: value " + sig17(rep.best_value)) if found
           else f"no witness found (best value {rep.best_value})")
     return EXIT_OK if found else EXIT_NOT_FOUND
 

@@ -8,15 +8,15 @@ projection without a search: from one eigendecomposition of the partial
 transpose it takes a vector of least Schmidt rank in the negative
 eigenspace (_negative_schmidt_vector), whose two leading left Schmidt
 vectors are the orthonormal rows of the projection, and one eigensolve of
-the compression decides. A witness is certified when the compression of
-the materialized rows has an eigenvalue below -NEG_TOL; otherwise the
-report keeps the value reached, which proves nothing about other
-projections. A report is NPT exactly when the partial transpose's inertia
-counts a negative eigenvalue.
+the compression decides. The witness is those 2x3 rows, a plain array,
+certified when their compression has an eigenvalue below -NEG_TOL;
+otherwise the report keeps the value reached, which proves nothing about
+other projections. A report is NPT exactly when the partial transpose's
+inertia counts a negative eigenvalue.
 
 The compressions that minors scans use run over two parametrized families
-of 2x3 row matrices, defined once in FAMILIES, one for each chart of the
-row spaces they cover:
+of 2x3 row matrices, defined once in FAMILIES and set at a point by
+family_rows, one for each chart of the row spaces they cover:
 
     P1a  rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2;
     P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears.
@@ -45,7 +45,6 @@ from ._fmt import complex_pair
 
 FORM_P1A = "P1a"
 FORM_P2BC = "P2bc"
-FORM_GENERAL = "general"
 
 NEG_TOL = 1e-10
 CHUNK = 8192  # points per block of compression_chunks
@@ -75,39 +74,16 @@ class NonFiniteProduct(ValueError):
     """A parameter product c_i conj(c_j) of compression_chunks is not finite."""
 
 
-@dataclass(frozen=True)
-class RankTwoProjection:
-    form: str
-    params: dict
-
-    def materialize(self) -> np.ndarray:
-        """The 2x3 row matrix. Rank two is guaranteed for every parameter
-        value of the named forms; general rows are checked orthonormal."""
-        family = FAMILIES.get(self.form)
-        if family is not None:
-            rows = family.base.copy()
-            for slot, key in zip(family.slots, family.keys):
-                rows[slot] = complex(self.params[key])
-        elif self.form == FORM_GENERAL:
-            rows = np.array(self.params["rows"], dtype=complex).reshape(2, 3)
-            gram = rows @ rows.conj().T
-            if np.abs(gram - np.eye(2)).max() > 1e-12:
-                raise ValueError("general-form rows must be orthonormal")
-        else:
-            raise ValueError(f"unknown form {self.form!r}")
-        if np.linalg.matrix_rank(rows, tol=1e-12) != 2:
-            raise ValueError("projection rows are rank deficient")
-        return rows
-
-    def params_json(self) -> dict:
-        out = {}
-        for k, v in self.params.items():
-            if k == "rows":
-                rows = np.array(v, dtype=complex).reshape(2, 3)
-                out["rows"] = [[complex_pair(z) for z in row] for row in rows]
-            else:
-                out[k] = complex_pair(complex(v))
-        return out
+def family_rows(form: str, values) -> np.ndarray:
+    """The 2x3 rows of the named family (FAMILIES[form]; KeyError for an
+    unknown form) with its parameter values set, one per slot in order."""
+    family = FAMILIES[form]
+    if len(values) != len(family.slots):
+        raise ValueError(f"{form} takes {len(family.slots)} parameters, got {len(values)}")
+    rows = family.base.copy()
+    for slot, value in zip(family.slots, values):
+        rows[slot] = complex(value)
+    return rows
 
 
 @dataclass
@@ -115,30 +91,27 @@ class DistillReport:
     is_npt: bool
     inertia: linalg.Inertia
     min_eig_gamma: float
-    negative_count: int
-    witness: Optional[RankTwoProjection] = None
-    witness_value: Optional[float] = None
+    witness: Optional[np.ndarray] = None  # the 2x3 orthonormal rows, when certified
     evidence_level: str = "not_found_at_budget"
     best_value: Optional[float] = None
-    evaluations: int = 0
 
     def to_json(self) -> dict:
         wit = None
         if self.witness is not None:
             wit = {
-                "form": self.witness.form,
-                "params": self.witness.params_json(),
-                "value": float(self.witness_value),
+                "form": "general",
+                "params": {"rows": [[complex_pair(z) for z in row] for row in self.witness]},
+                "value": float(self.best_value),
             }
         return {
             "is_npt": bool(self.is_npt),
             "inertia": [self.inertia.negative, self.inertia.zero, self.inertia.positive],
             "min_eig_gamma": float(self.min_eig_gamma),
-            "negative_count": int(self.negative_count),
+            "negative_count": self.inertia.negative,
             "witness": wit,
             "evidence_level": self.evidence_level,
             "best_value": self.best_value,
-            "evaluations": self.evaluations,
+            "evaluations": 1,
         }
 
 
@@ -146,7 +119,6 @@ class DistillReport:
 class ThresholdResult:
     x_star: float
     bracket: tuple
-    target: str
     iterations: int = 0
 
 
@@ -164,8 +136,7 @@ def _npt_report(w: np.ndarray) -> DistillReport:
     """npt_check of the state whose partial transpose has spectrum w: NPT
     exactly when linalg.inertia_of_spectrum counts a negative eigenvalue."""
     inert = linalg.inertia_of_spectrum(w)
-    return DistillReport(is_npt=inert.negative > 0, inertia=inert, min_eig_gamma=float(w[0]),
-                         negative_count=inert.negative)
+    return DistillReport(is_npt=inert.negative > 0, inertia=inert, min_eig_gamma=float(w[0]))
 
 
 def _kron_eye3(rows: np.ndarray) -> np.ndarray:
@@ -249,11 +220,10 @@ def compression_chunks(bases: list, params, k: int = 6):
         yield cols.transpose(2, 0, 1)
 
 
-def witness_to_pt_vector(g: np.ndarray, proj: RankTwoProjection) -> tuple[np.ndarray, float]:
+def witness_to_pt_vector(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Schmidt-rank-<=2 vector with negative partial-transpose expectation,
-    reconstructed from a projection witness: psi = (P^dag x I) u with u the
+    reconstructed from the 2x3 witness rows R: psi = (R^dag x I) u with u the
     bottom eigenvector of the projected matrix. Returns (psi, expectation)."""
-    rows = proj.materialize()
     w, v = np.linalg.eigh(projected_matrix(g, rows))
     psi = _lift(rows, v[:, 0])
     val = float(np.real(psi.conj() @ g @ psi))
@@ -271,19 +241,17 @@ def witness_search(state: states.QutritState) -> DistillReport:
     report carries a certified witness. Otherwise psi is the bottom
     eigenvector; if its Schmidt rank is 3 the rows keep its rank-2
     truncation, whose compression may or may not be negative. The witness
-    is certified when the compression of the materialized rows has an
-    eigenvalue below -NEG_TOL; best_value is that eigenvalue either way,
-    and evaluations is 1.
+    is certified when the compression by these rows has an eigenvalue below
+    -NEG_TOL; best_value is that eigenvalue either way.
     """
     g = pt_of(state)
     dec = linalg.eig_hermitian(g)
     report = _npt_report(dec.values)
     u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(3, 3))[0]
-    proj = RankTwoProjection(FORM_GENERAL, {"rows": u[:, :2].conj().T})
-    report.best_value = projected_min_eig(g, proj.materialize())
-    report.evaluations = 1
+    rows = u[:, :2].conj().T
+    report.best_value = projected_min_eig(g, rows)
     if report.best_value < -NEG_TOL:
-        report.witness, report.witness_value = proj, report.best_value
+        report.witness = rows
         report.evidence_level = "certified"
     return report
 
@@ -419,6 +387,5 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     for solves, t in enumerate(real, start=3):
         w = eigs(t)
         if abs(w[idx]) <= 1e-10 * np.abs(w).max():
-            return ThresholdResult(x_star=float(t), bracket=(lo, hi), target=target,
-                                   iterations=solves)
+            return ThresholdResult(x_star=float(t), bracket=(lo, hi), iterations=solves)
     raise linalg.NoConvergence(f"no pencil root in ({lo}, {hi}) zeroes {target}")

@@ -312,14 +312,6 @@ class SpanExclusionVerdict:
     residual_01: float
     product_vector: Optional[ProductVectorResult] = None
 
-    def to_json(self) -> dict:
-        return {
-            "contained": bool(self.contained),
-            "residual_00": float(self.residual_00),
-            "residual_01": float(self.residual_01),
-            "product_vector": None if self.product_vector is None else self.product_vector.to_json(),
-        }
-
 
 def span_0001_exclusion_check(state: states.QutritState) -> SpanExclusionVerdict:
     """Does the range contain span{|00>, |01>}? If yes, look for a kernel

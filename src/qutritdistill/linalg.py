@@ -72,11 +72,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def herm_defect(m) -> float:
-    a = as_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def check_hermitian(m) -> np.ndarray:
     """Return m as an array, raising NotHermitian if ||M - M^dag|| is too big.
 
@@ -86,7 +81,7 @@ def check_hermitian(m) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"not square: {a.shape}")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    defect, bound = herm_defect(a), HERM_TOL * scale
+    defect, bound = float(np.abs(a - a.conj().T).max()), HERM_TOL * scale
     if defect > bound:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {bound:.3e}")
     return a

@@ -111,8 +111,7 @@ def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndar
     if form is None:
         raise ValueError(f"unknown form_id {form_id}; expected 1 or 2")
     values = (params,) if np.isscalar(params) else tuple(params)
-    proj = distill.RankTwoProjection(form, dict(zip(distill.FAMILIES[form].keys, values)))
-    out = distill.projected_matrix(_mixed_frame_pt(float(x)), proj.materialize())
+    out = distill.projected_matrix(_mixed_frame_pt(float(x)), distill.family_rows(form, values))
     linalg.check_hermitian(out)
     return 0.5 * (out + out.conj().T)
 
@@ -401,6 +400,8 @@ class MinorScanSpec:
             raise ValueError("empty grid range")
         if not self.c_values:
             raise ValueError("need at least one c value")
+        if not np.isfinite(np.array(self.c_values, dtype=complex)).all():
+            raise ValueError("c values must be finite")
 
     @property
     def scale(self) -> float:

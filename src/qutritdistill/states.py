@@ -76,16 +76,11 @@ CASES = tuple(CASE_INDEX)
 
 @dataclass(frozen=True)
 class QutritState:
-    """A 9x9 density matrix plus its five defining eigenvalues.
-
-    degenerate flags an eigenvalue hitting zero (rank drop below five).
-    """
+    """A 9x9 density matrix, with the family case and x that built it, if any."""
 
     rho: np.ndarray
-    eigenvalues: np.ndarray
     case_id: str | None = None
     x: float | None = None
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ class LocalOperator:
 def build_family(case_id: str, x: float) -> QutritState:
     """State with eigenvalue x on the case's distinguished eigenvector and
     (1-x)/4 on the other four. x is accepted on the closed interval [0, 1];
-    endpoints produce rank-degenerate states carried with degenerate=True."""
+    the endpoints give rank four (x = 0) and rank one (x = 1)."""
     if case_id not in CASE_INDEX:
         raise ValueError(f"unknown case {case_id!r}; expected one of {CASES}")
     if not (0.0 <= x <= 1.0):
@@ -117,13 +112,7 @@ def build_family(case_id: str, x: float) -> QutritState:
     rho = np.zeros((DIM, DIM), dtype=complex)
     for w, vec in zip(lam, SYMMETRIC_BASIS):
         rho += w * np.outer(vec, vec.conj())
-    return QutritState(
-        rho=rho,
-        eigenvalues=lam,
-        case_id=case_id,
-        x=float(x),
-        degenerate=bool(np.any(lam < 1e-15)),
-    )
+    return QutritState(rho=rho, case_id=case_id, x=float(x))
 
 
 def uniform_state_on_span(vectors) -> QutritState:
@@ -137,9 +126,7 @@ def uniform_state_on_span(vectors) -> QutritState:
     k = basis.shape[1]
     if k == 0:
         raise ZeroVector("span is empty")
-    rho = (basis @ basis.conj().T) / k
-    lam = np.full(k, 1.0 / k)
-    return QutritState(rho=rho, eigenvalues=lam)
+    return QutritState(rho=(basis @ basis.conj().T) / k)
 
 
 def hadamard_on_01() -> np.ndarray:
@@ -169,22 +156,15 @@ def apply_local(state: QutritState | np.ndarray, op: LocalOperator) -> np.ndarra
     return big @ rho @ big.conj().T
 
 
-def normalize(m: np.ndarray) -> np.ndarray:
-    """Scale to unit trace (display helper; the library keeps raw scaling)."""
-    t = complex(np.trace(m)).real
-    if abs(t) < 1e-300:
-        raise ZeroVector("trace is zero")
-    return m / t
-
-
 def from_density(m: np.ndarray, case_id=None, x=None) -> QutritState:
     """Wrap an arbitrary density matrix (renormalized to unit trace)."""
     rho = linalg.as_matrix(np.asarray(m, dtype=complex))
     linalg.check_hermitian(rho)
-    rho = normalize(0.5 * (rho + rho.conj().T))
-    lam = np.linalg.eigvalsh(rho)
-    return QutritState(rho=rho, eigenvalues=lam, case_id=case_id, x=x,
-                       degenerate=bool(np.any(lam < 1e-15)))
+    rho = 0.5 * (rho + rho.conj().T)
+    t = complex(np.trace(rho)).real
+    if abs(t) < 1e-300:
+        raise ZeroVector("trace is zero")
+    return QutritState(rho=rho / t, case_id=case_id, x=x)
 
 
 def range_kernel(state: QutritState | np.ndarray):

@@ -72,7 +72,7 @@ def test_criterion_4_witnesses_in_distillable_regions():
     for case, xs in (("v", xs_v), ("i", xs_i)):
         for x in xs:
             rep = distill.witness_search(states.build_family(case, float(x)))
-            if rep.witness is None or rep.witness_value >= -1e-10:
+            if rep.witness is None or rep.best_value >= -1e-10:
                 failures.append((case, float(x)))
     dt = time.perf_counter() - t0
     ok = not failures and dt < 60.0

@@ -159,7 +159,9 @@ def test_witness_report_field_names(capsys, tmp_path):
         "evaluations",
     ):
         assert key in doc
-    assert doc["evaluations"] == witness_search(states.build_family("v", 0.5)).evaluations
+    rep = witness_search(states.build_family("v", 0.5))
+    assert doc["negative_count"] == rep.inertia.negative >= 2
+    assert doc["evaluations"] == 1
 
 
 def test_witness_has_no_budget_option(capsys, tmp_path):
@@ -200,8 +202,8 @@ def test_tol_is_a_usage_error(capsys, tmp_path, argv):
 
 
 def test_witness_best_value_is_the_certified_value(capsys, tmp_path):
-    # the certified value is re-solved from the materialized rows; the
-    # report must carry that one number as both best_value and value
+    # the certified value is the one eigensolve of the compression by the
+    # witness rows; the report must carry it as both best_value and value
     code, out, _ = run(capsys, ["witness", "--case", "i", "--x", "0.3", "--strategy", "c",
                                 "--json", "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -470,6 +472,8 @@ THRESHOLD = ["threshold", "--case", "v", "--target", "min-eig", "--bracket"]
     ["verify-example", "--grid-step", "nan"],
     ["kernel", "--basis-file", "NAN_ENTRY"],
     ["kernel", "--basis-file", "ALL_ZERO"],
+    ["grid", "--which", "F", "--step", "0.5", "--c=nan"],
+    ["grid", "--which", "alpha1_psd", "--step", "1", "--c=inf", "--json"],
 ])
 def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     vectors = np.eye(9)[:5].astype(complex)

@@ -9,7 +9,7 @@ import pytest
 from qutritdistill import distill, linalg, states
 from qutritdistill.distill import (
     NoSignChange,
-    RankTwoProjection,
+    family_rows,
     find_threshold,
     npt_check,
     precondition_report,
@@ -35,21 +35,21 @@ def test_npt_check_one_negative_point():
     rep = npt_check(states.build_family("v", 1 / 7))
     assert rep.is_npt
     assert tuple(rep.inertia) == (1, 0, 8)
-    assert rep.negative_count == 1
+    assert rep.inertia.negative == 1
     assert rep.min_eig_gamma < -1e-4
 
 
 def test_npt_check_ppt_window():
     rep = npt_check(states.build_family("v", 0.2))
     assert not rep.is_npt
-    assert rep.negative_count == 0
+    assert rep.inertia.negative == 0
     assert rep.min_eig_gamma >= -1e-12
 
 
 def test_npt_check_two_negative_point():
     rep = npt_check(states.build_family("v", 0.5))
     assert rep.is_npt
-    assert rep.negative_count >= 2
+    assert rep.inertia.negative >= 2
 
 
 def test_is_npt_follows_the_inertia():
@@ -58,7 +58,7 @@ def test_is_npt_follows_the_inertia():
     for case in states.CASES:
         for x in np.linspace(0.0, 1.0, 500):
             rep = npt_check(states.build_family(case, float(x)))
-            assert rep.is_npt == (rep.negative_count > 0), (case, x)
+            assert rep.is_npt == (rep.inertia.negative > 0), (case, x)
     below = npt_check(states.build_family("v", C1 - 1e-10))
     above = npt_check(states.build_family("v", C1 + 1e-10))
     assert below.is_npt and tuple(below.inertia) == (1, 0, 8)
@@ -72,35 +72,10 @@ def test_npt_check_matches_direct_eigenvalues():
             rep = npt_check(st)
             lam = np.linalg.eigvalsh(partial_transpose(st.rho, 3, 3))
             assert abs(rep.min_eig_gamma - lam[0]) <= 1e-12
-            assert rep.negative_count == int(np.sum(lam < -1e-10))
+            assert rep.inertia.negative == int(np.sum(lam < -1e-10))
 
 
 # --------------------------------------------------------------- projections
-
-
-def test_rank_two_projection_materialize():
-    p = RankTwoProjection("P2bc", {"b": 0, "c": 0.5})
-    rows = p.materialize()
-    assert rows.shape == (2, 3)
-    # raw two-parameter rows, full row rank; only the sign of the compressed
-    # bottom eigenvalue matters, so no orthonormalization happens here
-    np.testing.assert_allclose(rows[0], [1, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(rows[1], [0, 1, 0.5], atol=1e-15)
-    assert np.linalg.matrix_rank(rows) == 2
-
-
-def test_rank_two_projection_rejects_rank_deficient():
-    with pytest.raises(Exception):
-        RankTwoProjection(
-            "general", {"rows": [[1, 0, 0], [1, 0, 0]]}
-        ).materialize()
-
-
-def test_rank_two_projection_general_requires_orthonormal():
-    with pytest.raises(Exception):
-        RankTwoProjection(
-            "general", {"rows": [[1, 0, 0], [0.5, 0.5, 0]]}
-        ).materialize()
 
 
 def test_projected_min_eig_matches_dense_eig():
@@ -119,17 +94,24 @@ def test_projected_min_eig_matches_dense_eig():
 def test_family_rows_set_their_slots():
     y, a, b, c = 0.5 - 2j, -1.25j, 3.0 + 0.5j, -0.75
     cases = (
-        ("P2bc", {"b": 0j, "c": y}, [[1, 0, 0], [0, 1, y]]),
-        ("P1a", {"a": a}, [[1, a, 0], [0, 0, 1]]),
-        ("P2bc", {"b": b, "c": c}, [[1, 0, b], [0, 1, c]]),
+        ("P2bc", (0, 0.5), [[1, 0, 0], [0, 1, 0.5]]),
+        ("P2bc", (0j, y), [[1, 0, 0], [0, 1, y]]),
+        ("P1a", (a,), [[1, a, 0], [0, 0, 1]]),
+        ("P2bc", (b, c), [[1, 0, b], [0, 1, c]]),
     )
-    for form, params, expected in cases:
-        rows = RankTwoProjection(form, params).materialize()
+    for form, values, expected in cases:
+        rows = family_rows(form, values)
+        # raw parameter rows of full row rank, not orthonormalized: only the
+        # sign of the compressed bottom eigenvalue matters
         assert np.array_equal(rows, np.array(expected, dtype=complex))
+        assert np.linalg.matrix_rank(rows) == 2
     # one family per chart: P2bc at b = 0 holds the rows (1, 0, 0), (0, 1, y)
     assert set(distill.FAMILIES) == {"P1a", "P2bc"}
-    with pytest.raises(ValueError, match="unknown form"):
-        RankTwoProjection("Ay", {"y": y}).materialize()
+    with pytest.raises(KeyError):
+        family_rows("Ay", (y,))
+    for form, values in (("P2bc", (b,)), ("P1a", (a, b))):
+        with pytest.raises(ValueError, match="parameters"):
+            family_rows(form, values)
 
 
 def _bits(a):
@@ -195,8 +177,7 @@ def test_compression_chunks_match_projected_matrix():
         batch = np.concatenate(list(distill.compression_chunks(bases, thetas)))
         assert batch.shape == (6, 6, 6)
         for n in range(6):
-            params = {k: theta[n] for k, theta in zip(family.keys, thetas)}
-            one = distill.projected_matrix(g, RankTwoProjection(form, params).materialize())
+            one = distill.projected_matrix(g, family_rows(form, [theta[n] for theta in thetas]))
             assert np.abs(batch[n] - one).max() <= 1e-13 * max(1.0, np.abs(one).max())
 
 
@@ -251,14 +232,14 @@ def test_compression_chunks_reject_non_finite_products(bad):
 def test_witness_found_case_i_low_x():
     rep = witness_search(states.build_family("i", 0.05))
     assert rep.witness is not None
-    assert rep.witness_value < -1e-10
+    assert rep.best_value < -1e-10
     assert rep.evidence_level == "certified"
 
 
 def test_witness_found_case_v_high_x():
     rep = witness_search(states.build_family("v", 0.9))
     assert rep.witness is not None
-    assert rep.witness_value < -1e-10
+    assert rep.best_value < -1e-10
 
 
 def test_no_witness_at_reference_point():
@@ -274,11 +255,10 @@ def test_witness_soundness_reverify():
         st = states.build_family(case, x)
         rep = witness_search(st)
         assert rep.witness is not None
-        rows = rep.witness.materialize()
         g = pt_mat(st)
-        val = projected_min_eig(g, rows)
+        val = projected_min_eig(g, rep.witness)
         assert val < -1e-12
-        assert abs(val - rep.witness_value) <= 1e-9
+        assert abs(val - rep.best_value) <= 1e-9
 
 
 def test_witness_lifts_to_schmidt_rank_two_vector():
@@ -297,8 +277,8 @@ def test_witness_search_deterministic():
         st = states.build_family("v", x)
         a, b = witness_search(st), witness_search(st)
         assert a.best_value == b.best_value
-        assert a.evaluations == b.evaluations == 1
         assert a.to_json() == b.to_json()
+        assert a.to_json()["evaluations"] == 1
 
 
 def random_states_with_two_or_more_negative_eigenvalues(n_each=4):
@@ -312,7 +292,7 @@ def random_states_with_two_or_more_negative_eigenvalues(n_each=4):
             rho /= np.trace(rho).real
             w = np.linalg.eigvalsh(partial_transpose(rho, 3, 3))
             if linalg.inertia_of_spectrum(w).negative >= 2:
-                yield states.QutritState(rho=rho, eigenvalues=np.linalg.eigvalsh(rho)), w
+                yield states.QutritState(rho=rho), w
 
 
 def test_strategy_c_certifies_two_negative_eigenvalues_in_one_evaluation():
@@ -321,10 +301,11 @@ def test_strategy_c_certifies_two_negative_eigenvalues_in_one_evaluation():
     seen = 0
     for st, w in random_states_with_two_or_more_negative_eigenvalues():
         rep = witness_search(st)
-        assert rep.evaluations == 1
+        doc = rep.to_json()
+        assert doc["evaluations"] == 1
         assert rep.evidence_level == "certified"
-        assert rep.witness.form == "general"
-        assert rep.witness_value <= w[1] + 1e-12
+        assert doc["witness"]["form"] == "general"
+        assert rep.best_value <= w[1] + 1e-12
         seen += 1
     assert seen >= 20
 
@@ -336,7 +317,7 @@ def test_strategy_c_on_the_family_outside_the_window():
     for case in states.CASES:
         for x in np.linspace(0.001, 0.999, 500):
             rep = witness_search(states.build_family(case, float(x)))
-            assert rep.evaluations == 1
+            assert rep.to_json()["evaluations"] == 1
             window = case == "v" and C2 <= x <= C1
             if rep.is_npt and not window:
                 assert rep.evidence_level == "certified", (case, x)
@@ -356,10 +337,10 @@ def test_witness_value_is_bounded_by_the_partial_transpose():
             rep = witness_search(st)
             if rep.witness is None:
                 continue
-            rows = rep.witness.materialize()
+            rows = rep.witness
             assert np.abs(rows @ rows.conj().T - np.eye(2)).max() <= 1e-12, (case, x)
             lam = np.linalg.eigvalsh(pt_mat(st))[0]
-            assert lam - 1e-12 <= rep.witness_value < -1e-10, (case, x)
+            assert lam - 1e-12 <= rep.best_value < -1e-10, (case, x)
             certified += 1
     assert certified >= 400
 
@@ -377,8 +358,10 @@ def test_report_json_fields():
         "best_value",
         "evaluations",
     }
-    assert doc["evaluations"] == rep.evaluations
+    assert doc["negative_count"] == rep.inertia.negative
+    assert doc["evaluations"] == 1
     assert set(doc["witness"].keys()) == {"form", "params", "value"}
+    assert doc["witness"]["value"] == rep.best_value
 
 
 # ------------------------------------------------------------ threshold search

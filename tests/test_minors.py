@@ -80,7 +80,7 @@ def test_form1_psd_scan_reports_true_margin():
     assert all_psd
     for e in entries:
         tol = 1e-14 * (1.0 + abs(e["a"]) ** 2)
-        rows = distill.RankTwoProjection(distill.FORM_P1A, {"a": e["a"]}).materialize()
+        rows = distill.family_rows(distill.FORM_P1A, (e["a"],))
         direct = np.linalg.eigvalsh(build_projected(1, e["a"]))[0]
         assert abs(e["min_eigenvalue"] - direct) <= tol
         assert abs(e["min_eigenvalue"] - distill.projected_min_eig(g, rows)) <= tol

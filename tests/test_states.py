@@ -4,7 +4,7 @@ range/kernel extraction, Schmidt ranks, wrapping a density matrix."""
 import numpy as np
 import pytest
 
-from qutritdistill import states
+from qutritdistill import linalg, states
 from qutritdistill.linalg import partial_transpose
 from qutritdistill.states import (
     CASES,
@@ -46,7 +46,7 @@ def test_case_index_is_a_permutation():
 
 def test_family_pure_at_one():
     st = build_family("v", 1.0)
-    assert st.degenerate
+    assert linalg.matrix_rank(st.rho, tol=1e-10) == 1
     lam = np.sort(np.linalg.eigvalsh(st.rho))
     np.testing.assert_allclose(lam[-1], 1.0, atol=1e-12)
     assert np.sum(lam > 1e-12) == 1
@@ -77,8 +77,9 @@ def test_family_rejects_out_of_range():
 
 
 def test_family_degenerate_flag_at_zero():
-    assert build_family("i", 0.0).degenerate
-    assert not build_family("i", 0.3).degenerate
+    # x = 0 drops the case's eigenvector from the range: rank four, not five
+    assert linalg.matrix_rank(build_family("i", 0.0).rho, tol=1e-10) == 4
+    assert linalg.matrix_rank(build_family("i", 0.3).rho, tol=1e-10) == 5
 
 
 def test_family_invariants_over_grid():
