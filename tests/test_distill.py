@@ -91,10 +91,19 @@ def test_projected_min_eig_matches_dense_eig():
         assert abs(projected_min_eig(g, rows) - dense) <= 1e-12
 
 
+def test_rank_two_projection_materialize():
+    rows = family_rows("P2bc", (0, 0.5))
+    assert rows.shape == (2, 3)
+    # raw two-parameter rows, full row rank; only the sign of the compressed
+    # bottom eigenvalue matters, so no orthonormalization happens here
+    np.testing.assert_allclose(rows[0], [1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(rows[1], [0, 1, 0.5], atol=1e-15)
+    assert np.linalg.matrix_rank(rows) == 2
+
+
 def test_family_rows_set_their_slots():
     y, a, b, c = 0.5 - 2j, -1.25j, 3.0 + 0.5j, -0.75
     cases = (
-        ("P2bc", (0, 0.5), [[1, 0, 0], [0, 1, 0.5]]),
         ("P2bc", (0j, y), [[1, 0, 0], [0, 1, y]]),
         ("P1a", (a,), [[1, a, 0], [0, 0, 1]]),
         ("P2bc", (b, c), [[1, 0, b], [0, 1, c]]),
