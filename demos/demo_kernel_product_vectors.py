@@ -12,6 +12,7 @@ import numpy as np
 from qutritdistill import kernel_product_vector
 from qutritdistill.kernel import (
     antisymmetric_lemma_applies,
+    candidate_product_vector,
     decide_kernel,
     eq5_family_basis,
     product_vector_in_2x3_complement,
@@ -28,14 +29,14 @@ def sym(i, j):
 st1 = uniform_state_on_span(
     [basis_ket(0, 0), basis_ket(1, 1), sym(0, 1), sym(0, 2), sym(1, 2)]
 )
-res = kernel_product_vector(st1, mode="exact_cases")
+res = candidate_product_vector(st1)
 print(f"range type 1: found={res.found}, overlap with |22> = "
       f"{abs(np.vdot(res.vector, basis_ket(2, 2))):.6f}, residual {res.residual:.1e}")
 
 st2 = uniform_state_on_span(
     [basis_ket(0, 0), basis_ket(1, 1), basis_ket(2, 2), sym(0, 2), sym(1, 2)]
 )
-res = kernel_product_vector(st2, mode="exact_cases")
+res = candidate_product_vector(st2)
 print(f"range type 2: found={res.found}, overlap with |01> = "
       f"{abs(np.vdot(res.vector, basis_ket(0, 1))):.6f}")
 
@@ -69,6 +70,6 @@ for s in ((1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2), (0.1, 0.45, 0.45)):
 rng = np.random.default_rng(11)
 for d in (4, 5):
     st = uniform_state_on_span(list(rng.normal(size=(d, 9)) + 1j * rng.normal(size=(d, 9))))
-    res = kernel_product_vector(st, mode="search")
+    res = kernel_product_vector(st)
     print(f"random {d}-dim range: found={res.found} ({res.evidence_level}), "
           f"residual {res.residual:.1e}, margin {res.margin}")

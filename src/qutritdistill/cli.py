@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import distill, kernel, linalg, minors, states
+from . import distill, kernel, minors, states
 from ._fmt import json_dumps, sig17, write_csv
 
 EXIT_OK = 0
@@ -103,15 +103,11 @@ def cmd_scan(args) -> int:
     xs = np.linspace(x_min, x_max, args.steps)
     rows = []
     for x in xs:
-        state = states.build_family(args.case, float(x))
-        eigs = np.linalg.eigvalsh(distill.pt_of(state))
-        inert = linalg.inertia_of_spectrum(eigs)
-        found, wval = False, float("nan")
-        if inert.negative:
-            rep = distill.witness_search(state)
-            found, wval = rep.witness is not None, rep.best_value
-        rows.append([float(x), float(eigs[0]), float(eigs[1]), inert.negative,
-                     1.0 if found else 0.0, float(wval)])
+        rep = distill.witness_search(states.build_family(args.case, float(x)))
+        negative = rep.inertia.negative
+        rows.append([float(x), float(rep.spectrum[0]), float(rep.spectrum[1]), negative,
+                     1.0 if rep.witness is not None else 0.0,
+                     rep.best_value if negative else float("nan")])
 
     csv_path = _outpath(args, f"scan_{args.case}.csv")
     write_csv(csv_path, ["x", "min_eig_gamma", "second_eig_gamma", "negative_count",
@@ -307,8 +303,8 @@ def cmd_kernel(args) -> int:
     else:
         raise UsageError("need either --case or --basis-file")
     try:
-        exact = kernel.kernel_product_vector(state, mode="exact_cases")
-        searched = kernel.kernel_product_vector(state, mode="search")
+        exact = kernel.candidate_product_vector(state)
+        searched = kernel.kernel_product_vector(state)
     except kernel.EmptyKernel:
         raise UsageError("state has a trivial kernel; nothing to search")
     payload = dict(label)
@@ -348,7 +344,7 @@ def cmd_grid(args) -> int:
     csv_path = _outpath(args, f"{args.which}_grid.csv")
     try:
         gs = minors.scan(spec, out_csv=csv_path)
-    except (distill.NonFiniteProduct, minors.NonFiniteValue) as exc:
+    except distill.NonFiniteValue as exc:
         raise UsageError(f"grid too large for float64: {exc}") from exc
     payload = gs.to_json()
     payload["csv"] = csv_path

@@ -11,8 +11,9 @@ vectors are the orthonormal rows of the projection, and one eigensolve of
 the compression decides. The witness is those 2x3 rows, a plain array,
 certified when their compression has an eigenvalue below -NEG_TOL;
 otherwise the report keeps the value reached, which proves nothing about
-other projections. A report is NPT exactly when the partial transpose's
-inertia counts a negative eigenvalue.
+other projections. A report holds the ascending spectrum of the partial
+transpose and derives the rest of its NPT verdict from it: the report is
+NPT exactly when the spectrum's inertia counts a negative eigenvalue.
 
 The compressions that minors scans use run over two parametrized families
 of 2x3 row matrices, defined once in FAMILIES and set at a point by
@@ -30,7 +31,7 @@ leading blocks. A chunk sums, entry by entry, only the terms whose base
 entry is nonzero, into a contiguous (k, k, m) array yielded as its
 transposed view; skipping the exact zeros leaves every bit of the dense
 sum, as long as no parameter product c_i conj(c_j) overflows, which raises
-NonFiniteProduct instead.
+NonFiniteValue instead.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class NoSignChange(ValueError):
     pass
 
 
-class NonFiniteProduct(ValueError):
-    """A parameter product c_i conj(c_j) of compression_chunks is not finite."""
+class NonFiniteValue(ValueError):
+    """A value overflowed float64: a parameter product c_i conj(c_j) of
+    compression_chunks, or a grid value of minors.scan."""
 
 
 def family_rows(form: str, values) -> np.ndarray:
@@ -88,12 +90,22 @@ def family_rows(form: str, values) -> np.ndarray:
 
 @dataclass
 class DistillReport:
-    is_npt: bool
-    inertia: linalg.Inertia
-    min_eig_gamma: float
+    spectrum: np.ndarray  # eigenvalues of the partial transpose, ascending
     witness: Optional[np.ndarray] = None  # the 2x3 orthonormal rows, when certified
     evidence_level: str = "not_found_at_budget"
     best_value: Optional[float] = None
+
+    @property
+    def inertia(self) -> linalg.Inertia:
+        return linalg.inertia_of_spectrum(self.spectrum)
+
+    @property
+    def is_npt(self) -> bool:
+        return self.inertia.negative > 0
+
+    @property
+    def min_eig_gamma(self) -> float:
+        return float(self.spectrum[0])
 
     def to_json(self) -> dict:
         wit = None
@@ -103,11 +115,12 @@ class DistillReport:
                 "params": {"rows": [[complex_pair(z) for z in row] for row in self.witness]},
                 "value": float(self.best_value),
             }
+        inert = self.inertia
         return {
-            "is_npt": bool(self.is_npt),
-            "inertia": [self.inertia.negative, self.inertia.zero, self.inertia.positive],
-            "min_eig_gamma": float(self.min_eig_gamma),
-            "negative_count": self.inertia.negative,
+            "is_npt": inert.negative > 0,
+            "inertia": list(inert),
+            "min_eig_gamma": self.min_eig_gamma,
+            "negative_count": inert.negative,
             "witness": wit,
             "evidence_level": self.evidence_level,
             "best_value": self.best_value,
@@ -122,21 +135,13 @@ class ThresholdResult:
     iterations: int = 0
 
 
-def pt_of(state: states.QutritState | np.ndarray) -> np.ndarray:
-    rho = state.rho if isinstance(state, states.QutritState) else np.asarray(state, dtype=complex)
-    return linalg.partial_transpose(rho, states.DIM_A, states.DIM_B)
+def pt_of(state: states.QutritState) -> np.ndarray:
+    return linalg.partial_transpose(state.rho, states.DIM_A, states.DIM_B)
 
 
 def npt_check(state: states.QutritState) -> DistillReport:
     """NPT verdict with the partial-transpose inertia; no witness search."""
-    return _npt_report(linalg.eig_hermitian(pt_of(state)).values)
-
-
-def _npt_report(w: np.ndarray) -> DistillReport:
-    """npt_check of the state whose partial transpose has spectrum w: NPT
-    exactly when linalg.inertia_of_spectrum counts a negative eigenvalue."""
-    inert = linalg.inertia_of_spectrum(w)
-    return DistillReport(is_npt=inert.negative > 0, inertia=inert, min_eig_gamma=float(w[0]))
+    return DistillReport(spectrum=linalg.eig_hermitian(pt_of(state)).values)
 
 
 def _kron_eye3(rows: np.ndarray) -> np.ndarray:
@@ -195,7 +200,7 @@ def compression_chunks(bases: list, params, k: int = 6):
 
     The skipped terms are only harmless while every product is finite: a
     dense sum turns an overflowed product into NaN through inf * 0, so a
-    non-finite product raises NonFiniteProduct before anything is summed.
+    non-finite product raises NonFiniteValue before anything is summed.
 
     The products c_i conj(c_j) are formed once over all n points. From
     16384 points (256 KiB) on, numpy reuses the temporary conj(c_j) as the
@@ -207,7 +212,7 @@ def compression_chunks(bases: list, params, k: int = 6):
     with np.errstate(over="ignore", invalid="ignore"):
         products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
     if not all(np.isfinite(pij).all() for prow in products for pij in prow):
-        raise NonFiniteProduct("a parameter product c_i conj(c_j) is not finite")
+        raise NonFiniteValue("a parameter product c_i conj(c_j) is not finite")
     pairs = [(pij, bij) for prow, brow in zip(products, bases) for pij, bij in zip(prow, brow)]
     terms = [[(pij, bij[r, s]) for pij, bij in pairs if bij[r, s] != 0]
              for r in range(k) for s in range(k)]
@@ -246,10 +251,9 @@ def witness_search(state: states.QutritState) -> DistillReport:
     """
     g = pt_of(state)
     dec = linalg.eig_hermitian(g)
-    report = _npt_report(dec.values)
     u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(3, 3))[0]
     rows = u[:, :2].conj().T
-    report.best_value = projected_min_eig(g, rows)
+    report = DistillReport(spectrum=dec.values, best_value=projected_min_eig(g, rows))
     if report.best_value < -NEG_TOL:
         report.witness = rows
         report.evidence_level = "certified"
@@ -269,8 +273,10 @@ def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
     which makes the state 1-distillable: for A and B the 3x3 coefficient
     matrices of a and b, det(mA + nB) is a homogeneous cubic, so it has a
     root (m : n) and mA + nB has rank <= 2. The vector is m a + n b at the
-    root from linalg.pencil_roots of lowest Schmidt rank, ties broken by the
-    smallest third singular value. When the cubic vanishes identically,
+    root from linalg.pencil_roots of lowest Schmidt rank (singular values
+    above states.SCHMIDT_TOL; unit roots of orthonormal a, b give unit
+    vectors), ties broken by the smallest third singular value, both from
+    one batched SVD of the 3x3 reshapes. When the cubic vanishes identically,
     every vector of the span qualifies and a stands for them. The least
     rank is exact for k = 2 (a rank-one mA + nB sits at a root); for k >= 3
     it is an upper bound from the span of two eigenvectors.
@@ -283,9 +289,9 @@ def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
         roots = linalg.pencil_roots(a.reshape(3, 3), b.reshape(3, 3))
     except linalg.SingularPencil:
         return a
-    return min((m * a + n * b for m, n in roots),
-               key=lambda v: (states.schmidt_rank(v),
-                              np.linalg.svd(v.reshape(3, 3), compute_uv=False)[2]))
+    vs = [m * a + n * b for m, n in roots]
+    s = np.linalg.svd(np.reshape(vs, (-1, 3, 3)), compute_uv=False)
+    return vs[np.lexsort((s[:, 2], np.count_nonzero(s > states.SCHMIDT_TOL, axis=1)))[0]]
 
 
 def precondition_report(state: states.QutritState) -> dict:
@@ -319,7 +325,7 @@ def precondition_report(state: states.QutritState) -> dict:
     srank = states.schmidt_rank(_negative_schmidt_vector(dec)) if inert.negative else None
 
     try:
-        pv = kernel.kernel_product_vector(state, mode="search")
+        pv = kernel.kernel_product_vector(state)
         kernel_item = {
             "pass": not pv.found,
             "evidence_level": pv.evidence_level,

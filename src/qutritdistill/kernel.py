@@ -254,44 +254,40 @@ def antisymmetric_lemma_applies(ker: np.ndarray) -> bool:
     return bool(np.linalg.svd(sym, compute_uv=False)[-1] > LEMMA_RANK_TOL)
 
 
-def kernel_product_vector(state: states.QutritState,
-                          mode: str = "exact_cases") -> ProductVectorResult:
-    """Look for a product vector in ker rho.
-
-    mode="exact_cases": test the two explicit candidates |22> and |01> by
-    projection residual against the kernel projector (evidence "certified"
-    for a hit, "not_found_at_budget" otherwise).
-    mode="search": when antisymmetric_lemma_applies, no product vector
-    exists: evidence "proved" for a family state with 0 < x < 1, whose
-    kernel is derived symbolically, "certified" for any other state.
-    Otherwise the exact decision of decide_kernel: a certified product vector, a
-    certified none with its margin, or "not_found_at_budget" when no zero of
-    the minors passes the residual check. Nothing is random.
-    """
+def _range_kernel(state: states.QutritState) -> tuple[np.ndarray, np.ndarray]:
+    """states.range_kernel, raising EmptyKernel when the kernel is trivial."""
     rng, ker = states.range_kernel(state)
     if ker.shape[1] == 0:
         raise EmptyKernel("state has trivial kernel")
+    return rng, ker
 
-    if mode == "exact_cases":
-        proj = ker @ ker.conj().T
-        best = None
-        for a, b in ((2, 2), (0, 1)):
-            cand = states.basis_ket(a, b)
-            residual = float(np.linalg.norm(cand - proj @ cand))
-            if residual <= 1e-12:
-                u = np.zeros(3, dtype=complex)
-                w = np.zeros(3, dtype=complex)
-                u[a] = 1.0
-                w[b] = 1.0
-                return ProductVectorResult(found=True, vector=cand, u=u, w=w,
-                                           residual=residual)
-            if best is None or residual < best:
-                best = residual
-        return ProductVectorResult(found=False, vector=None, u=None, w=None, residual=best)
 
-    if mode != "search":
-        raise ValueError(f"unknown mode {mode!r}; expected 'exact_cases' or 'search'")
+def candidate_product_vector(state: states.QutritState) -> ProductVectorResult:
+    """Test the two explicit candidates |22> and |01> by projection residual
+    against the kernel projector: evidence "certified" for the first hit,
+    "not_found_at_budget" with the least residual otherwise."""
+    _, ker = _range_kernel(state)
+    proj, residuals = ker @ ker.conj().T, []
+    for a, b in ((2, 2), (0, 1)):
+        cand = states.basis_ket(a, b)
+        residuals.append(float(np.linalg.norm(cand - proj @ cand)))
+        if residuals[-1] <= 1e-12:
+            unit = np.eye(3, dtype=complex)
+            return ProductVectorResult(True, cand, unit[a], unit[b], residuals[-1])
+    return ProductVectorResult(False, None, None, None, min(residuals))
 
+
+def kernel_product_vector(state: states.QutritState) -> ProductVectorResult:
+    """Decide whether ker rho holds a product vector.
+
+    When antisymmetric_lemma_applies, none exists: evidence "proved" for a
+    family state with 0 < x < 1, whose kernel is derived symbolically,
+    "certified" for any other state. Otherwise the exact decision of
+    decide_kernel: a certified product vector, a certified none with its
+    margin, or "not_found_at_budget" when no zero of the minors passes the
+    residual check. Nothing is random.
+    """
+    rng, ker = _range_kernel(state)
     if antisymmetric_lemma_applies(ker):
         family = (state.case_id in states.CASE_INDEX and state.x is not None and 0 < state.x < 1
                   and np.array_equal(state.rho, states.build_family(state.case_id, state.x).rho))

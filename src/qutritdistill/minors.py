@@ -72,11 +72,6 @@ _FORMS = {1: distill.FORM_P1A, 2: distill.FORM_P2BC}
 _AUTO_SCALE = {"F": float(SCALE_F), "G": float(SCALE_G)}
 
 
-class NonFiniteValue(ValueError):
-    """A grid value of scan overflowed float64, though every parameter
-    product was finite."""
-
-
 # --- frame and compression ---------------------------------------------------
 
 
@@ -461,7 +456,7 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
         c_val = complex(c_val)
         values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x)
         if not np.all(np.isfinite(values)):
-            raise NonFiniteValue("non-finite value in grid scan")
+            raise distill.NonFiniteValue("non-finite value in grid scan")
         block = np.column_stack([
             b_flat.real, b_flat.imag,
             np.full(b_flat.size, c_val.real), np.full(b_flat.size, c_val.imag),

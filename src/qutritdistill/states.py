@@ -19,6 +19,7 @@ DIM_B = 3
 DIM = DIM_A * DIM_B
 RANGE_TOL = 1e-10  # eigenvalues above RANGE_TOL times the largest span the range
 SCHMIDT_TOL = 1e-9  # Schmidt coefficients of the unit vector counted nonzero
+SPAN_TOL = 1e-12  # singular values above SPAN_TOL max(1, the largest) span new directions
 
 
 class OutOfRange(ValueError):
@@ -116,17 +117,20 @@ def build_family(case_id: str, x: float) -> QutritState:
 
 
 def uniform_state_on_span(vectors) -> QutritState:
-    """Equal-weight state supported on the span of the given 9-vectors.
-
-    Orthonormalizes the span; useful for states specified by their range."""
-    vs = np.array([np.asarray(v, dtype=complex) for v in vectors])
-    q, r = np.linalg.qr(vs.T)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-    basis = q[:, keep]
-    k = basis.shape[1]
-    if k == 0:
+    """Equal-weight state on the span of the given 9-vectors, which may be
+    dependent: a vector is kept when the kept ones with it have more
+    singular values above SPAN_TOL max(1, the largest) than without it,
+    and QR orthonormalizes the kept ones."""
+    kept = []
+    for v in vectors:
+        cand = np.array(kept + [np.asarray(v, dtype=complex)])
+        s = np.linalg.svd(cand, compute_uv=False)
+        if np.count_nonzero(s > SPAN_TOL * max(1.0, s[0])) > len(kept):
+            kept.append(cand[-1])
+    if not kept:
         raise ZeroVector("span is empty")
-    return QutritState(rho=(basis @ basis.conj().T) / k)
+    basis = np.linalg.qr(np.array(kept).T)[0]
+    return QutritState(rho=(basis @ basis.conj().T) / len(kept))
 
 
 def hadamard_on_01() -> np.ndarray:

@@ -139,8 +139,8 @@ def test_criterion_6_kernel_checks():
     st_ii = states.uniform_state_on_span(
         [ket(0, 0), ket(1, 1), ket(2, 2), sym(0, 2), sym(1, 2)]
     )
-    res_i = kernel.kernel_product_vector(st_i, mode="exact_cases")
-    res_ii = kernel.kernel_product_vector(st_ii, mode="exact_cases")
+    res_i = kernel.candidate_product_vector(st_i)
+    res_ii = kernel.candidate_product_vector(st_ii)
     exact_ok = (
         res_i.found
         and res_i.residual <= 1e-12

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qutritdistill import cli, states
+from qutritdistill import cli, linalg, states
 from qutritdistill.cli import EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, NAMED_X, parse_x
 from qutritdistill.distill import witness_search
 
@@ -286,6 +286,33 @@ def test_scan_witness_column_covers_every_npt_point(capsys, tmp_path):
         assert all(row["witness_found"] == "0" for row in rows if row not in npt)
     assert found["i"] == found["ii"] == found["iii"] == found["iv"]
     assert found["i"].count("1") == 179
+
+
+def test_scan_takes_one_partial_transpose_per_x(capsys, tmp_path, monkeypatch):
+    # the witness report's decomposition gives every column of a row
+    calls = []
+    partial_transpose = linalg.partial_transpose
+
+    def counted(*args):
+        calls.append(args)
+        return partial_transpose(*args)
+
+    monkeypatch.setattr(linalg, "partial_transpose", counted)
+    code, _, _ = run(capsys, ["scan", "--case", "v", "--steps", "40", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len(calls) == 40
+
+
+def test_scan_eigenvalue_columns_are_the_witness_spectrum(capsys, tmp_path):
+    for case in states.CASES:
+        code, _, _ = run(capsys, ["scan", "--case", case, "--steps", "25", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / f"scan_{case}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            spectrum = witness_search(states.build_family(case, float(row["x"]))).spectrum
+            assert float(row["min_eig_gamma"]) == spectrum[0], (case, row["x"])
+            assert float(row["second_eig_gamma"]) == spectrum[1], (case, row["x"])
 
 
 def test_commands_run_without_scipy(tmp_path):

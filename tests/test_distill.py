@@ -231,7 +231,7 @@ def test_compression_chunks_reject_non_finite_products(bad):
     params = (np.array([0.5, bad, 1j]), np.zeros(3, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(distill.NonFiniteProduct):
+        with pytest.raises(distill.NonFiniteValue):
             next(distill.compression_chunks(bases, params, 4))
 
 

@@ -15,6 +15,7 @@ from qutritdistill.kernel import (
     NotSymmetric,
     SchmidtRankTooHigh,
     antisymmetric_lemma_applies,
+    candidate_product_vector,
     decide_kernel,
     eq5_family_basis,
     kernel_product_vector,
@@ -155,20 +156,20 @@ def test_pencil_four_generic_vectors_report_none():
 
 
 def test_exact_case_22():
-    res = kernel_product_vector(explicit_range_state("i"), mode="exact_cases")
+    res = candidate_product_vector(explicit_range_state("i"))
     assert res.found
     assert res.evidence_level == "certified"
     assert abs(abs(np.vdot(res.vector, ket(2, 2))) - 1.0) <= 1e-12
 
 
 def test_exact_case_01():
-    res = kernel_product_vector(explicit_range_state("ii"), mode="exact_cases")
+    res = candidate_product_vector(explicit_range_state("ii"))
     assert res.found
     assert abs(abs(np.vdot(res.vector, ket(0, 1))) - 1.0) <= 1e-12
 
 
 def test_search_mode_finds_in_generic_kernel():
-    res = kernel_product_vector(explicit_range_state("i"), mode="search")
+    res = kernel_product_vector(explicit_range_state("i"))
     assert res.found
     assert states.schmidt_rank(res.vector) == 1
 
@@ -186,7 +187,7 @@ def test_no_product_vector_in_obstructed_kernel():
         if np.linalg.norm(col - proj) > 1e-8:
             range_cols.append(col)
     st = states.uniform_state_on_span(range_cols[:5])
-    res = kernel_product_vector(st, mode="search")
+    res = kernel_product_vector(st)
     assert res.found is False
     assert res.evidence_level == "certified"
     decided = decide_kernel(*states.range_kernel(st))
@@ -207,7 +208,7 @@ def test_lemma_covers_every_family_kernel(x):
         st = states.build_family(case, x)
         _, ker = states.range_kernel(st)
         assert antisymmetric_lemma_applies(ker), case
-        res = kernel_product_vector(st, mode="search")
+        res = kernel_product_vector(st)
         assert res.found is False
         assert res.evidence_level == "proved"
         assert res.margin is None
@@ -251,7 +252,7 @@ def test_lemma_leaves_endpoint_kernels_to_the_search():
             _, ker = states.range_kernel(st)
             assert ker.shape[1] > 4
             assert not antisymmetric_lemma_applies(ker)
-            res = kernel_product_vector(st, mode="search")
+            res = kernel_product_vector(st)
             assert res.found and res.residual <= 1e-9, (case, x)
             assert np.linalg.norm(st.rho @ res.vector) <= 1e-9
 
@@ -276,7 +277,7 @@ def test_lemma_needs_schmidt_rank_three():
     planted = eq5_vector(s)
     assert states.schmidt_rank(planted) == 1
     assert np.linalg.norm(st.rho @ planted) <= 1e-12
-    res = kernel_product_vector(st, mode="search")
+    res = kernel_product_vector(st)
     assert res.found
     assert res.evidence_level == "certified"
     assert res.residual <= 1e-9
@@ -287,7 +288,7 @@ def test_lemma_needs_schmidt_rank_three():
 def test_empty_kernel_raises():
     full = states.from_density(np.eye(9) / 9.0)
     with pytest.raises(EmptyKernel):
-        kernel_product_vector(full, mode="search")
+        kernel_product_vector(full)
 
 
 # --------------------------------------------------------- rank-1 minors
@@ -514,7 +515,7 @@ def test_converse_family_objective_bounded_away():
 
 
 def test_result_json_shape():
-    res = kernel_product_vector(explicit_range_state("i"), mode="exact_cases")
+    res = candidate_product_vector(explicit_range_state("i"))
     doc = res.to_json()
     assert set(doc.keys()) == {
         "found",
@@ -538,7 +539,7 @@ def test_decision_on_random_spans(d):
     for _ in range(20):
         vectors = rng.normal(size=(d, 9)) + 1j * rng.normal(size=(d, 9))
         st = states.uniform_state_on_span(list(vectors))
-        res = kernel_product_vector(st, mode="search")
+        res = kernel_product_vector(st)
         assert res.evidence_level == "certified"
         if d <= 4:
             assert res.found
@@ -559,7 +560,7 @@ def test_decision_finds_planted_product_vector():
         planted = np.kron(u, w)
         others = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
         st = state_with_kernel(np.linalg.qr(np.column_stack([planted, others]))[0])
-        res = kernel_product_vector(st, mode="search")
+        res = kernel_product_vector(st)
         assert res.found and res.evidence_level == "certified"
         assert res.residual <= 1e-9
         overlap = abs(np.vdot(res.vector, planted)) / np.linalg.norm(planted)
@@ -591,7 +592,7 @@ def test_decision_finds_structured_product_vectors():
         local = np.kron(*(np.linalg.qr(cv(3, 3))[0] for _ in range(2)))
         for vs in kernels:
             st = state_with_kernel(np.linalg.qr(local @ np.array(vs).T)[0])
-            res = kernel_product_vector(st, mode="search")
+            res = kernel_product_vector(st)
             assert res.found and res.evidence_level == "certified", len(vs)
             assert res.residual <= 1e-9
             assert np.linalg.norm(st.rho @ res.vector) <= 1e-9
@@ -632,5 +633,5 @@ def test_lemma_verdict_is_proved_only_for_family_states():
     rotated = states.from_density(states.apply_local(
         st, states.LocalOperator(states.hadamard_on_01(), states.hadamard_on_01())),
         case_id="v", x=0.3)
-    assert kernel_product_vector(st, mode="search").evidence_level == "proved"
-    assert kernel_product_vector(rotated, mode="search").evidence_level == "certified"
+    assert kernel_product_vector(st).evidence_level == "proved"
+    assert kernel_product_vector(rotated).evidence_level == "certified"

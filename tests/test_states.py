@@ -249,6 +249,20 @@ def test_uniform_state_on_span_redundant_vectors():
     np.testing.assert_allclose(lam[:2], [0.5, 0.5], atol=1e-12)
 
 
+def test_uniform_state_on_span_skips_vectors_that_add_no_direction():
+    # a dependent vector placed before an independent one must not take
+    # the latter's direction from the span
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        a = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
+        st = uniform_state_on_span([a[0], a[1], a[0] + a[1], a[2]])
+        q = np.linalg.qr(a.T)[0]
+        np.testing.assert_allclose(st.rho, q @ q.conj().T / 3, atol=1e-12)
+    e = symmetric_basis()
+    st = uniform_state_on_span([e[0]] + list(e))
+    np.testing.assert_allclose(st.rho, e.T @ e.conj() / 5, atol=1e-12)
+
+
 # ------------------------------------------------------------- from_density
 
 
