@@ -50,30 +50,25 @@ def _json_scalar(v) -> str:
     raise TypeError(f"unsupported scalar {type(v)!r}")
 
 
-def json_dumps(obj, indent: int = 0, _level: int = 0) -> str:
-    """JSON writer with sig17 float formatting and stable key order.
+def json_dumps(obj, _level: int = 0) -> str:
+    """JSON writer with sig17 float formatting, stable key order and a
+    two-space indent.
 
     Dict keys keep insertion order (callers construct them deterministically).
     Complex numbers are not accepted; encode them as [re, im] first.
     """
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    end_pad = " " * (indent * _level) if indent else ""
-    sep = ",\n" if indent else ", "
-    open_nl = "\n" if indent else ""
+    pad, end = "  " * (_level + 1), "\n" + "  " * _level
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{pad}{_json_scalar(str(k))}: {json_dumps(v, indent, _level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{" + open_nl + sep.join(items) + open_nl + end_pad + "}"
+        items = [f"{pad}{_json_scalar(str(k))}: {json_dumps(v, _level + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + end + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        items = [f"{pad}{json_dumps(v, indent, _level + 1)}" for v in seq]
-        return "[" + open_nl + sep.join(items) + open_nl + end_pad + "]"
+        items = [f"{pad}{json_dumps(v, _level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + end + "]"
     if isinstance(obj, complex):
         raise TypeError("encode complex values as [re, im] pairs before dumping")
     return _json_scalar(obj)

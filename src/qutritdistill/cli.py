@@ -80,7 +80,7 @@ def _family_state(args) -> tuple[states.QutritState, float]:
 
 def _emit(args, payload: dict, human: str):
     if args.json:
-        sys.stdout.write(json_dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json_dumps(payload) + "\n")
     else:
         sys.stdout.write(human + "\n")
 
@@ -259,7 +259,7 @@ def cmd_verify_example(args) -> int:
     }
     report_path = _outpath(args, "verify_example.json")
     with open(report_path, "w", newline="\n") as fh:
-        fh.write(json_dumps(payload, indent=2) + "\n")
+        fh.write(json_dumps(payload) + "\n")
     failed = sorted(k for k, v in checks.items() if not v["pass"])
     _emit(args, payload, ("verify-example: PASS" if overall
           else f"verify-example: FAIL ({', '.join(failed)})") + f" -> {report_path}")

@@ -59,7 +59,6 @@ class NotInKernel(ValueError):
 @dataclass
 class ProductVectorResult:
     found: bool
-    vector: Optional[np.ndarray]
     u: Optional[np.ndarray]
     w: Optional[np.ndarray]
     residual: float
@@ -69,6 +68,11 @@ class ProductVectorResult:
     def __post_init__(self):
         if self.evidence_level is None:
             self.evidence_level = "certified" if self.found else "not_found_at_budget"
+
+    @property
+    def vector(self) -> Optional[np.ndarray]:
+        """The product vector u x w, or None without factors."""
+        return None if self.u is None else np.kron(self.u, self.w)
 
     def to_json(self) -> dict:
         factors = None
@@ -175,7 +179,7 @@ def _lift(rbar: np.ndarray, ker: np.ndarray, u: np.ndarray) -> ProductVectorResu
     vector = np.kron(u, w)
     residual = float(np.linalg.norm(vector - ker @ (ker.conj().T @ vector)))
     found = s[2] <= PENCIL_RESIDUAL_TOL * max(s[0], 1.0) and residual <= PENCIL_RESIDUAL_TOL
-    return ProductVectorResult(found=bool(found), vector=vector, u=u, w=w, residual=residual)
+    return ProductVectorResult(found=bool(found), u=u, w=w, residual=residual)
 
 
 def decide_kernel(rng: np.ndarray, ker: np.ndarray) -> ProductVectorResult:
@@ -202,7 +206,7 @@ def decide_kernel(rng: np.ndarray, ker: np.ndarray) -> ProductVectorResult:
     if null3.shape[1]:
         null4, margin = _null_space(np.einsum("pm,amq->apq", cubics, _SHIFT).reshape(-1, 15))
     if not null3.shape[1] or not null4.shape[1]:
-        return ProductVectorResult(found=False, vector=None, u=None, w=None, residual=np.inf,
+        return ProductVectorResult(found=False, u=None, w=None, residual=np.inf,
                                    margin=margin, evidence_level="certified")
     if null4.shape[1] > null3.shape[1]:
         points = [np.array([m, n, 0.0]) for m, n in _line_points(rbar)]
@@ -273,8 +277,8 @@ def candidate_product_vector(state: states.QutritState) -> ProductVectorResult:
         residuals.append(float(np.linalg.norm(cand - proj @ cand)))
         if residuals[-1] <= 1e-12:
             unit = np.eye(3, dtype=complex)
-            return ProductVectorResult(True, cand, unit[a], unit[b], residuals[-1])
-    return ProductVectorResult(False, None, None, None, min(residuals))
+            return ProductVectorResult(True, unit[a], unit[b], residuals[-1])
+    return ProductVectorResult(False, None, None, min(residuals))
 
 
 def kernel_product_vector(state: states.QutritState) -> ProductVectorResult:
@@ -292,7 +296,7 @@ def kernel_product_vector(state: states.QutritState) -> ProductVectorResult:
         family = (state.case_id in states.CASE_INDEX and state.x is not None and 0 < state.x < 1
                   and np.array_equal(state.rho, states.build_family(state.case_id, state.x).rho))
         return ProductVectorResult(
-            found=False, vector=None, u=None, w=None, residual=np.inf,
+            found=False, u=None, w=None, residual=np.inf,
             evidence_level="proved" if family else "certified",
         )
     return decide_kernel(rng, ker)
@@ -329,13 +333,8 @@ def span_0001_exclusion_check(state: states.QutritState) -> SpanExclusionVerdict
     u3[1:] = res.u
     vector = np.kron(u3, res.w)
     annihilation = float(np.linalg.norm(state.rho @ vector))
-    lifted = ProductVectorResult(
-        found=res.found and annihilation <= 1e-10,
-        vector=vector,
-        u=u3,
-        w=res.w,
-        residual=res.residual + annihilation,
-    )
+    lifted = ProductVectorResult(found=res.found and annihilation <= 1e-10, u=u3, w=res.w,
+                                 residual=res.residual + annihilation)
     return SpanExclusionVerdict(True, r00, r01, lifted)
 
 
@@ -370,10 +369,7 @@ def takagi_canonicalize_kernel_state(a: np.ndarray, state: states.QutritState):
     rotated = states.from_density(states.apply_local(state, op),
                                   case_id=state.case_id, x=state.x)
     s = fac.singular_values
-    canonical = np.zeros(9, dtype=complex)
-    for j in range(3):
-        canonical += s[j] * states.basis_ket(j, j)
-    return rotated, canonical, s
+    return rotated, np.diag(s).astype(complex).reshape(9), s
 
 
 def rank1_exclusion_margin(s0: float, s1: float, s2: float) -> float:
@@ -389,12 +385,8 @@ def eq5_family_basis(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (3,) or np.any(s < 0):
         raise ValueError("expected three nonnegative weights")
-    sym = np.zeros(9, dtype=complex)
-    for j in range(3):
-        sym += np.sqrt(s[j]) * states.basis_ket(j, j)
+    sym = np.diag(np.sqrt(s)).astype(complex).reshape(9)
     sym /= np.linalg.norm(sym)
-    anti = []
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        v = (states.basis_ket(i, j) - states.basis_ket(j, i)) / np.sqrt(2)
-        anti.append(v)
+    anti = [(states.basis_ket(i, j) - states.basis_ket(j, i)) / np.sqrt(2)
+            for i, j in ((0, 1), (0, 2), (1, 2))]
     return np.stack(anti + [sym], axis=1)

@@ -73,13 +73,15 @@ def as_matrix(m) -> np.ndarray:
 
 
 def check_hermitian(m) -> np.ndarray:
-    """Return m as an array, raising NotHermitian if ||M - M^dag|| is too big.
+    """Return m as an array, raising NotHermitian on a non-finite entry or a big ||M - M^dag||.
 
     The tolerance is HERM_TOL relative to max(1, ||M||_max).
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"not square: {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotHermitian(f"non-finite entries at {np.argwhere(~np.isfinite(a)).tolist()}")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
     defect, bound = float(np.abs(a - a.conj().T).max()), HERM_TOL * scale
     if defect > bound:
@@ -92,7 +94,7 @@ def eig_hermitian(m) -> EigenDecomposition:
     a = check_hermitian(m)
     try:
         w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - not reachable at these sizes
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - raised on NaN, rejected above
         raise NoConvergence(str(exc)) from exc
     return EigenDecomposition(values=w, vectors=v)
 
@@ -131,8 +133,6 @@ def matrix_rank(a, tol: float | None = None) -> int:
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     if tol is None:
         tol = 1e-9 * s[0]
     return int(np.count_nonzero(s > tol))
@@ -146,9 +146,9 @@ def takagi(a) -> TakagiFactorization:
     eigenvalue s > 0 yields a con-eigenvector u = x + iy with A conj(u) = s u,
     and the map (x; y) -> (-y; x) carries the +s eigenspace onto the -s
     eigenspace, which forces complex orthonormality of the u's even inside
-    degenerate clusters. Zero singular values get columns from an orthonormal
-    completion; they multiply zeros, so the reconstruction is unaffected and
-    U is unique only up to mixing inside degenerate clusters.
+    degenerate clusters. Zero singular values get the trailing columns of the
+    unitary Q of one QR of [u's | I], which complete the u's; they multiply
+    zeros, so U is unique only up to mixing inside degenerate clusters.
     """
     m = as_matrix(a)
     n = m.shape[0]
@@ -157,37 +157,13 @@ def takagi(a) -> TakagiFactorization:
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise NotSymmetric("input is not complex symmetric (A != A^T)")
-    re, im = m.real, m.imag
-    big = np.block([[re, im], [im, -re]])
-    w, v = np.linalg.eigh(big)       # ascending
-    order = np.argsort(w)[::-1]      # descending: the nonnegative half first
-    w = w[order]
-    v = v[:, order]
-    s_all = w[:n]
-    smax = float(s_all[0]) if n else 0.0
-    cut = 1e-12 * max(smax, 1e-300)
-    cols = []
-    svals = []
-    for k in range(n):
-        if s_all[k] > cut:
-            x, y = v[:n, k], v[n:, k]
-            cols.append(x + 1j * y)
-            svals.append(float(s_all[k]))
-    u_pos = np.array(cols, dtype=complex).T if cols else np.zeros((n, 0), dtype=complex)
-    r = u_pos.shape[1]
-    if r < n:
-        # orthonormal completion for the (numerical) null space
-        proj = np.eye(n, dtype=complex) - u_pos @ u_pos.conj().T
-        q, _ = np.linalg.qr(proj)
-        # pick the columns of q with the largest residual inside the complement
-        resid = np.linalg.norm(proj @ q, axis=0)
-        fill = q[:, np.argsort(resid)[::-1][: n - r]]
-        u = np.hstack([u_pos, fill])
-        svals += [0.0] * (n - r)
-    else:
-        u = u_pos
-    s = np.array(svals)
-    return TakagiFactorization(unitary=u, singular_values=s)
+    w, v = np.linalg.eigh(np.block([[m.real, m.imag], [m.imag, -m.real]]))  # ascending
+    s, v = w[n:][::-1], v[:, n:][:, ::-1]  # the nonnegative half, descending
+    r = int(np.count_nonzero(s > 1e-12 * max(s[0], 1e-300)))
+    u = v[:n, :r] + 1j * v[n:, :r]
+    q = np.linalg.qr(np.hstack([u, np.eye(n)]))[0]
+    return TakagiFactorization(unitary=np.hstack([u, q[:, r:]]),
+                               singular_values=np.concatenate([s[:r], np.zeros(n - r)]))
 
 
 def inertia_of_spectrum(w: np.ndarray) -> Inertia:

@@ -36,15 +36,8 @@ def basis_ket(a: int, b: int) -> np.ndarray:
     return v
 
 
-def swap_operator() -> np.ndarray:
-    s = np.zeros((DIM, DIM))
-    for a in range(DIM_A):
-        for b in range(DIM_B):
-            s[DIM_B * b + a, DIM_B * a + b] = 1.0
-    return s
-
-
-SWAP = swap_operator()
+# |a,b> -> |b,a>: the identity with rows DIM_B a + b and DIM_B b + a exchanged
+SWAP = np.eye(DIM)[np.arange(DIM).reshape(DIM_A, DIM_B).T.reshape(DIM)]
 
 
 def _build_symmetric_basis() -> np.ndarray:

@@ -1,11 +1,14 @@
 """CSV serialization: the blocked "%.17g" writer produces the bytes a
 per-cell sig17 rendering would, for arrays and for lists of rows, with NaN
-and Infinity spelled as in JSON."""
+and Infinity spelled as in JSON. JSON serialization: the one layout."""
 
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
+from qutritdistill import cli
 from qutritdistill._fmt import CSV_BLOCK, sig17, write_csv
 
 HEADER = ["a", "b", "c", "d", "e"]
@@ -156,3 +159,48 @@ def test_write_csv_memory_stays_below_one_column(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < arr[:, 0].nbytes
+
+
+def test_json_layout(capsys):
+    # the layout of every --json payload, as cli._emit prints it
+    payload = {
+        "empty_dict": {}, "empty_list": [], "rows": [[1, 0.5], [-2.0, 1e-300]],
+        "nested": {"a": {"b": [True, None]}}, "text": 'say "hi" \\ \x01', "flag": True,
+        "none": None, "int": 7, "float": 0.1, "nan": math.nan, "inf": math.inf,
+        "minus_inf": -math.inf, "tuple": (3,),
+    }
+    expected = r'''{
+  "empty_dict": {},
+  "empty_list": [],
+  "rows": [
+    [
+      1,
+      0.5
+    ],
+    [
+      -2,
+      1e-300
+    ]
+  ],
+  "nested": {
+    "a": {
+      "b": [
+        true,
+        null
+      ]
+    }
+  },
+  "text": "say \"hi\" \\ \u0001",
+  "flag": true,
+  "none": null,
+  "int": 7,
+  "float": 0.10000000000000001,
+  "nan": NaN,
+  "inf": Infinity,
+  "minus_inf": -Infinity,
+  "tuple": [
+    3
+  ]
+}'''
+    cli._emit(SimpleNamespace(json=True), payload, "")
+    assert capsys.readouterr().out == expected + "\n"

@@ -525,6 +525,27 @@ def test_result_json_shape():
         "evidence_level",
     }
     assert set(doc["factors"].keys()) == {"u", "w"}
+    # the vector is u x w, derived from the factors: candidate, decision,
+    # lemma and span-exclusion results, with and without factors
+    family = states.build_family("v", 0.3)
+    vectors = np.random.default_rng(5).normal(size=(2, 6, 9))
+    e = states.symmetric_basis()
+    spanned = states.uniform_state_on_span([ket(0, 0), ket(0, 1), e[1], e[2], e[4]])
+    results = [
+        res,
+        candidate_product_vector(family),
+        decide_kernel(*states.range_kernel(explicit_range_state("ii"))),
+        decide_kernel(*states.range_kernel(states.uniform_state_on_span(
+            list(vectors[0] + 1j * vectors[1])))),
+        kernel_product_vector(family),
+        span_0001_exclusion_check(spanned).product_vector,
+    ]
+    assert [r.u is None for r in results] == [False, True, False, True, True, False]
+    for r in results:
+        if r.u is None:
+            assert r.vector is None
+        else:
+            np.testing.assert_array_equal(r.vector, np.kron(r.u, r.w))
 
 
 # ------------------------------------------------------------ exact decision

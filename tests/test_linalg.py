@@ -14,6 +14,7 @@ from qutritdistill.linalg import (
     NotSymmetric,
     DimensionMismatch,
     SingularPencil,
+    check_hermitian,
     eig_hermitian,
     partial_transpose,
     partial_trace,
@@ -44,6 +45,24 @@ def test_eig_diagonal_sorted_ascending():
 def test_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_non_finite_matrices_are_not_hermitian():
+    # a NaN defect compares False against any bound, so a non-finite entry
+    # is rejected before the defect test, and without a RuntimeWarning
+    nan_pair = np.eye(9)
+    nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match=r"non-finite entries at \[\[0, 1\], \[1, 0\]\]"):
+            eig_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(NotHermitian, match=r"non-finite entries at \[\[0, 0\]\]"):
+            check_hermitian(np.diag([np.inf, 1.0]))
+        with pytest.raises(NotHermitian, match="non-finite"):
+            states.from_density(nan_pair)
+    with np.errstate(over="ignore", invalid="ignore"):  # the assembly overflows first
+        with pytest.raises(NotHermitian, match="non-finite"):
+            minors.build_projected(2, (1e200, 1e200))
 
 
 def test_eig_reconstructs_random_hermitian():
@@ -200,6 +219,22 @@ def test_takagi_reconstruction_random():
         # singular values must agree with the plain SVD of the same matrix
         sv = np.linalg.svd(m, compute_uv=False)
         np.testing.assert_allclose(fac.singular_values, sv, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_takagi_completion_is_unitary(n):
+    # the columns for zero singular values multiply zeros, so only U^dag U
+    # sees them; rank 0 is the zero matrix
+    rng = np.random.default_rng(40 + n)
+    for rank in range(n):
+        for _ in range(300):
+            v = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            a = v @ v.T
+            fac = takagi(a)
+            u = fac.unitary
+            assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12, (n, rank)
+            rebuilt = u @ np.diag(fac.singular_values) @ u.T
+            assert np.abs(rebuilt - a).max() <= 1e-12 * max(1.0, np.abs(a).max()), (n, rank)
 
 
 # -------------------------------------------------------------------- inertia
