@@ -101,26 +101,21 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         raise UsageError("need steps >= 2")
     xs = np.linspace(x_min, x_max, args.steps)
-    rows = []
-    for x in xs:
-        rep = distill.witness_search(states.build_family(args.case, float(x)))
-        negative = rep.inertia.negative
-        rows.append([float(x), float(rep.spectrum[0]), float(rep.spectrum[1]), negative,
-                     1.0 if rep.witness is not None else 0.0,
-                     rep.best_value if negative else float("nan")])
-
+    res = distill.witness_stack(states.family_stack(args.case, xs))
+    negative = res.negative
+    columns = {"min_eig": res.spectra[:, 0], "second_eig": res.spectra[:, 1]}
     csv_path = _outpath(args, f"scan_{args.case}.csv")
     write_csv(csv_path, ["x", "min_eig_gamma", "second_eig_gamma", "negative_count",
-                         "witness_found", "witness_value"], rows)
+                         "witness_found", "witness_value"],
+              np.column_stack([xs, columns["min_eig"], columns["second_eig"], negative,
+                               res.found, np.where(negative > 0, res.values, np.nan)]))
 
-    brackets = {"min_eig": [], "second_eig": []}
-    for col, key in ((1, "min_eig"), (2, "second_eig")):
-        for j in range(len(rows) - 1):
-            a, b = rows[j][col], rows[j + 1][col]
-            if abs(a) <= 1e-12 or abs(b) <= 1e-12:  # eigensolver noise is not a crossing
-                continue
-            if (a < 0) != (b < 0):
-                brackets[key].append([rows[j][0], rows[j + 1][0]])
+    brackets, x_list = {}, xs.tolist()
+    for key, col in columns.items():
+        a, b = col[:-1], col[1:]
+        # eigensolver noise is not a crossing
+        crossed = (np.abs(a) > 1e-12) & (np.abs(b) > 1e-12) & ((a < 0) != (b < 0))
+        brackets[key] = [x_list[j:j + 2] for j in np.flatnonzero(crossed).tolist()]
     payload = {
         "case": args.case,
         "x_min": x_min,
@@ -130,7 +125,7 @@ def cmd_scan(args) -> int:
         "csv": csv_path,
         "brackets": brackets,
     }
-    _emit(args, payload, f"scan {args.case}: {len(rows)} rows -> {csv_path}; "
+    _emit(args, payload, f"scan {args.case}: {len(xs)} rows -> {csv_path}; "
           f"min-eig brackets {brackets['min_eig']}, second-eig brackets {brackets['second_eig']}")
     return EXIT_OK
 
@@ -303,8 +298,9 @@ def cmd_kernel(args) -> int:
     else:
         raise UsageError("need either --case or --basis-file")
     try:
-        exact = kernel.candidate_product_vector(state)
-        searched = kernel.kernel_product_vector(state)
+        split = kernel.range_and_kernel(state)
+        exact = kernel.candidate_product_vector(state, split)
+        searched = kernel.kernel_product_vector(state, split)
     except kernel.EmptyKernel:
         raise UsageError("state has a trivial kernel; nothing to search")
     payload = dict(label)

@@ -15,6 +15,15 @@ other projections. A report holds the ascending spectrum of the partial
 transpose and derives the rest of its NPT verdict from it: the report is
 NPT exactly when the spectrum's inertia counts a negative eigenvalue.
 
+witness_stack runs that construction on a stack of states, the whole
+x-grid of a scan, with one batched call per step: partial transpose,
+Hermitian check and eigh, the pencil roots of the members with two or more
+negative eigenvalues (a member whose pencil vanishes identically keeps its
+bottom eigenvector), the 3x3 SVD, the compression and eigvalsh. numpy's
+batched LAPACK calls and elementwise products treat each matrix of a stack
+as the single call does, so row k is bit for bit what witness_search
+reports for the k-th state; witness_search is the stack of one.
+
 The compressions that minors scans use run over two parametrized families
 of 2x3 row matrices, defined once in FAMILIES and set at a point by
 family_rows, one for each chart of the row spaces they cover:
@@ -71,9 +80,7 @@ class NoSignChange(ValueError):
     pass
 
 
-class NonFiniteValue(ValueError):
-    """A value overflowed float64: a parameter product c_i conj(c_j) of
-    compression_chunks, or a grid value of minors.scan."""
+NonFiniteValue = linalg.NonFiniteValue
 
 
 def family_rows(form: str, values) -> np.ndarray:
@@ -145,21 +152,27 @@ def npt_check(state: states.QutritState) -> DistillReport:
 
 
 def _kron_eye3(rows: np.ndarray) -> np.ndarray:
-    """kron(rows, I_3) for a p x q complex matrix, as the one broadcast
-    multiply rows[i, j] * I_3[k, l] that np.kron itself performs."""
-    p, q = rows.shape
-    return (rows[:, None, :, None] * EYE3[None, :, None, :]).reshape(3 * p, 3 * q)
+    """kron(rows, I_3) for a p x q complex matrix, or each matrix of a stack
+    (..., p, q), as the one broadcast multiply rows[i, j] * I_3[k, l] that
+    np.kron itself performs."""
+    *lead, p, q = rows.shape
+    return (rows[..., :, None, :, None] * EYE3[:, None, :]).reshape(*lead, 3 * p, 3 * q)
 
 
 def projected_matrix(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The 6x6 compression (R x I) g (R x I)^dag of a 9x9 matrix by 2x3 rows R.
-    R x I is _kron_eye3(R): the products np.kron forms, bit for bit."""
+    """The 6x6 compression (R x I) g (R x I)^dag of a 9x9 matrix by 2x3 rows R,
+    or of each matrix of a stack by its rows. R x I is _kron_eye3(R): the
+    products np.kron forms, bit for bit."""
     r = _kron_eye3(rows)
-    return r @ g @ r.conj().T
+    rg = r @ g
+    return rg @ np.conjugate(r, out=r).swapaxes(-2, -1)
 
 
-def projected_min_eig(g: np.ndarray, rows: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(projected_matrix(g, rows))[0])
+def projected_min_eig(g: np.ndarray, rows: np.ndarray):
+    """The least eigenvalue of projected_matrix(g, rows): a float, or one
+    per matrix of a stack, as an array."""
+    w = np.linalg.eigvalsh(projected_matrix(g, rows))[..., 0]
+    return float(w) if w.ndim == 0 else w
 
 
 def _lift(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -235,10 +248,54 @@ def witness_to_pt_vector(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, f
     return psi, val
 
 
+@dataclass(frozen=True)
+class WitnessStack:
+    """witness_search at each of n states: row k is what witness_search
+    reports for the k-th density matrix of the stack."""
+
+    spectra: np.ndarray  # (n, 9) partial-transpose eigenvalues, ascending
+    rows: np.ndarray     # (n, 2, 3) orthonormal projection rows
+    values: np.ndarray   # (n,) least eigenvalue of each compression
+
+    @property
+    def negative(self) -> np.ndarray:
+        return linalg.inertia_of_spectrum(self.spectra).negative
+
+    @property
+    def found(self) -> np.ndarray:
+        return self.values < -NEG_TOL
+
+    def report(self, k: int) -> DistillReport:
+        rep = DistillReport(spectrum=self.spectra[k], best_value=float(self.values[k]))
+        if self.found[k]:
+            rep.witness = self.rows[k]
+            rep.evidence_level = "certified"
+        return rep
+
+
+def witness_stack(rho: np.ndarray) -> WitnessStack:
+    """witness_search at every density matrix of an (n, 9, 9) stack, with one
+    batched call per step: partial transpose, Hermitian check and eigh,
+    _negative_schmidt_vector, the 3x3 SVD, the compression and eigvalsh."""
+    g = linalg.partial_transpose(rho, states.DIM_A, states.DIM_B)
+    del rho  # a scan hands over its only reference: free the states early
+    spectra, rows = _witness_rows(g)
+    return WitnessStack(spectra=spectra, rows=rows, values=projected_min_eig(g, rows))
+
+
+def _witness_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending spectra of a stack of partial transposes and the
+    (n, 2, 3) projection rows; the eigenvectors go when this returns."""
+    dec = linalg.eig_hermitian(g)
+    u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(-1, 3, 3))[0]
+    return dec.values, u[..., :2].conj().swapaxes(-2, -1)
+
+
 def witness_search(state: states.QutritState) -> DistillReport:
     """The rank-two projection whose orthonormal rows R = U[:, :2]^dag are
     the two leading left Schmidt vectors of psi = _negative_schmidt_vector,
-    and its verdict from one eigensolve of the compression.
+    and its verdict from one eigensolve of the compression: witness_stack
+    on a stack of one.
 
     With k >= 2 negative eigenvalues w of the partial transpose g, psi has
     Schmidt rank <= 2, the compressed space holds it, and the compression's
@@ -249,15 +306,7 @@ def witness_search(state: states.QutritState) -> DistillReport:
     is certified when the compression by these rows has an eigenvalue below
     -NEG_TOL; best_value is that eigenvalue either way.
     """
-    g = pt_of(state)
-    dec = linalg.eig_hermitian(g)
-    u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(3, 3))[0]
-    rows = u[:, :2].conj().T
-    report = DistillReport(spectrum=dec.values, best_value=projected_min_eig(g, rows))
-    if report.best_value < -NEG_TOL:
-        report.witness = rows
-        report.evidence_level = "certified"
-    return report
+    return witness_stack(state.rho[None]).report(0)
 
 
 # --- preconditions -----------------------------------------------------------
@@ -267,7 +316,8 @@ def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
     """A unit vector of least Schmidt rank in the span of the two most
     negative eigenvectors a, b of a 9x9 Hermitian matrix, from its
     eigendecomposition dec; a itself when fewer than two eigenvalues are
-    negative (by linalg.inertia_of_spectrum).
+    negative (by linalg.inertia_of_spectrum). For the decomposition of a
+    stack (values (..., 9)) it returns one vector per matrix, (..., 9).
 
     With k >= 2 negative eigenvalues such a vector has Schmidt rank <= 2,
     which makes the state 1-distillable: for A and B the 3x3 coefficient
@@ -275,23 +325,35 @@ def _negative_schmidt_vector(dec: linalg.EigenDecomposition) -> np.ndarray:
     root (m : n) and mA + nB has rank <= 2. The vector is m a + n b at the
     root from linalg.pencil_roots of lowest Schmidt rank (singular values
     above states.SCHMIDT_TOL; unit roots of orthonormal a, b give unit
-    vectors), ties broken by the smallest third singular value, both from
-    one batched SVD of the 3x3 reshapes. When the cubic vanishes identically,
-    every vector of the span qualifies and a stands for them. The least
-    rank is exact for k = 2 (a rank-one mA + nB sits at a root); for k >= 3
-    it is an upper bound from the span of two eigenvectors.
+    vectors), ties broken by the smallest third singular value, then by
+    root order, from one batched SVD of the 3x3 reshapes
+    (_least_schmidt_rank). When the cubic vanishes identically, every
+    vector of the span qualifies and a stands for them. The least rank is
+    exact for k = 2 (a rank-one mA + nB sits at a root); for k >= 3 it is
+    an upper bound from the span of two eigenvectors.
     """
-    a = dec.vectors[:, 0]
-    if linalg.inertia_of_spectrum(dec.values).negative < 2:
-        return a
-    b = dec.vectors[:, 1]
-    try:
-        roots = linalg.pencil_roots(a.reshape(3, 3), b.reshape(3, 3))
-    except linalg.SingularPencil:
-        return a
-    vs = [m * a + n * b for m, n in roots]
-    s = np.linalg.svd(np.reshape(vs, (-1, 3, 3)), compute_uv=False)
-    return vs[np.lexsort((s[:, 2], np.count_nonzero(s > states.SCHMIDT_TOL, axis=1)))[0]]
+    values, vectors = dec.values.reshape(-1, 9), dec.vectors.reshape(-1, 9, 9)
+    psi = vectors[:, :, 0].copy()
+    two = np.flatnonzero(linalg.inertia_of_spectrum(values).negative >= 2)
+    if two.size:
+        a, b = vectors[two, :, 0], vectors[two, :, 1]
+        roots = linalg.pencil_roots(a.reshape(-1, 3, 3), b.reshape(-1, 3, 3))
+        solved = ~np.isnan(roots[:, 0, 0])  # a vanishing pencil keeps a
+        if solved.any():
+            psi[two[solved]] = _least_schmidt_rank(roots[solved], a[solved], b[solved])
+    return psi.reshape(dec.values.shape)
+
+
+def _least_schmidt_rank(roots: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each pair of 9-vectors a, b (rows of (t, 9) arrays) and the roots
+    (m : n) of their pencil, (t, 3, 2), the vector m a + n b of lowest
+    Schmidt rank, ties broken by the smallest third singular value, then
+    by root order."""
+    vs = roots[..., :1] * a[:, None] + roots[..., 1:] * b[:, None]  # (t, 3 roots, 9)
+    s = np.linalg.svd(vs.reshape(-1, 3, 3, 3), compute_uv=False)
+    rank = np.count_nonzero(s > states.SCHMIDT_TOL, axis=-1)
+    third = np.where(rank == rank.min(axis=-1, keepdims=True), s[..., 2], np.inf)
+    return vs[np.arange(len(vs)), np.argmin(third, axis=-1)]
 
 
 def precondition_report(state: states.QutritState) -> dict:

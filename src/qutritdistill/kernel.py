@@ -258,7 +258,7 @@ def antisymmetric_lemma_applies(ker: np.ndarray) -> bool:
     return bool(np.linalg.svd(sym, compute_uv=False)[-1] > LEMMA_RANK_TOL)
 
 
-def _range_kernel(state: states.QutritState) -> tuple[np.ndarray, np.ndarray]:
+def range_and_kernel(state: states.QutritState) -> tuple[np.ndarray, np.ndarray]:
     """states.range_kernel, raising EmptyKernel when the kernel is trivial."""
     rng, ker = states.range_kernel(state)
     if ker.shape[1] == 0:
@@ -266,11 +266,12 @@ def _range_kernel(state: states.QutritState) -> tuple[np.ndarray, np.ndarray]:
     return rng, ker
 
 
-def candidate_product_vector(state: states.QutritState) -> ProductVectorResult:
+def candidate_product_vector(state: states.QutritState, split=None) -> ProductVectorResult:
     """Test the two explicit candidates |22> and |01> by projection residual
     against the kernel projector: evidence "certified" for the first hit,
-    "not_found_at_budget" with the least residual otherwise."""
-    _, ker = _range_kernel(state)
+    "not_found_at_budget" with the least residual otherwise. split is
+    range_and_kernel(state) when the caller holds it already."""
+    _, ker = range_and_kernel(state) if split is None else split
     proj, residuals = ker @ ker.conj().T, []
     for a, b in ((2, 2), (0, 1)):
         cand = states.basis_ket(a, b)
@@ -281,8 +282,9 @@ def candidate_product_vector(state: states.QutritState) -> ProductVectorResult:
     return ProductVectorResult(False, None, None, min(residuals))
 
 
-def kernel_product_vector(state: states.QutritState) -> ProductVectorResult:
-    """Decide whether ker rho holds a product vector.
+def kernel_product_vector(state: states.QutritState, split=None) -> ProductVectorResult:
+    """Decide whether ker rho holds a product vector; split is
+    range_and_kernel(state) when the caller holds it already.
 
     When antisymmetric_lemma_applies, none exists: evidence "proved" for a
     family state with 0 < x < 1, whose kernel is derived symbolically,
@@ -291,7 +293,7 @@ def kernel_product_vector(state: states.QutritState) -> ProductVectorResult:
     margin, or "not_found_at_budget" when no zero of the minors passes the
     residual check. Nothing is random.
     """
-    rng, ker = _range_kernel(state)
+    rng, ker = range_and_kernel(state) if split is None else split
     if antisymmetric_lemma_applies(ker):
         family = (state.case_id in states.CASE_INDEX and state.x is not None and 0 < state.x < 1
                   and np.array_equal(state.rho, states.build_family(state.case_id, state.x).rho))

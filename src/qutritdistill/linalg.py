@@ -4,7 +4,11 @@ All functions take and return plain numpy arrays (complex double precision)
 with value semantics: inputs are never mutated. Matrices here are small
 (9x9 and below in practice, nothing beyond ~100x100), so everything runs on
 numpy's LAPACK-backed dense routines, pencil_roots included: it reduces
-det(m a + n b) = 0 to one standard eigenproblem.
+det(m a + n b) = 0 to one standard eigenproblem. check_hermitian,
+eig_hermitian, partial_transpose, inertia_of_spectrum and pencil_roots also
+take a stack of matrices (leading axes) and treat each matrix as the
+single-matrix call does, with the same bits: numpy's batched LAPACK calls
+run the same routine on each matrix of a stack.
 
 Conventions:
     - bipartite vectors index as |a,b> -> position dimB*a + b (row-major);
@@ -14,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +54,12 @@ class SingularPencil(ValueError):
     """det(m a + n b) vanishes for every (m, n)."""
 
 
+class NonFiniteValue(ValueError):
+    """A value is not finite: an entry of an input matrix or vector, a
+    parameter product of distill.compression_chunks, or a grid value of
+    minors.scan."""
+
+
 class EigenDecomposition(NamedTuple):
     values: np.ndarray      # real, ascending
     vectors: np.ndarray     # orthonormal columns, vectors[:, k] pairs values[k]
@@ -72,25 +83,50 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(m) -> np.ndarray:
-    """Return m as an array, raising NotHermitian on a non-finite entry or a big ||M - M^dag||.
+def _as_stack(m) -> np.ndarray:
+    """m as a complex array of one matrix or a stack of them (ndim >= 2)."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got ndim={a.ndim}")
+    return a
 
-    The tolerance is HERM_TOL relative to max(1, ||M||_max).
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"not square: {a.shape}")
+
+def _reject_non_finite(a: np.ndarray, error: type) -> None:
     if not np.isfinite(a).all():
-        raise NotHermitian(f"non-finite entries at {np.argwhere(~np.isfinite(a)).tolist()}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    defect, bound = float(np.abs(a - a.conj().T).max()), HERM_TOL * scale
-    if defect > bound:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {bound:.3e}")
+        raise error(f"non-finite entries at {np.argwhere(~np.isfinite(a)).tolist()}")
+
+
+def check_hermitian(m) -> np.ndarray:
+    """Return m, one matrix or a stack of them, as an array, raising
+    NotHermitian when a matrix has a non-finite entry or a big ||M - M^dag||.
+
+    The tolerance is HERM_TOL relative to max(1, ||M||_max) of each matrix.
+    """
+    a = _as_stack(m)
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"not square: {a.shape}")
+    _reject_non_finite(a, NotHermitian)
+    if not a.size:
+        return a
+    # |M - M^dag| from the real and imaginary parts of the difference,
+    # without a complex copy of the stack
+    axes = (-2, -1)
+    re, im = a.real, a.imag
+    d_re = re - re.swapaxes(*axes)
+    defect = np.hypot(d_re, im + im.swapaxes(*axes), out=d_re)
+    if defect.max() > HERM_TOL:  # each bound is at least HERM_TOL
+        defect = defect.max(axis=axes).reshape(-1)
+        bound = HERM_TOL * np.maximum(1.0, np.abs(a).max(axis=axes)).reshape(-1)
+        bad = np.flatnonzero(defect > bound)
+        if bad.size:
+            i = bad[0]
+            raise NotHermitian(f"Hermiticity defect {defect[i]:.3e} exceeds {bound[i]:.3e}")
     return a
 
 
 def eig_hermitian(m) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Full spectral decomposition of a Hermitian matrix, eigenvalues
+    ascending; for a stack, values (..., n) and vectors (..., n, n)."""
     a = check_hermitian(m)
     try:
         w, v = np.linalg.eigh(a)
@@ -102,16 +138,14 @@ def eig_hermitian(m) -> EigenDecomposition:
 def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the first tensor factor: block (i,j) of the output equals
     block (j,i) of the input, blocks being dim_b x dim_b."""
-    a = as_matrix(m)
+    a = _as_stack(m)
     n = dim_a * dim_b
-    if a.shape != (n, n):
+    if a.shape[-2:] != (n, n):
         raise DimensionMismatch(f"expected {(n, n)}, got {a.shape}")
-    return (
-        a.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(2, 1, 0, 3)
-        .reshape(n, n)
-        .copy()
-    )
+    t = a.reshape(a.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    out = np.empty_like(t)
+    out[...] = t.swapaxes(-4, -2)
+    return out.reshape(a.shape)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
@@ -129,9 +163,12 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 
 def matrix_rank(a, tol: float | None = None) -> int:
+    """Count of singular values above tol (default 1e-9 times the largest);
+    NonFiniteValue on a non-finite entry."""
     m = as_matrix(a)
     if m.size == 0:
         return 0
+    _reject_non_finite(m, NonFiniteValue)
     s = np.linalg.svd(m, compute_uv=False)
     if tol is None:
         tol = 1e-9 * s[0]
@@ -149,11 +186,13 @@ def takagi(a) -> TakagiFactorization:
     degenerate clusters. Zero singular values get the trailing columns of the
     unitary Q of one QR of [u's | I], which complete the u's; they multiply
     zeros, so U is unique only up to mixing inside degenerate clusters.
+    A non-finite entry raises NotSymmetric before the symmetry test.
     """
     m = as_matrix(a)
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"not square: {m.shape}")
+    _reject_non_finite(m, NotSymmetric)
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if float(np.abs(m - m.T).max()) > 1e-12 * scale:
         raise NotSymmetric("input is not complex symmetric (A != A^T)")
@@ -166,14 +205,33 @@ def takagi(a) -> TakagiFactorization:
                                singular_values=np.concatenate([s[:r], np.zeros(n - r)]))
 
 
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack (n, k, k), each summed as np.linalg.norm
+    sums one matrix: the dot products of its real and imaginary parts."""
+    n, k = a.shape[:2]
+    re, im = a.real.reshape(n, k * k), a.imag.reshape(n, k * k)
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def inertia_of_spectrum(w: np.ndarray) -> Inertia:
     """Counts of the eigenvalues w of a Hermitian matrix below -tol, within
-    +-tol, and above +tol, with tol 1e-10 times the spectral norm max |w|."""
-    norm2 = float(np.abs(w).max()) if w.size else 0.0
-    tol = 1e-10 * max(norm2, 1e-300)
-    neg = int(np.count_nonzero(w < -tol))
-    pos = int(np.count_nonzero(w > tol))
-    return Inertia(negative=neg, zero=len(w) - neg - pos, positive=pos)
+    +-tol, and above +tol, with tol 1e-10 times the spectral norm max |w|.
+    A stack of spectra (..., n) gives the three counts as (...) arrays."""
+    w = np.asarray(w)
+    tol = 1e-10 * np.maximum(np.abs(w).max(axis=-1, initial=0.0, keepdims=True), 1e-300)
+    neg = (w < -tol).sum(axis=-1)
+    pos = (w > tol).sum(axis=-1)
+    counts = (neg, w.shape[-1] - neg - pos, pos)
+    return Inertia(*(map(int, counts) if w.ndim == 1 else counts))
+
+
+@functools.lru_cache(maxsize=None)
+def _pencil_directions(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos t, sin t) at t = pi j / (k + 1), j = 0..k, each shaped (k + 1, 1, 1)."""
+    t = np.pi * np.arange(k + 1) / (k + 1)
+    m0, n0 = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+    m0.flags.writeable = n0.flags.writeable = False
+    return m0, n0
 
 
 def pencil_roots(a, b) -> np.ndarray:
@@ -190,21 +248,35 @@ def pencil_roots(a, b) -> np.ndarray:
     direction with the largest such relative singular value, d = -n0 a + m0 b
     completes the rotation, and every eigenvalue l of c^-1 d gives the root
     (m : n) = (-m0 l - n0, -n0 l + m0), since d - l c = m a + n b.
+
+    Stacks a, b of shape (..., k, k) give roots of shape (..., k, 2), each
+    pair solved as alone; a pair whose pencil vanishes identically gets NaN
+    roots instead of raising.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    a, b = _as_stack(a), _as_stack(b)
+    if a.shape != b.shape or a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"need two square matrices of one shape, got {a.shape}, {b.shape}")
-    t = np.pi * np.arange(a.shape[0] + 1) / (a.shape[0] + 1)
-    m0, n0 = np.cos(t), np.sin(t)
-    pencils = m0[:, None, None] * a + n0[:, None, None] * b
-    scale = np.abs(m0) * np.linalg.norm(a) + np.abs(n0) * np.linalg.norm(b)
-    smallest = np.linalg.svd(pencils, compute_uv=False)[:, -1]
-    if (smallest <= PENCIL_TOL * scale).all():
+    lead, k = a.shape[:-2], a.shape[-1]
+    a, b = a.reshape(-1, k, k), b.reshape(-1, k, k)
+    m0, n0 = _pencil_directions(k)
+    pencils = m0 * a[:, None]
+    pencils += n0 * b[:, None]
+    norm_a, norm_b = _frobenius(a)[:, None], _frobenius(b)[:, None]
+    scale = np.abs(m0[:, 0, 0]) * norm_a + np.abs(n0[:, 0, 0]) * norm_b
+    smallest = np.linalg.svd(pencils, compute_uv=False)[..., -1]
+    solvable = ~(smallest <= PENCIL_TOL * scale).all(axis=-1)
+    if not lead and not solvable[0]:
         raise SingularPencil("det(m a + n b) vanishes identically")
-    j = int(np.argmax(smallest / np.maximum(scale, 1e-300)))  # scale 0: a or b is zero
-    lam = np.linalg.eigvals(np.linalg.solve(pencils[j], -n0[j] * a + m0[j] * b))
-    roots = np.stack([-m0[j] * lam - n0[j], -n0[j] * lam + m0[j]], axis=1)
-    return roots / np.linalg.norm(roots, axis=1, keepdims=True)
+    roots = np.full(a.shape[:-1] + (2,), np.nan, dtype=complex)
+    i = np.flatnonzero(solvable)
+    if i.size:
+        # the floor keeps a zero scale (a or b zero) from dividing by zero
+        j = np.argmax(smallest[i] / np.maximum(scale[i], 1e-300), axis=-1)
+        mj, nj = m0[j], n0[j]
+        lam = np.linalg.eigvals(np.linalg.solve(pencils[i, j], -nj * a[i] + mj * b[i]))
+        found = np.stack([-mj[..., 0] * lam - nj[..., 0], -nj[..., 0] * lam + mj[..., 0]], axis=-1)
+        roots[i] = found / np.linalg.norm(found, axis=-1, keepdims=True)
+    return roots.reshape(lead + (k, 2))
 
 
 def leading_principal_minors(m) -> np.ndarray:

@@ -93,20 +93,57 @@ class LocalOperator:
                 raise ValueError("local operator is not unitary")
 
 
-def build_family(case_id: str, x: float) -> QutritState:
-    """State with eigenvalue x on the case's distinguished eigenvector and
-    (1-x)/4 on the other four. x is accepted on the closed interval [0, 1];
-    the endpoints give rank four (x = 0) and rank one (x = 1)."""
+def _family_rounds() -> list:
+    """The nonzero entries of the projectors P_k = |v_k><v_k| onto the
+    shared eigenvectors, in rounds: round t holds, for each entry
+    r * DIM + s with more than t of them, its t-th (k, P_k[r, s]) in
+    ascending k, as arrays (entries, ks, values)."""
+    projectors = SYMMETRIC_BASIS[:, :, None] * SYMMETRIC_BASIS.conj()[:, None, :]
+    terms = {}
+    for k, r, s in zip(*np.nonzero(projectors)):
+        terms.setdefault(DIM * r + s, []).append((k, projectors[k, r, s]))
+    rounds = []
+    for t in range(max(map(len, terms.values()))):
+        picked = [(e, *ks[t]) for e, ks in terms.items() if len(ks) > t]
+        rounds.append(tuple(np.array(col) for col in zip(*picked)))
+    return rounds
+
+
+_FAMILY_ROUNDS = _family_rounds()
+
+
+def family_stack(case_id: str, xs) -> np.ndarray:
+    """The density matrices of the case at every x of xs, as an (n, 9, 9)
+    array: eigenvalue x on the case's distinguished eigenvector and
+    (1-x)/4 on the other four. Every x must lie in the closed interval
+    [0, 1]; the endpoints give rank four (x = 0) and rank one (x = 1).
+
+    Each entry is the sum of its weighted projector entries in basis order,
+    starting from +0, over the nonzero projector entries only: 21 of the 81
+    entries have any, and at most two, so two rounds of one gathered
+    multiply-add each build the stack. That is bitwise the dense sum of the
+    five weighted projectors: the products are the same, a sum that starts
+    at +0 never becomes -0, and adding the dense sum's +-0 terms changes
+    nothing. No temporary is as large as the stack."""
     if case_id not in CASE_INDEX:
         raise ValueError(f"unknown case {case_id!r}; expected one of {CASES}")
-    if not (0.0 <= x <= 1.0):
-        raise OutOfRange(f"x={x} outside [0, 1]")
-    lam = np.full(5, (1.0 - x) / 4.0)
-    lam[CASE_INDEX[case_id]] = x
-    rho = np.zeros((DIM, DIM), dtype=complex)
-    for w, vec in zip(lam, SYMMETRIC_BASIS):
-        rho += w * np.outer(vec, vec.conj())
-    return QutritState(rho=rho, case_id=case_id, x=float(x))
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    inside = (0.0 <= xs) & (xs <= 1.0)
+    if not inside.all():
+        raise OutOfRange(f"x={xs[~inside][0]} outside [0, 1]")
+    # complex weights, as numpy casts them for a product with a complex entry
+    lam = np.repeat(((1.0 - xs) / 4.0)[:, None], 5, axis=1).astype(complex)
+    lam[:, CASE_INDEX[case_id]] = xs
+    rho = np.zeros((len(xs), DIM, DIM), dtype=complex)
+    flat = rho.reshape(len(xs), DIM * DIM)
+    for entries, ks, values in _FAMILY_ROUNDS:
+        flat[:, entries] += lam[:, ks] * values
+    return rho
+
+
+def build_family(case_id: str, x: float) -> QutritState:
+    """The family state of the case at x: family_stack at the one x."""
+    return QutritState(rho=family_stack(case_id, x)[0], case_id=case_id, x=float(x))
 
 
 def uniform_state_on_span(vectors) -> QutritState:
@@ -183,7 +220,11 @@ def coefficient_matrix(v: np.ndarray, dim_a: int = DIM_A, dim_b: int = DIM_B) ->
 
 
 def schmidt_rank(v, dim_a: int = DIM_A, dim_b: int = DIM_B) -> int:
+    """Count of Schmidt coefficients of the normalized v above SCHMIDT_TOL;
+    ZeroVector for v = 0, linalg.NonFiniteValue for a non-finite entry."""
     vec = np.asarray(v, dtype=complex).reshape(-1)
+    if not np.isfinite(vec).all():
+        raise linalg.NonFiniteValue("cannot take the Schmidt rank of a non-finite vector")
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ZeroVector("cannot take the Schmidt rank of the zero vector")

@@ -289,7 +289,8 @@ def test_scan_witness_column_covers_every_npt_point(capsys, tmp_path):
 
 
 def test_scan_takes_one_partial_transpose_per_x(capsys, tmp_path, monkeypatch):
-    # the witness report's decomposition gives every column of a row
+    # one stacked partial transpose holds every x, and its decomposition
+    # gives every column of every row
     calls = []
     partial_transpose = linalg.partial_transpose
 
@@ -300,7 +301,12 @@ def test_scan_takes_one_partial_transpose_per_x(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "partial_transpose", counted)
     code, _, _ = run(capsys, ["scan", "--case", "v", "--steps", "40", "--out", str(tmp_path)])
     assert code == EXIT_OK
-    assert len(calls) == 40
+    assert len(calls) == 1
+    rho = calls[0][0]
+    assert rho.shape == (40, 9, 9)
+    xs = np.linspace(0.0, 1.0, 40)
+    assert all(np.array_equal(rho[k], states.build_family("v", float(x)).rho)
+               for k, x in enumerate(xs))
 
 
 def test_scan_eigenvalue_columns_are_the_witness_spectrum(capsys, tmp_path):
@@ -313,6 +319,31 @@ def test_scan_eigenvalue_columns_are_the_witness_spectrum(capsys, tmp_path):
             spectrum = witness_search(states.build_family(case, float(row["x"]))).spectrum
             assert float(row["min_eig_gamma"]) == spectrum[0], (case, row["x"])
             assert float(row["second_eig_gamma"]) == spectrum[1], (case, row["x"])
+
+
+@pytest.mark.parametrize("case", states.CASES)
+def test_scan_rows_are_the_per_state_witness_search(capsys, tmp_path, case):
+    # the one stacked pass writes what witness_search reports at each x:
+    # two steps over [0, 1] (x = 0 and x = 1) and a two-point sub-interval
+    for bounds in (["0", "1"], ["0.1", "0.2"]):
+        argv = ["scan", "--case", case, "--x-min", bounds[0], "--x-max", bounds[1],
+                "--steps", "2", "--out", str(tmp_path)]
+        code, _, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        with open(tmp_path / f"scan_{case}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row["x"]) for row in rows] == [parse_x(b) for b in bounds]
+        for row in rows:
+            rep = witness_search(states.build_family(case, float(row["x"])))
+            negative = rep.inertia.negative
+            assert float(row["min_eig_gamma"]) == rep.spectrum[0]
+            assert float(row["second_eig_gamma"]) == rep.spectrum[1]
+            assert int(row["negative_count"]) == negative
+            assert float(row["witness_found"]) == (rep.witness is not None)
+            if negative:
+                assert float(row["witness_value"]) == rep.best_value
+            else:
+                assert row["witness_value"] == "NaN"
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -364,6 +395,21 @@ def test_kernel_case_not_found(capsys, tmp_path):
     decided = kernel.decide_kernel(*states.range_kernel(states.build_family("v", 1 / 7)))
     assert decided.found is False and decided.evidence_level == "certified"
     assert decided.margin >= 1e-3
+
+
+def test_kernel_decomposes_the_state_once(capsys, tmp_path, monkeypatch):
+    # the candidate check and the exact decision share one (range, kernel) pair
+    calls = []
+    range_kernel = states.range_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return range_kernel(*args)
+
+    monkeypatch.setattr(states, "range_kernel", counted)
+    code, _, _ = run(capsys, ["kernel", "--case", "v", "--x", "1/7", "--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    assert len(calls) == 1
 
 
 def test_kernel_basis_file_found(capsys, tmp_path):

@@ -290,6 +290,43 @@ def test_witness_search_deterministic():
         assert a.to_json()["evaluations"] == 1
 
 
+def _same_report(a, b) -> bool:
+    """Two reports agree bit for bit: spectrum, value, witness rows, level."""
+    return (np.array_equal(a.spectrum, b.spectrum)
+            and np.float64(a.best_value).tobytes() == np.float64(b.best_value).tobytes()
+            and (a.witness is None) == (b.witness is None)
+            and (a.witness is None or np.array_equal(a.witness, b.witness))
+            and a.evidence_level == b.evidence_level)
+
+
+@pytest.mark.parametrize("case", states.CASES)
+def test_witness_stack_rows_are_witness_search_bit_for_bit(case):
+    # the scan's x-grids: the end points alone, two steps over [0, 1], a
+    # two-point sub-interval and a finer one across the PPT boundaries
+    grids = ([0.0], [1.0], np.linspace(0.0, 1.0, 2), np.linspace(0.1, 0.2, 2),
+             np.linspace(C1, 3 / 11, 37), np.linspace(0.0, 1.0, 200))
+    for xs in grids:
+        res = distill.witness_stack(states.family_stack(case, xs))
+        for k, x in enumerate(xs):
+            one = witness_search(states.build_family(case, float(x)))
+            assert _same_report(res.report(k), one), (case, x)
+            assert res.negative[k] == one.inertia.negative
+            assert bool(res.found[k]) == (one.witness is not None)
+
+
+def test_witness_stack_falls_back_per_row_on_a_vanishing_pencil():
+    # a stack whose middle member has negative eigenvectors |00> and |01>
+    # (det(mA + nB) vanishes identically) between two random states with
+    # two or more negative eigenvalues: every row is its own witness_search
+    rhos = [st.rho for st, _ in random_states_with_two_or_more_negative_eigenvalues(1)][:2]
+    rhos.insert(1, np.diag([-2.0, -1.0] + [1.0] * 7).astype(complex))  # its own partial transpose
+    res = distill.witness_stack(np.stack(rhos))
+    for k, rho in enumerate(rhos):
+        assert _same_report(res.report(k), witness_search(states.QutritState(rho=rho)))
+    dec = linalg.eig_hermitian(partial_transpose(np.stack(rhos), 3, 3))
+    assert np.array_equal(distill._negative_schmidt_vector(dec)[1], dec.vectors[1, :, 0])
+
+
 def random_states_with_two_or_more_negative_eigenvalues(n_each=4):
     """Random states of rank 1-8 whose partial transpose has k >= 2
     negative eigenvalues, with that spectrum."""

@@ -10,6 +10,7 @@ from conftest import random_hermitian, random_symmetric
 
 from qutritdistill import states, minors
 from qutritdistill.linalg import (
+    NonFiniteValue,
     NotHermitian,
     NotSymmetric,
     DimensionMismatch,
@@ -63,6 +64,31 @@ def test_non_finite_matrices_are_not_hermitian():
     with np.errstate(over="ignore", invalid="ignore"):  # the assembly overflows first
         with pytest.raises(NotHermitian, match="non-finite"):
             minors.build_projected(2, (1e200, 1e200))
+
+
+def test_check_hermitian_bounds_each_matrix_of_a_stack_by_its_own_scale():
+    # a defect that a matrix with entries near 1e6 tolerates fails one near 1
+    big = np.diag([1e6, 1.0]).astype(complex)
+    small = np.eye(2, dtype=complex)
+    big[0, 1] = small[0, 1] = 1e-7
+    check_hermitian(big)
+    assert check_hermitian(np.stack([big, np.eye(2)])).shape == (2, 2, 2)
+    with pytest.raises(NotHermitian, match="defect 1.000e-07 exceeds 1.000e-12"):
+        check_hermitian(np.stack([big, small]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match=r"non-finite entries at \[\[1, 0, 0\]\]"):
+            check_hermitian(np.stack([np.eye(2), np.diag([np.nan, 1.0])]))
+
+
+def test_eig_hermitian_of_a_stack_is_each_decomposition_bit_for_bit():
+    rng = np.random.default_rng(8)
+    hs = np.stack([random_hermitian(rng, 9) for _ in range(30)])
+    dec = eig_hermitian(hs)
+    assert dec.values.shape == (30, 9) and dec.vectors.shape == (30, 9, 9)
+    for h, w, v in zip(hs, dec.values, dec.vectors):
+        one = eig_hermitian(h)
+        assert np.array_equal(one.values, w) and np.array_equal(one.vectors, v)
 
 
 def test_eig_reconstructs_random_hermitian():
@@ -154,6 +180,19 @@ def test_pt_dimension_mismatch():
         partial_transpose(np.eye(6), 3, 3)
 
 
+def test_pt_of_a_stack_transposes_each_matrix():
+    rng = np.random.default_rng(4)
+    rhos = rng.normal(size=(2, 5, 9, 9)) + 1j * rng.normal(size=(2, 5, 9, 9))
+    before = rhos.copy()
+    g = partial_transpose(rhos, 3, 3)
+    assert g.shape == rhos.shape
+    assert np.array_equal(rhos, before) and not np.shares_memory(g, rhos)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(g[idx], partial_transpose(rhos[idx], 3, 3))
+    with pytest.raises(DimensionMismatch):
+        partial_transpose(rhos[..., :8], 3, 3)
+
+
 # --------------------------------------------------------------- partial trace
 
 
@@ -206,6 +245,17 @@ def test_takagi_rejects_nonsymmetric():
         takagi(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_takagi_rejects_non_finite_entries():
+    # a NaN defect compares False against the symmetry bound: without the
+    # finiteness test takagi returned singular values [1, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSymmetric, match=r"non-finite entries at \[\[0, 0\]\]"):
+            takagi(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NotSymmetric, match="non-finite"):
+            takagi(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+
 def test_takagi_reconstruction_random():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -253,6 +303,18 @@ def test_inertia_rank_five_state():
 def test_inertia_distillable_point_two_negative():
     g = partial_transpose(state_v(0.5).rho, 3, 3)
     assert inertia_of_spectrum(eig_hermitian(g).values).negative >= 2
+
+
+def test_inertia_of_stacked_spectra_counts_each_row():
+    rng = np.random.default_rng(6)
+    ws = np.sort(rng.normal(size=(3, 4, 9)), axis=-1)
+    ws[0, 0, :4] = 0.0
+    ine = inertia_of_spectrum(ws)
+    assert all(c.shape == (3, 4) for c in ine)
+    for idx in np.ndindex(3, 4):
+        one = inertia_of_spectrum(ws[idx])
+        assert all(type(c) is int for c in one)
+        assert tuple(one) == tuple(int(c[idx]) for c in ine)
 
 
 def test_inertia_counts_sum_to_dimension():
@@ -370,6 +432,16 @@ def test_matrix_rank_examples():
     assert matrix_rank(two) == 2
 
 
+def test_matrix_rank_rejects_non_finite_entries():
+    # the SVD used to fail with numpy's untyped LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"non-finite entries at \[\[0, 0\]\]"):
+            matrix_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteValue):
+            matrix_rank(np.full((3, 3), np.inf), tol=1e-10)
+
+
 # ---------------------------------------------------------------- pencil_roots
 
 
@@ -408,3 +480,21 @@ def test_pencil_roots_singular_pencil():
         pencil_roots(a, b)
     with pytest.raises(SingularPencil):
         pencil_roots(np.zeros((3, 3)), np.zeros((3, 3)))
+
+
+def test_pencil_roots_of_a_stack_are_each_pair_alone_bit_for_bit():
+    # a stack solves every pair as pencil_roots solves it alone; a pair whose
+    # pencil vanishes identically gets NaN roots and leaves the others alone
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    b = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    a[2], b[2] = np.diag([1.0, 2.0, 0.0]), np.diag([1.0, 0.0, 3.0])
+    a[4], b[4] = np.diag([1.0, 2.0, 0.0]), np.diag([3.0, 1.0, 0.0])  # shared null vector
+    roots = pencil_roots(a.reshape(2, 3, 3, 3), b.reshape(2, 3, 3, 3)).reshape(6, 3, 2)
+    for k in range(6):
+        if k == 4:
+            assert np.isnan(roots[k]).all()
+            with pytest.raises(SingularPencil):
+                pencil_roots(a[k], b[k])
+        else:
+            assert np.array_equal(roots[k], pencil_roots(a[k], b[k]))

@@ -1,6 +1,8 @@
 """Rank-five symmetric two-qutrit family: construction, local frames,
 range/kernel extraction, Schmidt ranks, wrapping a density matrix."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,24 @@ def test_family_weight_placement():
         assert abs(val - 0.9) <= 1e-12
 
 
+def test_family_stack_is_each_build_family_bit_for_bit():
+    xs = np.r_[0.0, np.linspace(0.0, 1.0, 37), 1 / 7, 1.0]
+    for case in CASES:
+        rhos = states.family_stack(case, xs)
+        assert rhos.shape == (len(xs), 9, 9)
+        for rho, x in zip(rhos, xs):
+            assert np.array_equal(rho, build_family(case, float(x)).rho)
+
+
+def test_family_stack_rejects_any_x_outside_the_unit_interval():
+    with pytest.raises(states.OutOfRange, match="x=1.5 outside"):
+        states.family_stack("v", [0.0, 0.5, 1.5])
+    with pytest.raises(states.OutOfRange):
+        states.family_stack("v", [np.nan])
+    with pytest.raises(ValueError, match="unknown case"):
+        states.family_stack("vi", [0.5])
+
+
 # ---------------------------------------------------------------- apply_local
 
 
@@ -203,6 +223,16 @@ def test_schmidt_rank_values():
 def test_schmidt_rank_zero_vector_raises():
     with pytest.raises(states.ZeroVector):
         schmidt_rank(np.zeros(9))
+
+
+def test_schmidt_rank_rejects_non_finite_vectors():
+    # the SVD used to fail with numpy's untyped LinAlgError, after a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NonFiniteValue):
+            schmidt_rank(np.full(9, np.nan))
+        with pytest.raises(linalg.NonFiniteValue):
+            schmidt_rank(np.r_[np.inf, np.zeros(8)])
 
 
 def test_coefficient_matrix_row_col_convention():
