@@ -279,16 +279,11 @@ def witness_stack(rho: np.ndarray) -> WitnessStack:
     _negative_schmidt_vector, the 3x3 SVD, the compression and eigvalsh."""
     g = linalg.partial_transpose(rho, states.DIM_A, states.DIM_B)
     del rho  # a scan hands over its only reference: free the states early
-    spectra, rows = _witness_rows(g)
-    return WitnessStack(spectra=spectra, rows=rows, values=projected_min_eig(g, rows))
-
-
-def _witness_rows(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending spectra of a stack of partial transposes and the
-    (n, 2, 3) projection rows; the eigenvectors go when this returns."""
     dec = linalg.eig_hermitian(g)
     u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(-1, 3, 3))[0]
-    return dec.values, u[..., :2].conj().swapaxes(-2, -1)
+    spectra, rows = dec.values, u[..., :2].conj().swapaxes(-2, -1)
+    del dec  # free the eigenvectors before the compression's temporaries
+    return WitnessStack(spectra=spectra, rows=rows, values=projected_min_eig(g, rows))
 
 
 def witness_search(state: states.QutritState) -> DistillReport:
@@ -429,31 +424,26 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     target: "min_eig" (smallest) or "second_eig" (second smallest). The
     bracket needs lo < hi (ValueError otherwise) and a strict sign change
     across it; flat or same-sign brackets raise NoSignChange instead of
-    returning an arbitrary point. The result keeps the bracket as given;
-    iterations counts the eigensolves spent, two at the ends and one per
-    root checked.
+    returning an arbitrary point. Stacks at (lo, hi, 0, 1) and at the real
+    roots in (lo, hi) give every spectrum; the result keeps the bracket as
+    given, and iterations is 2 plus the 1-based index of the root returned.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(_TARGETS)}")
     idx = _TARGETS[target]
-
-    def eigs(x):
-        return np.linalg.eigvalsh(pt_of(states.build_family(case_id, x)))
-
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
-    flo, fhi = float(eigs(lo)[idx]), float(eigs(hi)[idx])
+    g = linalg.partial_transpose(states.family_stack(case_id, [lo, hi, 0.0, 1.0]), 3, 3)
+    flo, fhi = np.linalg.eigvalsh(g[:2])[:, idx].tolist()
     if flo == 0.0 or fhi == 0.0 or (flo < 0) == (fhi < 0):
         raise NoSignChange(
             f"{target} does not strictly change sign on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
-    g0 = pt_of(states.build_family(case_id, 0.0))
-    g1 = pt_of(states.build_family(case_id, 1.0))
-    roots = [n / m for m, n in linalg.pencil_roots(g0, g1 - g0) if abs(m) > 0]
+    roots = [n / m for m, n in linalg.pencil_roots(g[2], g[3] - g[2]) if abs(m) > 0]
     real = sorted(t.real for t in roots if abs(t.imag) <= 1e-8 and lo < t.real < hi)
-    for solves, t in enumerate(real, start=3):
-        w = eigs(t)
+    g = linalg.partial_transpose(states.family_stack(case_id, real), 3, 3)
+    for solves, (t, w) in enumerate(zip(real, np.linalg.eigvalsh(g)), start=3):
         if abs(w[idx]) <= 1e-10 * np.abs(w).max():
             return ThresholdResult(x_star=float(t), bracket=(lo, hi), iterations=solves)
     raise linalg.NoConvergence(f"no pencil root in ({lo}, {hi}) zeroes {target}")

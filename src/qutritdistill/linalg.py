@@ -18,7 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -225,15 +224,6 @@ def inertia_of_spectrum(w: np.ndarray) -> Inertia:
     return Inertia(*(map(int, counts) if w.ndim == 1 else counts))
 
 
-@functools.lru_cache(maxsize=None)
-def _pencil_directions(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cos t, sin t) at t = pi j / (k + 1), j = 0..k, each shaped (k + 1, 1, 1)."""
-    t = np.pi * np.arange(k + 1) / (k + 1)
-    m0, n0 = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
-    m0.flags.writeable = n0.flags.writeable = False
-    return m0, n0
-
-
 def pencil_roots(a, b) -> np.ndarray:
     """Homogeneous roots (m : n) of det(m a + n b) = 0 for k x k matrices a
     and b, as the rows of a (k, 2) array, each scaled to unit norm. The root
@@ -258,7 +248,8 @@ def pencil_roots(a, b) -> np.ndarray:
         raise DimensionMismatch(f"need two square matrices of one shape, got {a.shape}, {b.shape}")
     lead, k = a.shape[:-2], a.shape[-1]
     a, b = a.reshape(-1, k, k), b.reshape(-1, k, k)
-    m0, n0 = _pencil_directions(k)
+    t = np.pi * np.arange(k + 1) / (k + 1)
+    m0, n0 = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
     pencils = m0 * a[:, None]
     pencils += n0 * b[:, None]
     norm_a, norm_b = _frobenius(a)[:, None], _frobenius(b)[:, None]

@@ -100,15 +100,20 @@ def _check_x(x: float) -> None:
 
 def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndarray:
     """6x6 Hermitian compression of the partial transpose in the mixed frame
-    by the chosen row family; params is a or (a,) for form 1, (b, c) for 2."""
+    by the chosen row family; params is a or (a,) for form 1, (b, c) for 2.
+    A non-finite result raises distill.NonFiniteValue, without a RuntimeWarning."""
     _check_x(x)
     form = _FORMS.get(form_id)
     if form is None:
         raise ValueError(f"unknown form_id {form_id}; expected 1 or 2")
     values = (params,) if np.isscalar(params) else tuple(params)
-    out = distill.projected_matrix(_mixed_frame_pt(float(x)), distill.family_rows(form, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = distill.projected_matrix(_mixed_frame_pt(float(x)), distill.family_rows(form, values))
+        sym = 0.5 * (out + out.conj().T)
+    if not np.isfinite(sym).all():
+        raise distill.NonFiniteValue(f"the form {form_id} compression at {values} is not finite")
     linalg.check_hermitian(out)
-    return 0.5 * (out + out.conj().T)
+    return sym
 
 
 def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:

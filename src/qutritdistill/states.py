@@ -93,23 +93,9 @@ class LocalOperator:
                 raise ValueError("local operator is not unitary")
 
 
-def _family_rounds() -> list:
-    """The nonzero entries of the projectors P_k = |v_k><v_k| onto the
-    shared eigenvectors, in rounds: round t holds, for each entry
-    r * DIM + s with more than t of them, its t-th (k, P_k[r, s]) in
-    ascending k, as arrays (entries, ks, values)."""
-    projectors = SYMMETRIC_BASIS[:, :, None] * SYMMETRIC_BASIS.conj()[:, None, :]
-    terms = {}
-    for k, r, s in zip(*np.nonzero(projectors)):
-        terms.setdefault(DIM * r + s, []).append((k, projectors[k, r, s]))
-    rounds = []
-    for t in range(max(map(len, terms.values()))):
-        picked = [(e, *ks[t]) for e, ks in terms.items() if len(ks) > t]
-        rounds.append(tuple(np.array(col) for col in zip(*picked)))
-    return rounds
-
-
-_FAMILY_ROUNDS = _family_rounds()
+# (flat positions, values) of the nonzero entries of each projector |v_k><v_k|
+_PROJECTOR_ENTRIES = [(np.flatnonzero(p), p[p != 0])
+                      for p in SYMMETRIC_BASIS[:, :, None] * SYMMETRIC_BASIS.conj()[:, None, :]]
 
 
 def family_stack(case_id: str, xs) -> np.ndarray:
@@ -118,13 +104,11 @@ def family_stack(case_id: str, xs) -> np.ndarray:
     (1-x)/4 on the other four. Every x must lie in the closed interval
     [0, 1]; the endpoints give rank four (x = 0) and rank one (x = 1).
 
-    Each entry is the sum of its weighted projector entries in basis order,
-    starting from +0, over the nonzero projector entries only: 21 of the 81
-    entries have any, and at most two, so two rounds of one gathered
-    multiply-add each build the stack. That is bitwise the dense sum of the
-    five weighted projectors: the products are the same, a sum that starts
-    at +0 never becomes -0, and adding the dense sum's +-0 terms changes
-    nothing. No temporary is as large as the stack."""
+    Each projector adds its nonzero entries, weighted, in basis order, so
+    each entry sums its nonzero terms in ascending k from +0: 21 of the 81
+    entries have any. That is bitwise the dense sum of the five weighted
+    projectors: the products are the same, a sum that starts at +0 never
+    becomes -0, and adding the dense sum's +-0 terms changes nothing."""
     if case_id not in CASE_INDEX:
         raise ValueError(f"unknown case {case_id!r}; expected one of {CASES}")
     xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -136,8 +120,8 @@ def family_stack(case_id: str, xs) -> np.ndarray:
     lam[:, CASE_INDEX[case_id]] = xs
     rho = np.zeros((len(xs), DIM, DIM), dtype=complex)
     flat = rho.reshape(len(xs), DIM * DIM)
-    for entries, ks, values in _FAMILY_ROUNDS:
-        flat[:, entries] += lam[:, ks] * values
+    for k, (entries, values) in enumerate(_PROJECTOR_ENTRIES):
+        flat[:, entries] += lam[:, k, None] * values
     return rho
 
 

@@ -424,19 +424,22 @@ def test_threshold_second_eig():
     assert abs(res.x_star - 3 / 11) <= 1e-13
 
 
-def test_threshold_case_i_quarter():
-    res = find_threshold("i", "min_eig", (0.2, 0.3))
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+def test_threshold_case_i_quarter(case):
+    res = find_threshold(case, "min_eig", (0.2, 0.3))
     assert abs(res.x_star - 0.25) <= 1e-13
 
 
-def test_threshold_case_i_seventh():
-    res = find_threshold("i", "min_eig", (0.1, 0.2))
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+def test_threshold_case_i_seventh(case):
+    res = find_threshold(case, "min_eig", (0.1, 0.2))
     assert abs(res.x_star - 1 / 7) <= 1e-13
 
 
-def test_threshold_skips_roots_of_other_eigenvalues():
-    # at 1/25 the second eigenvalue of case i vanishes, not the smallest
-    res = find_threshold("i", "min_eig", (0.02, 0.2))
+@pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+def test_threshold_skips_roots_of_other_eigenvalues(case):
+    # at 1/25 the second eigenvalue of cases i-iv vanishes, not the smallest
+    res = find_threshold(case, "min_eig", (0.02, 0.2))
     assert abs(res.x_star - 1 / 7) <= 1e-13
     assert res.iterations == 4  # two ends, then the roots 1/25 and 1/7
 

@@ -4,6 +4,7 @@ positivity scans."""
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def test_build_projected_sizes():
 def test_build_projected_rejects_bad_x():
     with pytest.raises(states.OutOfRange):
         build_projected(2, (0.0, 0.0), x=1.5)
+
+
+@pytest.mark.parametrize("form_id, params", [
+    (2, (1e200, 1e200)),  # finite parameters whose compression overflows
+    (2, (3e154, 3e154)),  # a finite compression whose symmetrized sum overflows
+    (1, np.nan),
+    (2, (np.inf, 0.0)),
+])
+def test_build_projected_rejects_non_finite_values(form_id, params):
+    # the same error the grid path raises for an overflow, and no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(distill.NonFiniteValue):
+            build_projected(form_id, params)
 
 
 def test_form1_psd_on_default_grid():

@@ -99,18 +99,23 @@ def test_family_invariants_over_grid():
 
 
 def test_family_bitwise_equals_fresh_basis_sum():
-    # build_family reads the basis built once at import; a basis rebuilt
-    # from its kets gives the same rho, bit for bit, for every case and x
+    # build_family and family_stack read the basis built once at import; a
+    # basis rebuilt from its kets gives the same rho, bit for bit, for every
+    # case and x, one state at a time and as one stack over the whole grid
     fresh = states._build_symmetric_basis()
     assert symmetric_basis().tobytes() == fresh.tobytes()
+    xs = np.linspace(0.0, 1.0, 101)
     for case in CASES:
-        for x in np.linspace(0.0, 1.0, 101):
+        dense = []
+        for x in xs:
             lam = np.full(5, (1.0 - x) / 4.0)
             lam[CASE_INDEX[case]] = x
             rho = np.zeros((9, 9), dtype=complex)
             for w, vec in zip(lam, fresh):
                 rho += w * np.outer(vec, vec.conj())
             assert build_family(case, float(x)).rho.tobytes() == rho.tobytes(), (case, x)
+            dense.append(rho)
+        assert states.family_stack(case, xs).tobytes() == np.array(dense).tobytes(), case
 
 
 def test_symmetric_basis_copy_cannot_change_later_states():
