@@ -17,7 +17,7 @@ xs = np.linspace(0.05, 0.95, 19)
 print("case v sweep:")
 print(f"{'x':>8} {'min eig':>12} {'2nd eig':>12} {'negatives':>10}")
 for x in xs:
-    lam = np.linalg.eigvalsh(partial_transpose(build_family("v", float(x)).rho, 3, 3))
+    lam = np.linalg.eigvalsh(partial_transpose(build_family("v", float(x)).rho))
     neg = int(np.sum(lam < -1e-10))
     print(f"{x:8.3f} {lam[0]:12.3e} {lam[1]:12.3e} {neg:10d}")
 

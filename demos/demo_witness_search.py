@@ -22,7 +22,7 @@ for case, x in (("i", 0.05), ("i", 0.30), ("iii", 0.50), ("v", 0.50), ("v", 0.90
 
     # the witness converts to an explicit Schmidt-rank-2 vector with
     # negative partial-transpose expectation
-    g = partial_transpose(st.rho, 3, 3)
+    g = partial_transpose(st.rho)
     psi, val = witness_to_pt_vector(g, rep.witness)
     print(f"  lifted vector: schmidt rank {schmidt_rank(psi)}, "
           f"<psi|G|psi> = {val:.6f}")

@@ -27,6 +27,8 @@ EXIT_NOT_FOUND = 10
 EXIT_USAGE = 2
 EXIT_INTERNAL = 1
 
+MAX_SCAN_STEPS = 10_000  # x values of one scan
+
 NAMED_X = {
     "c1": (33.0 - 12.0 * math.sqrt(6.0)) / 25.0,
     "c2": (24.0 * math.sqrt(2.0) - 33.0) / 7.0,
@@ -98,8 +100,8 @@ def cmd_scan(args) -> int:
     x_min, x_max = parse_x(args.x_min), parse_x(args.x_max)
     if not (0.0 <= x_min < x_max <= 1.0):
         raise UsageError("need 0 <= x-min < x-max <= 1")
-    if args.steps < 2:
-        raise UsageError("need steps >= 2")
+    if not 2 <= args.steps <= MAX_SCAN_STEPS:
+        raise UsageError(f"need 2 <= steps <= {MAX_SCAN_STEPS}")
     xs = np.linspace(x_min, x_max, args.steps)
     res = distill.witness_stack(states.family_stack(args.case, xs))
     negative = res.negative
@@ -198,10 +200,14 @@ def cmd_verify_example(args) -> int:
     if not (0.0 < x < 1.0):
         raise UsageError("x must lie in (0, 1)")
     step = args.grid_step
-    if not math.isfinite(step):
-        raise UsageError("grid step must be finite")
-    if step <= 0:
-        raise UsageError("grid step must be positive")
+    # every grid is checked before anything runs; the +-3 grids bound the +-2
+    # cross-check grid of the same step
+    c_panels = (0j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
+    try:
+        specs = [minors.MinorScanSpec(which=which, step=step, c_values=c_panels, x=x)
+                 for which in ("alpha2_minor4", "F", "G")]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     checks = {}
 
     state = minors.mixed_frame_state(x)
@@ -221,28 +227,24 @@ def cmd_verify_example(args) -> int:
 
     # the closed forms hold at x = 1/7 only: elsewhere they measure the step in x
     if x == minors.UNDISTILLABLE_X:
-        n = int(round(4.0 / step)) + 1
-        real_grid = minors.default_real_bc_grid(-2.0, 2.0, n)
+        real_grid = minors.default_real_bc_grid(int(round(4.0 / step)) + 1)
         for form in ("minor4", "minor5", "det"):
-            rpt = minors.cross_check(form, real_grid, x=x)
+            rpt = minors.cross_check(form, real_grid)
             entry = rpt.to_json()
             entry["pass"] = entry.pop("passed")
             checks[f"cross_{form}"] = entry
 
     # proved: the table's exact certificate holds and the table matched the
     # direct minors in this run (x = 1/7 only); otherwise the grid decides
-    c_panels = (0j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
-    for which, name, table in (("alpha2_minor4", "minor4_scan", "minor4"),
-                               ("F", "F_scan", "minor5"), ("G", "G_scan", "det")):
-        spec = minors.MinorScanSpec(which=which, re_range=(-3.0, 3.0), im_range=(-3.0, 3.0),
-                                    step=step, c_values=c_panels, x=x)
+    for spec, name, table in zip(specs, ("minor4_scan", "F_scan", "G_scan"),
+                                 ("minor4", "minor5", "det")):
         entry = minors.scan(spec, out_csv=_outpath(args, f"{name}.csv")).to_json()
         cross = checks.get(f"cross_{table}")
         if cross and cross["pass"] and minors.certify_positive(minors.CLOSED_FORMS[table][1]):
             entry["evidence_level"] = "proved"
         else:
             entry["evidence_level"] = "not_found_at_budget" if entry["pass"] else "searched"
-        checks[which] = entry
+        checks[spec.which] = entry
 
     overall = all(c["pass"] for c in checks.values())
     payload = {

@@ -142,13 +142,9 @@ class ThresholdResult:
     iterations: int = 0
 
 
-def pt_of(state: states.QutritState) -> np.ndarray:
-    return linalg.partial_transpose(state.rho, states.DIM_A, states.DIM_B)
-
-
 def npt_check(state: states.QutritState) -> DistillReport:
     """NPT verdict with the partial-transpose inertia; no witness search."""
-    return DistillReport(spectrum=linalg.eig_hermitian(pt_of(state)).values)
+    return DistillReport(spectrum=linalg.eig_hermitian(linalg.partial_transpose(state.rho)).values)
 
 
 def _kron_eye3(rows: np.ndarray) -> np.ndarray:
@@ -168,11 +164,10 @@ def projected_matrix(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return rg @ np.conjugate(r, out=r).swapaxes(-2, -1)
 
 
-def projected_min_eig(g: np.ndarray, rows: np.ndarray):
-    """The least eigenvalue of projected_matrix(g, rows): a float, or one
-    per matrix of a stack, as an array."""
-    w = np.linalg.eigvalsh(projected_matrix(g, rows))[..., 0]
-    return float(w) if w.ndim == 0 else w
+def projected_min_eig(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of projected_matrix(g, rows), one per matrix of
+    a stack."""
+    return np.linalg.eigvalsh(projected_matrix(g, rows))[..., 0]
 
 
 def _lift(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -277,7 +272,7 @@ def witness_stack(rho: np.ndarray) -> WitnessStack:
     """witness_search at every density matrix of an (n, 9, 9) stack, with one
     batched call per step: partial transpose, Hermitian check and eigh,
     _negative_schmidt_vector, the 3x3 SVD, the compression and eigvalsh."""
-    g = linalg.partial_transpose(rho, states.DIM_A, states.DIM_B)
+    g = linalg.partial_transpose(rho)
     del rho  # a scan hands over its only reference: free the states early
     dec = linalg.eig_hermitian(g)
     u = np.linalg.svd(_negative_schmidt_vector(dec).reshape(-1, 3, 3))[0]
@@ -373,11 +368,10 @@ def precondition_report(state: states.QutritState) -> dict:
     when no zero of the minors passed its residual check.
     """
     rho = state.rho
-    g = pt_of(state)
-    rank = linalg.matrix_rank(rho, tol=1e-10)
-    rank_a = linalg.matrix_rank(linalg.partial_trace(rho, 3, 3, "A"), tol=1e-10)
-    rank_b = linalg.matrix_rank(linalg.partial_trace(rho, 3, 3, "B"), tol=1e-10)
-    dec = linalg.eig_hermitian(g)
+    rank = linalg.matrix_rank(rho)
+    rank_a = linalg.matrix_rank(linalg.partial_trace(rho, "A"))
+    rank_b = linalg.matrix_rank(linalg.partial_trace(rho, "B"))
+    dec = linalg.eig_hermitian(linalg.partial_transpose(rho))
     inert = linalg.inertia_of_spectrum(dec.values)
     srank = states.schmidt_rank(_negative_schmidt_vector(dec)) if inert.negative else None
 
@@ -434,7 +428,7 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
-    g = linalg.partial_transpose(states.family_stack(case_id, [lo, hi, 0.0, 1.0]), 3, 3)
+    g = linalg.partial_transpose(states.family_stack(case_id, [lo, hi, 0.0, 1.0]))
     flo, fhi = np.linalg.eigvalsh(g[:2])[:, idx].tolist()
     if flo == 0.0 or fhi == 0.0 or (flo < 0) == (fhi < 0):
         raise NoSignChange(
@@ -442,7 +436,7 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
         )
     roots = [n / m for m, n in linalg.pencil_roots(g[2], g[3] - g[2]) if abs(m) > 0]
     real = sorted(t.real for t in roots if abs(t.imag) <= 1e-8 and lo < t.real < hi)
-    g = linalg.partial_transpose(states.family_stack(case_id, real), 3, 3)
+    g = linalg.partial_transpose(states.family_stack(case_id, real))
     for solves, (t, w) in enumerate(zip(real, np.linalg.eigvalsh(g)), start=3):
         if abs(w[idx]) <= 1e-10 * np.abs(w).max():
             return ThresholdResult(x_star=float(t), bracket=(lo, hi), iterations=solves)

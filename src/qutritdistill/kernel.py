@@ -132,15 +132,13 @@ def _null_space(mat: np.ndarray) -> tuple[np.ndarray, float]:
 def _line_points(rbar: np.ndarray) -> np.ndarray:
     """Roots (m : n) of the line where M(m, n) = m a + n b, a and b the first
     two rows of every rbar[i], drops rank: the roots of the first row triple
-    whose 3x3 pencil is not singular (a common zero is a root of every
-    triple), or (1 : 0) when every triple's determinant vanishes on the line."""
-    a, b = rbar[:, 0, :], rbar[:, 1, :]
-    for t in itertools.combinations(range(len(rbar)), 3):
-        try:
-            return linalg.pencil_roots(a[list(t)], b[list(t)])
-        except linalg.SingularPencil:
-            pass
-    return np.eye(2)[:1]
+    whose 3x3 pencil does not vanish identically (a common zero is a root of
+    every triple), from one stacked pencil_roots over all triples, or (1 : 0)
+    when every triple's determinant vanishes on the line."""
+    t = np.array(list(itertools.combinations(range(len(rbar)), 3)), dtype=int).reshape(-1, 3)
+    roots = linalg.pencil_roots(rbar[t, 0, :], rbar[t, 1, :])
+    solved = np.flatnonzero(~np.isnan(roots[:, 0, 0]))
+    return roots[solved[0]] if solved.size else np.eye(2)[:1]
 
 
 def _shift_points(null4: np.ndarray) -> np.ndarray:

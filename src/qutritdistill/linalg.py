@@ -12,7 +12,8 @@ run the same routine on each matrix of a stack.
 
 Conventions:
     - bipartite vectors index as |a,b> -> position dimB*a + b (row-major);
-    - partial transpose acts on the first (A) factor;
+    - partial_transpose and partial_trace act on C3 x C3, the transpose on
+      the first (A) factor;
     - Hermitian eigenvalues come back ascending, singular values descending.
 """
 
@@ -26,6 +27,7 @@ HERM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 MINOR_IMAG_TOL = 1e-10
 PENCIL_TOL = 1e-12
+RANK_TOL = 1e-10  # matrix_rank counts singular values above it
 
 
 class NotHermitian(ValueError):
@@ -47,10 +49,6 @@ class DimensionMismatch(ValueError):
 
 class NoConvergence(RuntimeError):
     pass
-
-
-class SingularPencil(ValueError):
-    """det(m a + n b) vanishes for every (m, n)."""
 
 
 class NonFiniteValue(ValueError):
@@ -134,26 +132,24 @@ def eig_hermitian(m) -> EigenDecomposition:
     return EigenDecomposition(values=w, vectors=v)
 
 
-def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose the first tensor factor: block (i,j) of the output equals
-    block (j,i) of the input, blocks being dim_b x dim_b."""
+def partial_transpose(m) -> np.ndarray:
+    """Transpose the first factor of C3 x C3: block (i,j) of the output
+    equals block (j,i) of the input, blocks being 3x3."""
     a = _as_stack(m)
-    n = dim_a * dim_b
-    if a.shape[-2:] != (n, n):
-        raise DimensionMismatch(f"expected {(n, n)}, got {a.shape}")
-    t = a.reshape(a.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
+    if a.shape[-2:] != (9, 9):
+        raise DimensionMismatch(f"expected (9, 9), got {a.shape}")
+    t = a.reshape(a.shape[:-2] + (3, 3, 3, 3))
     out = np.empty_like(t)
     out[...] = t.swapaxes(-4, -2)
     return out.reshape(a.shape)
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one factor; keep is "A" or "B"."""
+def partial_trace(m, keep: str) -> np.ndarray:
+    """Trace out one factor of C3 x C3; keep is "A" or "B"."""
     a = as_matrix(m)
-    n = dim_a * dim_b
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"expected {(n, n)}, got {a.shape}")
-    t = a.reshape(dim_a, dim_b, dim_a, dim_b)
+    if a.shape != (9, 9):
+        raise DimensionMismatch(f"expected (9, 9), got {a.shape}")
+    t = a.reshape(3, 3, 3, 3)
     if keep == "A":
         return np.einsum("abcb->ac", t)
     if keep == "B":
@@ -161,17 +157,14 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def matrix_rank(a, tol: float | None = None) -> int:
-    """Count of singular values above tol (default 1e-9 times the largest);
-    NonFiniteValue on a non-finite entry."""
+def matrix_rank(a) -> int:
+    """Count of singular values above RANK_TOL; NonFiniteValue on a
+    non-finite entry."""
     m = as_matrix(a)
     if m.size == 0:
         return 0
     _reject_non_finite(m, NonFiniteValue)
-    s = np.linalg.svd(m, compute_uv=False)
-    if tol is None:
-        tol = 1e-9 * s[0]
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) > RANK_TOL))
 
 
 def takagi(a) -> TakagiFactorization:
@@ -226,22 +219,22 @@ def inertia_of_spectrum(w: np.ndarray) -> Inertia:
 
 def pencil_roots(a, b) -> np.ndarray:
     """Homogeneous roots (m : n) of det(m a + n b) = 0 for k x k matrices a
-    and b, as the rows of a (k, 2) array, each scaled to unit norm. The root
-    (1 : 0) appears exactly when a is singular, (0 : 1) when b is.
+    and b, as the rows of a (k, 2) array, each scaled to unit norm; NaN rows
+    when the pencil vanishes identically. The root (1 : 0) appears exactly
+    when a is singular, (0 : 1) when b is.
 
     det(m a + n b) is a form of degree k in (m, n), so it vanishes
     identically as soon as it vanishes at k + 1 distinct directions. The
     directions tried are (m0 : n0) = (cos t, sin t), t = pi j / (k + 1) for
     j = 0..k. A direction counts as singular when the smallest singular value
     of c = m0 a + n0 b is at most PENCIL_TOL (|m0| |a| + |n0| |b|), Frobenius
-    norms; when all k + 1 are, SingularPencil is raised. Otherwise c is the
+    norms; when all k + 1 are, the roots are NaN. Otherwise c is the
     direction with the largest such relative singular value, d = -n0 a + m0 b
     completes the rotation, and every eigenvalue l of c^-1 d gives the root
     (m : n) = (-m0 l - n0, -n0 l + m0), since d - l c = m a + n b.
 
     Stacks a, b of shape (..., k, k) give roots of shape (..., k, 2), each
-    pair solved as alone; a pair whose pencil vanishes identically gets NaN
-    roots instead of raising.
+    pair solved as alone.
     """
     a, b = _as_stack(a), _as_stack(b)
     if a.shape != b.shape or a.shape[-2] != a.shape[-1]:
@@ -256,8 +249,6 @@ def pencil_roots(a, b) -> np.ndarray:
     scale = np.abs(m0[:, 0, 0]) * norm_a + np.abs(n0[:, 0, 0]) * norm_b
     smallest = np.linalg.svd(pencils, compute_uv=False)[..., -1]
     solvable = ~(smallest <= PENCIL_TOL * scale).all(axis=-1)
-    if not lead and not solvable[0]:
-        raise SingularPencil("det(m a + n b) vanishes identically")
     roots = np.full(a.shape[:-1] + (2,), np.nan, dtype=complex)
     i = np.flatnonzero(solvable)
     if i.size:

@@ -36,11 +36,14 @@ eval_printed_form keeps the polynomials as printed in the source analysis;
 they are not minors of this compression (constant terms 737, 2680 and 24120
 against 640, 1280 and 11520, and non-real values off the real (b, c)
 slice). cross_check compares either set against directly
-computed minors, as deviations relative to the direct value, and reports
-them instead of correcting either side; it is meaningful at x = 1/7 only.
-It evaluates the exact set in one array pass over the grid, bitwise equal
-to eval_closed_form point by point, and the printed set point by point,
+computed minors at x = 1/7, as deviations relative to the direct value,
+and reports them instead of correcting either side. It evaluates the
+exact set in one array pass over the grid, bitwise equal to
+eval_closed_form point by point, and the printed set point by point,
 since each non-real printed value is reported on its own.
+
+A MinorScanSpec axis runs lo, lo + step, ... up to its last point <= hi,
+and a spec of more than MAX_GRID_POINTS points is rejected when made.
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ from . import distill, linalg, states
 from ._fmt import complex_pair, write_csv
 
 UNDISTILLABLE_X = 1.0 / 7.0
+
+CROSS_TOL = 1e-9  # largest relative deviation a cross_check passes
+CROSS_LOGGED = 20  # worst points a cross_check report lists
+MAX_GRID_POINTS = 4_000_000  # points of a MinorScanSpec, over every c panel
+AXIS_TOL = 1e-9  # relative slack of (hi - lo) / step before an axis ends
 
 DEN_MINOR4 = 5531904
 DEN_MINOR5 = 464679936
@@ -85,7 +93,7 @@ def mixed_frame_state(x: float = UNDISTILLABLE_X) -> states.QutritState:
 @lru_cache(maxsize=32)
 def _mixed_frame_pt(x: float) -> np.ndarray:
     """Partial transpose of the frame-rotated fifth-family state."""
-    return linalg.partial_transpose(mixed_frame_state(x).rho, 3, 3)
+    return linalg.partial_transpose(mixed_frame_state(x).rho)
 
 
 @lru_cache(maxsize=32)
@@ -303,23 +311,20 @@ class CrossCheckReport:
         return asdict(self)
 
 
-def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
-                tol: float = 1e-9, max_logged: int = 20,
-                printed: bool = False) -> CrossCheckReport:
-    """Compare a closed-form minor against the directly computed one over a
-    grid of (b, c) pairs. Deviations are reported, never raised; points where
-    the closed form fails to be real are collected separately.
+def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> CrossCheckReport:
+    """Compare a closed-form minor against the directly computed one at
+    x = 1/7 over a grid of (b, c) pairs. Deviations are reported, never
+    raised; points where the closed form fails to be real are collected
+    separately. The check passes when no deviation exceeds CROSS_TOL, and
+    the report lists up to CROSS_LOGGED of the worst points beyond it.
 
     printed=True checks the source's printed polynomials (eval_printed_form)
-    instead of the exact ones. Both sets are closed forms at x = 1/7, so at
-    any other x the check reports the gap between the two values of x.
-    Each deviation is |closed - direct| / |direct|, infinite where only the
-    direct value is zero."""
+    instead of the exact ones. Each deviation is |closed - direct| / |direct|,
+    infinite where only the direct value is zero."""
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}")
-    _check_x(x)
     points = np.array(grid, dtype=complex).reshape(-1, 2)
-    directs = _values("alpha2_" + which, points[:, 0], points[:, 1], x)
+    directs = _values("alpha2_" + which, points[:, 0], points[:, 1], UNDISTILLABLE_X)
     non_real = []
     if printed:  # per point, to report each non-real value
         kept, closed = [], []
@@ -342,14 +347,14 @@ def cross_check(which: str, grid: Sequence[tuple], x: float = UNDISTILLABLE_X,
             "b": complex_pair(complex(points[t, 0])), "c": complex_pair(complex(points[t, 1])),
             "closed": float(closed[t]), "direct": float(directs[t]), "deviation": float(devs[t]),
         }
-        for t in order[:max_logged].tolist()
-        if devs[t] > tol
+        for t in order[:CROSS_LOGGED].tolist()
+        if devs[t] > CROSS_TOL
     ]
     return CrossCheckReport(
         which=which,
         n_points=len(devs) + len(non_real),
         max_rel_dev=max_dev,
-        passed=(max_dev <= tol) and not non_real,
+        passed=(max_dev <= CROSS_TOL) and not non_real,
         worst=worst,
         non_real=non_real,
     )
@@ -374,8 +379,9 @@ def default_a_grid() -> list:
     return out
 
 
-def default_real_bc_grid(lo: float = -2.0, hi: float = 2.0, n: int = 21) -> list:
-    vals = np.linspace(lo, hi, n)
+def default_real_bc_grid(n: int = 21) -> list:
+    """The n x n real (b, c) points of np.linspace(-2, 2, n) in each."""
+    vals = np.linspace(-2.0, 2.0, n)
     return [(complex(bv), complex(cv)) for bv in vals for cv in vals]
 
 
@@ -402,16 +408,24 @@ class MinorScanSpec:
             raise ValueError("need at least one c value")
         if not np.isfinite(np.array(self.c_values, dtype=complex)).all():
             raise ValueError("c values must be finite")
+        points = self._length(*self.re_range) * self._length(*self.im_range) * len(self.c_values)
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points (re_b x im_b x c values)")
 
     @property
     def scale(self) -> float:
         """SCALE_F for F, SCALE_G for G, 1 otherwise; set by which alone."""
         return _AUTO_SCALE.get(self.which, 1.0)
 
+    def _length(self, lo: float, hi: float) -> float:
+        """Points of the axis lo, lo + step, ... up to the last one <= hi,
+        allowing a relative AXIS_TOL so that 6 / 0.05 = 119.99999999999999
+        still ends at lo + 120 step; inf when hi - lo overflows."""
+        return float(np.floor((hi - lo) / self.step * (1.0 + AXIS_TOL))) + 1.0
+
     def axis(self, which_axis: str) -> np.ndarray:
         lo, hi = self.re_range if which_axis == "re" else self.im_range
-        n = int(round((hi - lo) / self.step)) + 1
-        return lo + self.step * np.arange(n)
+        return lo + self.step * np.arange(int(self._length(lo, hi)))
 
     def to_json(self) -> dict:
         return {

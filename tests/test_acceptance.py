@@ -47,10 +47,10 @@ def test_criterion_3_case_i_boundaries_and_pairing():
     worst = 0.0
     for x in np.linspace(0.01, 0.99, 99):
         a = np.linalg.eigvalsh(
-            partial_transpose(states.build_family("i", float(x)).rho, 3, 3)
+            partial_transpose(states.build_family("i", float(x)).rho)
         )
         b = np.linalg.eigvalsh(
-            partial_transpose(states.build_family("ii", float(x)).rho, 3, 3)
+            partial_transpose(states.build_family("ii", float(x)).rho)
         )
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = e1 <= 1e-7 and e2 <= 1e-7 and worst <= 1e-10
@@ -191,7 +191,7 @@ def test_criterion_7_linalg_property_suite():
 
     for _ in range(100):
         h = random_hermitian(rng, 9)
-        g = partial_transpose(partial_transpose(h, 3, 3), 3, 3)
+        g = partial_transpose(partial_transpose(h))
         ok = ok and np.linalg.norm(g - h) <= 1e-14 * max(1, np.linalg.norm(h))
 
     for _ in range(100):
@@ -228,7 +228,7 @@ def test_criterion_8_ppt_gap():
     bad = []
     for x in xs:
         st = states.build_family("v", float(x))
-        g = partial_transpose(st.rho, 3, 3)
+        g = partial_transpose(st.rho)
         if np.linalg.eigvalsh(g)[0] < -1e-12:
             bad.append(("npt", float(x)))
             continue

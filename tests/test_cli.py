@@ -547,6 +547,11 @@ THRESHOLD = ["threshold", "--case", "v", "--target", "min-eig", "--bracket"]
     ["kernel", "--basis-file", "ALL_ZERO"],
     ["grid", "--which", "F", "--step", "0.5", "--c=nan"],
     ["grid", "--which", "alpha1_psd", "--step", "1", "--c=inf", "--json"],
+    # oversized: rejected before anything is computed or written, so
+    # verify-example checks its grids before the inertia and the psd scan
+    ["grid", "--which", "G", "--step", "1e-300"],
+    ["verify-example", "--x", "0.2", "--grid-step", "1e-300"],
+    ["scan", "--case", "v", "--steps", "1000000000000000000000000000000"],
 ])
 def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     vectors = np.eye(9)[:5].astype(complex)
@@ -559,7 +564,7 @@ def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     out_dir = tmp_path / "out"
     code, out, err = run(capsys, argv + ["--out", str(out_dir)])
     assert code == EXIT_USAGE
-    assert err.startswith("usage error:")
+    assert err.startswith("usage error:") and err.count("\n") == 1
     assert out == ""
     assert not out_dir.exists()
 

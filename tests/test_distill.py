@@ -25,7 +25,7 @@ C2 = (24 * np.sqrt(2) - 33) / 7
 
 
 def pt_mat(state):
-    return partial_transpose(state.rho, 3, 3)
+    return partial_transpose(state.rho)
 
 
 # ------------------------------------------------------------------ npt_check
@@ -70,7 +70,7 @@ def test_npt_check_matches_direct_eigenvalues():
         for x in (0.05, 0.2, 0.8):
             st = states.build_family(case, x)
             rep = npt_check(st)
-            lam = np.linalg.eigvalsh(partial_transpose(st.rho, 3, 3))
+            lam = np.linalg.eigvalsh(partial_transpose(st.rho))
             assert abs(rep.min_eig_gamma - lam[0]) <= 1e-12
             assert rep.inertia.negative == int(np.sum(lam < -1e-10))
 
@@ -323,7 +323,7 @@ def test_witness_stack_falls_back_per_row_on_a_vanishing_pencil():
     res = distill.witness_stack(np.stack(rhos))
     for k, rho in enumerate(rhos):
         assert _same_report(res.report(k), witness_search(states.QutritState(rho=rho)))
-    dec = linalg.eig_hermitian(partial_transpose(np.stack(rhos), 3, 3))
+    dec = linalg.eig_hermitian(partial_transpose(np.stack(rhos)))
     assert np.array_equal(distill._negative_schmidt_vector(dec)[1], dec.vectors[1, :, 0])
 
 
@@ -336,7 +336,7 @@ def random_states_with_two_or_more_negative_eigenvalues(n_each=4):
             z = rng.normal(size=(9, rank)) + 1j * rng.normal(size=(9, rank))
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
-            w = np.linalg.eigvalsh(partial_transpose(rho, 3, 3))
+            w = np.linalg.eigvalsh(partial_transpose(rho))
             if linalg.inertia_of_spectrum(w).negative >= 2:
                 yield states.QutritState(rho=rho), w
 

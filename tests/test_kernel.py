@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from qutritdistill import kernel, states
+from qutritdistill import kernel, linalg, states
 from qutritdistill.kernel import (
     EmptyKernel,
     NotInKernel,
@@ -117,6 +117,23 @@ def test_pencil_degenerate_carries_result():
     res = product_vector_in_2x3_complement([np.eye(6)[0]])
     assert res.found
     assert res.residual <= 1e-9
+
+
+def test_line_points_skips_a_vanishing_triple():
+    # rows 0-2 have no level-2 entry, so the pencil of triple (0, 1, 2)
+    # vanishes identically; the line roots are those of the next triple,
+    # (0, 1, 3), bit for bit
+    rng = np.random.default_rng(29)
+    rbar = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+    rbar[:3, :, 2] = 0.0
+    skipped = linalg.pencil_roots(rbar[:3, 0], rbar[:3, 1])
+    assert np.isnan(skipped).all()
+    later = linalg.pencil_roots(rbar[[0, 1, 3], 0], rbar[[0, 1, 3], 1])
+    assert np.isfinite(later).all()
+    assert np.array_equal(kernel._line_points(rbar), later)
+    # fewer than three rows: no triple, and the line point is (1 : 0)
+    for rows in (rbar[:2], rbar[:0]):
+        assert np.array_equal(kernel._line_points(rows), [[1.0, 0.0]])
 
 
 @pytest.mark.parametrize("vs", [[], [np.zeros(6)]], ids=["empty", "zero"])

@@ -90,7 +90,7 @@ def test_form1_psd_scan_reports_true_margin():
     # every entry is the smallest eigenvalue of the 6x6 compression itself,
     # not of a zero-padded embedding whose padding pins the minimum at 0;
     # the compression's entries grow like 1 + |a|^2, and so does rounding
-    g = linalg.partial_transpose(mixed_frame_state(1 / 7).rho, 3, 3)
+    g = linalg.partial_transpose(mixed_frame_state(1 / 7).rho)
     entries, all_psd = psd_scan_form1()
     assert all_psd
     for e in entries:
@@ -294,13 +294,15 @@ def test_cross_check_deviation_is_relative(monkeypatch):
     assert abs(rep.max_rel_dev - 1 / 11520) <= 1e-9
 
 
-def test_cross_check_matches_per_point_minors():
-    # tol = -1 logs every point: worst is ordered by deviation, largest
-    # first, with ties left in grid order
+def test_cross_check_matches_per_point_minors(monkeypatch):
+    # a tolerance of -1 logs every point: worst is ordered by deviation,
+    # largest first, with ties left in grid order
     grid = default_real_bc_grid(n=7) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
     index = {(complex(b), complex(c)): t for t, (b, c) in enumerate(grid)}
+    monkeypatch.setattr(minors, "CROSS_TOL", -1.0)
+    monkeypatch.setattr(minors, "CROSS_LOGGED", len(grid))
     for which, idx in (("minor4", 0), ("minor5", 1), ("det", 2)):
-        rep = cross_check(which, grid, tol=-1.0, max_logged=len(grid))
+        rep = cross_check(which, grid)
         assert rep.n_points == len(rep.worst) == len(grid)
         assert rep.max_rel_dev <= 1e-13
         keys = []
@@ -346,7 +348,7 @@ def test_closed_form_array_pass_bitwise_equal_per_point():
     # point, on verify-example's 81 x 81 grid and on random complex points
     rng = np.random.default_rng(83)
     rand = 10.0 ** rng.uniform(-2, 2, (5000, 2)) * np.exp(2j * np.pi * rng.random((5000, 2)))
-    points = np.concatenate([np.array(default_real_bc_grid(-2.0, 2.0, 81), dtype=complex), rand])
+    points = np.concatenate([np.array(default_real_bc_grid(81), dtype=complex), rand])
     for which in CLOSED_FORMS:
         values = minors._closed_form(which, points[:, 0], points[:, 1])
         ref = np.array([eval_closed_form(which, b, c) for b, c in points.tolist()])
@@ -366,7 +368,7 @@ def test_scan_minor4_positive():
 def _one_shot_values(which, b, c, x, scale):
     """The value column assembled in one (n, 6, 6) batch, the reference the
     chunked path must reproduce bit for bit."""
-    g = linalg.partial_transpose(mixed_frame_state(x).rho, 3, 3)
+    g = linalg.partial_transpose(mixed_frame_state(x).rho)
     if which == "alpha1_psd":
         form, params = distill.FORM_P1A, (b,)
     else:
@@ -469,6 +471,16 @@ def test_scan_json_keys():
     assert set(doc.keys()) == {"which", "scale", "min_value", "argmin", "grid", "pass"}
 
 
+def test_scan_axis_ends_at_its_last_point_within_range():
+    # 1 / 0.6 rounds to 2, but the axis stops at 0.6: no b = 1.2 beyond
+    # re_range; 6 / 0.05 = 119.99999999999999 still reaches the 121st point
+    spec = MinorScanSpec(which="alpha2_minor4", re_range=(0, 1), im_range=(0, 0), step=0.6)
+    assert spec.axis("re").tolist() == [0.0, 0.6]
+    assert spec.axis("im").tolist() == [0.0]
+    assert scan(spec).samples[:, 0].tolist() == [0.0, 0.6]
+    assert len(MinorScanSpec(which="F").axis("re")) == 121
+
+
 def test_scan_spec_validation():
     with pytest.raises(Exception):
         MinorScanSpec(which="nope")
@@ -476,3 +488,9 @@ def test_scan_spec_validation():
         MinorScanSpec(which="F", step=0.0)
     with pytest.raises(Exception):
         MinorScanSpec(which="F", re_range=(3, -3))
+    # more than MAX_GRID_POINTS: a tiny step, a range whose hi - lo
+    # overflows to inf, and 12 c panels of 361,201 points
+    for kwargs in ({"step": 1e-300}, {"re_range": (-1e308, 1e308), "step": 1.0},
+                   {"step": 0.01, "c_values": tuple(complex(k) for k in range(12))}):
+        with pytest.raises(ValueError, match="grid exceeds"):
+            MinorScanSpec(which="G", **kwargs)

@@ -48,7 +48,7 @@ def test_case_index_is_a_permutation():
 
 def test_family_pure_at_one():
     st = build_family("v", 1.0)
-    assert linalg.matrix_rank(st.rho, tol=1e-10) == 1
+    assert linalg.matrix_rank(st.rho) == 1
     lam = np.sort(np.linalg.eigvalsh(st.rho))
     np.testing.assert_allclose(lam[-1], 1.0, atol=1e-12)
     assert np.sum(lam > 1e-12) == 1
@@ -61,12 +61,12 @@ def test_family_uniform_point_is_projector_fifth():
     proj = e.T @ e.conj()
     np.testing.assert_allclose(st.rho, proj / 5.0, atol=1e-12)
     # and the point is inside the PPT window of this branch
-    g = partial_transpose(st.rho, 3, 3)
+    g = partial_transpose(st.rho)
     assert np.min(np.linalg.eigvalsh(g)) >= -1e-12
 
 
 def test_family_npt_point():
-    g = partial_transpose(build_family("i", 0.5).rho, 3, 3)
+    g = partial_transpose(build_family("i", 0.5).rho)
     assert np.min(np.linalg.eigvalsh(g)) < -1e-6
 
 
@@ -80,8 +80,8 @@ def test_family_rejects_out_of_range():
 
 def test_family_degenerate_flag_at_zero():
     # x = 0 drops the case's eigenvector from the range: rank four, not five
-    assert linalg.matrix_rank(build_family("i", 0.0).rho, tol=1e-10) == 4
-    assert linalg.matrix_rank(build_family("i", 0.3).rho, tol=1e-10) == 5
+    assert linalg.matrix_rank(build_family("i", 0.0).rho) == 4
+    assert linalg.matrix_rank(build_family("i", 0.3).rho) == 5
 
 
 def test_family_invariants_over_grid():
@@ -253,15 +253,15 @@ def test_coefficient_matrix_row_col_convention():
 
 def test_pt_spectra_pair_i_ii():
     for x in np.linspace(0.01, 0.99, 33):
-        a = np.linalg.eigvalsh(partial_transpose(build_family("i", float(x)).rho, 3, 3))
-        b = np.linalg.eigvalsh(partial_transpose(build_family("ii", float(x)).rho, 3, 3))
+        a = np.linalg.eigvalsh(partial_transpose(build_family("i", float(x)).rho))
+        b = np.linalg.eigvalsh(partial_transpose(build_family("ii", float(x)).rho))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 def test_pt_spectra_pair_iii_iv():
     for x in np.linspace(0.01, 0.99, 33):
-        a = np.linalg.eigvalsh(partial_transpose(build_family("iii", float(x)).rho, 3, 3))
-        b = np.linalg.eigvalsh(partial_transpose(build_family("iv", float(x)).rho, 3, 3))
+        a = np.linalg.eigvalsh(partial_transpose(build_family("iii", float(x)).rho))
+        b = np.linalg.eigvalsh(partial_transpose(build_family("iv", float(x)).rho))
         np.testing.assert_allclose(a, b, atol=1e-10)
 
 
