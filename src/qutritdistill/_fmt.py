@@ -1,5 +1,6 @@
 """Deterministic text serialization: 17-significant-digit floats for CSV and
-JSON so identical runs produce byte-identical output files."""
+JSON so identical runs produce byte-identical output files. write_csv
+writes blocks of rows, write_grid_csv a product grid from its axes."""
 
 from __future__ import annotations
 
@@ -80,45 +81,40 @@ def write_csv(path, header: list[str], rows) -> None:
 
     The rows go through one float64 array and are written CSV_BLOCK rows per
     formatting call: "%.17g" renders every finite float exactly as sig17
-    does, and integers as their digits. A block holding NaN or +-inf is
-    respelled to NaN and Infinity, as sig17 writes them; finite blocks skip
-    that pass.
-
-    A grid's axis columns repeat a few values over many rows, so each column
-    keeps a memo from a value's bit pattern to its "%.17g" text and formats
-    each distinct value once. Keys are bits, not floats, so -0.0 and 0.0
-    stay apart. A column whose memo would pass CSV_BLOCK entries drops it for
-    the rest of the file and is formatted cell by cell."""
+    does, -0.0 as -0, and integers as their digits. A block holding NaN or
+    +-inf is respelled to NaN and Infinity, as sig17 writes them; finite
+    blocks skip that pass. Grids go through write_grid_csv instead."""
     arr = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
-    memos: list[dict | None] = [{} for _ in header]
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(arr), CSV_BLOCK):
             block = arr[start:start + CSV_BLOCK]
-            cells = np.empty(block.shape, dtype=object)
-            for j, memo in enumerate(memos):
-                texts = None if memo is None else _memo_texts(memo, block[:, j])
-                if texts is None:
-                    memos[j] = None
-                    texts = block[:, j]
-                cells[:, j] = texts
-            line = ",".join("%.17g" if m is None else "%s" for m in memos) + "\n"
-            text = (line * len(block)) % tuple(cells.ravel().tolist())
+            text = (line * len(block)) % tuple(block.ravel().tolist())
             if not np.isfinite(block).all():
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             fh.write(text)
 
 
-def _memo_texts(memo: dict, column: np.ndarray) -> np.ndarray | None:
-    """The texts of column as an object array, formatting only the values
-    memo lacks and adding them to it; None if memo would pass CSV_BLOCK
-    entries."""
-    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    keys_list = keys.tolist()
-    fresh = [i for i, k in enumerate(keys_list) if k not in memo]
-    if len(memo) + len(fresh) > CSV_BLOCK:
-        return None
-    values = keys.view(np.float64).tolist()
-    for i in fresh:
-        memo[keys_list[i]] = format(values[i], ".17g")
-    return np.array([memo[k] for k in keys_list], dtype=object)[inverse]
+def write_grid_csv(path, header: list[str], re_axis, im_axis, c_values, values) -> None:
+    """Write the rows (re, im, Re c, Im c, value) of a product grid in the
+    order c value, re, im, as write_csv would; values is the value column in
+    that order, and every number must be finite. Each axis value is
+    formatted once, into line templates of CSV_BLOCK im points with a
+    "%.17g" slot for the value only. A run (one re value, one template)
+    fills in its re and c texts and formats its values in one call: the
+    writer holds the templates (about 50 bytes per im point) and one run."""
+    re_texts = ["%.17g" % v for v in re_axis.tolist()]
+    n, k = len(im_axis), 0
+    # "\0" takes a run's re text, "\1" its c panel's text and value slot
+    pieces = ["".join(["\0,%.17g\1" % v for v in im_axis[j:j + CSV_BLOCK].tolist()])
+              for j in range(0, n, CSV_BLOCK)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for c in c_values:
+            panel = [p.replace("\1", ",%.17g,%.17g,%%.17g\n" % (c.real, c.imag)) for p in pieces]
+            for re_text in re_texts:
+                for j, template in zip(range(k, k + n, CSV_BLOCK), panel):
+                    run = values[j:min(j + CSV_BLOCK, k + n)]
+                    fh.write(template.replace("\0", re_text) % tuple(run.tolist()))
+                k += n

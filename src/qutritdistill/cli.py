@@ -227,7 +227,7 @@ def cmd_verify_example(args) -> int:
 
     # the closed forms hold at x = 1/7 only: elsewhere they measure the step in x
     if x == minors.UNDISTILLABLE_X:
-        real_grid = minors.default_real_bc_grid(int(round(4.0 / step)) + 1)
+        real_grid = minors.default_real_bc_grid(step)
         for form in ("minor4", "minor5", "det"):
             rpt = minors.cross_check(form, real_grid)
             entry = rpt.to_json()

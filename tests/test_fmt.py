@@ -1,15 +1,18 @@
-"""CSV serialization: the blocked "%.17g" writer produces the bytes a
-per-cell sig17 rendering would, for arrays and for lists of rows, with NaN
-and Infinity spelled as in JSON. JSON serialization: the one layout."""
+"""CSV serialization: the blocked "%.17g" writer and the grid writer
+produce the bytes a per-cell sig17 rendering would, for arrays and for
+lists of rows, with NaN and Infinity spelled as in JSON. JSON
+serialization: the one layout."""
 
 import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from qutritdistill import cli
-from qutritdistill._fmt import CSV_BLOCK, sig17, write_csv
+from qutritdistill._fmt import CSV_BLOCK, sig17, write_csv, write_grid_csv
+from qutritdistill.minors import MinorScanSpec, scan
 
 HEADER = ["a", "b", "c", "d", "e"]
 
@@ -91,9 +94,9 @@ def test_non_finite_value_in_a_later_block(tmp_path):
 
 
 def test_memo_dropped_when_a_column_turns_distinct_mid_file(tmp_path):
-    # column a repeats 7 values in the first block, then takes a fresh value
-    # per row, so its memo passes CSV_BLOCK entries in the second block; the
-    # third block repeats again but is written cell by cell
+    # column a repeats 7 values in the first block, takes a fresh value per
+    # row in the second and repeats one value in the third: a column that
+    # changes its character mid-file keeps the per-cell bytes
     n = 3 * CSV_BLOCK
     rows = np.arange(n)
     arr = np.column_stack([
@@ -134,8 +137,6 @@ def test_memoised_column_with_non_finite_values(tmp_path):
 
 
 def test_multi_panel_scan_csv_matches_cells(tmp_path):
-    from qutritdistill.minors import MinorScanSpec, scan
-
     spec = MinorScanSpec(which="alpha2_minor4", step=0.05,
                          c_values=(0j, complex(-0.0, 0.5), 1 - 1j))
     path = tmp_path / "scan.csv"
@@ -159,6 +160,60 @@ def test_write_csv_memory_stays_below_one_column(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < arr[:, 0].nbytes
+
+
+GRID_HEADER = ["re_b", "im_b", "re_c", "im_c", "value"]
+
+
+@pytest.mark.parametrize("kwargs", [
+    # one re_b point; im_b stops at 0.8, short of 1.05
+    {"which": "F", "re_range": (0.5, 0.5), "im_range": (-1.0, 1.05), "step": 0.3},
+    # re_b stops at 0.6, short of 1; one im_b point
+    {"which": "alpha2_minor4", "re_range": (0.0, 1.0), "im_range": (0.0, 0.0), "step": 0.6},
+    {"which": "alpha1_psd", "step": 0.25, "c_values": (1 + 1j,)},
+    {"which": "G", "step": 0.5,
+     "c_values": (complex(-0.0, 0.5), complex(1.0, -0.0), complex(-0.0, -0.0), 0j)},
+    # 6001 im_b points: two line templates per run, on two c panels
+    {"which": "alpha2_minor4", "re_range": (0.0, 0.002), "im_range": (-3.0, 3.0),
+     "step": 0.001, "c_values": (0j, 1j)},
+], ids=["single_re_point", "axis_short_of_hi", "alpha1_psd", "signed_zero_panels",
+        "im_axis_past_csv_block"])
+def test_grid_writer_matches_cells(tmp_path, kwargs):
+    path = tmp_path / "grid.csv"
+    res = scan(MinorScanSpec(**kwargs), out_csv=str(path))
+    assert _read(path) == _sig17_csv(GRID_HEADER, res.samples.tolist())
+
+
+def test_grid_writer_matches_cells_on_edge_values(tmp_path):
+    rng = np.random.default_rng(7)
+    re_axis = np.array([-1.7976931348623157e308, 0.0, 5e-324, 0.1, 1e17])
+    im_axis = np.array([-3.0, 1.0 / 3.0, 2.5e-17])
+    c_values = (complex(-0.0, 1e-300), complex(1e300, -0.0))
+    n = len(re_axis) * len(im_axis) * len(c_values)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    values[:2] = [-0.0, 0.0]
+    write_grid_csv(tmp_path / "grid.csv", GRID_HEADER, re_axis, im_axis, c_values, values)
+    rows = [[b, i, c.real, c.imag, 0.0] for c in c_values for b in re_axis for i in im_axis]
+    for row, v in zip(rows, values.tolist()):
+        row[4] = v
+    block = _read(tmp_path / "grid.csv")
+    assert block == _sig17_csv(GRID_HEADER, rows)
+    assert block.splitlines()[1] == b"-1.7976931348623157e+308,-3,-0,1e-300,-0"
+
+
+def test_write_grid_csv_memory_stays_below_one_column(tmp_path):
+    # a 632 x 633 grid: the writer holds its line templates and one run,
+    # never a copy of the value column (3.2 MB)
+    re_axis, im_axis = -3.0 + 0.01 * np.arange(632), -3.0 + 0.01 * np.arange(633)
+    values = np.sin(np.arange(len(re_axis) * len(im_axis)))
+    tracemalloc.start()
+    try:
+        write_grid_csv(tmp_path / "big.csv", GRID_HEADER, re_axis, im_axis, (0.5 - 1.5j,), values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes
+    assert _read(tmp_path / "big.csv").count(b"\n") == len(values) + 1
 
 
 def test_json_layout(capsys):

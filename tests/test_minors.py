@@ -237,7 +237,7 @@ def test_closed_forms_equal_exact_minors():
 
 
 def test_closed_positive_on_real_grid():
-    for b, c in default_real_bc_grid(n=9):
+    for b, c in default_real_bc_grid(0.5):
         assert eval_closed_form("minor4", b, c) > 0
         assert eval_closed_form("det", b, c) > 0
         assert direct_minors(build_projected(2, (b, c)))[2] > 0
@@ -297,7 +297,7 @@ def test_cross_check_deviation_is_relative(monkeypatch):
 def test_cross_check_matches_per_point_minors(monkeypatch):
     # a tolerance of -1 logs every point: worst is ordered by deviation,
     # largest first, with ties left in grid order
-    grid = default_real_bc_grid(n=7) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
+    grid = default_real_bc_grid(2 / 3) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
     index = {(complex(b), complex(c)): t for t, (b, c) in enumerate(grid)}
     monkeypatch.setattr(minors, "CROSS_TOL", -1.0)
     monkeypatch.setattr(minors, "CROSS_LOGGED", len(grid))
@@ -334,7 +334,7 @@ def test_cross_check_minor5_fully_complex_grid_reports_nonreal():
 
 
 def test_cross_check_logs_worst_points():
-    rep = cross_check("minor4", default_real_bc_grid(n=11), printed=True)
+    rep = cross_check("minor4", default_real_bc_grid(0.4), printed=True)
     assert 0 < len(rep.worst) <= 20
     # worst list is sorted by deviation, largest first
     devs = [w["deviation"] for w in rep.worst]
@@ -348,7 +348,7 @@ def test_closed_form_array_pass_bitwise_equal_per_point():
     # point, on verify-example's 81 x 81 grid and on random complex points
     rng = np.random.default_rng(83)
     rand = 10.0 ** rng.uniform(-2, 2, (5000, 2)) * np.exp(2j * np.pi * rng.random((5000, 2)))
-    points = np.concatenate([np.array(default_real_bc_grid(81), dtype=complex), rand])
+    points = np.concatenate([np.array(default_real_bc_grid(0.05), dtype=complex), rand])
     for which in CLOSED_FORMS:
         values = minors._closed_form(which, points[:, 0], points[:, 1])
         ref = np.array([eval_closed_form(which, b, c) for b, c in points.tolist()])
