@@ -9,7 +9,8 @@ Submodules:
     distill  NPT checks, the witness construction (2x3 orthonormal rows),
              PPT thresholds
     kernel   product vectors in kernels and 2x3 subspaces
-    minors   closed-form vs direct minor scans at x = 1/7
+    minors   the x = 1/7 row families, their chunked compressions, and
+             closed-form vs direct minor scans
     cli      command-line front end
 """
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import distill, kernel, minors, states
+from . import distill, kernel, linalg, minors, states
 from ._fmt import json_dumps, sig17, write_csv
 
 EXIT_OK = 0
@@ -342,7 +342,7 @@ def cmd_grid(args) -> int:
     csv_path = _outpath(args, f"{args.which}_grid.csv")
     try:
         gs = minors.scan(spec, out_csv=csv_path)
-    except distill.NonFiniteValue as exc:
+    except linalg.NonFiniteValue as exc:
         raise UsageError(f"grid too large for float64: {exc}") from exc
     payload = gs.to_json()
     payload["csv"] = csv_path

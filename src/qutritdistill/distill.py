@@ -24,75 +24,27 @@ batched LAPACK calls and elementwise products treat each matrix of a stack
 as the single call does, so row k is bit for bit what witness_search
 reports for the k-th state; witness_search is the stack of one.
 
-The compressions that minors scans use run over two parametrized families
-of 2x3 row matrices, defined once in FAMILIES and set at a point by
-family_rows, one for each chart of the row spaces they cover:
-
-    P1a  rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2;
-    P2bc rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears.
-
-projected_matrix is the 6x6 compression of explicit rows. It builds R x I
-as one broadcast multiply (_kron_eye3), which forms the same products in
-the same operand order as np.kron, so every bit matches np.kron without
-its per-call shape handling. compression_bases and compression_chunks
-evaluate a named family at many points at once, in chunks of (m, k, k)
-leading blocks. A chunk sums, entry by entry, only the terms whose base
-entry is nonzero, into a contiguous (k, k, m) array yielded as its
-transposed view; skipping the exact zeros leaves every bit of the dense
-sum, as long as no parameter product c_i conj(c_j) overflows, which raises
-NonFiniteValue instead.
+projected_matrix is the 6x6 compression (R x I) g (R x I)^dag of explicit
+rows R, one matrix or a stack; R x I is linalg.kron_eye3(R), bit for bit
+np.kron. The row families that minors scans at x = 1/7, and their chunked
+assembly, live in minors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import kernel, linalg, states
 from ._fmt import complex_pair
 
-FORM_P1A = "P1a"
-FORM_P2BC = "P2bc"
-
 NEG_TOL = 1e-10
-CHUNK = 8192  # points per block of compression_chunks
-EYE3 = np.eye(3, dtype=complex)
-EYE3.flags.writeable = False
-
-
-class RowFamily(NamedTuple):
-    keys: tuple        # parameter names, in slot order
-    base: np.ndarray   # 2x3 rows R0 at all parameters zero
-    slots: tuple       # (row, col) entry of R0 that each parameter sets
-
-
-# Every member has rank two: the columns no slot touches hold a 2x2 identity.
-FAMILIES = {
-    FORM_P1A: RowFamily(("a",), np.array([[1, 0, 0], [0, 0, 1]], dtype=complex), ((0, 1),)),
-    FORM_P2BC: RowFamily(("b", "c"), np.array([[1, 0, 0], [0, 1, 0]], dtype=complex),
-                         ((0, 2), (1, 2))),
-}
 
 
 class NoSignChange(ValueError):
     pass
-
-
-NonFiniteValue = linalg.NonFiniteValue
-
-
-def family_rows(form: str, values) -> np.ndarray:
-    """The 2x3 rows of the named family (FAMILIES[form]; KeyError for an
-    unknown form) with its parameter values set, one per slot in order."""
-    family = FAMILIES[form]
-    if len(values) != len(family.slots):
-        raise ValueError(f"{form} takes {len(family.slots)} parameters, got {len(values)}")
-    rows = family.base.copy()
-    for slot, value in zip(family.slots, values):
-        rows[slot] = complex(value)
-    return rows
 
 
 @dataclass
@@ -147,19 +99,11 @@ def npt_check(state: states.QutritState) -> DistillReport:
     return DistillReport(spectrum=linalg.eig_hermitian(linalg.partial_transpose(state.rho)).values)
 
 
-def _kron_eye3(rows: np.ndarray) -> np.ndarray:
-    """kron(rows, I_3) for a p x q complex matrix, or each matrix of a stack
-    (..., p, q), as the one broadcast multiply rows[i, j] * I_3[k, l] that
-    np.kron itself performs."""
-    *lead, p, q = rows.shape
-    return (rows[..., :, None, :, None] * EYE3[:, None, :]).reshape(*lead, 3 * p, 3 * q)
-
-
 def projected_matrix(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The 6x6 compression (R x I) g (R x I)^dag of a 9x9 matrix by 2x3 rows R,
-    or of each matrix of a stack by its rows. R x I is _kron_eye3(R): the
-    products np.kron forms, bit for bit."""
-    r = _kron_eye3(rows)
+    or of each matrix of a stack by its rows. R x I is linalg.kron_eye3(R):
+    the products np.kron forms, bit for bit."""
+    r = linalg.kron_eye3(rows)
     rg = r @ g
     return rg @ np.conjugate(r, out=r).swapaxes(-2, -1)
 
@@ -172,65 +116,7 @@ def projected_min_eig(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _lift(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(R^dag x I) u: a 6-vector of the compressed space back in C^3 x C^3."""
-    return _kron_eye3(rows.conj().T) @ u
-
-
-def compression_bases(g: np.ndarray, form: str) -> list:
-    """Blocks B_ij = (P_i x I) g (P_j x I)^dag, with P_0 = R0 of the named
-    family and P_k the unit row matrix of its k-th parameter slot, so that
-    the compression at parameters theta is sum_ij c_i conj(c_j) B_ij with
-    c = (1, theta_1, ..., theta_k)."""
-    family = FAMILIES[form]
-    parts = [family.base]
-    for slot in family.slots:
-        unit = np.zeros((2, 3), dtype=complex)
-        unit[slot] = 1
-        parts.append(unit)
-    rs = [_kron_eye3(p) for p in parts]
-    return [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
-
-
-def compression_chunks(bases: list, params, k: int = 6):
-    """Compressions at n parameter points, yielded in order as chunks of
-    shape (m, k, k) with m <= CHUNK: the leading k x k block of
-    sum_ij c_i conj(c_j) B_ij at each point. params holds one length-n array
-    per parameter of the family, in slot order; bases comes from
-    compression_bases.
-
-    Most entries of the leading blocks B_ij are exact zeros, so each entry
-    (r, s) sums only its terms c_i conj(c_j) B_ij[r, s] with a nonzero
-    B_ij[r, s], in (i, j) order, starting from +0. That is bitwise the dense
-    sum over every (i, j): in round-to-nearest a sum that starts at +0 never
-    becomes -0, and adding +0 or -0 to it changes nothing. Each term keeps
-    the dense operand order, product times base entry. Each chunk is one
-    contiguous (k, k, m) array, filled one entry (r, s) at a time over its m
-    points, and yielded as its (m, k, k) transposed view.
-
-    The skipped terms are only harmless while every product is finite: a
-    dense sum turns an overflowed product into NaN through inf * 0, so a
-    non-finite product raises NonFiniteValue before anything is summed.
-
-    The products c_i conj(c_j) are formed once over all n points. From
-    16384 points (256 KiB) on, numpy reuses the temporary conj(c_j) as the
-    output of the product and swaps the operands, and its complex multiply
-    is not bitwise commutative: products formed per chunk would change the
-    last bits of large scans."""
-    n = len(params[0])
-    coefs = [np.ones(n)] + list(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
-    if not all(np.isfinite(pij).all() for prow in products for pij in prow):
-        raise NonFiniteValue("a parameter product c_i conj(c_j) is not finite")
-    pairs = [(pij, bij) for prow, brow in zip(products, bases) for pij, bij in zip(prow, brow)]
-    terms = [[(pij, bij[r, s]) for pij, bij in pairs if bij[r, s] != 0]
-             for r in range(k) for s in range(k)]
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
-        cols = np.zeros((k, k, stop - start), dtype=complex)
-        for col, entry in zip(cols.reshape(k * k, -1), terms):
-            for pij, brs in entry:
-                col += pij[start:stop] * brs
-        yield cols.transpose(2, 0, 1)
+    return linalg.kron_eye3(rows.conj().T) @ u
 
 
 def witness_to_pt_vector(g: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
@@ -417,10 +303,12 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
 
     target: "min_eig" (smallest) or "second_eig" (second smallest). The
     bracket needs lo < hi (ValueError otherwise) and a strict sign change
-    across it; flat or same-sign brackets raise NoSignChange instead of
-    returning an arbitrary point. Stacks at (lo, hi, 0, 1) and at the real
-    roots in (lo, hi) give every spectrum; the result keeps the bracket as
-    given, and iterations is 2 plus the 1-based index of the root returned.
+    across it; same-sign brackets, and ends within 1e-10 of their spectrum's
+    norm (zero by the rule of linalg.inertia_of_spectrum), raise NoSignChange
+    instead of returning an arbitrary point. Stacks at (lo, hi, 0, 1) and at
+    the real roots in (lo, hi) give every spectrum; the result keeps the
+    bracket as given, and iterations is 2 plus the 1-based index of the root
+    returned.
     """
     if target not in _TARGETS:
         raise ValueError(f"unknown target {target!r}; expected one of {sorted(_TARGETS)}")
@@ -429,8 +317,10 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")
     g = linalg.partial_transpose(states.family_stack(case_id, [lo, hi, 0.0, 1.0]))
-    flo, fhi = np.linalg.eigvalsh(g[:2])[:, idx].tolist()
-    if flo == 0.0 or fhi == 0.0 or (flo < 0) == (fhi < 0):
+    ends = np.linalg.eigvalsh(g[:2])
+    flo, fhi = ends[:, idx].tolist()
+    roundoff = np.abs(ends[:, idx]) <= 1e-10 * np.abs(ends).max(axis=1)
+    if roundoff.any() or (flo < 0) == (fhi < 0):
         raise NoSignChange(
             f"{target} does not strictly change sign on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )

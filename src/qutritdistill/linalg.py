@@ -5,7 +5,7 @@ with value semantics: inputs are never mutated. Matrices here are small
 (9x9 and below in practice, nothing beyond ~100x100), so everything runs on
 numpy's LAPACK-backed dense routines, pencil_roots included: it reduces
 det(m a + n b) = 0 to one standard eigenproblem. check_hermitian,
-eig_hermitian, partial_transpose, inertia_of_spectrum and pencil_roots also
+eig_hermitian, partial_transpose, kron_eye3, inertia_of_spectrum and pencil_roots also
 take a stack of matrices (leading axes) and treat each matrix as the
 single-matrix call does, with the same bits: numpy's batched LAPACK calls
 run the same routine on each matrix of a stack.
@@ -28,6 +28,8 @@ UNITARY_TOL = 1e-10
 MINOR_IMAG_TOL = 1e-10
 PENCIL_TOL = 1e-12
 RANK_TOL = 1e-10  # matrix_rank counts singular values above it
+EYE3 = np.eye(3, dtype=complex)
+EYE3.flags.writeable = False
 
 
 class NotHermitian(ValueError):
@@ -53,8 +55,9 @@ class NoConvergence(RuntimeError):
 
 class NonFiniteValue(ValueError):
     """A value is not finite: an entry of an input matrix or vector, a
-    parameter product of distill.compression_chunks, or a grid value of
-    minors.scan."""
+    parameter product of minors.compression_chunks, a compression of
+    minors.build_projected, or a grid value of minors.scan. The package's
+    one overflow error."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -142,6 +145,15 @@ def partial_transpose(m) -> np.ndarray:
     out = np.empty_like(t)
     out[...] = t.swapaxes(-4, -2)
     return out.reshape(a.shape)
+
+
+def kron_eye3(rows: np.ndarray) -> np.ndarray:
+    """kron(rows, I_3) for a p x q complex matrix, or each matrix of a stack
+    (..., p, q), as the one broadcast multiply rows[i, j] * I_3[k, l] that
+    np.kron itself performs: the same products, bit for bit, without
+    np.kron's per-call shape handling."""
+    *lead, p, q = rows.shape
+    return (rows[..., :, None, :, None] * EYE3[:, None, :]).reshape(*lead, 3 * p, 3 * q)
 
 
 def partial_trace(m, keep: str) -> np.ndarray:

@@ -1,31 +1,40 @@
-"""Positivity scans of projection-compressed partial transposes at x = 1/7.
+"""Positivity scans of projection-compressed partial transposes at x = 1/7:
+the compressions (P x I) rho^Gamma (P x I)^dag by rank-two P whose
+positivity is the Schmidt-rank-two criterion of DiVincenzo et al. (PRA 61,
+062312, 2000) for resisting 1-distillation.
 
 The state under test is the fifth family member at x = 1/7, moved to the
 frame K (x) conj(K) before the partial transpose, with
 K = [[1, i], [1, -i]]/sqrt2 on levels 0 and 1 and level 2 untouched: K acts
 on the first qutrit and its complex conjugate on the second. The choice
 matters: under K (x) K the 4th leading minor of form 2 at the origin is
-72/5531904 instead of 640/5531904. distill's two row families compress it
-to a 6x6 matrix:
+72/5531904 instead of 640/5531904. Two row families (FAMILIES, keyed by
+form id; family_rows sets one member), one per chart of the row spaces
+they cover, compress it to a 6x6 matrix:
 
-    form 1:  P1a, rows (1, a, 0) and (0, 0, 1)
-    form 2:  P2bc, rows (1, 0, b) and (0, 1, c)
+    form 1:  P1a, rows (1, a, 0) and (0, 0, 1): shear level 1 into 0, keep level 2
+    form 2:  P2bc, rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears
 
-Both the rows and the compression are defined in distill. build_projected
-returns one compression, the per-point reference; scan, psd_scan_form1 and
-cross_check go through distill's chunked path with the bases cached per
-(x, form): each chunk holds only the leading k x k blocks the requested
-minor needs, and is reduced by det or eigvalsh into one preallocated value
-column.
+build_projected returns one compression, the per-point reference.
+scan, psd_scan_form1 and cross_check take the chunked path:
+compression_bases splits a family's compression into blocks B_ij, and
+compression_chunks sums, per entry of the leading k x k block, only the
+terms whose base entry is nonzero, in chunks of (m, k, k) reduced by det
+or eigvalsh into one preallocated value column. At x = 1/7 form 2 keeps
+26 of 144 terms at k = 4, 36 of 225 at k = 5 and 52 of 324 at k = 6, and
+form 1 31 of 144. Every bit is that of the dense sum; a parameter product
+c_i conj(c_j) that overflows raises linalg.NonFiniteValue instead.
 
-For form 2 the objects of interest are the 4th, 5th and 6th leading principal
-minors of the compressed matrix; their positivity over all complex (b, c) is
-the evidence that no such compression turns negative. F and G are the 5th
-minor and determinant times the fixed integers SCALE_F and SCALE_G, so that
-their grid minima at c = 0 land in the window [1, 10]; the scale follows
-from the target alone and cannot be set. GridScan.passed asks a positive
-minimum of every minor, on any c panel. For form 1 it asks the smallest
-eigenvalue at each a to stay above the roundoff floor _psd_floor(a).
+TARGETS gives each scan target its family, leading block size k and
+scale. For form 2 the objects of interest are the 4th, 5th and 6th
+leading principal minors; their positivity over all complex (b, c) is the
+evidence that no such compression turns negative. F and G are the 5th
+minor and determinant times the fixed integers SCALE_F and SCALE_G, so
+that their grid minima at c = 0 land in the window [1, 10]; the scale
+follows from the target alone and cannot be set. GridScan.passed asks a
+positive minimum of every minor, on any c panel. For form 1 (alpha1_psd)
+the value is the smallest eigenvalue of the whole compression, and a
+point passes when it stays above the roundoff floor _psd_floor(a).
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -50,9 +59,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +74,7 @@ CROSS_TOL = 1e-9  # largest relative deviation a cross_check passes
 CROSS_LOGGED = 20  # worst points a cross_check report lists
 MAX_GRID_POINTS = 4_000_000  # points of a MinorScanSpec, over every c panel
 AXIS_TOL = 1e-9  # relative slack of (hi - lo) / step before an axis ends
+CHUNK = 8192  # points per block of compression_chunks
 
 DEN_MINOR4 = 5531904
 DEN_MINOR5 = 464679936
@@ -74,11 +83,35 @@ DEN_DET = 39033114624
 SCALE_F = 1075648  # applied to the 5th leading principal minor
 SCALE_G = 7529536  # applied to the determinant
 
-WHICH_TOKENS = ("alpha1_psd", "alpha2_minor4", "alpha2_minor5", "alpha2_det", "F", "G")
 
-_BLOCK = {"alpha2_minor4": 4, "alpha2_minor5": 5, "alpha2_det": 6, "F": 5, "G": 6}
-_FORMS = {1: distill.FORM_P1A, 2: distill.FORM_P2BC}
-_AUTO_SCALE = {"F": float(SCALE_F), "G": float(SCALE_G)}
+class RowFamily(NamedTuple):
+    base: np.ndarray   # 2x3 rows R0 at all parameters zero
+    slots: tuple       # (row, col) entry of R0 that each parameter sets
+
+
+# Keyed by form id. Every member has rank two: the columns no slot touches
+# hold a 2x2 identity.
+FAMILIES = {
+    1: RowFamily(np.array([[1, 0, 0], [0, 0, 1]], dtype=complex), ((0, 1),)),  # P1a
+    2: RowFamily(np.array([[1, 0, 0], [0, 1, 0]], dtype=complex), ((0, 2), (1, 2))),  # P2bc
+}
+
+
+class ScanTarget(NamedTuple):
+    form: int      # FAMILIES key
+    k: int         # leading block size the value needs
+    scale: float   # factor on the determinant; alpha1_psd takes no scale
+
+
+TARGETS = {
+    "alpha1_psd": ScanTarget(1, 6, 1.0),
+    "alpha2_minor4": ScanTarget(2, 4, 1.0),
+    "alpha2_minor5": ScanTarget(2, 5, 1.0),
+    "alpha2_det": ScanTarget(2, 6, 1.0),
+    "F": ScanTarget(2, 5, float(SCALE_F)),
+    "G": ScanTarget(2, 6, float(SCALE_G)),
+}
+WHICH_TOKENS = tuple(TARGETS)
 
 
 # --- frame and compression ---------------------------------------------------
@@ -91,63 +124,122 @@ def mixed_frame_state(x: float = UNDISTILLABLE_X) -> states.QutritState:
     return states.from_density(states.apply_local(state, op), case_id="v", x=x)
 
 
-@lru_cache(maxsize=32)
-def _mixed_frame_pt(x: float) -> np.ndarray:
-    """Partial transpose of the frame-rotated fifth-family state."""
-    return linalg.partial_transpose(mixed_frame_state(x).rho)
-
-
-@lru_cache(maxsize=32)
-def _bases(x: float, form: str) -> list:
-    return distill.compression_bases(_mixed_frame_pt(x), form)
-
-
 def _check_x(x: float) -> None:
     if not (0.0 < x < 1.0):
         raise states.OutOfRange(f"x must lie in (0, 1), got {x}")
 
 
+def family_rows(form_id: int, values) -> np.ndarray:
+    """The 2x3 rows of family FAMILIES[form_id] (KeyError for an unknown
+    id) with its parameter values set, one per slot in order."""
+    family = FAMILIES[form_id]
+    if len(values) != len(family.slots):
+        raise ValueError(f"form {form_id} takes {len(family.slots)} parameters, got {len(values)}")
+    rows = family.base.copy()
+    for slot, value in zip(family.slots, values):
+        rows[slot] = complex(value)
+    return rows
+
+
+def compression_bases(g: np.ndarray, form_id: int) -> list:
+    """Blocks B_ij = (P_i x I) g (P_j x I)^dag, with P_0 = R0 of family
+    FAMILIES[form_id] and P_k the unit row matrix of its k-th parameter
+    slot, so that the compression at parameters theta is
+    sum_ij c_i conj(c_j) B_ij with c = (1, theta_1, ..., theta_k)."""
+    family = FAMILIES[form_id]
+    parts = [family.base]
+    for slot in family.slots:
+        unit = np.zeros((2, 3), dtype=complex)
+        unit[slot] = 1
+        parts.append(unit)
+    rs = [linalg.kron_eye3(p) for p in parts]
+    return [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
+
+
+def compression_chunks(bases: list, params, k: int):
+    """Compressions at n parameter points, yielded in order as chunks of
+    shape (m, k, k) with m <= CHUNK: the leading k x k block of
+    sum_ij c_i conj(c_j) B_ij at each point. params holds one length-n array
+    per parameter of the family, in slot order; bases comes from
+    compression_bases.
+
+    Most entries of the leading blocks B_ij are exact zeros, so each entry
+    (r, s) sums only its terms c_i conj(c_j) B_ij[r, s] with a nonzero
+    B_ij[r, s], in (i, j) order, starting from +0. That is bitwise the dense
+    sum over every (i, j): in round-to-nearest a sum that starts at +0 never
+    becomes -0, and adding +0 or -0 to it changes nothing. Each term keeps
+    the dense operand order, product times base entry. Each chunk is one
+    contiguous (k, k, m) array, filled one entry (r, s) at a time over its m
+    points, and yielded as its (m, k, k) transposed view.
+
+    The skipped terms are only harmless while every product is finite: a
+    dense sum turns an overflowed product into NaN through inf * 0, so a
+    non-finite product raises linalg.NonFiniteValue, without a
+    RuntimeWarning, before anything is summed.
+
+    The products c_i conj(c_j) are formed once over all n points. From
+    16384 points (256 KiB) on, numpy reuses the temporary conj(c_j) as the
+    output of the product and swaps the operands, and its complex multiply
+    is not bitwise commutative: products formed per chunk would change the
+    last bits of large scans."""
+    n = len(params[0])
+    coefs = [np.ones(n)] + list(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
+    if not all(np.isfinite(pij).all() for prow in products for pij in prow):
+        raise linalg.NonFiniteValue("a parameter product c_i conj(c_j) is not finite")
+    pairs = [(pij, bij) for prow, brow in zip(products, bases) for pij, bij in zip(prow, brow)]
+    terms = [[(pij, bij[r, s]) for pij, bij in pairs if bij[r, s] != 0]
+             for r in range(k) for s in range(k)]
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        cols = np.zeros((k, k, stop - start), dtype=complex)
+        for col, entry in zip(cols.reshape(k * k, -1), terms):
+            for pij, brs in entry:
+                col += pij[start:stop] * brs
+        yield cols.transpose(2, 0, 1)
+
+
 def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndarray:
     """6x6 Hermitian compression of the partial transpose in the mixed frame
     by the chosen row family; params is a or (a,) for form 1, (b, c) for 2.
-    A non-finite result raises distill.NonFiniteValue, without a RuntimeWarning."""
+    A non-finite result raises linalg.NonFiniteValue, without a
+    RuntimeWarning."""
     _check_x(x)
-    form = _FORMS.get(form_id)
-    if form is None:
+    if form_id not in FAMILIES:
         raise ValueError(f"unknown form_id {form_id}; expected 1 or 2")
     values = (params,) if np.isscalar(params) else tuple(params)
+    g = linalg.partial_transpose(mixed_frame_state(float(x)).rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = distill.projected_matrix(_mixed_frame_pt(float(x)), distill.family_rows(form, values))
+        out = distill.projected_matrix(g, family_rows(form_id, values))
         sym = 0.5 * (out + out.conj().T)
     if not np.isfinite(sym).all():
-        raise distill.NonFiniteValue(f"the form {form_id} compression at {values} is not finite")
+        raise linalg.NonFiniteValue(f"the form {form_id} compression at {values} is not finite")
     linalg.check_hermitian(out)
     return sym
 
 
 def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:
-    """scan()'s value column at the points of the complex arrays b and c:
-    the smallest eigenvalue of form 1 for alpha1_psd (b carries a, c is
-    unused), else the leading minor of form 2 `which` names, times SCALE_F
-    for F and SCALE_G for G.
-    The compressions arrive from distill in chunks of (m, k, k) leading
-    blocks and are reduced into one preallocated column. A value that
-    overflows comes out inf or NaN without a RuntimeWarning; scan rejects
-    it."""
-    if which == "alpha1_psd":
-        form, params, k = distill.FORM_P1A, (b,), 6
-    else:
-        form, params, k = distill.FORM_P2BC, (b, c), _BLOCK[which]
-    scale = _AUTO_SCALE.get(which, 1.0)
+    """scan()'s value column at the points of the complex arrays b and c,
+    for the target TARGETS[which]: the smallest eigenvalue of form 1 for
+    alpha1_psd (b carries a, c is unused), else the leading k x k minor of
+    form 2 times the target's scale.
+    The compressions arrive from compression_chunks in (m, k, k) chunks and
+    are reduced into one preallocated column. A value that overflows comes
+    out inf or NaN without a RuntimeWarning; scan rejects it."""
+    target = TARGETS[which]
+    g = linalg.partial_transpose(mixed_frame_state(float(x)).rho)
+    bases = compression_bases(g, target.form)
+    params = (b, c)[:len(FAMILIES[target.form].slots)]
     out = np.empty(len(b))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for alphas in distill.compression_chunks(_bases(float(x), form), params, k):
+        for alphas in compression_chunks(bases, params, target.k):
             stop = start + len(alphas)
             if which == "alpha1_psd":
                 out[start:stop] = np.linalg.eigvalsh(alphas)[:, 0]
             else:
-                out[start:stop] = np.linalg.det(alphas).real * scale
+                out[start:stop] = np.linalg.det(alphas).real * target.scale
             start = stop
     return out
 
@@ -424,7 +516,7 @@ class MinorScanSpec:
     @property
     def scale(self) -> float:
         """SCALE_F for F, SCALE_G for G, 1 otherwise; set by which alone."""
-        return _AUTO_SCALE.get(self.which, 1.0)
+        return TARGETS[self.which].scale
 
     def axis(self, which_axis: str) -> np.ndarray:
         lo, hi = self.re_range if which_axis == "re" else self.im_range
@@ -478,7 +570,7 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
         c_val = complex(c_val)
         values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x)
         if not np.all(np.isfinite(values)):
-            raise distill.NonFiniteValue("non-finite value in grid scan")
+            raise linalg.NonFiniteValue("non-finite value in grid scan")
         block = np.column_stack([
             b_flat.real, b_flat.imag,
             np.full(b_flat.size, c_val.real), np.full(b_flat.size, c_val.imag),

@@ -98,6 +98,18 @@ def test_threshold_no_sign_change_is_usage_error(capsys, tmp_path):
     assert err.startswith("usage error: second_eig does not strictly change sign")
 
 
+@pytest.mark.parametrize("case, bracket", [("i", ("1/7", "1/4")), ("v", ("c1", "3/11"))])
+def test_threshold_bracket_of_two_roots_is_usage_error(capsys, tmp_path, case, bracket):
+    # both ends are PPT boundaries: their least eigenvalues differ in sign
+    # only by roundoff, so the bracket holds no crossing
+    code, out, err = run(capsys, ["threshold", "--case", case, "--target", "min-eig",
+                                  "--bracket", *bracket, "--json", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: min_eig does not strictly change sign")
+    assert err.count("\n") == 1
+
+
 def test_threshold_has_no_tol_option(capsys, tmp_path):
     # the crossing is a pencil root, not a bisection to a tolerance
     code, out, err = run(capsys, ["threshold", "--case", "v", "--target", "min-eig",

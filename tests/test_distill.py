@@ -1,15 +1,14 @@
 """NPT checks, the projection witness, PPT thresholds, and the
 precondition battery for undistillability evidence."""
 
-import warnings
-
 import numpy as np
 import pytest
+
+from conftest import bits, kron_rows
 
 from qutritdistill import distill, linalg, states
 from qutritdistill.distill import (
     NoSignChange,
-    family_rows,
     find_threshold,
     npt_check,
     precondition_report,
@@ -91,148 +90,16 @@ def test_projected_min_eig_matches_dense_eig():
         assert abs(projected_min_eig(g, rows) - dense) <= 1e-12
 
 
-def test_rank_two_projection_materialize():
-    rows = family_rows("P2bc", (0, 0.5))
-    assert rows.shape == (2, 3)
-    # raw two-parameter rows, full row rank; only the sign of the compressed
-    # bottom eigenvalue matters, so no orthonormalization happens here
-    np.testing.assert_allclose(rows[0], [1, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(rows[1], [0, 1, 0.5], atol=1e-15)
-    assert np.linalg.matrix_rank(rows) == 2
-
-
-def test_family_rows_set_their_slots():
-    y, a, b, c = 0.5 - 2j, -1.25j, 3.0 + 0.5j, -0.75
-    cases = (
-        ("P2bc", (0j, y), [[1, 0, 0], [0, 1, y]]),
-        ("P1a", (a,), [[1, a, 0], [0, 0, 1]]),
-        ("P2bc", (b, c), [[1, 0, b], [0, 1, c]]),
-    )
-    for form, values, expected in cases:
-        rows = family_rows(form, values)
-        # raw parameter rows of full row rank, not orthonormalized: only the
-        # sign of the compressed bottom eigenvalue matters
-        assert np.array_equal(rows, np.array(expected, dtype=complex))
-        assert np.linalg.matrix_rank(rows) == 2
-    # one family per chart: P2bc at b = 0 holds the rows (1, 0, 0), (0, 1, y)
-    assert set(distill.FAMILIES) == {"P1a", "P2bc"}
-    with pytest.raises(KeyError):
-        family_rows("Ay", (y,))
-    for form, values in (("P2bc", (b,)), ("P1a", (a, b))):
-        with pytest.raises(ValueError, match="parameters"):
-            family_rows(form, values)
-
-
-def _bits(a):
-    """The real and imaginary parts of a complex array as raw float64 bits."""
-    return np.ascontiguousarray(a).view(np.float64).view(np.uint64)
-
-
-def _kron_rows():
-    """2x3 rows with negative real and imaginary parts and -0.0 entries, the
-    base rows of the three families, and 200 seeded random rows."""
-    signed = np.array([[-1.5 - 0.25j, complex(-0.0, 2.0), complex(3.0, -0.0)],
-                       [complex(-0.0, -0.0), -2j, complex(-0.5, -0.0)]])
-    rng = np.random.default_rng(43)
-    randoms = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(200)]
-    return [signed, -signed] + [f.base for f in distill.FAMILIES.values()] + randoms
-
-
-def test_kron_eye3_bitwise_equals_np_kron():
-    # the broadcast multiply forms np.kron's own products, so every bit
-    # agrees, signed zeros included: for the 2x3 rows R of projected_matrix
-    # and compression_bases and for the 3x2 R^dag that _lift takes
-    eye = np.eye(3, dtype=complex)
-    negative_zeros = 0
-    for rows in _kron_rows():
-        for mat in (rows, rows.conj().T):
-            got, want = distill._kron_eye3(mat), np.kron(mat, eye)
-            assert got.shape == want.shape
-            assert np.array_equal(_bits(got), _bits(want))
-            for part in ("real", "imag"):
-                assert np.array_equal(np.signbit(getattr(got, part)),
-                                      np.signbit(getattr(want, part)))
-            negative_zeros += np.count_nonzero((want.view(np.float64) == 0)
-                                               & np.signbit(want.view(np.float64)))
-    assert negative_zeros > 0
-
-
 def test_projected_matrix_bitwise_equals_kron_formula():
     g = pt_mat(states.build_family("v", 1 / 7))
     eye = np.eye(3, dtype=complex)
     u = np.random.default_rng(44).normal(size=6) + 0j
-    for rows in _kron_rows():
+    for rows in kron_rows():
         r = np.kron(rows, eye)
-        assert np.array_equal(_bits(distill.projected_matrix(g, rows)),
-                              _bits(r @ g @ r.conj().T))
-        assert np.array_equal(_bits(distill._lift(rows, u)),
-                              _bits(np.kron(rows.conj().T, eye) @ u))
-    for form, family in distill.FAMILIES.items():
-        units = [np.zeros((2, 3), dtype=complex) for _ in family.slots]
-        for unit, slot in zip(units, family.slots):
-            unit[slot] = 1
-        rs = [np.kron(p, eye) for p in [family.base] + units]
-        want = [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
-        assert np.array_equal(_bits(np.array(distill.compression_bases(g, form))),
-                              _bits(np.array(want)))
-
-
-def test_compression_chunks_match_projected_matrix():
-    rng = np.random.default_rng(37)
-    g = pt_mat(states.build_family("v", 0.4))
-    for form, family in distill.FAMILIES.items():
-        bases = distill.compression_bases(g, form)
-        thetas = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in family.keys]
-        batch = np.concatenate(list(distill.compression_chunks(bases, thetas)))
-        assert batch.shape == (6, 6, 6)
-        for n in range(6):
-            one = distill.projected_matrix(g, family_rows(form, [theta[n] for theta in thetas]))
-            assert np.abs(batch[n] - one).max() <= 1e-13 * max(1.0, np.abs(one).max())
-
-
-def _dense_compressions(bases, params, k):
-    """The leading k x k blocks assembled as one (n, 6, 6) batch from every
-    term c_i conj(c_j) B_ij, exact zeros of B_ij included."""
-    coefs = [np.ones(len(params[0]))] + list(params)
-    alphas = np.zeros((len(coefs[0]), 6, 6), dtype=complex)
-    for i, ci in enumerate(coefs):
-        for j, cj in enumerate(coefs):
-            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
-    return np.ascontiguousarray(alphas[:, :k, :k])
-
-
-@pytest.mark.parametrize("form", sorted(distill.FAMILIES))
-def test_compression_chunks_bitwise_equal_dense_assembly(form):
-    # 2 * CHUNK + 1001 = 17385 points: two full chunks, a ragged tail, and
-    # past the 16384 points from which numpy forms the products in place;
-    # zero and signed-zero parameters, magnitudes 1e-3 to 1e3
-    rng = np.random.default_rng(41)
-    n = 2 * distill.CHUNK + 1001
-    assert n > 16384
-    params = []
-    for _ in distill.FAMILIES[form].keys:
-        z = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
-        z[::7] = 0
-        z[3::11] = complex(-0.0, 0.5)
-        params.append(z)
-    bases = distill.compression_bases(pt_mat(states.build_family("v", 0.4)), form)
-    for k in (4, 5, 6):
-        chunks = list(distill.compression_chunks(bases, params, k))
-        assert [len(a) for a in chunks] == [distill.CHUNK, distill.CHUNK, 1001]
-        got = np.concatenate(chunks)
-        assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), k
-
-
-@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
-def test_compression_chunks_reject_non_finite_products(bad):
-    # 1e200 squared overflows; a dense sum would turn it into NaN through
-    # inf * 0, so the products are checked, without a warning, before any sum
-    bases = distill.compression_bases(pt_mat(states.build_family("v", 0.4)), distill.FORM_P2BC)
-    params = (np.array([0.5, bad, 1j]), np.zeros(3, dtype=complex))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(distill.NonFiniteValue):
-            next(distill.compression_chunks(bases, params, 4))
+        assert np.array_equal(bits(distill.projected_matrix(g, rows)),
+                              bits(r @ g @ r.conj().T))
+        assert np.array_equal(bits(distill._lift(rows, u)),
+                              bits(np.kron(rows.conj().T, eye) @ u))
 
 
 # ------------------------------------------------------------- witness search
@@ -466,6 +333,18 @@ def test_partial_transpose_crossings_are_pencil_roots(case, crossings):
 def test_threshold_requires_sign_change():
     with pytest.raises(NoSignChange):
         find_threshold("v", "second_eig", (0.05, 0.14))
+
+
+@pytest.mark.parametrize("case, bracket", [("i", (1 / 7, 1 / 4)), ("v", (C1, 3 / 11))])
+def test_threshold_rejects_ends_that_are_roots(case, bracket):
+    # the least eigenvalue is >= 0 on the whole PPT interval, so no crossing:
+    # the end values, +1.7e-17 and -5.7e-17 (case i) and +1.2e-16 and
+    # -4.2e-17 (case v) with OpenBLAS, are roundoff of zero whatever their
+    # signs, within 1e-10 of their spectrum's norm
+    ends = np.linalg.eigvalsh(partial_transpose(states.family_stack(case, list(bracket))))
+    assert (np.abs(ends[:, 0]) <= 1e-10 * np.abs(ends).max(axis=1)).all()
+    with pytest.raises(NoSignChange, match="does not strictly change sign"):
+        find_threshold(case, "min_eig", bracket)
 
 
 @pytest.mark.parametrize("bracket", [(0.2, 0.1), (0.15, 0.15), (float("nan"), 0.2)])

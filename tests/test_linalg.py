@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_symmetric
+from conftest import bits, kron_rows, random_hermitian, random_symmetric
 
 from qutritdistill import states, minors
 from qutritdistill.linalg import (
@@ -21,6 +21,7 @@ from qutritdistill.linalg import (
     matrix_rank,
     takagi,
     inertia_of_spectrum,
+    kron_eye3,
     leading_principal_minors,
     pencil_roots,
 )
@@ -385,6 +386,25 @@ def test_is_psd_compressions_along_axis():
 
 
 # ----------------------------------------------------------------------- kron
+
+
+def test_kron_eye3_bitwise_equals_np_kron():
+    # the broadcast multiply forms np.kron's own products, so every bit
+    # agrees, signed zeros included: for the 2x3 rows R of projected_matrix
+    # and compression_bases and for the 3x2 R^dag that distill._lift takes
+    eye = np.eye(3, dtype=complex)
+    negative_zeros = 0
+    for rows in kron_rows():
+        for mat in (rows, rows.conj().T):
+            got, want = kron_eye3(mat), np.kron(mat, eye)
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want))
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(want, part)))
+            negative_zeros += np.count_nonzero((want.view(np.float64) == 0)
+                                               & np.signbit(want.view(np.float64)))
+    assert negative_zeros > 0
 
 
 def test_kron_flip_action():

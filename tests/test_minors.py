@@ -9,9 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import bits
+
 from qutritdistill import distill, linalg, minors, states
 from qutritdistill.linalg import NonRealMinor
 from qutritdistill.minors import (
+    CHUNK,
+    FAMILIES,
     DEN_DET,
     DEN_MINOR4,
     DEN_MINOR5,
@@ -21,10 +25,13 @@ from qutritdistill.minors import (
     MinorScanSpec,
     build_projected,
     certify_positive,
+    compression_bases,
+    compression_chunks,
     cross_check,
     default_real_bc_grid,
     eval_closed_form,
     eval_printed_form,
+    family_rows,
     mixed_frame_state,
     psd_scan_form1,
     scan,
@@ -35,6 +42,123 @@ def direct_minors(m):
     """[4th, 5th, 6th] leading principal minors, the reference for the closed
     forms and the scans."""
     return linalg.leading_principal_minors(m)[3:]
+
+
+# --------------------------------------------------------------- row families
+
+
+def test_rank_two_projection_materialize():
+    rows = family_rows(2, (0, 0.5))
+    assert rows.shape == (2, 3)
+    # raw two-parameter rows, full row rank; only the sign of the compressed
+    # bottom eigenvalue matters, so no orthonormalization happens here
+    np.testing.assert_allclose(rows[0], [1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(rows[1], [0, 1, 0.5], atol=1e-15)
+    assert np.linalg.matrix_rank(rows) == 2
+
+
+def test_family_rows_set_their_slots():
+    y, a, b, c = 0.5 - 2j, -1.25j, 3.0 + 0.5j, -0.75
+    cases = (
+        (2, (0j, y), [[1, 0, 0], [0, 1, y]]),
+        (1, (a,), [[1, a, 0], [0, 0, 1]]),
+        (2, (b, c), [[1, 0, b], [0, 1, c]]),
+    )
+    for form, values, expected in cases:
+        rows = family_rows(form, values)
+        # raw parameter rows of full row rank, not orthonormalized: only the
+        # sign of the compressed bottom eigenvalue matters
+        assert np.array_equal(rows, np.array(expected, dtype=complex))
+        assert np.linalg.matrix_rank(rows) == 2
+    # one family per chart, keyed by the form ids build_projected takes:
+    # P1a is 1, P2bc is 2, and P2bc at b = 0 holds the rows (1, 0, 0), (0, 1, y)
+    assert set(FAMILIES) == {1, 2}
+    with pytest.raises(KeyError):
+        family_rows(3, (y,))
+    for form, values in ((2, (b,)), (1, (a, b))):
+        with pytest.raises(ValueError, match="parameters"):
+            family_rows(form, values)
+
+
+def test_compression_bases_bitwise_equal_kron_formula():
+    g = linalg.partial_transpose(states.build_family("v", 1 / 7).rho)
+    eye = np.eye(3, dtype=complex)
+    for form, family in FAMILIES.items():
+        units = [np.zeros((2, 3), dtype=complex) for _ in family.slots]
+        for unit, slot in zip(units, family.slots):
+            unit[slot] = 1
+        rs = [np.kron(p, eye) for p in [family.base] + units]
+        want = [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
+        assert np.array_equal(bits(np.array(compression_bases(g, form))), bits(np.array(want)))
+
+
+def test_compression_chunks_match_projected_matrix():
+    rng = np.random.default_rng(37)
+    g = linalg.partial_transpose(states.build_family("v", 0.4).rho)
+    for form, family in FAMILIES.items():
+        bases = compression_bases(g, form)
+        thetas = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in family.slots]
+        batch = np.concatenate(list(compression_chunks(bases, thetas, 6)))
+        assert batch.shape == (6, 6, 6)
+        for n in range(6):
+            one = distill.projected_matrix(g, family_rows(form, [theta[n] for theta in thetas]))
+            assert np.abs(batch[n] - one).max() <= 1e-13 * max(1.0, np.abs(one).max())
+
+
+def _dense_compressions(bases, params, k):
+    """The leading k x k blocks assembled as one (n, 6, 6) batch from every
+    term c_i conj(c_j) B_ij, exact zeros of B_ij included."""
+    coefs = [np.ones(len(params[0]))] + list(params)
+    alphas = np.zeros((len(coefs[0]), 6, 6), dtype=complex)
+    for i, ci in enumerate(coefs):
+        for j, cj in enumerate(coefs):
+            alphas += (ci * cj.conj())[:, None, None] * bases[i][j]
+    return np.ascontiguousarray(alphas[:, :k, :k])
+
+
+@pytest.mark.parametrize("form", [1, 2], ids=["P1a", "P2bc"])
+def test_compression_chunks_bitwise_equal_dense_assembly(form):
+    # 2 * CHUNK + 1001 = 17385 points: two full chunks, a ragged tail, and
+    # past the 16384 points from which numpy forms the products in place;
+    # zero and signed-zero parameters, magnitudes 1e-3 to 1e3
+    rng = np.random.default_rng(41)
+    n = 2 * CHUNK + 1001
+    assert n > 16384
+    params = []
+    for _ in FAMILIES[form].slots:
+        z = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
+        z[::7] = 0
+        z[3::11] = complex(-0.0, 0.5)
+        params.append(z)
+    bases = compression_bases(linalg.partial_transpose(states.build_family("v", 0.4).rho), form)
+    for k in (4, 5, 6):
+        chunks = list(compression_chunks(bases, params, k))
+        assert [len(a) for a in chunks] == [CHUNK, CHUNK, 1001]
+        got = np.concatenate(chunks)
+        assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), k
+
+
+@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+def test_compression_chunks_reject_non_finite_products(bad):
+    # 1e200 squared overflows; a dense sum would turn it into NaN through
+    # inf * 0, so the products are checked, without a warning, before any sum
+    bases = compression_bases(linalg.partial_transpose(states.build_family("v", 0.4).rho), 2)
+    params = (np.array([0.5, bad, 1j]), np.zeros(3, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NonFiniteValue):
+            next(compression_chunks(bases, params, 4))
+
+
+@pytest.mark.parametrize("form, k, kept", [(2, 4, 26), (2, 5, 36), (2, 6, 52), (1, 6, 31)])
+def test_compression_terms_kept_at_the_reference_point(form, k, kept):
+    # the sparse-term counts the docs quote for the x = 1/7 frame: of the
+    # (slots + 1)^2 k^2 terms c_i conj(c_j) B_ij[r, s], those with a
+    # nonzero base entry
+    g = linalg.partial_transpose(mixed_frame_state(1 / 7).rho)
+    blocks = np.array(compression_bases(g, form))[:, :, :k, :k]
+    assert blocks.size == (len(FAMILIES[form].slots) + 1) ** 2 * k * k
+    assert np.count_nonzero(blocks) == kept
 
 
 # ------------------------------------------------------------- construction
@@ -75,7 +199,7 @@ def test_build_projected_rejects_non_finite_values(form_id, params):
     # the same error the grid path raises for an overflow, and no warning first
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(distill.NonFiniteValue):
+        with pytest.raises(linalg.NonFiniteValue):
             build_projected(form_id, params)
 
 
@@ -95,7 +219,7 @@ def test_form1_psd_scan_reports_true_margin():
     assert all_psd
     for e in entries:
         tol = 1e-14 * (1.0 + abs(e["a"]) ** 2)
-        rows = distill.family_rows(distill.FORM_P1A, (e["a"],))
+        rows = family_rows(1, (e["a"],))
         direct = np.linalg.eigvalsh(build_projected(1, e["a"]))[0]
         assert abs(e["min_eigenvalue"] - direct) <= tol
         assert abs(e["min_eigenvalue"] - distill.projected_min_eig(g, rows)) <= tol
@@ -370,10 +494,10 @@ def _one_shot_values(which, b, c, x, scale):
     chunked path must reproduce bit for bit."""
     g = linalg.partial_transpose(mixed_frame_state(x).rho)
     if which == "alpha1_psd":
-        form, params = distill.FORM_P1A, (b,)
+        form, params = 1, (b,)
     else:
-        form, params = distill.FORM_P2BC, (b, c)
-    bases = distill.compression_bases(g, form)
+        form, params = 2, (b, c)
+    bases = compression_bases(g, form)
     n = len(b)
     coefs = [np.ones(n)] + list(params)
     alphas = np.zeros((n, 6, 6), dtype=complex)
@@ -393,7 +517,7 @@ def test_scan_values_bitwise_equal_one_shot_assembly():
     # differently. The panels are a generic c, the c = 0 of the default grid
     # and a c whose real part is -0.0.
     n = 131 * 131
-    assert n > 2 * distill.CHUNK and n % distill.CHUNK
+    assert n > 2 * CHUNK and n % CHUNK
     panels = (0.7 - 1.3j, 0j, complex(-0.0, 0.5))
     for which in minors.WHICH_TOKENS:
         spec = MinorScanSpec(which=which, re_range=(-3.0, 3.5), im_range=(-3.0, 3.5),
