@@ -347,7 +347,7 @@ def cmd_grid(args) -> int:
     payload = gs.to_json()
     payload["csv"] = csv_path
     payload["seed"] = args.seed
-    _emit(args, payload, f"grid {args.which}: {gs.samples.shape[0]} points, "
+    _emit(args, payload, f"grid {args.which}: {gs.values.size} points, "
           f"min {sig17(gs.min_value)} -> {csv_path}")
     return EXIT_OK
 

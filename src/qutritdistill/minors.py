@@ -22,8 +22,8 @@ compression_chunks sums, per entry of the leading k x k block, only the
 terms whose base entry is nonzero, in chunks of (m, k, k) reduced by det
 or eigvalsh into one preallocated value column. At x = 1/7 form 2 keeps
 26 of 144 terms at k = 4, 36 of 225 at k = 5 and 52 of 324 at k = 6, and
-form 1 31 of 144. Every bit is that of the dense sum; a parameter product
-c_i conj(c_j) that overflows raises linalg.NonFiniteValue instead.
+form 1 31 of 144. The products c_i conj(c_j) are formed per chunk, in the
+operand order of whole-array products (ELIDE_POINTS): bitwise the dense sum.
 
 TARGETS gives each scan target its family, leading block size k and
 scale. For form 2 the objects of interest are the 4th, 5th and 6th
@@ -31,10 +31,11 @@ leading principal minors; their positivity over all complex (b, c) is the
 evidence that no such compression turns negative. F and G are the 5th
 minor and determinant times the fixed integers SCALE_F and SCALE_G, so
 that their grid minima at c = 0 land in the window [1, 10]; the scale
-follows from the target alone and cannot be set. GridScan.passed asks a
-positive minimum of every minor, on any c panel. For form 1 (alpha1_psd)
-the value is the smallest eigenvalue of the whole compression, and a
-point passes when it stays above the roundoff floor _psd_floor(a).
+follows from the target alone and cannot be set. A GridScan keeps the
+value column; passed asks a positive minimum of every minor, on any c
+panel. For form 1 (alpha1_psd) the value is the smallest eigenvalue of
+the whole compression, and a point passes when it stays above the
+roundoff floor _psd_floor(a).
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -75,6 +76,7 @@ CROSS_LOGGED = 20  # worst points a cross_check report lists
 MAX_GRID_POINTS = 4_000_000  # points of a MinorScanSpec, over every c panel
 AXIS_TOL = 1e-9  # relative slack of (hi - lo) / step before an axis ends
 CHUNK = 8192  # points per block of compression_chunks
+ELIDE_POINTS = 16384  # 256 KiB of complex128: numpy's temporary elision threshold
 
 DEN_MINOR4 = 5531904
 DEN_MINOR5 = 464679936
@@ -172,31 +174,33 @@ def compression_chunks(bases: list, params, k: int):
     contiguous (k, k, m) array, filled one entry (r, s) at a time over its m
     points, and yielded as its (m, k, k) transposed view.
 
+    The products c_i conj(c_j) are formed per chunk, so their memory
+    follows CHUNK, not n, but in the operand order of the dense sum's
+    products over all n points: from ELIDE_POINTS points on, numpy computes
+    those as conj(c_j) c_i, and complex multiply is not bitwise commutative.
+
     The skipped terms are only harmless while every product is finite: a
     dense sum turns an overflowed product into NaN through inf * 0, so a
     non-finite product raises linalg.NonFiniteValue, without a
-    RuntimeWarning, before anything is summed.
-
-    The products c_i conj(c_j) are formed once over all n points. From
-    16384 points (256 KiB) on, numpy reuses the temporary conj(c_j) as the
-    output of the product and swaps the operands, and its complex multiply
-    is not bitwise commutative: products formed per chunk would change the
-    last bits of large scans."""
+    RuntimeWarning, before its chunk is summed; earlier chunks may already
+    have been yielded."""
     n = len(params[0])
-    coefs = [np.ones(n)] + list(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        products = [[ci * cj.conj() for cj in coefs] for ci in coefs]
-    if not all(np.isfinite(pij).all() for prow in products for pij in prow):
-        raise linalg.NonFiniteValue("a parameter product c_i conj(c_j) is not finite")
-    pairs = [(pij, bij) for prow, brow in zip(products, bases) for pij, bij in zip(prow, brow)]
-    terms = [[(pij, bij[r, s]) for pij, bij in pairs if bij[r, s] != 0]
+    swapped = n >= ELIDE_POINTS
+    flat = [bij for brow in bases for bij in brow]
+    terms = [[(t, bij[r, s]) for t, bij in enumerate(flat) if bij[r, s] != 0]
              for r in range(k) for s in range(k)]
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
+        coefs = [np.ones(stop - start)] + [p[start:stop] for p in params]
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = [np.multiply(cj.conj(), ci) if swapped else np.multiply(ci, cj.conj())
+                        for ci in coefs for cj in coefs]
+        if not all(np.isfinite(pij).all() for pij in products):
+            raise linalg.NonFiniteValue("a parameter product c_i conj(c_j) is not finite")
         cols = np.zeros((k, k, stop - start), dtype=complex)
         for col, entry in zip(cols.reshape(k * k, -1), terms):
-            for pij, brs in entry:
-                col += pij[start:stop] * brs
+            for t, brs in entry:
+                col += products[t] * brs
         yield cols.transpose(2, 0, 1)
 
 
@@ -223,10 +227,8 @@ def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:
     """scan()'s value column at the points of the complex arrays b and c,
     for the target TARGETS[which]: the smallest eigenvalue of form 1 for
     alpha1_psd (b carries a, c is unused), else the leading k x k minor of
-    form 2 times the target's scale.
-    The compressions arrive from compression_chunks in (m, k, k) chunks and
-    are reduced into one preallocated column. A value that overflows comes
-    out inf or NaN without a RuntimeWarning; scan rejects it."""
+    form 2 times the target's scale. A value that overflows comes out inf or
+    NaN without a RuntimeWarning; scan rejects it."""
     target = TARGETS[which]
     g = linalg.partial_transpose(mixed_frame_state(float(x)).rho)
     bases = compression_bases(g, target.form)
@@ -464,12 +466,8 @@ def _psd_floor(a):
 
 def default_a_grid() -> list:
     """|a| over 20 log-spaced magnitudes in [1e-2, 1e2] x 24 phases, plus 0."""
-    out = [0j]
-    mags = np.logspace(-2, 2, 20)
-    for m in mags:
-        for p in range(24):
-            out.append(m * np.exp(2j * np.pi * p / 24))
-    return out
+    return [0j] + [m * np.exp(2j * np.pi * p / 24)
+                   for m in np.logspace(-2, 2, 20) for p in range(24)]
 
 
 def _axis_length(lo: float, hi: float, step: float) -> float:
@@ -532,17 +530,31 @@ class MinorScanSpec:
         }
 
 
+def _b_points(spec: MinorScanSpec) -> np.ndarray:
+    """The b (a for alpha1_psd) of one c panel's points, ordered by (re_b, im_b)."""
+    bb, ii = np.meshgrid(spec.axis("re"), spec.axis("im"), indexing="ij")
+    return (bb + 1j * ii).reshape(-1)
+
+
 @dataclass
 class GridScan:
     spec: MinorScanSpec
-    samples: np.ndarray  # rows: re_b, im_b, re_c, im_c, value
+    values: np.ndarray  # one per point, ordered by (c value, re_b, im_b)
     min_value: float
     argmin: tuple  # (b, c)
 
+    @property
+    def samples(self) -> np.ndarray:
+        """The (n, 5) rows re_b, im_b, re_c, im_c, value, built on each call."""
+        b = _b_points(self.spec)
+        c = np.repeat(np.array(self.spec.c_values, dtype=complex), b.size)
+        b = np.tile(b, len(self.spec.c_values))
+        return np.column_stack([b.real, b.imag, c.real, c.imag, self.values])
+
     def passed(self) -> bool:
         if self.spec.which == "alpha1_psd":
-            a, values = self.samples[:, 0] + 1j * self.samples[:, 1], self.samples[:, 4]
-            return bool(np.all(values >= _psd_floor(a)))
+            a = _b_points(self.spec)
+            return bool(np.all(self.values.reshape(-1, a.size) >= _psd_floor(a)))
         return bool(self.min_value > 0.0)
 
     def to_json(self) -> dict:
@@ -557,35 +569,23 @@ class GridScan:
 
 
 def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
-    """Evaluate the chosen quantity over the grid. Rows are ordered by
-    (c value, re_b, im_b); for alpha1_psd the b columns carry the a parameter
+    """Evaluate the chosen quantity over the grid, one value per point in
+    (c value, re_b, im_b) order; for alpha1_psd b carries the a parameter
     and the value is the smallest eigenvalue on the six support rows."""
-    re_axis = spec.axis("re")
-    im_axis = spec.axis("im")
-    bb, ii = np.meshgrid(re_axis, im_axis, indexing="ij")
-    b_flat = (bb + 1j * ii).reshape(-1)
-    rows = []
-    best = (np.inf, 0j, 0j)
-    for c_val in spec.c_values:
-        c_val = complex(c_val)
-        values = _values(spec.which, b_flat, np.full(b_flat.size, c_val), spec.x)
-        if not np.all(np.isfinite(values)):
+    b_flat = _b_points(spec)
+    n = b_flat.size
+    values = np.empty(n * len(spec.c_values))
+    for p, c_val in enumerate(spec.c_values):
+        panel = values[p * n:(p + 1) * n]
+        panel[:] = _values(spec.which, b_flat, np.full(n, complex(c_val)), spec.x)
+        if not np.all(np.isfinite(panel)):
             raise linalg.NonFiniteValue("non-finite value in grid scan")
-        block = np.column_stack([
-            b_flat.real, b_flat.imag,
-            np.full(b_flat.size, c_val.real), np.full(b_flat.size, c_val.imag),
-            values,
-        ])
-        rows.append(block)
-        k = int(np.argmin(values))
-        if values[k] < best[0]:
-            best = (float(values[k]), complex(b_flat[k]), c_val)
-    samples = np.vstack(rows)
-    result = GridScan(spec=spec, samples=samples, min_value=best[0], argmin=(best[1], best[2]))
     if out_csv is not None:
         write_grid_csv(out_csv, ["re_b", "im_b", "re_c", "im_c", "value"],
-                       re_axis, im_axis, spec.c_values, samples[:, 4])
-    return result
+                       spec.axis("re"), spec.axis("im"), spec.c_values, values)
+    p, k = divmod(int(np.argmin(values)), n)
+    return GridScan(spec=spec, values=values, min_value=float(values[p * n + k]),
+                    argmin=(complex(b_flat[k]), complex(spec.c_values[p])))
 
 
 def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,

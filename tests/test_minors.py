@@ -4,6 +4,7 @@ positivity scans."""
 
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,36 +119,59 @@ def _dense_compressions(bases, params, k):
 
 @pytest.mark.parametrize("form", [1, 2], ids=["P1a", "P2bc"])
 def test_compression_chunks_bitwise_equal_dense_assembly(form):
-    # 2 * CHUNK + 1001 = 17385 points: two full chunks, a ragged tail, and
-    # past the 16384 points from which numpy forms the products in place;
-    # zero and signed-zero parameters, magnitudes 1e-3 to 1e3
+    # the dense sum forms each product over all n points, and numpy swaps
+    # its operands in place from 16384 points (256 KiB) on, so the chunked
+    # products must take their order from n, on both sides of that
+    # boundary; 2 * CHUNK + 1001 = 17385 points gives two full chunks and a
+    # ragged tail. Zero and signed-zero parameters, magnitudes 1e-3 to 1e3
+    assert minors.ELIDE_POINTS == 16384
     rng = np.random.default_rng(41)
-    n = 2 * CHUNK + 1001
-    assert n > 16384
-    params = []
-    for _ in FAMILIES[form].slots:
-        z = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
-        z[::7] = 0
-        z[3::11] = complex(-0.0, 0.5)
-        params.append(z)
     bases = compression_bases(linalg.partial_transpose(states.build_family("v", 0.4).rho), form)
-    for k in (4, 5, 6):
-        chunks = list(compression_chunks(bases, params, k))
-        assert [len(a) for a in chunks] == [CHUNK, CHUNK, 1001]
-        got = np.concatenate(chunks)
-        assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), k
+    for n in (1, 16383, 16384, 16385, 2 * CHUNK + 1001):
+        params = []
+        for _ in FAMILIES[form].slots:
+            z = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
+            z[::7] = 0
+            z[3::11] = complex(-0.0, 0.5)
+            params.append(z)
+        for k in (4, 5, 6):
+            chunks = list(compression_chunks(bases, params, k))
+            assert [len(a) for a in chunks] == [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
+            got = np.concatenate(chunks)
+            assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), (n, k)
 
 
 @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
 def test_compression_chunks_reject_non_finite_products(bad):
     # 1e200 squared overflows; a dense sum would turn it into NaN through
-    # inf * 0, so the products are checked, without a warning, before any sum
+    # inf * 0, so each chunk's products are checked, without a warning,
+    # before that chunk is summed
     bases = compression_bases(linalg.partial_transpose(states.build_family("v", 0.4).rho), 2)
     params = (np.array([0.5, bad, 1j]), np.zeros(3, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(linalg.NonFiniteValue):
             next(compression_chunks(bases, params, 4))
+
+
+def test_scan_rejects_a_product_overflow_in_its_last_chunk(tmp_path):
+    # 2 * CHUNK + 1 points on the re_b axis; only the last one, alone in
+    # the third chunk, has |b|^2 past the largest float. The first two
+    # chunks are summed before the overflow is found, and the scan still
+    # raises without a warning and writes no CSV
+    step = np.sqrt(np.finfo(float).max) / (2 * CHUNK - 0.5)
+    spec = MinorScanSpec(which="alpha2_minor4", re_range=(0.0, 2 * CHUNK * step),
+                         im_range=(0.0, 0.0), step=step)
+    re_axis = spec.axis("re")
+    assert len(re_axis) == 2 * CHUNK + 1
+    with np.errstate(over="ignore"):
+        assert np.isfinite(re_axis[-2] ** 2) and np.isinf(re_axis[-1] ** 2)
+    path = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NonFiniteValue, match="parameter product"):
+            scan(spec, out_csv=str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("form, k, kept", [(2, 4, 26), (2, 5, 36), (2, 6, 52), (1, 6, 31)])
@@ -528,6 +552,21 @@ def test_scan_values_bitwise_equal_one_shot_assembly():
         for p, c_val in enumerate(panels):
             ref = _one_shot_values(which, b, np.full(n, c_val), spec.x, spec.scale)
             assert np.array_equal(res.samples[p * n:(p + 1) * n, 4], ref), (which, c_val)
+
+
+def test_scan_memory_follows_the_chunk_not_the_grid(tmp_path):
+    # the 361,201-point minor4 grid, CSV written: the scan holds its point
+    # and value columns (about 17 MB) and one chunk's products, never the
+    # nine whole-grid products c_i conj(c_j) (52 MB) or (n, 5) samples
+    spec = MinorScanSpec(which="alpha2_minor4", step=0.01)
+    tracemalloc.start()
+    try:
+        res = scan(spec, out_csv=str(tmp_path / "grid.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.values.size == 601 * 601
+    assert peak < 40e6
 
 
 def test_scan_f_window():
