@@ -1,6 +1,6 @@
 """Deterministic text serialization: 17-significant-digit floats for CSV and
 JSON so identical runs produce byte-identical output files. write_csv
-writes blocks of rows, write_grid_csv a product grid from its axes."""
+writes a table of rows, write_grid_csv a product grid from its axes."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-CSV_BLOCK = 4096  # rows per formatting call in write_csv
+CSV_BLOCK = 4096  # im points per line template in write_grid_csv
 
 
 def sig17(x: float) -> str:
@@ -79,21 +79,17 @@ def write_csv(path, header: list[str], rows) -> None:
     """Write numeric rows (a 2-D array, or equal-length lists of floats and
     ints) with LF endings and sig17 floats.
 
-    The rows go through one float64 array and are written CSV_BLOCK rows per
-    formatting call: "%.17g" renders every finite float exactly as sig17
-    does, -0.0 as -0, and integers as their digits. A block holding NaN or
-    +-inf is respelled to NaN and Infinity, as sig17 writes them; finite
-    blocks skip that pass. Grids go through write_grid_csv instead."""
+    The rows go through one float64 array and are formatted in one call:
+    "%.17g" renders every finite float exactly as sig17 does, -0.0 as -0,
+    and integers as their digits. A table holding NaN or +-inf is respelled
+    to NaN and Infinity, as sig17 writes them. The tables are small (a scan
+    has at most cli.MAX_SCAN_STEPS rows); grids go through write_grid_csv."""
     arr = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    text = (",".join(["%.17g"] * len(header)) + "\n") * len(arr) % tuple(arr.ravel().tolist())
+    if not np.isfinite(arr).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(arr), CSV_BLOCK):
-            block = arr[start:start + CSV_BLOCK]
-            text = (line * len(block)) % tuple(block.ravel().tolist())
-            if not np.isfinite(block).all():
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            fh.write(text)
+        fh.write(",".join(header) + "\n" + text)
 
 
 def write_grid_csv(path, header: list[str], re_axis, im_axis, c_values, values) -> None:

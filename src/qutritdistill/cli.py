@@ -56,28 +56,14 @@ def parse_x(text: str) -> float:
             return float(Fraction(s))
         return float(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse x value {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse x value {text!r}") from exc
 
 
 def parse_complex(text: str) -> complex:
     try:
         return complex(text.strip().replace(" ", ""))
     except ValueError as exc:
-        raise UsageError(f"cannot parse complex value {text!r}") from exc
-
-
-def _check_case(case: str) -> None:
-    if case not in states.CASES:
-        raise UsageError(f"unknown case {case!r}; expected one of {states.CASES}")
-
-
-def _family_state(args) -> tuple[states.QutritState, float]:
-    """The family member named by --case and --x; a bad case or x is a usage error."""
-    _check_case(args.case)
-    x = parse_x(args.x)
-    if not (0.0 <= x <= 1.0):
-        raise UsageError("x must lie in [0, 1]")
-    return states.build_family(args.case, x), x
+        raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}") from exc
 
 
 def _emit(args, payload: dict, human: str):
@@ -88,7 +74,10 @@ def _emit(args, payload: dict, human: str):
 
 
 def _outpath(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {args.out!r} as the output directory: {exc}") from exc
     return os.path.join(args.out, name)
 
 
@@ -96,8 +85,7 @@ def _outpath(args, name: str) -> str:
 
 
 def cmd_scan(args) -> int:
-    _check_case(args.case)
-    x_min, x_max = parse_x(args.x_min), parse_x(args.x_max)
+    x_min, x_max = args.x_min, args.x_max
     if not (0.0 <= x_min < x_max <= 1.0):
         raise UsageError("need 0 <= x-min < x-max <= 1")
     if not 2 <= args.steps <= MAX_SCAN_STEPS:
@@ -105,12 +93,12 @@ def cmd_scan(args) -> int:
     xs = np.linspace(x_min, x_max, args.steps)
     res = distill.witness_stack(states.family_stack(args.case, xs))
     negative = res.negative
-    columns = {"min_eig": res.spectra[:, 0], "second_eig": res.spectra[:, 1]}
+    columns = {key: res.spectra[:, k] for key, k in distill.THRESHOLD_TARGETS.items()}
     csv_path = _outpath(args, f"scan_{args.case}.csv")
-    write_csv(csv_path, ["x", "min_eig_gamma", "second_eig_gamma", "negative_count",
+    write_csv(csv_path, ["x", *(f"{key}_gamma" for key in columns), "negative_count",
                          "witness_found", "witness_value"],
-              np.column_stack([xs, columns["min_eig"], columns["second_eig"], negative,
-                               res.found, np.where(negative > 0, res.values, np.nan)]))
+              np.column_stack([xs, *columns.values(), negative, res.found,
+                               np.where(negative > 0, res.values, np.nan)]))
 
     brackets, x_list = {}, xs.tolist()
     for key, col in columns.items():
@@ -135,32 +123,23 @@ def cmd_scan(args) -> int:
 # --- threshold ---------------------------------------------------------------
 
 
-def _norm_target(text: str) -> str:
-    t = text.strip().lower().replace("-", "_")
-    if t in ("min_eig", "second_eig"):
-        return t
-    raise UsageError(f"unknown target {text!r}; expected min-eig or second-eig")
-
-
 def cmd_threshold(args) -> int:
-    _check_case(args.case)
-    target = _norm_target(args.target)
-    lo, hi = parse_x(args.bracket[0]), parse_x(args.bracket[1])
+    lo, hi = args.bracket
     if not (0.0 <= lo < hi <= 1.0):
         raise UsageError("need 0 <= LO < HI <= 1 for --bracket")
     try:
-        res = distill.find_threshold(args.case, target, (lo, hi))
+        res = distill.find_threshold(args.case, args.target, (lo, hi))
     except distill.NoSignChange as exc:
         raise UsageError(str(exc)) from exc
     payload = {
         "case": args.case,
-        "target": target,
+        "target": args.target,
         "x_star": res.x_star,
         "bracket": [res.bracket[0], res.bracket[1]],
         "iterations": res.iterations,
         "seed": args.seed,
     }
-    _emit(args, payload, f"threshold {args.case}/{target}: x* = {sig17(res.x_star)}")
+    _emit(args, payload, f"threshold {args.case}/{args.target}: x* = {sig17(res.x_star)}")
     return EXIT_OK
 
 
@@ -179,12 +158,12 @@ def _check_strategy(text: str) -> None:
 
 
 def cmd_witness(args) -> int:
-    state, x = _family_state(args)
+    state = states.build_family(args.case, args.x)
     _check_strategy(args.strategy)
     rep = distill.witness_search(state)
     payload = rep.to_json()
     payload["case"] = args.case
-    payload["x"] = x
+    payload["x"] = args.x
     payload["seed"] = args.seed
     found = rep.witness is not None
     _emit(args, payload, ("witness found: value " + sig17(rep.best_value)) if found
@@ -196,10 +175,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify_example(args) -> int:
-    x = parse_x(args.x)
-    if not (0.0 < x < 1.0):
-        raise UsageError("x must lie in (0, 1)")
-    step = args.grid_step
+    x, step = args.x, args.grid_step
     # every grid is checked before anything runs; the +-3 grids bound the +-2
     # cross-check grid of the same step
     c_panels = (0j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
@@ -274,13 +250,15 @@ def _load_basis_file(path: str) -> states.QutritState:
             raw = json.load(fh)
         vectors = []
         for entry in raw:
+            if any(type(t) not in (int, float) for pair in entry for t in pair):
+                raise ValueError("each [re, im] pair needs two JSON numbers")
             v = np.array([complex(re, im) for re, im in entry], dtype=complex)
             if v.shape != (9,):
                 raise ValueError("each vector needs exactly 9 [re, im] pairs")
             if not np.isfinite(v).all():
                 raise ValueError("entries must be finite")
             vectors.append(v)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
         raise UsageError(f"cannot read basis file {path!r}: {exc}") from exc
     if not vectors:
         raise UsageError("basis file is empty")
@@ -294,11 +272,9 @@ def cmd_kernel(args) -> int:
     if args.basis_file is not None:
         state = _load_basis_file(args.basis_file)
         label = {"basis_file": args.basis_file}
-    elif args.case is not None:
-        state, x = _family_state(args)
-        label = {"case": args.case, "x": x}
     else:
-        raise UsageError("need either --case or --basis-file")
+        state = states.build_family(args.case, args.x)
+        label = {"case": args.case, "x": args.x}
     try:
         split = kernel.range_and_kernel(state)
         exact = kernel.candidate_product_vector(state, split)
@@ -326,8 +302,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    x = parse_x(args.x)
-    c_values = tuple(parse_complex(c) for c in args.c) if args.c else (0j,)
+    c_values = tuple(args.c) if args.c else (0j,)
     try:
         spec = minors.MinorScanSpec(
             which=args.which,
@@ -335,7 +310,7 @@ def cmd_grid(args) -> int:
             im_range=(args.im_min, args.im_max),
             step=args.step,
             c_values=c_values,
-            x=x,
+            x=args.x,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -370,47 +345,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan", parents=[common], help="sweep x for one family case")
-    p.add_argument("--case", required=True)
-    p.add_argument("--x-min", default="0", dest="x_min")
-    p.add_argument("--x-max", default="1", dest="x_max")
+    p.add_argument("--case", required=True, choices=states.CASES)
+    p.add_argument("--x-min", type=parse_x, default="0", dest="x_min")
+    p.add_argument("--x-max", type=parse_x, default="1", dest="x_max")
     p.add_argument("--steps", type=int, default=200)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("threshold", parents=[common], help="locate an eigenvalue crossing")
-    p.add_argument("--case", required=True)
-    p.add_argument("--target", required=True, help="min-eig or second-eig")
-    p.add_argument("--bracket", nargs=2, required=True, metavar=("LO", "HI"))
+    p.add_argument("--case", required=True, choices=states.CASES)
+    p.add_argument("--target", required=True, choices=distill.THRESHOLD_TARGETS,
+                   type=lambda text: text.strip().lower().replace("-", "_"),
+                   help="the eigenvalue whose crossing to locate; - may stand for _")
+    p.add_argument("--bracket", type=parse_x, nargs=2, required=True, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("witness", parents=[common], help="construct a distillability witness")
-    p.add_argument("--case", required=True)
-    p.add_argument("--x", required=True)
+    p.add_argument("--case", required=True, choices=states.CASES)
+    p.add_argument("--x", type=parse_x, required=True)
     p.add_argument("--strategy", default="c", help="any combination of a, b, c; accepted "
                    "for compatibility, every spelling runs the one construction")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify-example", parents=[common],
                        help="run the full x = 1/7 verification bundle")
-    p.add_argument("--x", default="1/7")
+    p.add_argument("--x", type=parse_x, default="1/7")
     p.add_argument("--grid-step", type=float, default=0.05, dest="grid_step")
     p.set_defaults(func=cmd_verify_example)
 
     p = sub.add_parser("kernel", parents=[common], help="look for kernel product vectors")
-    p.add_argument("--case")
-    p.add_argument("--x", default="1/7")
-    p.add_argument("--basis-file", dest="basis_file",
-                   help="JSON array of 9-element vectors as [re, im] pairs spanning the range")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--case", choices=states.CASES)
+    source.add_argument("--basis-file", dest="basis_file", help="JSON array of 9-element "
+                        "vectors as [re, im] pairs spanning the range")
+    p.add_argument("--x", type=parse_x, default="1/7", help="x of the --case family state")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("grid", parents=[common], help="emit a scan grid as CSV")
-    p.add_argument("--which", required=True, help="one of " + ", ".join(minors.WHICH_TOKENS))
+    p.add_argument("--which", required=True, choices=minors.WHICH_TOKENS)
     p.add_argument("--re-min", type=float, default=-3.0)
     p.add_argument("--re-max", type=float, default=3.0)
     p.add_argument("--im-min", type=float, default=-3.0)
     p.add_argument("--im-max", type=float, default=3.0)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--c", action="append", help="c value (repeatable), e.g. --c 1+1j")
-    p.add_argument("--x", default="1/7")
+    p.add_argument("--c", type=parse_complex, action="append",
+                   help="c value (repeatable), e.g. --c 1+1j")
+    p.add_argument("--x", type=parse_x, default="1/7")
     p.set_defaults(func=cmd_grid)
     return parser
 
@@ -422,7 +401,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # only --help exits: argument errors raise UsageError
         return EXIT_OK
-    except UsageError as exc:
+    except (UsageError, states.OutOfRange) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # library failures surface as internal errors

@@ -287,7 +287,9 @@ def precondition_report(state: states.QutritState) -> dict:
 
 # --- threshold ---------------------------------------------------------------
 
-_TARGETS = {
+# target -> its index in the ascending partial-transpose spectrum; the CLI's
+# --target choices and scan's eigenvalue columns come from this table too
+THRESHOLD_TARGETS = {
     "min_eig": 0,
     "second_eig": 1,
 }
@@ -310,9 +312,9 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     bracket as given, and iterations is 2 plus the 1-based index of the root
     returned.
     """
-    if target not in _TARGETS:
-        raise ValueError(f"unknown target {target!r}; expected one of {sorted(_TARGETS)}")
-    idx = _TARGETS[target]
+    if target not in THRESHOLD_TARGETS:
+        raise ValueError(f"unknown target {target!r}; expected one of {sorted(THRESHOLD_TARGETS)}")
+    idx = THRESHOLD_TARGETS[target]
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket needs lo < hi, got [{lo}, {hi}]")

@@ -564,10 +564,24 @@ THRESHOLD = ["threshold", "--case", "v", "--target", "min-eig", "--bracket"]
     ["grid", "--which", "G", "--step", "1e-300"],
     ["verify-example", "--x", "0.2", "--grid-step", "1e-300"],
     ["scan", "--case", "v", "--steps", "1000000000000000000000000000000"],
+    # the parser checks each argument: the cases and targets it knows, x values
+    # it can read, and one of --case and --basis-file for kernel
+    ["scan", "--case", "vi"],
+    ["threshold", "--case", "vi", "--target", "min-eig", "--bracket", "0.1", "0.2"],
+    ["witness", "--case", "vi", "--x", "0.5"],
+    ["kernel", "--case", "vi"],
+    ["threshold", "--case", "v", "--target", "max-eig", "--bracket", "0.1", "0.2"],
+    ["witness", "--case", "v", "--x", "abc"],
+    ["kernel", "--case", "v", "--x", "abc"],
+    ["grid", "--which", "F", "--step", "0.5", "--x", "abc"],
+    ["verify-example", "--x", "abc"],
+    ["kernel", "--case", "v", "--basis-file", "BASIS"],
+    ["kernel", "--basis-file", "BASIS", "--case", "vi"],
+    ["kernel", "--basis-file", "BASIS", "--x", "abc"],
 ])
 def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     vectors = np.eye(9)[:5].astype(complex)
-    files = {"ALL_ZERO": np.zeros_like(vectors), "NAN_ENTRY": vectors.copy()}
+    files = {"ALL_ZERO": np.zeros_like(vectors), "NAN_ENTRY": vectors.copy(), "BASIS": vectors}
     files["NAN_ENTRY"][4, 3] = np.nan
     for name, vs in files.items():
         (tmp_path / name).write_text(
@@ -579,6 +593,45 @@ def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("text", [
+    # an integer past the float range
+    "[" + ", ".join(["[[1" + "0" * 400 + ", 0]" + ", [0, 0]" * 8 + "]"] * 5) + "]",
+    # JSON booleans are not numbers
+    json.dumps([[[k == j, False] for k in range(9)] for j in range(5)]),
+], ids=["overflowing_integer", "booleans"])
+def test_basis_file_entries_must_be_json_numbers(capsys, tmp_path, text):
+    path = tmp_path / "basis.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["kernel", "--basis-file", str(path), "--json",
+                                  "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err.startswith(f"usage error: cannot read basis file {str(path)!r}")
+    assert err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["scan", "--case", "v"], "FILE"),
+    (["grid", "--which", "F", "--step", "0.5"], "FILE/sub"),
+], ids=["scan_into_file", "grid_under_file"])
+def test_out_that_is_not_a_directory_is_usage_error(capsys, tmp_path, argv, out):
+    (tmp_path / "FILE").write_text("kept\n")
+    code, stdout, err = run(capsys, argv + ["--json", "--out", str(tmp_path / out)])
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert stdout == ""
+    assert (tmp_path / "FILE").read_text() == "kept\n"
+
+
+def test_help_lists_cases_and_targets(capsys):
+    code, out, _ = run(capsys, ["scan", "--help"])
+    assert code == EXIT_OK
+    assert "{i,ii,iii,iv,v}" in out
+    code, out, _ = run(capsys, ["threshold", "--help"])
+    assert code == EXIT_OK
+    assert "{min_eig,second_eig}" in out
 
 
 # -------------------------------------------------------------- verify-example

@@ -1,4 +1,4 @@
-"""CSV serialization: the blocked "%.17g" writer and the grid writer
+"""CSV serialization: the one-call "%.17g" writer and the grid writer
 produce the bytes a per-cell sig17 rendering would, for arrays and for
 lists of rows, with NaN and Infinity spelled as in JSON. JSON
 serialization: the one layout."""
@@ -85,7 +85,7 @@ def test_list_rows_with_int_and_bool_cells(tmp_path):
 
 
 def test_non_finite_value_in_a_later_block(tmp_path):
-    # the first block is finite, the second holds -inf
+    # past CSV_BLOCK rows of finite values, one -inf
     arr = np.full((CSV_BLOCK + 2, 5), 0.5)
     arr[CSV_BLOCK + 1, 2] = -np.inf
     block, cells = _both_paths(tmp_path, arr)
@@ -93,10 +93,10 @@ def test_non_finite_value_in_a_later_block(tmp_path):
     assert block.splitlines()[-1] == b"0.5,0.5,-Infinity,0.5,0.5"
 
 
-def test_memo_dropped_when_a_column_turns_distinct_mid_file(tmp_path):
-    # column a repeats 7 values in the first block, takes a fresh value per
-    # row in the second and repeats one value in the third: a column that
-    # changes its character mid-file keeps the per-cell bytes
+def test_column_turning_distinct_mid_file_matches_cells(tmp_path):
+    # column a repeats 7 values in its first CSV_BLOCK rows, takes a fresh
+    # value per row in the next and repeats one value in the last: a column
+    # that changes its character mid-file keeps the per-cell bytes
     n = 3 * CSV_BLOCK
     rows = np.arange(n)
     arr = np.column_stack([
@@ -111,7 +111,7 @@ def test_memo_dropped_when_a_column_turns_distinct_mid_file(tmp_path):
     assert block == cells
 
 
-def test_memo_keeps_signed_zeros_apart(tmp_path):
+def test_signed_zeros_stay_apart(tmp_path):
     arr = np.zeros((2 * CSV_BLOCK + 1, 5))
     arr[::2, 1] = -0.0
     arr[:, 3] = -0.0
@@ -122,7 +122,7 @@ def test_memo_keeps_signed_zeros_apart(tmp_path):
     assert lines[2] == b"0,0,0,-0,0"
 
 
-def test_memoised_column_with_non_finite_values(tmp_path):
+def test_repeated_non_finite_values_match_cells(tmp_path):
     n = CSV_BLOCK + 9
     arr = np.tile(np.array([np.nan, np.inf, -np.inf, 1.5])[:, None], ((n + 3) // 4, 5))[:n]
     arr[:, 4] = np.arange(n) / 3.0
@@ -144,22 +144,6 @@ def test_multi_panel_scan_csv_matches_cells(tmp_path):
     assert len(res.samples) > 2 * CSV_BLOCK
     header = ["re_b", "im_b", "re_c", "im_c", "value"]
     assert _read(path) == _sig17_csv(header, res.samples.tolist())
-
-
-def test_write_csv_memory_stays_below_one_column(tmp_path):
-    # a grid-shaped 400,000 x 5 array: the writer holds a block at a time,
-    # never a copy of a column (3.2 MB)
-    n = 400_000
-    rows = np.arange(n)
-    arr = np.column_stack([rows // 600 * 0.01, rows % 600 * 0.01, np.full(n, 0.5),
-                           np.full(n, -1.5), np.sin(rows)])
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "big.csv", HEADER, arr)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < arr[:, 0].nbytes
 
 
 GRID_HEADER = ["re_b", "im_b", "re_c", "im_c", "value"]
