@@ -18,7 +18,8 @@ from qutritdistill.kernel import (
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
 )
-from qutritdistill.states import basis_ket, range_kernel, schmidt_rank, uniform_state_on_span
+from qutritdistill.linalg import matrix_rank
+from qutritdistill.states import basis_ket, range_kernel, uniform_state_on_span
 
 
 def sym(i, j):
@@ -48,7 +49,7 @@ m = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
 q, _ = np.linalg.qr(m)
 res = product_vector_in_2x3_complement(list(q.T))
 print(f"random 3-dim complement: found={res.found}, residual {res.residual:.1e}, "
-      f"schmidt rank {schmidt_rank(res.vector, dim_a=2, dim_b=3)}")
+      f"schmidt rank {matrix_rank(res.vector.reshape(2, 3))}")
 
 # obstructed kernels: antisymmetric subspace plus a diagonal vector of
 # Schmidt rank 3; the lemma excludes product vectors exactly, and the exact

@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 1
 
 MAX_SCAN_STEPS = 10_000  # x values of one scan
+TARGET_NAMES = tuple(key.replace("_", "-") for key in distill.THRESHOLD_TARGETS)
 
 NAMED_X = {
     "c1": (33.0 - 12.0 * math.sqrt(6.0)) / 25.0,
@@ -66,11 +67,40 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}") from exc
 
 
+def parse_steps(text: str) -> int:
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise argparse.ArgumentTypeError(f"need 2 <= steps <= {MAX_SCAN_STEPS}")
+    return steps
+
+
+def parse_target(text: str) -> str:
+    """A key of distill.THRESHOLD_TARGETS, with - standing for _."""
+    key = text.strip().lower().replace("-", "_")
+    if key not in distill.THRESHOLD_TARGETS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, TARGET_NAMES))})")
+    return key
+
+
+def parse_strategy(text: str) -> str:
+    """--strategy is accepted syntax only: any combination of the letters a,
+    b, c (spaces and '+' ignored) runs the one witness construction."""
+    letters = [ch for ch in text.replace("+", "") if not ch.isspace()]
+    bad = [ch for ch in letters if ch not in "abc"]
+    if bad:
+        raise argparse.ArgumentTypeError(
+            f"unknown strategy letters {bad}; expected a subset of 'abc'")
+    if not letters:
+        raise argparse.ArgumentTypeError("strategy needs at least one of the letters a, b, c")
+    return text
+
+
 def _emit(args, payload: dict, human: str):
-    if args.json:
-        sys.stdout.write(json_dumps(payload) + "\n")
-    else:
-        sys.stdout.write(human + "\n")
+    sys.stdout.write((json_dumps(payload) if args.json else human) + "\n")
 
 
 def _outpath(args, name: str) -> str:
@@ -88,8 +118,6 @@ def cmd_scan(args) -> int:
     x_min, x_max = args.x_min, args.x_max
     if not (0.0 <= x_min < x_max <= 1.0):
         raise UsageError("need 0 <= x-min < x-max <= 1")
-    if not 2 <= args.steps <= MAX_SCAN_STEPS:
-        raise UsageError(f"need 2 <= steps <= {MAX_SCAN_STEPS}")
     xs = np.linspace(x_min, x_max, args.steps)
     res = distill.witness_stack(states.family_stack(args.case, xs))
     negative = res.negative
@@ -127,10 +155,7 @@ def cmd_threshold(args) -> int:
     lo, hi = args.bracket
     if not (0.0 <= lo < hi <= 1.0):
         raise UsageError("need 0 <= LO < HI <= 1 for --bracket")
-    try:
-        res = distill.find_threshold(args.case, args.target, (lo, hi))
-    except distill.NoSignChange as exc:
-        raise UsageError(str(exc)) from exc
+    res = distill.find_threshold(args.case, args.target, (lo, hi))
     payload = {
         "case": args.case,
         "target": args.target,
@@ -146,25 +171,11 @@ def cmd_threshold(args) -> int:
 # --- witness -----------------------------------------------------------------
 
 
-def _check_strategy(text: str) -> None:
-    """--strategy is accepted syntax only: any combination of the letters a,
-    b, c (spaces and '+' ignored) runs the one witness construction."""
-    letters = [ch for ch in text.replace("+", "") if not ch.isspace()]
-    bad = [ch for ch in letters if ch not in "abc"]
-    if bad:
-        raise UsageError(f"unknown strategy letters {bad}; expected a subset of 'abc'")
-    if not letters:
-        raise UsageError("strategy needs at least one of the letters a, b, c")
-
-
 def cmd_witness(args) -> int:
     state = states.build_family(args.case, args.x)
-    _check_strategy(args.strategy)
     rep = distill.witness_search(state)
     payload = rep.to_json()
-    payload["case"] = args.case
-    payload["x"] = args.x
-    payload["seed"] = args.seed
+    payload.update(case=args.case, x=args.x, seed=args.seed)
     found = rep.witness is not None
     _emit(args, payload, ("witness found: value " + sig17(rep.best_value)) if found
           else f"no witness found (best value {rep.best_value})")
@@ -179,11 +190,8 @@ def cmd_verify_example(args) -> int:
     # every grid is checked before anything runs; the +-3 grids bound the +-2
     # cross-check grid of the same step
     c_panels = (0j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
-    try:
-        specs = [minors.MinorScanSpec(which=which, step=step, c_values=c_panels, x=x)
-                 for which in ("alpha2_minor4", "F", "G")]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    specs = [minors.MinorScanSpec(which=which, step=step, c_values=c_panels, x=x)
+             for which in ("alpha2_minor4", "F", "G")]
     checks = {}
 
     state = minors.mixed_frame_state(x)
@@ -270,21 +278,18 @@ def _load_basis_file(path: str) -> states.QutritState:
 
 def cmd_kernel(args) -> int:
     if args.basis_file is not None:
+        if args.x is not None:
+            raise UsageError("argument --x: not allowed with argument --basis-file")
         state = _load_basis_file(args.basis_file)
-        label = {"basis_file": args.basis_file}
+        payload = {"basis_file": args.basis_file}
     else:
-        state = states.build_family(args.case, args.x)
-        label = {"case": args.case, "x": args.x}
-    try:
-        split = kernel.range_and_kernel(state)
-        exact = kernel.candidate_product_vector(state, split)
-        searched = kernel.kernel_product_vector(state, split)
-    except kernel.EmptyKernel:
-        raise UsageError("state has a trivial kernel; nothing to search")
-    payload = dict(label)
-    payload["seed"] = args.seed
-    payload["exact_cases"] = exact.to_json()
-    payload["search"] = searched.to_json()
+        x = parse_x("1/7") if args.x is None else args.x
+        state = states.build_family(args.case, x)
+        payload = {"case": args.case, "x": x}
+    split = kernel.range_and_kernel(state)
+    exact = kernel.candidate_product_vector(state, split)
+    searched = kernel.kernel_product_vector(state, split)
+    payload.update(seed=args.seed, exact_cases=exact.to_json(), search=searched.to_json())
     found = exact.found or searched.found
     if found:
         verdict = "found"
@@ -302,23 +307,11 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    c_values = tuple(args.c) if args.c else (0j,)
-    try:
-        spec = minors.MinorScanSpec(
-            which=args.which,
-            re_range=(args.re_min, args.re_max),
-            im_range=(args.im_min, args.im_max),
-            step=args.step,
-            c_values=c_values,
-            x=args.x,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = minors.MinorScanSpec(which=args.which, re_range=(args.re_min, args.re_max),
+                                im_range=(args.im_min, args.im_max), step=args.step,
+                                c_values=tuple(args.c) if args.c else (0j,), x=args.x)
     csv_path = _outpath(args, f"{args.which}_grid.csv")
-    try:
-        gs = minors.scan(spec, out_csv=csv_path)
-    except linalg.NonFiniteValue as exc:
-        raise UsageError(f"grid too large for float64: {exc}") from exc
+    gs = minors.scan(spec, out_csv=csv_path)
     payload = gs.to_json()
     payload["csv"] = csv_path
     payload["seed"] = args.seed
@@ -348,22 +341,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=states.CASES)
     p.add_argument("--x-min", type=parse_x, default="0", dest="x_min")
     p.add_argument("--x-max", type=parse_x, default="1", dest="x_max")
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=parse_steps, default=200)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("threshold", parents=[common], help="locate an eigenvalue crossing")
     p.add_argument("--case", required=True, choices=states.CASES)
-    p.add_argument("--target", required=True, choices=distill.THRESHOLD_TARGETS,
-                   type=lambda text: text.strip().lower().replace("-", "_"),
-                   help="the eigenvalue whose crossing to locate; - may stand for _")
+    p.add_argument("--target", required=True, type=parse_target,
+                   metavar="{" + ",".join(TARGET_NAMES) + "}",
+                   help="the eigenvalue whose crossing to locate; _ may stand for -")
     p.add_argument("--bracket", type=parse_x, nargs=2, required=True, metavar=("LO", "HI"))
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("witness", parents=[common], help="construct a distillability witness")
     p.add_argument("--case", required=True, choices=states.CASES)
     p.add_argument("--x", type=parse_x, required=True)
-    p.add_argument("--strategy", default="c", help="any combination of a, b, c; accepted "
-                   "for compatibility, every spelling runs the one construction")
+    p.add_argument("--strategy", type=parse_strategy, default="c", help="any combination of "
+                   "a, b, c; accepted for compatibility, every spelling runs the one construction")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify-example", parents=[common],
@@ -377,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--case", choices=states.CASES)
     source.add_argument("--basis-file", dest="basis_file", help="JSON array of 9-element "
                         "vectors as [re, im] pairs spanning the range")
-    p.add_argument("--x", type=parse_x, default="1/7", help="x of the --case family state")
+    p.add_argument("--x", type=parse_x, help="x of the --case family state (default 1/7)")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("grid", parents=[common], help="emit a scan grid as CSV")
@@ -401,7 +394,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # only --help exits: argument errors raise UsageError
         return EXIT_OK
-    except (UsageError, states.OutOfRange) as exc:
+    # input errors: the parser's, and the typed library errors only input can cause
+    except (UsageError, states.OutOfRange, distill.NoSignChange, kernel.EmptyKernel,
+            linalg.NonFiniteValue) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except Exception as exc:  # library failures surface as internal errors

@@ -260,7 +260,7 @@ def range_and_kernel(state: states.QutritState) -> tuple[np.ndarray, np.ndarray]
     """states.range_kernel, raising EmptyKernel when the kernel is trivial."""
     rng, ker = states.range_kernel(state)
     if ker.shape[1] == 0:
-        raise EmptyKernel("state has trivial kernel")
+        raise EmptyKernel("state has a trivial kernel; nothing to search")
     return rng, ker
 
 

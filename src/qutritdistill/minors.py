@@ -196,7 +196,8 @@ def compression_chunks(bases: list, params, k: int):
             products = [np.multiply(cj.conj(), ci) if swapped else np.multiply(ci, cj.conj())
                         for ci in coefs for cj in coefs]
         if not all(np.isfinite(pij).all() for pij in products):
-            raise linalg.NonFiniteValue("a parameter product c_i conj(c_j) is not finite")
+            raise linalg.NonFiniteValue(
+                "grid too large for float64: a parameter product c_i conj(c_j) is not finite")
         cols = np.zeros((k, k, stop - start), dtype=complex)
         for col, entry in zip(cols.reshape(k * k, -1), terms):
             for t, brs in entry:
@@ -495,21 +496,23 @@ class MinorScanSpec:
     def __post_init__(self):
         if self.which not in WHICH_TOKENS:
             raise ValueError(f"unknown scan target {self.which!r}; expected one of {WHICH_TOKENS}")
-        _check_x(self.x)
-        if not np.isfinite([*self.re_range, *self.im_range, self.step]).all():
-            raise ValueError("grid ranges and step must be finite")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.re_range[1] < self.re_range[0] or self.im_range[1] < self.im_range[0]:
-            raise ValueError("empty grid range")
         if not self.c_values:
             raise ValueError("need at least one c value")
+        # the rest can come from command-line input
+        _check_x(self.x)
+        if not np.isfinite([*self.re_range, *self.im_range, self.step]).all():
+            raise states.OutOfRange("grid ranges and step must be finite")
+        if self.step <= 0:
+            raise states.OutOfRange("step must be positive")
+        if self.re_range[1] < self.re_range[0] or self.im_range[1] < self.im_range[0]:
+            raise states.OutOfRange("empty grid range")
         if not np.isfinite(np.array(self.c_values, dtype=complex)).all():
-            raise ValueError("c values must be finite")
+            raise states.OutOfRange("c values must be finite")
         points = (_axis_length(*self.re_range, self.step) * _axis_length(*self.im_range, self.step)
                   * len(self.c_values))
         if points > MAX_GRID_POINTS:
-            raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points (re_b x im_b x c values)")
+            raise states.OutOfRange(
+                f"grid exceeds {MAX_GRID_POINTS} points (re_b x im_b x c values)")
 
     @property
     def scale(self) -> float:
@@ -579,7 +582,7 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
         panel = values[p * n:(p + 1) * n]
         panel[:] = _values(spec.which, b_flat, np.full(n, complex(c_val)), spec.x)
         if not np.all(np.isfinite(panel)):
-            raise linalg.NonFiniteValue("non-finite value in grid scan")
+            raise linalg.NonFiniteValue("grid too large for float64: non-finite value in grid scan")
     if out_csv is not None:
         write_grid_csv(out_csv, ["re_b", "im_b", "re_c", "im_c", "value"],
                        spec.axis("re"), spec.axis("im"), spec.c_values, values)

@@ -196,14 +196,14 @@ def range_kernel(state: QutritState | np.ndarray):
     return rng, ker
 
 
-def coefficient_matrix(v: np.ndarray, dim_a: int = DIM_A, dim_b: int = DIM_B) -> np.ndarray:
+def coefficient_matrix(v: np.ndarray) -> np.ndarray:
     vec = np.asarray(v, dtype=complex).reshape(-1)
-    if vec.size != dim_a * dim_b:
-        raise linalg.DimensionMismatch(f"vector length {vec.size} != {dim_a * dim_b}")
-    return vec.reshape(dim_a, dim_b)
+    if vec.size != DIM:
+        raise linalg.DimensionMismatch(f"vector length {vec.size} != {DIM}")
+    return vec.reshape(DIM_A, DIM_B)
 
 
-def schmidt_rank(v, dim_a: int = DIM_A, dim_b: int = DIM_B) -> int:
+def schmidt_rank(v) -> int:
     """Count of Schmidt coefficients of the normalized v above SCHMIDT_TOL;
     ZeroVector for v = 0, linalg.NonFiniteValue for a non-finite entry."""
     vec = np.asarray(v, dtype=complex).reshape(-1)
@@ -212,6 +212,6 @@ def schmidt_rank(v, dim_a: int = DIM_A, dim_b: int = DIM_B) -> int:
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ZeroVector("cannot take the Schmidt rank of the zero vector")
-    mat = coefficient_matrix(vec / nrm, dim_a, dim_b)
+    mat = coefficient_matrix(vec / nrm)
     s = np.linalg.svd(mat, compute_uv=False)
     return int(np.count_nonzero(s > SCHMIDT_TOL))

@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qutritdistill import cli, linalg, states
-from qutritdistill.cli import EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, NAMED_X, parse_x
+from qutritdistill import cli, distill, kernel, linalg, states
+from qutritdistill.cli import (EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, NAMED_X,
+                               parse_x)
 from qutritdistill.distill import witness_search
 
 
@@ -197,7 +198,8 @@ def test_every_strategy_spelling_runs_the_construction(capsys, tmp_path):
     code, out, err = run(capsys, ["witness", "--case", "v", "--x", "0.5", "--strategy", "abd"])
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "usage error: unknown strategy letters ['d']; expected a subset of 'abc'\n"
+    assert err == ("usage error: argument --strategy: unknown strategy letters ['d']; "
+                   "expected a subset of 'abc'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,7 +403,6 @@ def test_kernel_case_not_found(capsys, tmp_path):
     assert doc["search"]["found"] is False
     assert doc["search"]["evidence_level"] == "proved"
     assert doc["search"]["margin"] is None
-    from qutritdistill import kernel, states
 
     # the exact decision, without the lemma, also rules out every u
     decided = kernel.decide_kernel(*states.range_kernel(states.build_family("v", 1 / 7)))
@@ -450,6 +451,14 @@ def test_kernel_basis_file_found(capsys, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["exact_cases"]["found"] or doc["search"]["found"]
+
+
+def test_kernel_case_defaults_to_one_seventh(capsys, tmp_path):
+    argv = ["kernel", "--case", "v", "--json", "--out", str(tmp_path)]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_NOT_FOUND
+    assert json.loads(out)["x"] == parse_x("1/7")
+    assert run(capsys, argv + ["--x", "1/7"]) == (code, out, "")
 
 
 @pytest.mark.parametrize("extra", [["--case", "vi"], ["--case", "v", "--x", "1.5"],
@@ -578,6 +587,8 @@ THRESHOLD = ["threshold", "--case", "v", "--target", "min-eig", "--bracket"]
     ["kernel", "--case", "v", "--basis-file", "BASIS"],
     ["kernel", "--basis-file", "BASIS", "--case", "vi"],
     ["kernel", "--basis-file", "BASIS", "--x", "abc"],
+    # --x belongs to the --case state: with --basis-file it would go unused
+    ["kernel", "--basis-file", "BASIS", "--x", "0.3"],
 ])
 def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     vectors = np.eye(9)[:5].astype(complex)
@@ -593,6 +604,60 @@ def test_degenerate_inputs_are_usage_errors(capsys, tmp_path, argv):
     assert err.startswith("usage error:") and err.count("\n") == 1
     assert out == ""
     assert not out_dir.exists()
+
+
+BASIS_FILES = {
+    "EMPTY": [],
+    "EIGHT_PAIRS": [[[1.0, 0.0]] * 8],
+    "NINE_VECTORS": np.stack([np.eye(9), np.zeros((9, 9))], axis=-1).tolist(),
+}
+
+
+@pytest.mark.parametrize("error, argv, message", [
+    (cli.UsageError, ["scan", "--case", "v", "--x-min", "0.5", "--x-max", "0.2"],
+     "need 0 <= x-min < x-max <= 1"),
+    (cli.UsageError, ["grid", "--which", "F", "--c=abc"],
+     "argument --c: cannot parse complex value 'abc'"),
+    (cli.UsageError, ["kernel", "--basis-file", "EMPTY"], "basis file is empty"),
+    (cli.UsageError, ["kernel", "--basis-file", "EIGHT_PAIRS"],
+     "cannot read basis file 'EIGHT_PAIRS': each vector needs exactly 9 [re, im] pairs"),
+    (states.OutOfRange, ["grid", "--which", "F", "--step", "0"], "step must be positive"),
+    (states.OutOfRange, ["kernel", "--case", "v", "--x", "2"], "x=2.0 outside [0, 1]"),
+    (distill.NoSignChange, ["threshold", "--case", "v", "--target", "min-eig",
+                            "--bracket", "0.3", "0.4"],
+     "min_eig does not strictly change sign on [0.3, 0.4]: f(lo)=-1.250e-02, f(hi)=-5.833e-02"),
+    (kernel.EmptyKernel, ["kernel", "--basis-file", "NINE_VECTORS"],
+     "state has a trivial kernel; nothing to search"),
+    (linalg.NonFiniteValue, ["grid", "--which", "G", "--step", "0.5", "--c=1e200"],
+     "grid too large for float64: a parameter product c_i conj(c_j) is not finite"),
+    (linalg.NonFiniteValue, ["grid", "--which", "G"] + LARGE_GRID,
+     "grid too large for float64: non-finite value in grid scan"),
+], ids=["cross_argument", "parser", "empty_basis", "eight_pairs", "spec_out_of_range",
+        "x_out_of_range", "no_sign_change", "trivial_kernel", "product_overflow",
+        "minor_overflow"])
+def test_main_maps_each_input_error_to_exit_2(capsys, tmp_path, error, argv, message):
+    # the command raises the library's typed error; main alone turns it into
+    # exit 2 and one stderr line
+    for name, vectors in BASIS_FILES.items():
+        (tmp_path / name).write_text(json.dumps(vectors))
+        message = message.replace(f"'{name}'", repr(str(tmp_path / name)))
+    argv = [str(tmp_path / a) if a in BASIS_FILES else a for a in argv]
+    argv += ["--out", str(tmp_path / "out")]
+    with pytest.raises(error):
+        args = cli.build_parser().parse_args(argv)
+        args.func(args)
+    assert run(capsys, argv) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+
+def test_library_failure_is_one_internal_error_line(capsys, tmp_path, monkeypatch):
+    def fail(state):
+        raise RuntimeError("eigensolver gave up")
+
+    monkeypatch.setattr(distill, "witness_search", fail)
+    code, out, err = run(capsys, ["witness", "--case", "v", "--x", "0.5", "--json",
+                                  "--out", str(tmp_path)])
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal error: RuntimeError: eigensolver gave up\n"
 
 
 @pytest.mark.parametrize("text", [
@@ -631,7 +696,7 @@ def test_help_lists_cases_and_targets(capsys):
     assert "{i,ii,iii,iv,v}" in out
     code, out, _ = run(capsys, ["threshold", "--help"])
     assert code == EXIT_OK
-    assert "{min_eig,second_eig}" in out
+    assert "{min-eig,second-eig}" in out
 
 
 # -------------------------------------------------------------- verify-example

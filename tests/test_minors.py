@@ -647,13 +647,16 @@ def test_scan_axis_ends_at_its_last_point_within_range():
 def test_scan_spec_validation():
     with pytest.raises(Exception):
         MinorScanSpec(which="nope")
-    with pytest.raises(Exception):
+    # the checks command-line input can reach raise the typed OutOfRange
+    with pytest.raises(states.OutOfRange, match="step must be positive"):
         MinorScanSpec(which="F", step=0.0)
-    with pytest.raises(Exception):
+    with pytest.raises(states.OutOfRange, match="empty grid range"):
         MinorScanSpec(which="F", re_range=(3, -3))
+    with pytest.raises(states.OutOfRange, match="c values must be finite"):
+        MinorScanSpec(which="G", c_values=(complex("nan"),))
     # more than MAX_GRID_POINTS: a tiny step, a range whose hi - lo
     # overflows to inf, and 12 c panels of 361,201 points
     for kwargs in ({"step": 1e-300}, {"re_range": (-1e308, 1e308), "step": 1.0},
                    {"step": 0.01, "c_values": tuple(complex(k) for k in range(12))}):
-        with pytest.raises(ValueError, match="grid exceeds"):
+        with pytest.raises(states.OutOfRange, match="grid exceeds"):
             MinorScanSpec(which="G", **kwargs)
