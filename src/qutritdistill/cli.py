@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import distill, kernel, linalg, minors, states
-from ._fmt import json_dumps, sig17, write_csv
+from ._fmt import complex_pair, json_dumps, sig17, write_csv
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 10
@@ -111,6 +111,42 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+# --- JSON --------------------------------------------------------------------
+# The library returns data: these renderers and the commands' dict literals
+# are the one owner of the JSON keys and their order.
+
+
+def _pairs(zs) -> list:
+    return [complex_pair(z) for z in zs]
+
+
+def _report_json(rep: distill.DistillReport) -> dict:
+    witness = None if rep.witness is None else {
+        "form": "general", "params": {"rows": [_pairs(row) for row in rep.witness]},
+        "value": rep.best_value}
+    return {"is_npt": rep.is_npt, "inertia": list(rep.inertia),
+            "min_eig_gamma": rep.min_eig_gamma, "negative_count": rep.inertia.negative,
+            "witness": witness, "evidence_level": rep.evidence_level,
+            "best_value": rep.best_value, "evaluations": 1}
+
+
+def _product_vector_json(res: kernel.ProductVectorResult) -> dict:
+    return {"found": bool(res.found),
+            "factors": None if res.u is None else {"u": _pairs(res.u), "w": _pairs(res.w)},
+            "residual": float(res.residual),
+            "margin": None if res.margin is None else float(res.margin),
+            "evidence_level": res.evidence_level}
+
+
+def _grid_json(gs: minors.GridScan) -> dict:
+    spec = gs.spec
+    return {"which": spec.which, "scale": spec.scale, "min_value": gs.min_value,
+            "argmin": {"b": complex_pair(gs.argmin[0]), "c": complex_pair(gs.argmin[1])},
+            "grid": {"re_range": list(spec.re_range), "im_range": list(spec.im_range),
+                     "step": spec.step, "c_values": _pairs(spec.c_values), "x": spec.x},
+            "pass": gs.passed()}
+
+
 # --- scan --------------------------------------------------------------------
 
 
@@ -128,12 +164,13 @@ def cmd_scan(args) -> int:
               np.column_stack([xs, *columns.values(), negative, res.found,
                                np.where(negative > 0, res.values, np.nan)]))
 
-    brackets, x_list = {}, xs.tolist()
-    for key, col in columns.items():
-        a, b = col[:-1], col[1:]
-        # eigensolver noise is not a crossing
-        crossed = (np.abs(a) > 1e-12) & (np.abs(b) > 1e-12) & ((a < 0) != (b < 0))
-        brackets[key] = [x_list[j:j + 2] for j in np.flatnonzero(crossed).tolist()]
+    # a bracket spans the nearest grid points on either side of a sign change
+    # whose target eigenvalues are nonzero by linalg.spectrum_signs
+    brackets, x_list, signs = {}, xs.tolist(), linalg.spectrum_signs(res.spectra)
+    for key, k in distill.THRESHOLD_TARGETS.items():
+        nonzero = np.flatnonzero(signs[:, k])
+        flips = np.flatnonzero(np.diff(signs[nonzero, k])).tolist()
+        brackets[key] = [[x_list[nonzero[j]], x_list[nonzero[j + 1]]] for j in flips]
     payload = {
         "case": args.case,
         "x_min": x_min,
@@ -174,8 +211,7 @@ def cmd_threshold(args) -> int:
 def cmd_witness(args) -> int:
     state = states.build_family(args.case, args.x)
     rep = distill.witness_search(state)
-    payload = rep.to_json()
-    payload.update(case=args.case, x=args.x, seed=args.seed)
+    payload = {**_report_json(rep), "case": args.case, "x": args.x, "seed": args.seed}
     found = rep.witness is not None
     _emit(args, payload, ("witness found: value " + sig17(rep.best_value)) if found
           else f"no witness found (best value {rep.best_value})")
@@ -214,21 +250,21 @@ def cmd_verify_example(args) -> int:
         real_grid = minors.default_real_bc_grid(step)
         for form in ("minor4", "minor5", "det"):
             rpt = minors.cross_check(form, real_grid)
-            entry = rpt.to_json()
-            entry["pass"] = entry.pop("passed")
-            checks[f"cross_{form}"] = entry
+            checks[f"cross_{form}"] = {
+                "which": rpt.which, "n_points": rpt.n_points, "max_rel_dev": rpt.max_rel_dev,
+                "worst": rpt.worst, "non_real": rpt.non_real, "pass": rpt.passed}
 
     # proved: the table's exact certificate holds and the table matched the
     # direct minors in this run (x = 1/7 only); otherwise the grid decides
     for spec, name, table in zip(specs, ("minor4_scan", "F_scan", "G_scan"),
                                  ("minor4", "minor5", "det")):
-        entry = minors.scan(spec, out_csv=_outpath(args, f"{name}.csv")).to_json()
+        entry = _grid_json(minors.scan(spec, out_csv=_outpath(args, f"{name}.csv")))
         cross = checks.get(f"cross_{table}")
         if cross and cross["pass"] and minors.certify_positive(minors.CLOSED_FORMS[table][1]):
-            entry["evidence_level"] = "proved"
+            level = "proved"
         else:
-            entry["evidence_level"] = "not_found_at_budget" if entry["pass"] else "searched"
-        checks[spec.which] = entry
+            level = "not_found_at_budget" if entry["pass"] else "searched"
+        checks[spec.which] = {**entry, "evidence_level": level}
 
     overall = all(c["pass"] for c in checks.values())
     payload = {
@@ -281,15 +317,16 @@ def cmd_kernel(args) -> int:
         if args.x is not None:
             raise UsageError("argument --x: not allowed with argument --basis-file")
         state = _load_basis_file(args.basis_file)
-        payload = {"basis_file": args.basis_file}
+        source = {"basis_file": args.basis_file}
     else:
         x = parse_x("1/7") if args.x is None else args.x
         state = states.build_family(args.case, x)
-        payload = {"case": args.case, "x": x}
+        source = {"case": args.case, "x": x}
     split = kernel.range_and_kernel(state)
     exact = kernel.candidate_product_vector(state, split)
     searched = kernel.kernel_product_vector(state, split)
-    payload.update(seed=args.seed, exact_cases=exact.to_json(), search=searched.to_json())
+    payload = {**source, "seed": args.seed, "exact_cases": _product_vector_json(exact),
+               "search": _product_vector_json(searched)}
     found = exact.found or searched.found
     if found:
         verdict = "found"
@@ -312,9 +349,7 @@ def cmd_grid(args) -> int:
                                 c_values=tuple(args.c) if args.c else (0j,), x=args.x)
     csv_path = _outpath(args, f"{args.which}_grid.csv")
     gs = minors.scan(spec, out_csv=csv_path)
-    payload = gs.to_json()
-    payload["csv"] = csv_path
-    payload["seed"] = args.seed
+    payload = {**_grid_json(gs), "csv": csv_path, "seed": args.seed}
     _emit(args, payload, f"grid {args.which}: {gs.values.size} points, "
           f"min {sig17(gs.min_value)} -> {csv_path}")
     return EXIT_OK

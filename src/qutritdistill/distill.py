@@ -38,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from . import kernel, linalg, states
-from ._fmt import complex_pair
 
 NEG_TOL = 1e-10
+REAL_ROOT_TOL = 1e-8  # largest |imaginary part| of a pencil root taken as real
 
 
 class NoSignChange(ValueError):
@@ -51,8 +51,11 @@ class NoSignChange(ValueError):
 class DistillReport:
     spectrum: np.ndarray  # eigenvalues of the partial transpose, ascending
     witness: Optional[np.ndarray] = None  # the 2x3 orthonormal rows, when certified
-    evidence_level: str = "not_found_at_budget"
     best_value: Optional[float] = None
+
+    @property
+    def evidence_level(self) -> str:
+        return "not_found_at_budget" if self.witness is None else "certified"
 
     @property
     def inertia(self) -> linalg.Inertia:
@@ -65,26 +68,6 @@ class DistillReport:
     @property
     def min_eig_gamma(self) -> float:
         return float(self.spectrum[0])
-
-    def to_json(self) -> dict:
-        wit = None
-        if self.witness is not None:
-            wit = {
-                "form": "general",
-                "params": {"rows": [[complex_pair(z) for z in row] for row in self.witness]},
-                "value": float(self.best_value),
-            }
-        inert = self.inertia
-        return {
-            "is_npt": inert.negative > 0,
-            "inertia": list(inert),
-            "min_eig_gamma": self.min_eig_gamma,
-            "negative_count": inert.negative,
-            "witness": wit,
-            "evidence_level": self.evidence_level,
-            "best_value": self.best_value,
-            "evaluations": 1,
-        }
 
 
 @dataclass(frozen=True)
@@ -147,11 +130,8 @@ class WitnessStack:
         return self.values < -NEG_TOL
 
     def report(self, k: int) -> DistillReport:
-        rep = DistillReport(spectrum=self.spectra[k], best_value=float(self.values[k]))
-        if self.found[k]:
-            rep.witness = self.rows[k]
-            rep.evidence_level = "certified"
-        return rep
+        return DistillReport(spectrum=self.spectra[k], best_value=float(self.values[k]),
+                             witness=self.rows[k] if self.found[k] else None)
 
 
 def witness_stack(rho: np.ndarray) -> WitnessStack:
@@ -238,8 +218,8 @@ def precondition_report(state: states.QutritState) -> dict:
     Every failed item certifies 1-distillability; all items passing is
     consistent with (not proof of) resistance. The tolerances are fixed: the
     ranks of rho and its marginals count singular values above 1e-10, the
-    inertia counts eigenvalues beyond 1e-10 times the spectral norm of the
-    partial transpose (linalg.inertia_of_spectrum), and the Schmidt rank
+    inertia counts the signs linalg.spectrum_signs gives the eigenvalues of
+    the partial transpose (zero within 1e-10 of its norm), and the Schmidt rank
     counts singular values of the unit vector above 1e-9.
 
     The negative-subspace item takes the Schmidt rank of
@@ -301,12 +281,12 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     is too, and an eigenvalue of G vanishes exactly at the real roots of
     the pencil det(G(0) + x (G(1) - G(0))) (linalg.pencil_roots). x_star is
     the smallest such root in (lo, hi) at which the target eigenvalue itself
-    vanishes, to 1e-10 of the spectral norm.
+    is zero by linalg.spectrum_signs.
 
     target: "min_eig" (smallest) or "second_eig" (second smallest). The
     bracket needs lo < hi (ValueError otherwise) and a strict sign change
-    across it; same-sign brackets, and ends within 1e-10 of their spectrum's
-    norm (zero by the rule of linalg.inertia_of_spectrum), raise NoSignChange
+    across it; same-sign brackets, and ends where it is zero by
+    linalg.spectrum_signs (within 1e-10 of the spectral norm), raise NoSignChange
     instead of returning an arbitrary point. Stacks at (lo, hi, 0, 1) and at
     the real roots in (lo, hi) give every spectrum; the result keeps the
     bracket as given, and iterations is 2 plus the 1-based index of the root
@@ -321,15 +301,16 @@ def find_threshold(case_id: str, target: str, bracket: tuple) -> ThresholdResult
     g = linalg.partial_transpose(states.family_stack(case_id, [lo, hi, 0.0, 1.0]))
     ends = np.linalg.eigvalsh(g[:2])
     flo, fhi = ends[:, idx].tolist()
-    roundoff = np.abs(ends[:, idx]) <= 1e-10 * np.abs(ends).max(axis=1)
-    if roundoff.any() or (flo < 0) == (fhi < 0):
+    slo, shi = linalg.spectrum_signs(ends)[:, idx].tolist()
+    if slo * shi != -1:
         raise NoSignChange(
             f"{target} does not strictly change sign on [{lo}, {hi}]: f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
         )
     roots = [n / m for m, n in linalg.pencil_roots(g[2], g[3] - g[2]) if abs(m) > 0]
-    real = sorted(t.real for t in roots if abs(t.imag) <= 1e-8 and lo < t.real < hi)
+    real = sorted(t.real for t in roots if abs(t.imag) <= REAL_ROOT_TOL and lo < t.real < hi)
     g = linalg.partial_transpose(states.family_stack(case_id, real))
-    for solves, (t, w) in enumerate(zip(real, np.linalg.eigvalsh(g)), start=3):
-        if abs(w[idx]) <= 1e-10 * np.abs(w).max():
-            return ThresholdResult(x_star=float(t), bracket=(lo, hi), iterations=solves)
+    zeros = np.flatnonzero(linalg.spectrum_signs(np.linalg.eigvalsh(g))[:, idx] == 0).tolist()
+    if zeros:
+        return ThresholdResult(x_star=float(real[zeros[0]]), bracket=(lo, hi),
+                               iterations=3 + zeros[0])
     raise linalg.NoConvergence(f"no pencil root in ({lo}, {hi}) zeroes {target}")

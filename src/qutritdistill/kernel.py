@@ -36,7 +36,6 @@ import numpy as np
 from . import linalg, states
 from .linalg import NotSymmetric
 from .states import ZeroVector
-from ._fmt import complex_pair
 
 PENCIL_RESIDUAL_TOL = 1e-9
 RANK_TOL = 1e-10  # singular values below RANK_TOL max(sigma_max, 1) count as zero
@@ -73,21 +72,6 @@ class ProductVectorResult:
     def vector(self) -> Optional[np.ndarray]:
         """The product vector u x w, or None without factors."""
         return None if self.u is None else np.kron(self.u, self.w)
-
-    def to_json(self) -> dict:
-        factors = None
-        if self.u is not None:
-            factors = {
-                "u": [complex_pair(z) for z in np.asarray(self.u, dtype=complex)],
-                "w": [complex_pair(z) for z in np.asarray(self.w, dtype=complex)],
-            }
-        return {
-            "found": bool(self.found),
-            "factors": factors,
-            "residual": float(self.residual),
-            "margin": None if self.margin is None else float(self.margin),
-            "evidence_level": self.evidence_level,
-        }
 
 
 # --- exact decision in the u-plane -------------------------------------------

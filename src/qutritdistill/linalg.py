@@ -5,10 +5,11 @@ with value semantics: inputs are never mutated. Matrices here are small
 (9x9 and below in practice, nothing beyond ~100x100), so everything runs on
 numpy's LAPACK-backed dense routines, pencil_roots included: it reduces
 det(m a + n b) = 0 to one standard eigenproblem. check_hermitian,
-eig_hermitian, partial_transpose, kron_eye3, inertia_of_spectrum and pencil_roots also
-take a stack of matrices (leading axes) and treat each matrix as the
-single-matrix call does, with the same bits: numpy's batched LAPACK calls
-run the same routine on each matrix of a stack.
+eig_hermitian, partial_transpose, kron_eye3, spectrum_signs,
+inertia_of_spectrum and pencil_roots also take a stack of matrices
+(leading axes) and treat each matrix as the single-matrix call does, with
+the same bits: numpy's batched LAPACK calls run the same routine on each
+matrix of a stack.
 
 Conventions:
     - bipartite vectors index as |a,b> -> position dimB*a + b (row-major);
@@ -217,16 +218,24 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def inertia_of_spectrum(w: np.ndarray) -> Inertia:
-    """Counts of the eigenvalues w of a Hermitian matrix below -tol, within
-    +-tol, and above +tol, with tol 1e-10 times the spectral norm max |w|.
-    A stack of spectra (..., n) gives the three counts as (...) arrays."""
+def spectrum_signs(w: np.ndarray) -> np.ndarray:
+    """The package's one zero rule: the sign -1, 0 or +1 of each eigenvalue
+    of a Hermitian matrix, zero within +-tol for tol 1e-10 times the
+    spectral norm max |w|. A stack of spectra (..., n) gives the signs of
+    each spectrum under its own norm."""
     w = np.asarray(w)
     tol = 1e-10 * np.maximum(np.abs(w).max(axis=-1, initial=0.0, keepdims=True), 1e-300)
-    neg = (w < -tol).sum(axis=-1)
-    pos = (w > tol).sum(axis=-1)
-    counts = (neg, w.shape[-1] - neg - pos, pos)
-    return Inertia(*(map(int, counts) if w.ndim == 1 else counts))
+    return (w > tol).astype(int) - (w < -tol)
+
+
+def inertia_of_spectrum(w: np.ndarray) -> Inertia:
+    """Counts of the eigenvalues w of a Hermitian matrix that are negative,
+    zero and positive by spectrum_signs. A stack of spectra (..., n) gives
+    the three counts as (...) arrays."""
+    signs = spectrum_signs(w)
+    neg, pos = (signs < 0).sum(axis=-1), (signs > 0).sum(axis=-1)
+    counts = (neg, signs.shape[-1] - neg - pos, pos)
+    return Inertia(*(map(int, counts) if signs.ndim == 1 else counts))
 
 
 def pencil_roots(a, b) -> np.ndarray:

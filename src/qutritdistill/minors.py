@@ -58,7 +58,7 @@ and a spec of more than MAX_GRID_POINTS points is rejected when made.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional, Sequence
@@ -403,9 +403,6 @@ class CrossCheckReport:
     worst: list
     non_real: list
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> CrossCheckReport:
     """Compare a closed-form minor against the directly computed one at
@@ -523,15 +520,6 @@ class MinorScanSpec:
         lo, hi = self.re_range if which_axis == "re" else self.im_range
         return lo + self.step * np.arange(int(_axis_length(lo, hi, self.step)))
 
-    def to_json(self) -> dict:
-        return {
-            "re_range": [self.re_range[0], self.re_range[1]],
-            "im_range": [self.im_range[0], self.im_range[1]],
-            "step": self.step,
-            "c_values": [complex_pair(complex(c)) for c in self.c_values],
-            "x": self.x,
-        }
-
 
 def _b_points(spec: MinorScanSpec) -> np.ndarray:
     """The b (a for alpha1_psd) of one c panel's points, ordered by (re_b, im_b)."""
@@ -559,16 +547,6 @@ class GridScan:
             a = _b_points(self.spec)
             return bool(np.all(self.values.reshape(-1, a.size) >= _psd_floor(a)))
         return bool(self.min_value > 0.0)
-
-    def to_json(self) -> dict:
-        return {
-            "which": self.spec.which,
-            "scale": self.spec.scale,
-            "min_value": self.min_value,
-            "argmin": {"b": complex_pair(self.argmin[0]), "c": complex_pair(self.argmin[1])},
-            "grid": self.spec.to_json(),
-            "pass": self.passed(),
-        }
 
 
 def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:

@@ -17,7 +17,6 @@ from . import linalg
 DIM_A = 3
 DIM_B = 3
 DIM = DIM_A * DIM_B
-RANGE_TOL = 1e-10  # eigenvalues above RANGE_TOL times the largest span the range
 SCHMIDT_TOL = 1e-9  # Schmidt coefficients of the unit vector counted nonzero
 SPAN_TOL = 1e-12  # singular values above SPAN_TOL max(1, the largest) span new directions
 
@@ -186,11 +185,12 @@ def from_density(m: np.ndarray, case_id=None, x=None) -> QutritState:
 
 
 def range_kernel(state: QutritState | np.ndarray):
-    """Orthonormal bases (columns) of the range and kernel of a PSD matrix."""
+    """Orthonormal bases (columns) of the range and kernel of a PSD matrix:
+    the eigenvectors whose eigenvalues are positive, and zero, by
+    linalg.spectrum_signs."""
     rho = state.rho if isinstance(state, QutritState) else np.asarray(state, dtype=complex)
     dec = linalg.eig_hermitian(rho)
-    scale = max(float(dec.values.max()), 1e-300)
-    mask = dec.values > RANGE_TOL * scale
+    mask = linalg.spectrum_signs(dec.values) > 0
     rng = dec.vectors[:, mask]
     ker = dec.vectors[:, ~mask]
     return rng, ker

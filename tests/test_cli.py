@@ -277,6 +277,39 @@ def test_scan_brackets_both_crossings(capsys, tmp_path):
     assert len(rows) == 27
 
 
+def test_scan_brackets_a_crossing_on_a_grid_point(capsys, tmp_path):
+    # at --steps 29 and 50 a grid point is 1/7, where the eigenvalue is
+    # zero by linalg.spectrum_signs: the bracket spans its neighbours
+    for steps, roots in ((29, (1 / 7, 1 / 4)), (50, (1 / 7,))):
+        code, out, _ = run(capsys, ["scan", "--case", "i", "--steps", str(steps), "--json",
+                                    "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        brackets = json.loads(out)["brackets"]["min_eig"]
+        for root in roots:
+            assert any(lo < root < hi for lo, hi in brackets), (steps, root, brackets)
+
+
+def test_every_scan_bracket_is_a_threshold_bracket(capsys, tmp_path):
+    seen = 0
+    for case in states.CASES:
+        for steps in range(2, 61):
+            _, out, _ = run(capsys, ["scan", "--case", case, "--steps", str(steps), "--json",
+                                     "--out", str(tmp_path)])
+            for target, brackets in json.loads(out)["brackets"].items():
+                for lo, hi in brackets:
+                    x_star = distill.find_threshold(case, target, (lo, hi)).x_star
+                    assert lo < x_star < hi, (case, steps, target, lo, hi)
+                    seen += 1
+    assert seen >= 500
+
+
+def test_scan_steps_must_be_an_integer(capsys, tmp_path):
+    code, out, err = run(capsys, ["scan", "--case", "v", "--steps", "abc", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: argument --steps: invalid int value: 'abc'\n"
+
+
 def test_scan_witness_column_covers_every_npt_point(capsys, tmp_path):
     # the construction certifies every NPT x outside [c2, c1], where case v
     # has one negative eigenvalue with a Schmidt-rank-3 eigenvector; cases
@@ -423,6 +456,25 @@ def test_kernel_decomposes_the_state_once(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, ["kernel", "--case", "v", "--x", "1/7", "--out", str(tmp_path)])
     assert code == EXIT_NOT_FOUND
     assert len(calls) == 1
+
+
+def test_kernel_human_verdict_when_no_zero_passes(capsys, tmp_path, monkeypatch):
+    missed = kernel.ProductVectorResult(found=False, u=None, w=None, residual=1.0)
+    monkeypatch.setattr(kernel, "kernel_product_vector", lambda state, split=None: missed)
+    code, out, _ = run(capsys, ["kernel", "--case", "v", "--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    assert out == ("kernel product vector: not found "
+                   "(no zero of the minors passed the residual check)\n")
+
+
+def test_kernel_human_verdict_reports_the_margin(capsys, tmp_path):
+    path = tmp_path / "basis5.json"
+    path.write_text(json.dumps(np.random.default_rng(5).normal(size=(5, 9, 2)).tolist()))
+    code, out, _ = run(capsys, ["kernel", "--basis-file", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    margin = kernel.kernel_product_vector(cli._load_basis_file(str(path))).margin
+    assert out == ("kernel product vector: none (minor cubics rule out every u, "
+                   f"margin {cli.sig17(margin)})\n")
 
 
 def test_kernel_basis_file_found(capsys, tmp_path):
@@ -802,6 +854,73 @@ def test_verify_example_writes_master_json(capsys, tmp_path):
     assert master.exists()
     doc = json.loads(master.read_text())
     assert set(doc.keys()) == {"x", "seed", "grid_step", "checks", "pass"}
+
+
+# ---------------------------------------------------------------- JSON contract
+
+
+def _key_paths(doc, prefix=""):
+    """Every dict key of doc as a dotted path, in document order; list
+    elements share the path prefix[] and each path is listed once."""
+    paths = []
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            paths.append(prefix + key)
+            paths += _key_paths(val, prefix + key + ".")
+    elif isinstance(doc, list):
+        for val in doc:
+            paths += [p for p in _key_paths(val, prefix[:-1] + "[].") if p not in paths]
+    return paths
+
+
+def _nested(name, keys):
+    return [name] + [f"{name}.{key}" for key in keys]
+
+
+REPORT_KEYS = ["is_npt", "inertia", "min_eig_gamma", "negative_count", "witness"]
+REPORT_TAIL = ["evidence_level", "best_value", "evaluations", "case", "x", "seed"]
+RESULT_KEYS = ["found", "factors", "factors.u", "factors.w", "residual", "margin",
+               "evidence_level"]
+GRID_KEYS = (["which", "scale", "min_value"] + _nested("argmin", ["b", "c"])
+             + _nested("grid", ["re_range", "im_range", "step", "c_values", "x"]) + ["pass"])
+CROSS_KEYS = ["which", "n_points", "max_rel_dev", "worst", "non_real", "pass"]
+VERIFY_KEYS = (
+    ["x", "seed", "grid_step", "checks"]
+    + _nested("checks.inertia", ["value", "expected", "pass"])
+    + _nested("checks.alpha1_psd", ["n_points", "min_eigenvalue", "pass"])
+    + [path for form in ("minor4", "minor5", "det")
+       for path in _nested(f"checks.cross_{form}", CROSS_KEYS)]
+    + [path for which in ("alpha2_minor4", "F", "G")
+       for path in _nested(f"checks.{which}", GRID_KEYS + ["evidence_level"])]
+    + ["pass"]
+)
+
+
+def test_json_payload_key_order_is_pinned(capsys, tmp_path):
+    # key names and their order, nested keys included, are the output contract
+    basis = tmp_path / "basis4.json"
+    basis.write_text(json.dumps(np.random.default_rng(5).normal(size=(4, 9, 2)).tolist()))
+    expected = {
+        "scan --case v --steps 50": ["case", "x_min", "x_max", "steps", "seed", "csv"]
+        + _nested("brackets", ["min_eig", "second_eig"]),
+        "threshold --case v --target min-eig --bracket 0.1 0.2":
+            ["case", "target", "x_star", "bracket", "iterations", "seed"],
+        "witness --case i --x 0.3": REPORT_KEYS + ["witness.form", "witness.params",
+                                                   "witness.params.rows", "witness.value"]
+        + REPORT_TAIL,
+        "witness --case v --x 1/7": REPORT_KEYS + REPORT_TAIL,
+        "kernel --case v --x 1": ["case", "x", "seed"] + _nested("exact_cases", RESULT_KEYS)
+        + _nested("search", RESULT_KEYS),
+        f"kernel --basis-file {basis}": ["basis_file", "seed"]
+        + _nested("exact_cases", [k for k in RESULT_KEYS if not k.startswith("factors.")])
+        + _nested("search", RESULT_KEYS),
+        "grid --which G --step 0.5 --c 1+1j": GRID_KEYS + ["csv", "seed"],
+        "verify-example --grid-step 0.5": VERIFY_KEYS,
+    }
+    for argv, keys in expected.items():
+        _, out, _ = run(capsys, argv.split() + ["--json", "--out", str(tmp_path)])
+        assert _key_paths(json.loads(out)) == keys, argv
+    assert _key_paths(json.loads((tmp_path / "verify_example.json").read_text())) == VERIFY_KEYS
 
 
 # ----------------------------------------------------------------- entry point

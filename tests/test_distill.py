@@ -6,7 +6,7 @@ import pytest
 
 from conftest import bits, kron_rows
 
-from qutritdistill import distill, linalg, states
+from qutritdistill import cli, distill, linalg, states
 from qutritdistill.distill import (
     NoSignChange,
     find_threshold,
@@ -153,8 +153,8 @@ def test_witness_search_deterministic():
         st = states.build_family("v", x)
         a, b = witness_search(st), witness_search(st)
         assert a.best_value == b.best_value
-        assert a.to_json() == b.to_json()
-        assert a.to_json()["evaluations"] == 1
+        assert cli._report_json(a) == cli._report_json(b)
+        assert cli._report_json(a)["evaluations"] == 1
 
 
 def _same_report(a, b) -> bool:
@@ -214,7 +214,7 @@ def test_strategy_c_certifies_two_negative_eigenvalues_in_one_evaluation():
     seen = 0
     for st, w in random_states_with_two_or_more_negative_eigenvalues():
         rep = witness_search(st)
-        doc = rep.to_json()
+        doc = cli._report_json(rep)
         assert doc["evaluations"] == 1
         assert rep.evidence_level == "certified"
         assert doc["witness"]["form"] == "general"
@@ -230,7 +230,7 @@ def test_strategy_c_on_the_family_outside_the_window():
     for case in states.CASES:
         for x in np.linspace(0.001, 0.999, 500):
             rep = witness_search(states.build_family(case, float(x)))
-            assert rep.to_json()["evaluations"] == 1
+            assert cli._report_json(rep)["evaluations"] == 1
             window = case == "v" and C2 <= x <= C1
             if rep.is_npt and not window:
                 assert rep.evidence_level == "certified", (case, x)
@@ -260,7 +260,7 @@ def test_witness_value_is_bounded_by_the_partial_transpose():
 
 def test_report_json_fields():
     rep = witness_search(states.build_family("i", 0.05))
-    doc = rep.to_json()
+    doc = cli._report_json(rep)
     assert set(doc.keys()) == {
         "is_npt",
         "inertia",
@@ -345,6 +345,11 @@ def test_threshold_rejects_ends_that_are_roots(case, bracket):
     assert (np.abs(ends[:, 0]) <= 1e-10 * np.abs(ends).max(axis=1)).all()
     with pytest.raises(NoSignChange, match="does not strictly change sign"):
         find_threshold(case, "min_eig", bracket)
+
+
+def test_threshold_rejects_unknown_target():
+    with pytest.raises(ValueError, match="unknown target 'max_eig'"):
+        find_threshold("v", "max_eig", (0.1, 0.2))
 
 
 @pytest.mark.parametrize("bracket", [(0.2, 0.1), (0.15, 0.15), (float("nan"), 0.2)])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from qutritdistill import kernel, linalg, states
+from qutritdistill import cli, kernel, linalg, states
 from qutritdistill.kernel import (
     EmptyKernel,
     NotInKernel,
@@ -284,6 +284,14 @@ def test_lemma_does_not_fire_on_random_spans():
         assert not antisymmetric_lemma_applies(ker)
 
 
+def test_lemma_needs_the_antisymmetric_subspace():
+    # four swap-symmetric vectors span a swap-invariant space, but its swap
+    # spectrum is (1, 1, 1, 1), not (-1, -1, -1, 1)
+    ker = states.symmetric_basis()[:4].T
+    assert np.linalg.norm(states.SWAP @ ker - ker) <= 1e-15
+    assert not antisymmetric_lemma_applies(ker)
+
+
 def test_lemma_needs_schmidt_rank_three():
     # with s2 = 0 the symmetric vector has Schmidt rank 2, and eq5_vector is
     # a product vector inside the kernel: the decision has to find one
@@ -533,7 +541,7 @@ def test_converse_family_objective_bounded_away():
 
 def test_result_json_shape():
     res = candidate_product_vector(explicit_range_state("i"))
-    doc = res.to_json()
+    doc = cli._product_vector_json(res)
     assert set(doc.keys()) == {
         "found",
         "factors",

@@ -21,6 +21,7 @@ from qutritdistill.linalg import (
     matrix_rank,
     takagi,
     inertia_of_spectrum,
+    spectrum_signs,
     kron_eye3,
     leading_principal_minors,
     pencil_roots,
@@ -311,6 +312,21 @@ def test_inertia_of_stacked_spectra_counts_each_row():
         one = inertia_of_spectrum(ws[idx])
         assert all(type(c) is int for c in one)
         assert tuple(one) == tuple(int(c[idx]) for c in ine)
+
+
+def test_spectrum_signs_are_the_zero_rule_of_inertia():
+    # zero within 1e-10 of each spectrum's own norm max |w|, bounds included
+    w = np.array([[-2.0, -2e-10, -1e-10, 0.0, 1e-10, 2.5e-10],
+                  [-5e-10, -4e-10, 0.0, 1e-10, 1.0, 4.0]])
+    assert spectrum_signs(w).tolist() == [[-1, 0, 0, 0, 0, 1], [-1, 0, 0, 0, 1, 1]]
+    assert spectrum_signs(np.zeros(3)).tolist() == [0, 0, 0]
+    assert tuple(inertia_of_spectrum([-1.0, 1e-12, 2.0])) == (1, 1, 1)  # a plain list
+    rng = np.random.default_rng(7)
+    ws = np.sort(rng.normal(size=(20, 9)) * 10.0 ** rng.integers(-12, 1, size=(20, 9)), axis=-1)
+    signs = spectrum_signs(ws)
+    for w, row in zip(ws, signs):
+        assert row.tolist() == spectrum_signs(w).tolist()
+        assert tuple(inertia_of_spectrum(w)) == tuple(int((row == k).sum()) for k in (-1, 0, 1))
 
 
 def test_inertia_counts_sum_to_dimension():

@@ -3,6 +3,7 @@ the exact closed forms and the source's printed polynomials, cross-checks, and
 positivity scans."""
 
 import csv
+import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import bits
 
-from qutritdistill import distill, linalg, minors, states
+from qutritdistill import cli, distill, linalg, minors, states
 from qutritdistill.linalg import NonRealMinor
 from qutritdistill.minors import (
     CHUNK,
@@ -477,7 +478,7 @@ def test_cross_check_minor5_fully_complex_grid_reports_nonreal():
     assert rep.n_points == 25
     assert len(rep.non_real) > 0
     assert not rep.passed
-    doc = rep.to_json()
+    doc = dataclasses.asdict(rep)
     assert set(doc.keys()) >= {"which", "n_points", "max_rel_dev", "passed"}
 
 
@@ -630,7 +631,7 @@ def test_scan_csv_exact_header_and_determinism(tmp_path):
 
 def test_scan_json_keys():
     spec = MinorScanSpec(which="G", step=0.5)
-    doc = scan(spec).to_json()
+    doc = cli._grid_json(scan(spec))
     assert set(doc.keys()) == {"which", "scale", "min_value", "argmin", "grid", "pass"}
 
 
@@ -647,6 +648,8 @@ def test_scan_axis_ends_at_its_last_point_within_range():
 def test_scan_spec_validation():
     with pytest.raises(Exception):
         MinorScanSpec(which="nope")
+    with pytest.raises(ValueError, match="need at least one c value"):
+        MinorScanSpec(which="G", c_values=())
     # the checks command-line input can reach raise the typed OutOfRange
     with pytest.raises(states.OutOfRange, match="step must be positive"):
         MinorScanSpec(which="F", step=0.0)

@@ -209,6 +209,14 @@ def test_range_kernel_dimensions_and_annihilation():
     np.testing.assert_allclose(p @ st.rho, st.rho, atol=1e-12)
 
 
+def test_range_kernel_splits_by_the_zero_rule():
+    # eigenvalues within 1e-10 of the largest are kernel, as for the inertia
+    rho = np.diag([1.0, 1e-9, 1e-10, 1e-11, 0, 0, 0, 0, 0]).astype(complex)
+    rng_cols, ker_cols = range_kernel(rho)
+    assert rng_cols.shape == (9, 2) and ker_cols.shape == (9, 7)
+    assert (linalg.spectrum_signs(np.linalg.eigvalsh(rho)) > 0).sum() == 2
+
+
 def test_range_kernel_spans_are_orthogonal():
     st = build_family("ii", 0.6)
     rng_cols, ker_cols = range_kernel(st)
