@@ -9,12 +9,12 @@ other. Its line pencil also solves complements inside C2 x C3.
 
 import numpy as np
 
-from qutritdistill import kernel_product_vector
 from qutritdistill.kernel import (
     antisymmetric_lemma_applies,
     candidate_product_vector,
     decide_kernel,
     eq5_family_basis,
+    kernel_product_vector,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
 )

@@ -9,8 +9,9 @@ Case v has a PPT window between two crossings; case i is PPT on [1/7, 1/4].
 
 import numpy as np
 
-from qutritdistill import build_family, find_threshold
+from qutritdistill.distill import find_threshold
 from qutritdistill.linalg import partial_transpose
+from qutritdistill.states import build_family
 
 # coarse sweep first, to see the sign structure
 xs = np.linspace(0.05, 0.95, 19)

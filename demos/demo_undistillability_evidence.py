@@ -7,8 +7,7 @@ family probed stays positive semidefinite.
 
 import numpy as np
 
-from qutritdistill import build_family, npt_check, witness_search
-from qutritdistill.distill import precondition_report
+from qutritdistill.distill import npt_check, precondition_report, witness_search
 from qutritdistill.minors import (
     CLOSED_FORMS,
     MinorScanSpec,
@@ -16,6 +15,7 @@ from qutritdistill.minors import (
     psd_scan_form1,
     scan,
 )
+from qutritdistill.states import build_family
 
 st = build_family("v", 1 / 7)
 

@@ -7,10 +7,9 @@ eigenspace of the partial transpose gives the projection's rows, and one
 eigensolve of the compression decides.
 """
 
-from qutritdistill import build_family, witness_search
-from qutritdistill.distill import witness_to_pt_vector
+from qutritdistill.distill import witness_search, witness_to_pt_vector
 from qutritdistill.linalg import partial_transpose
-from qutritdistill.states import schmidt_rank
+from qutritdistill.states import build_family, schmidt_rank
 
 for case, x in (("i", 0.05), ("i", 0.30), ("iii", 0.50), ("v", 0.50), ("v", 0.90)):
     st = build_family(case, x)

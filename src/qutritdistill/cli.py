@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import distill, kernel, linalg, minors, states
-from ._fmt import complex_pair, json_dumps, sig17, write_csv
+from ._fmt import complex_pair, json_dumps, sig17, write_csv, write_grid_csv
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 10
@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 1
 
 MAX_SCAN_STEPS = 10_000  # x values of one scan
+GRID_HEADER = ["re_b", "im_b", "re_c", "im_c", "value"]  # every grid and scan CSV
 TARGET_NAMES = tuple(key.replace("_", "-") for key in distill.THRESHOLD_TARGETS)
 
 NAMED_X = {
@@ -109,6 +110,12 @@ def _outpath(args, name: str) -> str:
     except OSError as exc:
         raise UsageError(f"cannot use {args.out!r} as the output directory: {exc}") from exc
     return os.path.join(args.out, name)
+
+
+def _write_grid(path: str, gs: minors.GridScan) -> None:
+    """The rows of gs.samples, written from the spec's axes."""
+    spec = gs.spec
+    write_grid_csv(path, GRID_HEADER, spec.axis("re"), spec.axis("im"), spec.c_values, gs.values)
 
 
 # --- JSON --------------------------------------------------------------------
@@ -240,8 +247,7 @@ def cmd_verify_example(args) -> int:
 
     entries, all_psd = minors.psd_scan_form1(x=x)
     min_eig = min(e["min_eigenvalue"] for e in entries)
-    write_csv(_outpath(args, "alpha1_psd_scan.csv"),
-              ["re_b", "im_b", "re_c", "im_c", "value"],
+    write_csv(_outpath(args, "alpha1_psd_scan.csv"), GRID_HEADER,
               [[e["a"].real, e["a"].imag, 0.0, 0.0, e["min_eigenvalue"]] for e in entries])
     checks["alpha1_psd"] = {"n_points": len(entries), "min_eigenvalue": min_eig, "pass": all_psd}
 
@@ -258,7 +264,10 @@ def cmd_verify_example(args) -> int:
     # direct minors in this run (x = 1/7 only); otherwise the grid decides
     for spec, name, table in zip(specs, ("minor4_scan", "F_scan", "G_scan"),
                                  ("minor4", "minor5", "det")):
-        entry = _grid_json(minors.scan(spec, out_csv=_outpath(args, f"{name}.csv")))
+        gs = minors.scan(spec)
+        _write_grid(_outpath(args, f"{name}.csv"), gs)
+        entry = _grid_json(gs)
+        del gs  # else its value column stays alive through the next scan
         cross = checks.get(f"cross_{table}")
         if cross and cross["pass"] and minors.certify_positive(minors.CLOSED_FORMS[table][1]):
             level = "proved"
@@ -344,11 +353,15 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.c and args.which == "alpha1_psd":
+        # form 1 has the one parameter a: each c panel would repeat the values
+        raise UsageError("argument --c: not allowed with --which alpha1_psd")
     spec = minors.MinorScanSpec(which=args.which, re_range=(args.re_min, args.re_max),
                                 im_range=(args.im_min, args.im_max), step=args.step,
                                 c_values=tuple(args.c) if args.c else (0j,), x=args.x)
     csv_path = _outpath(args, f"{args.which}_grid.csv")
-    gs = minors.scan(spec, out_csv=csv_path)
+    gs = minors.scan(spec)
+    _write_grid(csv_path, gs)
     payload = {**_grid_json(gs), "csv": csv_path, "seed": args.seed}
     _emit(args, payload, f"grid {args.which}: {gs.values.size} points, "
           f"min {sig17(gs.min_value)} -> {csv_path}")

@@ -286,42 +286,6 @@ def kernel_product_vector(state: states.QutritState, split=None) -> ProductVecto
     return decide_kernel(rng, ker)
 
 
-# --- two-dimensional span exclusion ------------------------------------------
-
-
-@dataclass
-class SpanExclusionVerdict:
-    contained: bool
-    residual_00: float
-    residual_01: float
-    product_vector: Optional[ProductVectorResult] = None
-
-
-def span_0001_exclusion_check(state: states.QutritState) -> SpanExclusionVerdict:
-    """Does the range contain span{|00>, |01>}? If yes, look for a kernel
-    product vector (0, m, n) x w: rho annihilates it exactly when (m, n) x w
-    is orthogonal to the A-level-{1,2} slices of every range vector, which
-    span at most rank - 2 dimensions of C2 x C3, so product_vector_in_2x3_complement
-    always finds one for rank <= 5."""
-    rng_basis, _ = states.range_kernel(state)
-    proj = rng_basis @ rng_basis.conj().T
-    k00 = states.basis_ket(0, 0)
-    k01 = states.basis_ket(0, 1)
-    r00 = float(np.linalg.norm(k00 - proj @ k00))
-    r01 = float(np.linalg.norm(k01 - proj @ k01))
-    if r00 > 1e-10 or r01 > 1e-10:
-        return SpanExclusionVerdict(False, r00, r01)
-
-    res = product_vector_in_2x3_complement(list(rng_basis[3:].T))
-    u3 = np.zeros(3, dtype=complex)
-    u3[1:] = res.u
-    vector = np.kron(u3, res.w)
-    annihilation = float(np.linalg.norm(state.rho @ vector))
-    lifted = ProductVectorResult(found=res.found and annihilation <= 1e-10, u=u3, w=res.w,
-                                 residual=res.residual + annihilation)
-    return SpanExclusionVerdict(True, r00, r01, lifted)
-
-
 # --- symmetric kernel-state canonicalization ---------------------------------
 
 
@@ -350,8 +314,7 @@ def takagi_canonicalize_kernel_state(a: np.ndarray, state: states.QutritState):
     fac = linalg.takagi(coeff)
     u = fac.unitary.conj().T
     op = states.LocalOperator(u, u)
-    rotated = states.from_density(states.apply_local(state, op),
-                                  case_id=state.case_id, x=state.x)
+    rotated = states.from_density(states.apply_local(state, op))
     s = fac.singular_values
     return rotated, np.diag(s).astype(complex).reshape(9), s
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from . import distill, linalg, states
 # write_csv is unused here, but perfbench/tests checks the tracer rebinds it
-from ._fmt import complex_pair, write_csv, write_grid_csv  # noqa: F401
+from ._fmt import complex_pair, write_csv  # noqa: F401
 
 UNDISTILLABLE_X = 1.0 / 7.0
 
@@ -123,7 +123,7 @@ def mixed_frame_state(x: float = UNDISTILLABLE_X) -> states.QutritState:
     state = states.build_family("v", x)
     k = states.phase_mix_on_01()
     op = states.LocalOperator(k, k.conj())
-    return states.from_density(states.apply_local(state, op), case_id="v", x=x)
+    return states.from_density(states.apply_local(state, op))
 
 
 def _check_x(x: float) -> None:
@@ -273,24 +273,21 @@ CLOSED_FORMS = {
 }
 
 
-def eval_closed_form(which: str, b: complex, c: complex) -> float:
+def eval_closed_form(which: str, b, c):
     """Exact 4th ("minor4"), 5th ("minor5") or 6th ("det") leading principal
-    minor of build_projected(2, (b, c)) at x = 1/7, from CLOSED_FORMS.
+    minor of build_projected(2, (b, c)) at x = 1/7, from CLOSED_FORMS: a
+    float at complex scalars b and c, an array at equal-shape arrays.
 
     The value is real for every complex (b, c), since it depends on b and c
     only through |b|^2, |c|^2 and Re(bc). It does not hold at other x.
-    """
-    return float(_closed_form(which, complex(b), complex(c)))
-
-
-def _closed_form(which: str, b, c):
-    """eval_closed_form at complex scalars or at equal-shape complex arrays
-    b and c. Both take the same IEEE operations in the same order, so an
-    array pass is bitwise equal to per-point calls: Re(bc) is spelled out as
-    b.real * c.real - b.imag * c.imag, and the terms are added left to
+    Scalars and arrays take the same IEEE operations in the same order, so
+    an array pass is bitwise equal to per-point calls: Re(bc) is spelled out
+    as b.real * c.real - b.imag * c.imag, and the terms are added left to
     right, never by the compensated float sum of newer Pythons."""
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}; expected minor4, minor5 or det")
+    if np.ndim(b) == 0 and np.ndim(c) == 0:
+        b, c = complex(b), complex(c)  # Python floats throughout: a float result
     den, terms = CLOSED_FORMS[which]
     p = b.real * b.real + b.imag * b.imag
     q = c.real * c.real + c.imag * c.imag
@@ -429,7 +426,7 @@ def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> Cro
                 non_real.append({"b": complex_pair(b), "c": complex_pair(c), "error": str(exc)})
         points, directs, closed = points[kept], directs[kept], np.array(closed)
     else:
-        closed = _closed_form(which, points[:, 0], points[:, 1])
+        closed = eval_closed_form(which, points[:, 0], points[:, 1])
     err = np.abs(closed - directs)
     with np.errstate(divide="ignore", invalid="ignore"):
         devs = np.where(directs != 0.0, err / np.abs(directs), np.where(err == 0.0, 0.0, np.inf))
@@ -549,7 +546,7 @@ class GridScan:
         return bool(self.min_value > 0.0)
 
 
-def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
+def scan(spec: MinorScanSpec) -> GridScan:
     """Evaluate the chosen quantity over the grid, one value per point in
     (c value, re_b, im_b) order; for alpha1_psd b carries the a parameter
     and the value is the smallest eigenvalue on the six support rows."""
@@ -561,9 +558,6 @@ def scan(spec: MinorScanSpec, out_csv: Optional[str] = None) -> GridScan:
         panel[:] = _values(spec.which, b_flat, np.full(n, complex(c_val)), spec.x)
         if not np.all(np.isfinite(panel)):
             raise linalg.NonFiniteValue("grid too large for float64: non-finite value in grid scan")
-    if out_csv is not None:
-        write_grid_csv(out_csv, ["re_b", "im_b", "re_c", "im_c", "value"],
-                       spec.axis("re"), spec.axis("im"), spec.c_values, values)
     p, k = divmod(int(np.argmin(values)), n)
     return GridScan(spec=spec, values=values, min_value=float(values[p * n + k]),
                     argmin=(complex(b_flat[k]), complex(spec.c_values[p])))

@@ -39,7 +39,7 @@ def basis_ket(a: int, b: int) -> np.ndarray:
 SWAP = np.eye(DIM)[np.arange(DIM).reshape(DIM_A, DIM_B).T.reshape(DIM)]
 
 
-def _build_symmetric_basis() -> np.ndarray:
+def _symmetric_eigenvectors() -> np.ndarray:
     sym01 = (basis_ket(0, 1) + basis_ket(1, 0)) / np.sqrt(2)
     sym12 = (basis_ket(1, 2) + basis_ket(2, 1)) / np.sqrt(2)
     sym02 = (basis_ket(0, 2) + basis_ket(2, 0)) / np.sqrt(2)
@@ -48,21 +48,12 @@ def _build_symmetric_basis() -> np.ndarray:
     return np.vstack([sym01, sym12, sym02, diag_diff, diag_trace])
 
 
-SYMMETRIC_BASIS = _build_symmetric_basis()
+# The five shared eigenvectors as rows of a read-only (5, 9) array, in the
+# order sym(0,1), sym(1,2), sym(0,2), (00 - 11)/sqrt2, (00 + 11 - 2*22)/sqrt6.
+SYMMETRIC_BASIS = _symmetric_eigenvectors()
 SYMMETRIC_BASIS.flags.writeable = False
 
-
-def symmetric_basis() -> np.ndarray:
-    """The five shared eigenvectors as rows of a (5, 9) array: a fresh copy
-    of the module constant SYMMETRIC_BASIS, which build_family reads, so a
-    caller that changes the copy changes no later state.
-
-    Order: sym(0,1), sym(1,2), sym(0,2), (00 - 11)/sqrt2, (00 + 11 - 2*22)/sqrt6.
-    """
-    return SYMMETRIC_BASIS.copy()
-
-
-# case id -> index of the distinguished basis vector in symmetric_basis()
+# case id -> index of the distinguished basis vector in SYMMETRIC_BASIS
 CASE_INDEX = {"i": 0, "ii": 3, "iii": 1, "iv": 2, "v": 4}
 CASES = tuple(CASE_INDEX)
 
@@ -173,15 +164,16 @@ def apply_local(state: QutritState | np.ndarray, op: LocalOperator) -> np.ndarra
     return big @ rho @ big.conj().T
 
 
-def from_density(m: np.ndarray, case_id=None, x=None) -> QutritState:
-    """Wrap an arbitrary density matrix (renormalized to unit trace)."""
+def from_density(m: np.ndarray) -> QutritState:
+    """Wrap an arbitrary density matrix (renormalized to unit trace), with no
+    family label: only build_family labels a state."""
     rho = linalg.as_matrix(np.asarray(m, dtype=complex))
     linalg.check_hermitian(rho)
     rho = 0.5 * (rho + rho.conj().T)
     t = complex(np.trace(rho)).real
     if abs(t) < 1e-300:
         raise ZeroVector("trace is zero")
-    return QutritState(rho=rho / t, case_id=case_id, x=x)
+    return QutritState(rho=rho / t)
 
 
 def range_kernel(state: QutritState | np.ndarray):

@@ -591,6 +591,20 @@ def test_grid_overflow_is_usage_error(capsys, tmp_path, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("c_args", [["--c=1+1j"], ["--c=0"],
+                                    ["--c=0", "--c=1+1j", "--c=-2+0.5j"]])
+def test_grid_alpha1_psd_rejects_c(capsys, tmp_path, c_args):
+    # form 1 has the one parameter a: each c panel would repeat the same
+    # values under its own c label, in the CSV and in argmin
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, ["grid", "--which", "alpha1_psd", "--step", "1", *c_args,
+                                  "--json", "--out", str(out_dir)])
+    assert code == EXIT_USAGE
+    assert err == "usage error: argument --c: not allowed with --which alpha1_psd\n"
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_grid_has_no_scale_option(capsys, tmp_path):
     # F and G carry fixed scales that GridScan.passed relies on
     code, out, err = run(capsys, ["grid", "--which", "F", "--scale", "1",
@@ -619,6 +633,7 @@ THRESHOLD = ["threshold", "--case", "v", "--target", "min-eig", "--bracket"]
     ["kernel", "--basis-file", "NAN_ENTRY"],
     ["kernel", "--basis-file", "ALL_ZERO"],
     ["grid", "--which", "F", "--step", "0.5", "--c=nan"],
+    # alpha1_psd takes no --c at all; MinorScanSpec still rejects a non-finite c
     ["grid", "--which", "alpha1_psd", "--step", "1", "--c=inf", "--json"],
     # oversized: rejected before anything is computed or written, so
     # verify-example checks its grids before the inertia and the psd scan

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qutritdistill import cli
-from qutritdistill._fmt import CSV_BLOCK, sig17, write_csv, write_grid_csv
+from qutritdistill._fmt import CSV_BLOCK, json_dumps, sig17, write_csv, write_grid_csv
 from qutritdistill.minors import MinorScanSpec, scan
 
 HEADER = ["a", "b", "c", "d", "e"]
@@ -140,7 +140,8 @@ def test_multi_panel_scan_csv_matches_cells(tmp_path):
     spec = MinorScanSpec(which="alpha2_minor4", step=0.05,
                          c_values=(0j, complex(-0.0, 0.5), 1 - 1j))
     path = tmp_path / "scan.csv"
-    res = scan(spec, out_csv=str(path))
+    res = scan(spec)
+    cli._write_grid(str(path), res)
     assert len(res.samples) > 2 * CSV_BLOCK
     header = ["re_b", "im_b", "re_c", "im_c", "value"]
     assert _read(path) == _sig17_csv(header, res.samples.tolist())
@@ -164,7 +165,8 @@ GRID_HEADER = ["re_b", "im_b", "re_c", "im_c", "value"]
         "im_axis_past_csv_block"])
 def test_grid_writer_matches_cells(tmp_path, kwargs):
     path = tmp_path / "grid.csv"
-    res = scan(MinorScanSpec(**kwargs), out_csv=str(path))
+    res = scan(MinorScanSpec(**kwargs))
+    cli._write_grid(str(path), res)
     assert _read(path) == _sig17_csv(GRID_HEADER, res.samples.tolist())
 
 
@@ -243,3 +245,12 @@ def test_json_layout(capsys):
 }'''
     cli._emit(SimpleNamespace(json=True), payload, "")
     assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"z": [1j]}, "encode complex values as"),
+    ({"s": {1}}, "unsupported scalar"),
+], ids=["complex", "unsupported_type"])
+def test_json_rejects_values_without_a_json_spelling(value, message):
+    with pytest.raises(TypeError, match=message):
+        json_dumps(value)

@@ -21,7 +21,6 @@ from qutritdistill.kernel import (
     kernel_product_vector,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
-    span_0001_exclusion_check,
     takagi_canonicalize_kernel_state,
 )
 
@@ -249,7 +248,7 @@ def test_family_kernel_holds_lemma_span_symbolically():
                kv((1 / r2, 0, 2), (1 / r2, 2, 0)), kv((1 / r2, 0, 0), (-1 / r2, 1, 1)),
                kv((1 / r6, 0, 0), (1 / r6, 1, 1), (-2 / r6, 2, 2))]
     np.testing.assert_allclose(np.array(sympy.Matrix.hstack(*eigvecs).T, dtype=complex),
-                               states.symmetric_basis(), atol=1e-15)
+                               states.SYMMETRIC_BASIS, atol=1e-15)
     lemma_span = [kv((1, i, j), (-1, j, i)) for i, j in ((0, 1), (0, 2), (1, 2))]
     lemma_span.append(kv((1, 0, 0), (1, 1, 1), (1, 2, 2)))
     for case, idx in states.CASE_INDEX.items():
@@ -287,7 +286,7 @@ def test_lemma_does_not_fire_on_random_spans():
 def test_lemma_needs_the_antisymmetric_subspace():
     # four swap-symmetric vectors span a swap-invariant space, but its swap
     # spectrum is (1, 1, 1, 1), not (-1, -1, -1, 1)
-    ker = states.symmetric_basis()[:4].T
+    ker = states.SYMMETRIC_BASIS[:4].T
     assert np.linalg.norm(states.SWAP @ ker - ker) <= 1e-15
     assert not antisymmetric_lemma_applies(ker)
 
@@ -354,18 +353,28 @@ def test_obstructing_minor_symbolic_identity():
 
 
 # ------------------------------------------------------- span exclusion
+# Ranges that hold |00> and |01>: the exact decision answers their kernel
+# question as it does any other's.
+
+
+def range_residual(st, v):
+    # distance of v from the range of st, by the range basis of range_kernel
+    rng, _ = states.range_kernel(st)
+    return float(np.linalg.norm(v - rng @ (rng.conj().T @ v)))
+
+
+def assert_range_holds_00_01(st):
+    assert range_residual(st, ket(0, 0)) <= 1e-10
+    assert range_residual(st, ket(0, 1)) <= 1e-10
 
 
 def test_span_exclusion_contained_produces_vector():
-    e = states.symmetric_basis()
+    e = states.SYMMETRIC_BASIS
     st = states.uniform_state_on_span([ket(0, 0), ket(0, 1), e[1], e[2], e[4]])
-    verdict = span_0001_exclusion_check(st)
-    assert verdict.contained
-    assert verdict.residual_00 <= 1e-10
-    assert verdict.residual_01 <= 1e-10
-    pv = verdict.product_vector
-    assert pv is not None and pv.found
-    assert np.linalg.norm(st.rho @ pv.vector) <= 1e-10
+    assert_range_holds_00_01(st)
+    res = kernel_product_vector(st)
+    assert res.found and res.evidence_level == "certified"
+    assert np.linalg.norm(st.rho @ res.vector) <= 1e-10
 
 
 def random_vectors(rng, k):
@@ -374,15 +383,15 @@ def random_vectors(rng, k):
 
 def test_span_exclusion_finds_every_seeded_rank5_range():
     # the A-level-{1,2} slices of a rank-5 range holding |00>, |01> span
-    # three dimensions of C2 x C3, whose complement always holds a product vector
+    # three dimensions of C2 x C3, whose complement always holds a product
+    # vector: the kernel of every such range holds one
     rng = np.random.default_rng(3)
     for _ in range(200):
         st = states.uniform_state_on_span([ket(0, 0), ket(0, 1)] + random_vectors(rng, 3))
-        verdict = span_0001_exclusion_check(st)
-        assert verdict.contained
-        pv = verdict.product_vector
-        assert pv.found
-        assert np.linalg.norm(st.rho @ pv.vector) <= 1e-10
+        assert_range_holds_00_01(st)
+        res = kernel_product_vector(st)
+        assert res.found
+        assert np.linalg.norm(st.rho @ res.vector) <= 1e-10
 
 
 def test_span_exclusion_rank6_planted_and_generic():
@@ -394,37 +403,37 @@ def test_span_exclusion_rank6_planted_and_generic():
     others -= np.outer(others @ planted.conj(), planted)
     st = states.uniform_state_on_span([ket(0, 0), ket(0, 1)] + list(others))
     assert np.linalg.matrix_rank(st.rho) == 6
-    verdict = span_0001_exclusion_check(st)
-    assert verdict.contained and verdict.product_vector.found
-    assert np.linalg.norm(st.rho @ verdict.product_vector.vector) <= 1e-10
-    assert abs(abs(np.vdot(planted, verdict.product_vector.vector)) - 1.0) <= 1e-9
+    assert_range_holds_00_01(st)
+    res = kernel_product_vector(st)
+    assert res.found
+    assert np.linalg.norm(st.rho @ res.vector) <= 1e-10
+    assert abs(abs(np.vdot(planted, res.vector)) - 1.0) <= 1e-9
 
-    # four generic slices leave a 2-dim complement of C2 x C3: a verdict, no vector
+    # four generic vectors besides |00>, |01>: a certified none
     st = states.uniform_state_on_span([ket(0, 0), ket(0, 1)] + random_vectors(rng, 4))
-    verdict = span_0001_exclusion_check(st)
-    assert verdict.contained
-    assert not verdict.product_vector.found
+    assert_range_holds_00_01(st)
+    res = kernel_product_vector(st)
+    assert res.found is False and res.evidence_level == "certified"
+    assert res.margin >= 1e-3
 
 
 def test_span_exclusion_family_not_contained():
-    verdict = span_0001_exclusion_check(states.build_family("v", 0.3))
-    assert not verdict.contained
+    st = states.build_family("v", 0.3)
+    assert abs(range_residual(st, ket(0, 1)) - np.sqrt(0.5)) <= 1e-12
 
 
 def test_span_exclusion_symmetric_range_not_contained():
-    # |01> has an antisymmetric component, so a symmetric-subspace range
-    # cannot contain it
-    e = states.symmetric_basis()
-    st = states.uniform_state_on_span(list(e))
-    verdict = span_0001_exclusion_check(st)
-    assert not verdict.contained
-    assert verdict.residual_01 > 0.1
+    # |01> has an antisymmetric component of norm 1/sqrt2, so a
+    # symmetric-subspace range leaves it at that distance
+    st = states.uniform_state_on_span(list(states.SYMMETRIC_BASIS))
+    assert abs(range_residual(st, ket(0, 1)) - np.sqrt(0.5)) <= 1e-12
 
 
 def test_span_exclusion_never_contains_for_families():
     for case in states.CASES:
         for x in (0.1, 1 / 7, 0.3, 0.7):
-            assert not span_0001_exclusion_check(states.build_family(case, x)).contained
+            st = states.build_family(case, x)
+            assert abs(range_residual(st, ket(0, 1)) - np.sqrt(0.5)) <= 1e-12, (case, x)
 
 
 # -------------------------------------------------- Takagi canonicalization
@@ -432,7 +441,7 @@ def test_span_exclusion_never_contains_for_families():
 
 def host_state_excluding(direction):
     # rank-5 state whose kernel contains the given symmetric vector
-    e = states.symmetric_basis()
+    e = states.SYMMETRIC_BASIS
     cand = list(e) + [antisym(0, 1), antisym(0, 2), antisym(1, 2)]
     span = []
     for c in cand:
@@ -448,7 +457,7 @@ def host_state_excluding(direction):
 
 
 def test_takagi_canonicalize_diag_difference():
-    e = states.symmetric_basis()
+    e = states.SYMMETRIC_BASIS
     a = e[3]  # (|00> - |11>)/sqrt2
     st = host_state_excluding(a)
     rot, canon, s = takagi_canonicalize_kernel_state(a, st)
@@ -490,7 +499,7 @@ def test_takagi_canonicalize_rejects_rank_three():
 
 
 def test_takagi_canonicalize_rejects_vector_outside_kernel():
-    e = states.symmetric_basis()
+    e = states.SYMMETRIC_BASIS
     st = host_state_excluding(e[3])
     with pytest.raises(NotInKernel):
         takagi_canonicalize_kernel_state(ket(0, 0), st)
@@ -550,11 +559,11 @@ def test_result_json_shape():
         "evidence_level",
     }
     assert set(doc["factors"].keys()) == {"u", "w"}
-    # the vector is u x w, derived from the factors: candidate, decision,
-    # lemma and span-exclusion results, with and without factors
+    # the vector is u x w, derived from the factors: candidate, decision
+    # and lemma results, with and without factors
     family = states.build_family("v", 0.3)
     vectors = np.random.default_rng(5).normal(size=(2, 6, 9))
-    e = states.symmetric_basis()
+    e = states.SYMMETRIC_BASIS
     spanned = states.uniform_state_on_span([ket(0, 0), ket(0, 1), e[1], e[2], e[4]])
     results = [
         res,
@@ -563,7 +572,7 @@ def test_result_json_shape():
         decide_kernel(*states.range_kernel(states.uniform_state_on_span(
             list(vectors[0] + 1j * vectors[1])))),
         kernel_product_vector(family),
-        span_0001_exclusion_check(spanned).product_vector,
+        kernel_product_vector(spanned),
     ]
     assert [r.u is None for r in results] == [False, True, False, True, True, False]
     for r in results:
@@ -676,8 +685,25 @@ def test_decision_agrees_with_lemma_on_eq5_kernels():
 
 def test_lemma_verdict_is_proved_only_for_family_states():
     st = states.build_family("v", 0.3)
-    rotated = states.from_density(states.apply_local(
+    # labelled as the family state it was rotated from, but not equal to it
+    rotated = states.QutritState(states.apply_local(
         st, states.LocalOperator(states.hadamard_on_01(), states.hadamard_on_01())),
         case_id="v", x=0.3)
     assert kernel_product_vector(st).evidence_level == "proved"
     assert kernel_product_vector(rotated).evidence_level == "certified"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: product_vector_in_2x3_complement([np.ones(6), np.ones(9)]),
+     linalg.DimensionMismatch, "expected 6-component vectors"),
+    (lambda: eq5_family_basis((0.5, -0.1, 0.6)), ValueError, "three nonnegative weights"),
+    (lambda: eq5_family_basis((0.5, 0.5)), ValueError, "three nonnegative weights"),
+    (lambda: takagi_canonicalize_kernel_state(np.ones(6), explicit_range_state("i")),
+     linalg.DimensionMismatch, "expected a 9-component vector"),
+    (lambda: takagi_canonicalize_kernel_state(np.zeros(9), explicit_range_state("i")),
+     states.ZeroVector, "zero vector"),
+], ids=["complement_vector_length", "eq5_negative_weight", "eq5_two_weights",
+        "takagi_vector_length", "takagi_zero_vector"])
+def test_kernel_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -11,6 +11,7 @@ from conftest import bits, kron_rows, random_hermitian, random_symmetric
 from qutritdistill import states, minors
 from qutritdistill.linalg import (
     NonFiniteValue,
+    NonRealMinor,
     NotHermitian,
     NotSymmetric,
     DimensionMismatch,
@@ -30,6 +31,35 @@ from qutritdistill.linalg import (
 
 def state_v(x):
     return states.build_family("v", x)
+
+
+# ---------------------------------------------------------------- input checks
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_hermitian(np.ones((2, 3))), DimensionMismatch, "not square"),
+    (lambda: check_hermitian(np.ones(3)), DimensionMismatch, "got ndim=1"),
+    (lambda: partial_trace(np.eye(4), "A"), DimensionMismatch, r"expected \(9, 9\)"),
+    (lambda: partial_trace(np.eye(9), "C"), ValueError, "keep must be 'A' or 'B'"),
+    (lambda: matrix_rank(np.ones((2, 2, 2))), DimensionMismatch, "got ndim=3"),
+    (lambda: takagi(np.ones((2, 3))), DimensionMismatch, "not square"),
+    (lambda: pencil_roots(np.eye(3), np.eye(2)), DimensionMismatch, "one shape"),
+    # within the Hermiticity tolerance of its scale 1e3, but a 2nd minor of
+    # imaginary part -5e-7
+    (lambda: leading_principal_minors([[1e3, 1e3], [1e3 + 5e-10j, 1e3]]), NonRealMinor,
+     "minor 2 has imaginary part"),
+], ids=["check_hermitian_non_square", "check_hermitian_vector", "partial_trace_shape",
+        "partial_trace_keep", "matrix_rank_ndim", "takagi_non_square", "pencil_roots_shapes",
+        "minor_not_real"])
+def test_linalg_rejects_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_empty_input_passes_through():
+    # an empty stack has no matrix to check, and an empty matrix has rank 0
+    assert check_hermitian(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    assert matrix_rank(np.zeros((0, 4))) == 0
 
 
 # ---------------------------------------------------------------- eig_hermitian
@@ -229,7 +259,7 @@ def test_takagi_offdiagonal_pair():
 
 def test_takagi_symmetric_basis_vector():
     # coefficient matrix of the (|01>+|10>)/sqrt2 basis element
-    e = states.symmetric_basis()[3]
+    e = states.SYMMETRIC_BASIS[3]
     c = states.coefficient_matrix(e)
     fac = takagi(c)
     np.testing.assert_allclose(
@@ -435,7 +465,7 @@ def test_kron_flip_action():
 
 def test_kron_local_rotation_on_basis():
     k = states.hadamard_on_01()
-    e = states.symmetric_basis()
+    e = states.SYMMETRIC_BASIS
     out = np.kron(k, k) @ e[0]
     np.testing.assert_allclose(out, e[3], atol=1e-12)
 
@@ -444,7 +474,7 @@ def test_kron_local_rotation_on_basis():
 
 
 def test_svd_of_coefficient_matrix():
-    e = states.symmetric_basis()[4]
+    e = states.SYMMETRIC_BASIS[4]
     s = np.linalg.svd(states.coefficient_matrix(e), compute_uv=False)
     np.testing.assert_allclose(
         s, [2 / np.sqrt(6), 1 / np.sqrt(6), 1 / np.sqrt(6)], atol=1e-12

@@ -171,7 +171,7 @@ def test_scan_rejects_a_product_overflow_in_its_last_chunk(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(linalg.NonFiniteValue, match="parameter product"):
-            scan(spec, out_csv=str(path))
+            cli._write_grid(str(path), scan(spec))
     assert not path.exists()
 
 
@@ -192,6 +192,8 @@ def test_compression_terms_kept_at_the_reference_point(form, k, kept):
 def test_mixed_frame_state_preserves_spectrum():
     st = mixed_frame_state(1 / 7)
     ref = states.build_family("v", 1 / 7)
+    # a rotated state is not a family state: only build_family labels one
+    assert st.case_id is None and st.x is None
     assert np.linalg.norm(st.rho - st.rho.conj().T) <= 1e-12
     np.testing.assert_allclose(
         np.linalg.eigvalsh(st.rho), np.linalg.eigvalsh(ref.rho), atol=1e-12
@@ -499,7 +501,7 @@ def test_closed_form_array_pass_bitwise_equal_per_point():
     rand = 10.0 ** rng.uniform(-2, 2, (5000, 2)) * np.exp(2j * np.pi * rng.random((5000, 2)))
     points = np.concatenate([np.array(default_real_bc_grid(0.05), dtype=complex), rand])
     for which in CLOSED_FORMS:
-        values = minors._closed_form(which, points[:, 0], points[:, 1])
+        values = eval_closed_form(which, points[:, 0], points[:, 1])
         ref = np.array([eval_closed_form(which, b, c) for b, c in points.tolist()])
         assert values.tobytes() == ref.tobytes(), which
 
@@ -562,7 +564,8 @@ def test_scan_memory_follows_the_chunk_not_the_grid(tmp_path):
     spec = MinorScanSpec(which="alpha2_minor4", step=0.01)
     tracemalloc.start()
     try:
-        res = scan(spec, out_csv=str(tmp_path / "grid.csv"))
+        res = scan(spec)
+        cli._write_grid(str(tmp_path / "grid.csv"), res)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -621,8 +624,8 @@ def test_scan_csv_exact_header_and_determinism(tmp_path):
     spec = MinorScanSpec(which="F", step=0.5)
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    scan(spec, out_csv=str(p1))
-    scan(spec, out_csv=str(p2))
+    cli._write_grid(str(p1), scan(spec))
+    cli._write_grid(str(p2), scan(spec))
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
     first = b1.decode().splitlines()[0]
@@ -655,11 +658,26 @@ def test_scan_spec_validation():
         MinorScanSpec(which="F", step=0.0)
     with pytest.raises(states.OutOfRange, match="empty grid range"):
         MinorScanSpec(which="F", re_range=(3, -3))
-    with pytest.raises(states.OutOfRange, match="c values must be finite"):
-        MinorScanSpec(which="G", c_values=(complex("nan"),))
+    for which, c in (("G", complex("nan")), ("alpha1_psd", complex("inf"))):
+        with pytest.raises(states.OutOfRange, match="c values must be finite"):
+            MinorScanSpec(which=which, c_values=(c,))
     # more than MAX_GRID_POINTS: a tiny step, a range whose hi - lo
     # overflows to inf, and 12 c panels of 361,201 points
     for kwargs in ({"step": 1e-300}, {"re_range": (-1e308, 1e308), "step": 1.0},
                    {"step": 0.01, "c_values": tuple(complex(k) for k in range(12))}):
         with pytest.raises(states.OutOfRange, match="grid exceeds"):
             MinorScanSpec(which="G", **kwargs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_projected(3, (0.0, 0.0)), "unknown form_id 3"),
+    (lambda: eval_closed_form("minor3", 0.0, 0.0), "unknown closed form 'minor3'"),
+    (lambda: eval_closed_form("minor3", np.zeros(2), np.zeros(2)),
+     "unknown closed form 'minor3'"),
+    (lambda: eval_printed_form("minor3", 0.0, 0.0), "unknown closed form 'minor3'"),
+    (lambda: cross_check("minor3", [(0.0, 0.0)]), "unknown closed form 'minor3'"),
+], ids=["build_projected_form", "closed_form_scalar", "closed_form_array", "printed_form",
+        "cross_check"])
+def test_minors_reject_unknown_names(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -15,7 +15,7 @@ from qutritdistill.states import (
     OutOfRange,
     build_family,
     basis_ket,
-    symmetric_basis,
+    SYMMETRIC_BASIS,
     apply_local,
     range_kernel,
     schmidt_rank,
@@ -28,13 +28,13 @@ from qutritdistill.states import (
 
 
 def test_symmetric_basis_orthonormal():
-    e = symmetric_basis()
+    e = SYMMETRIC_BASIS
     assert e.shape == (5, 9)
     np.testing.assert_allclose(e.conj() @ e.T, np.eye(5), atol=1e-14)
 
 
 def test_symmetric_basis_swap_invariant():
-    e = symmetric_basis()
+    e = SYMMETRIC_BASIS
     for k in range(5):
         np.testing.assert_allclose(states.SWAP @ e[k], e[k], atol=1e-14)
 
@@ -57,7 +57,7 @@ def test_family_pure_at_one():
 def test_family_uniform_point_is_projector_fifth():
     # x = 1/5: all five weights equal, so rho is the symmetric projector / 5
     st = build_family("v", 0.2)
-    e = symmetric_basis()
+    e = SYMMETRIC_BASIS
     proj = e.T @ e.conj()
     np.testing.assert_allclose(st.rho, proj / 5.0, atol=1e-12)
     # and the point is inside the PPT window of this branch
@@ -102,8 +102,8 @@ def test_family_bitwise_equals_fresh_basis_sum():
     # build_family and family_stack read the basis built once at import; a
     # basis rebuilt from its kets gives the same rho, bit for bit, for every
     # case and x, one state at a time and as one stack over the whole grid
-    fresh = states._build_symmetric_basis()
-    assert symmetric_basis().tobytes() == fresh.tobytes()
+    fresh = states._symmetric_eigenvectors()
+    assert SYMMETRIC_BASIS.tobytes() == fresh.tobytes()
     xs = np.linspace(0.0, 1.0, 101)
     for case in CASES:
         dense = []
@@ -118,19 +118,21 @@ def test_family_bitwise_equals_fresh_basis_sum():
         assert states.family_stack(case, xs).tobytes() == np.array(dense).tobytes(), case
 
 
-def test_symmetric_basis_copy_cannot_change_later_states():
+def test_symmetric_basis_is_read_only():
+    # build_family reads SYMMETRIC_BASIS: a write into it raises, so no
+    # caller can change a later state
     before = build_family("v", 0.3).rho
-    e = symmetric_basis()
-    e[:] = 0
+    with pytest.raises(ValueError):
+        SYMMETRIC_BASIS[:] = 0
     assert build_family("v", 0.3).rho.tobytes() == before.tobytes()
-    assert np.abs(symmetric_basis()).max() > 0
+    assert SYMMETRIC_BASIS.tobytes() == states._symmetric_eigenvectors().tobytes()
 
 
 def test_family_weight_placement():
     # the case label selects which basis vector carries weight x
     for case in CASES:
         st = build_family(case, 0.9)
-        e = symmetric_basis()
+        e = SYMMETRIC_BASIS
         k = CASE_INDEX[case]
         val = float(np.real(e[k].conj() @ st.rho @ e[k]))
         assert abs(val - 0.9) <= 1e-12
@@ -228,7 +230,7 @@ def test_range_kernel_spans_are_orthogonal():
 
 def test_schmidt_rank_values():
     assert schmidt_rank(basis_ket(1, 2)) == 1
-    e = symmetric_basis()
+    e = SYMMETRIC_BASIS
     assert schmidt_rank(e[3]) == 2
     assert schmidt_rank(e[4]) == 3
 
@@ -301,7 +303,7 @@ def test_uniform_state_on_span_skips_vectors_that_add_no_direction():
         st = uniform_state_on_span([a[0], a[1], a[0] + a[1], a[2]])
         q = np.linalg.qr(a.T)[0]
         np.testing.assert_allclose(st.rho, q @ q.conj().T / 3, atol=1e-12)
-    e = symmetric_basis()
+    e = SYMMETRIC_BASIS
     st = uniform_state_on_span([e[0]] + list(e))
     np.testing.assert_allclose(st.rho, e.T @ e.conj() / 5, atol=1e-12)
 
@@ -313,3 +315,23 @@ def test_from_density_normalizes():
     st = build_family("v", 0.3)
     again = states.from_density(2.0 * st.rho)
     np.testing.assert_allclose(again.rho, st.rho, atol=1e-12)
+    assert again.case_id is None and again.x is None
+
+
+# ------------------------------------------------------------ input checks
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LocalOperator(np.ones((2, 3)), np.eye(3)), linalg.DimensionMismatch,
+     "must be square"),
+    (lambda: LocalOperator(np.eye(3), 2 * np.eye(3)), ValueError, "not unitary"),
+    (lambda: apply_local(np.eye(4), LocalOperator(np.eye(3), np.eye(3))),
+     linalg.DimensionMismatch, "operator acts on dimension 9, state has 4"),
+    (lambda: states.from_density(np.diag([1.0, -1.0] + [0.0] * 7)), states.ZeroVector,
+     "trace is zero"),
+    (lambda: coefficient_matrix(np.ones(8)), linalg.DimensionMismatch, "vector length 8 != 9"),
+], ids=["non_square_operator", "non_unitary_operator", "apply_local_dimension",
+        "zero_trace_density", "coefficient_matrix_length"])
+def test_states_reject_malformed_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
