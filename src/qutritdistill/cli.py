@@ -371,72 +371,72 @@ def cmd_grid(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory for CSV/JSON files")
-    common.add_argument("--seed", type=int, default=0,
-                        help="echoed in JSON; no command draws random numbers")
-    common.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
+# name: (help, adds its own arguments); cmd_<name>, - read as _, runs it
+SUBCOMMANDS = {
+    "scan": ("sweep x for one family case", lambda p: [
+        p.add_argument("--case", required=True, choices=states.CASES),
+        p.add_argument("--x-min", type=parse_x, default="0", dest="x_min"),
+        p.add_argument("--x-max", type=parse_x, default="1", dest="x_max"),
+        p.add_argument("--steps", type=parse_steps, default=200)]),
+    "threshold": ("locate an eigenvalue crossing", lambda p: [
+        p.add_argument("--case", required=True, choices=states.CASES),
+        p.add_argument("--target", required=True, type=parse_target,
+                       metavar="{" + ",".join(TARGET_NAMES) + "}",
+                       help="the eigenvalue whose crossing to locate; _ may stand for -"),
+        p.add_argument("--bracket", type=parse_x, nargs=2, required=True, metavar=("LO", "HI"))]),
+    "witness": ("construct a distillability witness", lambda p: [
+        p.add_argument("--case", required=True, choices=states.CASES),
+        p.add_argument("--x", type=parse_x, required=True),
+        p.add_argument("--strategy", type=parse_strategy, default="c", help="any combination of "
+                       "a, b, c; accepted for compatibility, every spelling runs the one "
+                       "construction")]),
+    "verify-example": ("run the full x = 1/7 verification bundle", lambda p: [
+        p.add_argument("--x", type=parse_x, default="1/7"),
+        p.add_argument("--grid-step", type=float, default=0.05, dest="grid_step")]),
+    "kernel": ("look for kernel product vectors", lambda p: [
+        (source := p.add_mutually_exclusive_group(required=True)).add_argument(
+            "--case", choices=states.CASES),
+        source.add_argument("--basis-file", dest="basis_file", help="JSON array of 9-element "
+                            "vectors as [re, im] pairs spanning the range"),
+        p.add_argument("--x", type=parse_x, help="x of the --case family state (default 1/7)")]),
+    "grid": ("emit a scan grid as CSV", lambda p: [
+        p.add_argument("--which", required=True, choices=minors.WHICH_TOKENS),
+        p.add_argument("--re-min", type=float, default=-3.0),
+        p.add_argument("--re-max", type=float, default=3.0),
+        p.add_argument("--im-min", type=float, default=-3.0),
+        p.add_argument("--im-max", type=float, default=3.0),
+        p.add_argument("--step", type=float, default=0.05),
+        p.add_argument("--c", type=parse_complex, action="append", help="c value (repeatable), "
+                       "e.g. --c 1+1j; not allowed with --which alpha1_psd"),
+        p.add_argument("--x", type=parse_x, default="1/7")]),
+}
 
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Register every subcommand, or only ``command`` when it names one: an argv
+    that starts with it parses the same, and only its arguments are built."""
     parser = _Parser(
         prog="qutritdistill",
         description="Two-qutrit rank-five family toolkit: PPT boundaries, "
                     "distillability witnesses, kernel product vectors, minor scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scan", parents=[common], help="sweep x for one family case")
-    p.add_argument("--case", required=True, choices=states.CASES)
-    p.add_argument("--x-min", type=parse_x, default="0", dest="x_min")
-    p.add_argument("--x-max", type=parse_x, default="1", dest="x_max")
-    p.add_argument("--steps", type=parse_steps, default=200)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("threshold", parents=[common], help="locate an eigenvalue crossing")
-    p.add_argument("--case", required=True, choices=states.CASES)
-    p.add_argument("--target", required=True, type=parse_target,
-                   metavar="{" + ",".join(TARGET_NAMES) + "}",
-                   help="the eigenvalue whose crossing to locate; _ may stand for -")
-    p.add_argument("--bracket", type=parse_x, nargs=2, required=True, metavar=("LO", "HI"))
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("witness", parents=[common], help="construct a distillability witness")
-    p.add_argument("--case", required=True, choices=states.CASES)
-    p.add_argument("--x", type=parse_x, required=True)
-    p.add_argument("--strategy", type=parse_strategy, default="c", help="any combination of "
-                   "a, b, c; accepted for compatibility, every spelling runs the one construction")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("verify-example", parents=[common],
-                       help="run the full x = 1/7 verification bundle")
-    p.add_argument("--x", type=parse_x, default="1/7")
-    p.add_argument("--grid-step", type=float, default=0.05, dest="grid_step")
-    p.set_defaults(func=cmd_verify_example)
-
-    p = sub.add_parser("kernel", parents=[common], help="look for kernel product vectors")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--case", choices=states.CASES)
-    source.add_argument("--basis-file", dest="basis_file", help="JSON array of 9-element "
-                        "vectors as [re, im] pairs spanning the range")
-    p.add_argument("--x", type=parse_x, help="x of the --case family state (default 1/7)")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("grid", parents=[common], help="emit a scan grid as CSV")
-    p.add_argument("--which", required=True, choices=minors.WHICH_TOKENS)
-    p.add_argument("--re-min", type=float, default=-3.0)
-    p.add_argument("--re-max", type=float, default=3.0)
-    p.add_argument("--im-min", type=float, default=-3.0)
-    p.add_argument("--im-max", type=float, default=3.0)
-    p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--c", type=parse_complex, action="append",
-                   help="c value (repeatable), e.g. --c 1+1j")
-    p.add_argument("--x", type=parse_x, default="1/7")
-    p.set_defaults(func=cmd_grid)
+    for name in [command] if command in SUBCOMMANDS else SUBCOMMANDS:
+        help_text, add_arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", default=".", help="output directory for CSV/JSON files")
+        p.add_argument("--seed", type=int, default=0,
+                       help="echoed in JSON; no command draws random numbers")
+        p.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
+        add_arguments(p)
+        # looked up per build, as the lambdas look up theirs: a rebound cmd_* runs
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()  # live to the end: collected mid-command, it cost verify-example ~9%
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

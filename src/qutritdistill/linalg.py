@@ -131,7 +131,7 @@ def eig_hermitian(m) -> EigenDecomposition:
     a = check_hermitian(m)
     try:
         w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - raised on NaN, rejected above
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - no convergence on finite input
         raise NoConvergence(str(exc)) from exc
     return EigenDecomposition(values=w, vectors=v)
 

@@ -1,6 +1,7 @@
 """Command-line entry points: exits, JSON payloads, CSV artifacts,
 byte-for-byte determinism."""
 
+import argparse
 import csv
 import json
 import subprocess
@@ -764,6 +765,44 @@ def test_help_lists_cases_and_targets(capsys):
     code, out, _ = run(capsys, ["threshold", "--help"])
     assert code == EXIT_OK
     assert "{min-eig,second-eig}" in out
+
+
+def _subparsers(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--case", "v", "--x-min", "1/7", "--steps", "9", "--json"],
+    ["threshold", "--case", "i", "--target", "second_eig", "--bracket", "c1", "0.5"],
+    ["witness", "--case", "iii", "--x", "0.3", "--strategy", "a+b", "--seed", "4"],
+    ["verify-example", "--grid-step", "0.5", "--out", "d"],
+    ["kernel", "--basis-file", "b.json"],
+    ["grid", "--which", "G", "--c", "1+1j", "--c=-1", "--re-min=-2", "--x", "0.2"],
+], ids=lambda argv: argv[0])
+def test_one_subcommand_parser_parses_and_helps_as_the_full_one(argv):
+    alone, full = cli.build_parser(argv[0]), cli.build_parser()
+    assert alone.parse_args(argv) == full.parse_args(argv)
+    assert _subparsers(alone)[argv[0]].format_help() == _subparsers(full)[argv[0]].format_help()
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["sc"], ["scan", "extra"],
+                                  ["scan", "--case", "v", "extra"], ["--out", "x", "scan"]])
+def test_main_answers_help_and_errors_as_the_full_parser(capsys, monkeypatch, argv):
+    got = run(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == run(capsys, argv)
+    assert got[0] in (EXIT_OK, EXIT_USAGE) and got[1:] != ("", "")
+
+
+def test_main_registers_only_the_invoked_subcommand(capsys, monkeypatch):
+    assert list(_subparsers(cli.build_parser("scan"))) == ["scan"]
+    assert list(_subparsers(cli.build_parser("sc"))) == list(cli.SUBCOMMANDS)
+    # argv from sys.argv, and the cmd_* bound when main runs
+    monkeypatch.setattr(sys, "argv", ["qutritdistill", "scan", "--case", "v"])
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: 7)
+    assert run(capsys, None) == (7, "", "")
 
 
 # -------------------------------------------------------------- verify-example
