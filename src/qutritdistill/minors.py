@@ -24,6 +24,10 @@ or eigvalsh into one preallocated value column. At x = 1/7 form 2 keeps
 26 of 144 terms at k = 4, 36 of 225 at k = 5 and 52 of 324 at k = 6, and
 form 1 31 of 144. The products c_i conj(c_j) are formed per chunk, in the
 operand order of whole-array products (ELIDE_POINTS): bitwise the dense sum.
+A scan builds the bases once for all its c panels and takes each chunk's
+points from the spec's two axes, so it holds its value column, 8 B a
+point, and one chunk: CHUNK = 2048 points, at k = 6 a 1.2 MB block and
+0.3 MB of products.
 
 TARGETS gives each scan target its family, leading block size k and
 scale. For form 2 the objects of interest are the 4th, 5th and 6th
@@ -35,7 +39,7 @@ follows from the target alone and cannot be set. A GridScan keeps the
 value column; passed asks a positive minimum of every minor, on any c
 panel. For form 1 (alpha1_psd) the value is the smallest eigenvalue of
 the whole compression, and a point passes when it stays above the
-roundoff floor _psd_floor(a).
+roundoff floor _psd_floor(a), compared a chunk of points at a time.
 
 eval_closed_form evaluates exact closed forms of the three minors, valid at
 x = 1/7 only: integer polynomials in |b|^2, |c|^2 and Re(bc) over the DEN_*
@@ -75,7 +79,7 @@ CROSS_TOL = 1e-9  # largest relative deviation a cross_check passes
 CROSS_LOGGED = 20  # worst points a cross_check report lists
 MAX_GRID_POINTS = 4_000_000  # points of a MinorScanSpec, over every c panel
 AXIS_TOL = 1e-9  # relative slack of (hi - lo) / step before an axis ends
-CHUNK = 8192  # points per block of compression_chunks
+CHUNK = 2048  # points per block of compression_chunks
 ELIDE_POINTS = 16384  # 256 KiB of complex128: numpy's temporary elision threshold
 
 DEN_MINOR4 = 5531904
@@ -158,12 +162,13 @@ def compression_bases(g: np.ndarray, form_id: int) -> list:
     return [[ri @ g @ rj.conj().T for rj in rs] for ri in rs]
 
 
-def compression_chunks(bases: list, params, k: int):
+def compression_chunks(bases: list, n: int, params, k: int):
     """Compressions at n parameter points, yielded in order as chunks of
     shape (m, k, k) with m <= CHUNK: the leading k x k block of
-    sum_ij c_i conj(c_j) B_ij at each point. params holds one length-n array
-    per parameter of the family, in slot order; bases comes from
-    compression_bases.
+    sum_ij c_i conj(c_j) B_ij at each point. params(start, stop) gives the
+    parameters of points start to stop - 1, one array per parameter of the
+    family in slot order (_columns() slices whole arrays), so no array sized
+    by n need exist; bases comes from compression_bases.
 
     Most entries of the leading blocks B_ij are exact zeros, so each entry
     (r, s) sums only its terms c_i conj(c_j) B_ij[r, s] with a nonzero
@@ -184,14 +189,13 @@ def compression_chunks(bases: list, params, k: int):
     non-finite product raises linalg.NonFiniteValue, without a
     RuntimeWarning, before its chunk is summed; earlier chunks may already
     have been yielded."""
-    n = len(params[0])
     swapped = n >= ELIDE_POINTS
     flat = [bij for brow in bases for bij in brow]
     terms = [[(t, bij[r, s]) for t, bij in enumerate(flat) if bij[r, s] != 0]
              for r in range(k) for s in range(k)]
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        coefs = [np.ones(stop - start)] + [p[start:stop] for p in params]
+        coefs = [np.ones(stop - start), *params(start, stop)]
         with np.errstate(over="ignore", invalid="ignore"):
             products = [np.multiply(cj.conj(), ci) if swapped else np.multiply(ci, cj.conj())
                         for ci in coefs for cj in coefs]
@@ -203,6 +207,12 @@ def compression_chunks(bases: list, params, k: int):
             for t, brs in entry:
                 col += products[t] * brs
         yield cols.transpose(2, 0, 1)
+
+
+def _columns(*arrays):
+    """compression_chunks params that slice the whole arrays given, one per
+    parameter of the family."""
+    return lambda start, stop: [a[start:stop] for a in arrays]
 
 
 def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndarray:
@@ -224,25 +234,30 @@ def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndar
     return sym
 
 
-def _values(which: str, b: np.ndarray, c: np.ndarray, x: float) -> np.ndarray:
-    """scan()'s value column at the points of the complex arrays b and c,
-    for the target TARGETS[which]: the smallest eigenvalue of form 1 for
-    alpha1_psd (b carries a, c is unused), else the leading k x k minor of
-    form 2 times the target's scale. A value that overflows comes out inf or
-    NaN without a RuntimeWarning; scan rejects it."""
-    target = TARGETS[which]
+def _bases(which: str, x: float) -> list:
+    """compression_bases of the family of TARGETS[which], from the partial
+    transpose of the mixed-frame state at x."""
     g = linalg.partial_transpose(mixed_frame_state(float(x)).rho)
-    bases = compression_bases(g, target.form)
-    params = (b, c)[:len(FAMILIES[target.form].slots)]
-    out = np.empty(len(b))
+    return compression_bases(g, TARGETS[which].form)
+
+
+def _values(which: str, bases: list, params, out: np.ndarray) -> np.ndarray:
+    """Fill out, and return it, with scan()'s value column at len(out)
+    points, for the target TARGETS[which]: the smallest eigenvalue of form 1
+    for alpha1_psd, else the leading k x k minor of form 2 times the
+    target's scale. bases comes from _bases and params is as for
+    compression_chunks. Each chunk is reduced straight into its slice of
+    out. A value that overflows comes out inf or NaN without a
+    RuntimeWarning; scan rejects it."""
+    target = TARGETS[which]
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for alphas in compression_chunks(bases, params, target.k):
+        for alphas in compression_chunks(bases, len(out), params, target.k):
             stop = start + len(alphas)
             if which == "alpha1_psd":
                 out[start:stop] = np.linalg.eigvalsh(alphas)[:, 0]
             else:
-                out[start:stop] = np.linalg.det(alphas).real * target.scale
+                np.multiply(np.linalg.det(alphas).real, target.scale, out=out[start:stop])
             start = stop
     return out
 
@@ -414,7 +429,9 @@ def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> Cro
     if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}")
     points = np.array(grid, dtype=complex).reshape(-1, 2)
-    directs = _values("alpha2_" + which, points[:, 0], points[:, 1], UNDISTILLABLE_X)
+    target = "alpha2_" + which
+    directs = _values(target, _bases(target, UNDISTILLABLE_X),
+                      _columns(points[:, 0], points[:, 1]), np.empty(len(points)))
     non_real = []
     if printed:  # per point, to report each non-real value
         kept, closed = [], []
@@ -518,10 +535,21 @@ class MinorScanSpec:
         return lo + self.step * np.arange(int(_axis_length(lo, hi, self.step)))
 
 
-def _b_points(spec: MinorScanSpec) -> np.ndarray:
-    """The b (a for alpha1_psd) of one c panel's points, ordered by (re_b, im_b)."""
-    bb, ii = np.meshgrid(spec.axis("re"), spec.axis("im"), indexing="ij")
-    return (bb + 1j * ii).reshape(-1)
+def _b_points(re: np.ndarray, im: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The b (a for alpha1_psd) of points start to stop - 1 of one c panel
+    on the axes re and im, ordered by (re_b, im_b): point p is
+    re[p // len(im)] + 1j * im[p % len(im)], one array expression whatever
+    the slice, so a chunk's points have the bits of the whole panel's."""
+    p = np.arange(start, stop)
+    return re[p // im.size] + 1j * im[p % im.size]
+
+
+def _panel_params(re: np.ndarray, im: np.ndarray, c: complex, which: str):
+    """compression_chunks params of the c panel c: b (a for alpha1_psd,
+    which takes no c) from _b_points, and c as a constant chunk."""
+    if which == "alpha1_psd":
+        return lambda start, stop: [_b_points(re, im, start, stop)]
+    return lambda start, stop: [_b_points(re, im, start, stop), np.full(stop - start, c)]
 
 
 @dataclass
@@ -534,33 +562,46 @@ class GridScan:
     @property
     def samples(self) -> np.ndarray:
         """The (n, 5) rows re_b, im_b, re_c, im_c, value, built on each call."""
-        b = _b_points(self.spec)
+        re, im = self.spec.axis("re"), self.spec.axis("im")
+        b = _b_points(re, im, 0, re.size * im.size)
         c = np.repeat(np.array(self.spec.c_values, dtype=complex), b.size)
         b = np.tile(b, len(self.spec.c_values))
         return np.column_stack([b.real, b.imag, c.real, c.imag, self.values])
 
     def passed(self) -> bool:
-        if self.spec.which == "alpha1_psd":
-            a = _b_points(self.spec)
-            return bool(np.all(self.values.reshape(-1, a.size) >= _psd_floor(a)))
-        return bool(self.min_value > 0.0)
+        if self.spec.which != "alpha1_psd":
+            return bool(self.min_value > 0.0)
+        re, im = self.spec.axis("re"), self.spec.axis("im")
+        n = re.size * im.size
+        panels = self.values.reshape(-1, n)
+        for start in range(0, n, CHUNK):  # the floors of one chunk of points at a time
+            stop = min(start + CHUNK, n)
+            if not np.all(panels[:, start:stop] >= _psd_floor(_b_points(re, im, start, stop))):
+                return False
+        return True
 
 
 def scan(spec: MinorScanSpec) -> GridScan:
     """Evaluate the chosen quantity over the grid, one value per point in
     (c value, re_b, im_b) order; for alpha1_psd b carries the a parameter
-    and the value is the smallest eigenvalue on the six support rows."""
-    b_flat = _b_points(spec)
-    n = b_flat.size
+    and the value is the smallest eigenvalue on the six support rows.
+
+    The scan holds its value column, 8 B a point, and one chunk: each
+    chunk's b comes from the spec's axes and its c is a constant, and its
+    values go straight into the column. The frame state and the
+    compression bases are built once, for all c panels."""
+    re, im = spec.axis("re"), spec.axis("im")
+    n = re.size * im.size
+    bases = _bases(spec.which, spec.x)
     values = np.empty(n * len(spec.c_values))
     for p, c_val in enumerate(spec.c_values):
-        panel = values[p * n:(p + 1) * n]
-        panel[:] = _values(spec.which, b_flat, np.full(n, complex(c_val)), spec.x)
+        panel = _values(spec.which, bases, _panel_params(re, im, complex(c_val), spec.which),
+                        values[p * n:(p + 1) * n])
         if not np.all(np.isfinite(panel)):
             raise linalg.NonFiniteValue("grid too large for float64: non-finite value in grid scan")
     p, k = divmod(int(np.argmin(values)), n)
     return GridScan(spec=spec, values=values, min_value=float(values[p * n + k]),
-                    argmin=(complex(b_flat[k]), complex(spec.c_values[p])))
+                    argmin=(complex(_b_points(re, im, k, k + 1)[0]), complex(spec.c_values[p])))
 
 
 def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
@@ -571,7 +612,9 @@ def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
     if a_grid is None:
         a_grid = default_a_grid()
     _check_x(x)
-    values = _values("alpha1_psd", np.array(a_grid, dtype=complex), None, x)
+    points = np.array(a_grid, dtype=complex)
+    values = _values("alpha1_psd", _bases("alpha1_psd", x), _columns(points),
+                     np.empty(points.size))
     entries = [{"a": complex(a), "min_eigenvalue": v, "is_psd": v >= _psd_floor(complex(a))}
                for a, v in zip(a_grid, values.tolist())]
     return entries, all(e["is_psd"] for e in entries)

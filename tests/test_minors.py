@@ -100,7 +100,7 @@ def test_compression_chunks_match_projected_matrix():
     for form, family in FAMILIES.items():
         bases = compression_bases(g, form)
         thetas = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in family.slots]
-        batch = np.concatenate(list(compression_chunks(bases, thetas, 6)))
+        batch = np.concatenate(list(compression_chunks(bases, 6, minors._columns(*thetas), 6)))
         assert batch.shape == (6, 6, 6)
         for n in range(6):
             one = distill.projected_matrix(g, family_rows(form, [theta[n] for theta in thetas]))
@@ -123,12 +123,13 @@ def test_compression_chunks_bitwise_equal_dense_assembly(form):
     # the dense sum forms each product over all n points, and numpy swaps
     # its operands in place from 16384 points (256 KiB) on, so the chunked
     # products must take their order from n, on both sides of that
-    # boundary; 2 * CHUNK + 1001 = 17385 points gives two full chunks and a
-    # ragged tail. Zero and signed-zero parameters, magnitudes 1e-3 to 1e3
-    assert minors.ELIDE_POINTS == 16384
+    # boundary; 8 * CHUNK + 1001 points gives eight full chunks and a
+    # ragged tail past that boundary. Zero and signed-zero parameters,
+    # magnitudes 1e-3 to 1e3
+    assert minors.ELIDE_POINTS == 16384 < 8 * CHUNK + 1001
     rng = np.random.default_rng(41)
     bases = compression_bases(linalg.partial_transpose(states.build_family("v", 0.4).rho), form)
-    for n in (1, 16383, 16384, 16385, 2 * CHUNK + 1001):
+    for n in (1, 16383, 16384, 16385, 8 * CHUNK + 1001):
         params = []
         for _ in FAMILIES[form].slots:
             z = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
@@ -136,7 +137,7 @@ def test_compression_chunks_bitwise_equal_dense_assembly(form):
             z[3::11] = complex(-0.0, 0.5)
             params.append(z)
         for k in (4, 5, 6):
-            chunks = list(compression_chunks(bases, params, k))
+            chunks = list(compression_chunks(bases, n, minors._columns(*params), k))
             assert [len(a) for a in chunks] == [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
             got = np.concatenate(chunks)
             assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), (n, k)
@@ -152,7 +153,7 @@ def test_compression_chunks_reject_non_finite_products(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(linalg.NonFiniteValue):
-            next(compression_chunks(bases, params, 4))
+            next(compression_chunks(bases, 3, minors._columns(*params), 4))
 
 
 def test_scan_rejects_a_product_overflow_in_its_last_chunk(tmp_path):
@@ -537,30 +538,50 @@ def _one_shot_values(which, b, c, x, scale):
     return np.linalg.det(alphas[:, :k, :k]).real * scale
 
 
+def _meshgrid_points(spec):
+    """One c panel's b, ordered by (re_b, im_b), as one whole-panel array:
+    the reference for the points scan takes a chunk at a time."""
+    bb, ii = np.meshgrid(spec.axis("re"), spec.axis("im"), indexing="ij")
+    return (bb + 1j * ii).reshape(-1)
+
+
 def test_scan_values_bitwise_equal_one_shot_assembly():
-    # 131 x 131 = 17161 points per panel: two full chunks plus a ragged tail,
-    # and past the 16384-point size where numpy starts to form the one-shot
-    # products c_i conj(c_j) in place with swapped operands, which rounds
-    # differently. The panels are a generic c, the c = 0 of the default grid
-    # and a c whose real part is -0.0.
+    # 131 x 131 = 17161 points per panel: several full chunks plus a ragged
+    # tail, and past the 16384-point size where numpy starts to form the
+    # one-shot products c_i conj(c_j) in place with swapped operands, which
+    # rounds differently. The panels are a generic c, the c = 0 of the
+    # default grid and a c whose real part is -0.0. The last grid is
+    # --re-min=-0: its re_b axis starts at -0.0 + 0 * step = +0.0, and its
+    # minimum lies on that row, at im_b = 4e-16. Samples and argmin keep
+    # the bits of the whole-panel expression
     n = 131 * 131
     assert n > 2 * CHUNK and n % CHUNK
     panels = (0.7 - 1.3j, 0j, complex(-0.0, 0.5))
-    for which in minors.WHICH_TOKENS:
-        spec = MinorScanSpec(which=which, re_range=(-3.0, 3.5), im_range=(-3.0, 3.5),
-                             step=0.05, c_values=panels)
+    grids = [(which, -3.0, panels) for which in minors.WHICH_TOKENS]
+    grids.append(("alpha2_minor4", -0.0, panels[2:]))
+    for which, re_min, c_values in grids:
+        spec = MinorScanSpec(which=which, re_range=(re_min, re_min + 6.5), im_range=(-3.0, 3.5),
+                             step=0.05, c_values=c_values)
         res = scan(spec)
-        assert res.samples.shape[0] == len(panels) * n
-        b = res.samples[:n, 0] + 1j * res.samples[:n, 1]
-        for p, c_val in enumerate(panels):
+        samples = res.samples
+        assert samples.shape[0] == len(c_values) * n
+        b = _meshgrid_points(spec)
+        for p, c_val in enumerate(c_values):
+            rows = samples[p * n:(p + 1) * n]
+            assert np.array_equal(bits(rows[:, 0]), bits(b.real))
+            assert np.array_equal(bits(rows[:, 1]), bits(b.imag))
             ref = _one_shot_values(which, b, np.full(n, c_val), spec.x, spec.scale)
-            assert np.array_equal(res.samples[p * n:(p + 1) * n, 4], ref), (which, c_val)
+            assert np.array_equal(rows[:, 4], ref), (which, c_val)
+        k = int(np.argmin(res.values)) % n
+        assert np.array_equal(bits(np.array([res.argmin[0]])), bits(b[k:k + 1])), which
+    assert k < 131 and np.copysign(1.0, res.argmin[0].real) == 1.0
 
 
 def test_scan_memory_follows_the_chunk_not_the_grid(tmp_path):
-    # the 361,201-point minor4 grid, CSV written: the scan holds its point
-    # and value columns (about 17 MB) and one chunk's products, never the
-    # nine whole-grid products c_i conj(c_j) (52 MB) or (n, 5) samples
+    # the 361,201-point minor4 grid, CSV written: the scan holds its value
+    # column (2.9 MB) and one chunk, whose points come from the axes, never
+    # a whole-panel b or c column (5.8 MB each), the nine whole-grid
+    # products c_i conj(c_j) (52 MB) or (n, 5) samples
     spec = MinorScanSpec(which="alpha2_minor4", step=0.01)
     tracemalloc.start()
     try:
@@ -570,7 +591,31 @@ def test_scan_memory_follows_the_chunk_not_the_grid(tmp_path):
     finally:
         tracemalloc.stop()
     assert res.values.size == 601 * 601
-    assert peak < 40e6
+    assert peak < 2 * res.values.nbytes
+
+
+def test_psd_verdict_memory_follows_the_chunk_not_the_grid():
+    # passed() compares each alpha1_psd value with the floor of its a one
+    # chunk of points at a time, with the arithmetic of a whole-panel
+    # comparison, and never holds an a column of the 361,201-point grid
+    # (5.8 MB, and about 11 MB while it is built). Values at the floor
+    # pass; one a ulp below it, in the ragged last chunk of the second
+    # panel, fails
+    spec = MinorScanSpec(which="alpha1_psd", step=0.01, c_values=(0j, 0j))
+    floor = minors._psd_floor(_meshgrid_points(spec))
+    n = floor.size
+    assert n % CHUNK
+    values = np.tile(floor, 2)
+    gs = minors.GridScan(spec=spec, values=values, min_value=float(values.min()), argmin=(0j, 0j))
+    tracemalloc.start()
+    try:
+        assert gs.passed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    values[2 * n - 5] = np.nextafter(values[2 * n - 5], -np.inf)
+    assert not gs.passed()
 
 
 def test_scan_f_window():
