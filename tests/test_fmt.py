@@ -1,17 +1,20 @@
 """CSV serialization: the one-call "%.17g" writer and the grid writer
 produce the bytes a per-cell sig17 rendering would, for arrays and for
-lists of rows, with NaN and Infinity spelled as in JSON. JSON
+lists of rows, with NaN and Infinity spelled as in JSON; the grid writer's
+numpy kernel gives the bytes of "%.17g" value by value. JSON
 serialization: the one layout."""
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qutritdistill import cli
-from qutritdistill._fmt import CSV_BLOCK, json_dumps, sig17, write_csv, write_grid_csv
+from qutritdistill._fmt import (CSV_BLOCK, _sig17_block, json_dumps, sig17, write_csv,
+                                write_grid_csv)
 from qutritdistill.minors import MinorScanSpec, scan
 
 HEADER = ["a", "b", "c", "d", "e"]
@@ -158,7 +161,7 @@ GRID_HEADER = ["re_b", "im_b", "re_c", "im_c", "value"]
     {"which": "alpha1_psd", "step": 0.25, "c_values": (1 + 1j,)},
     {"which": "G", "step": 0.5,
      "c_values": (complex(-0.0, 0.5), complex(1.0, -0.0), complex(-0.0, -0.0), 0j)},
-    # 6001 im_b points: two line templates per run, on two c panels
+    # 6001 im_b points: several line templates per run, on two c panels
     {"which": "alpha2_minor4", "re_range": (0.0, 0.002), "im_range": (-3.0, 3.0),
      "step": 0.001, "c_values": (0j, 1j)},
 ], ids=["single_re_point", "axis_short_of_hi", "alpha1_psd", "signed_zero_panels",
@@ -200,6 +203,95 @@ def test_write_grid_csv_memory_stays_below_one_column(tmp_path):
         tracemalloc.stop()
     assert peak < values.nbytes
     assert _read(tmp_path / "big.csv").count(b"\n") == len(values) + 1
+
+
+def _assert_kernel_matches_percent_g(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _sig17_block(values) == [b"%.17g" % v for v in values.tolist()]
+
+
+def test_kernel_matches_percent_g_on_seeded_doubles():
+    rng = np.random.default_rng(11)
+    # the whole finite range, and the exact domain 1e-4 <= |x| < 1e17 with a decade on each side
+    wide = 10.0 ** rng.uniform(-321, 307, 20000) * rng.uniform(1, 10, 20000)
+    domain = 10.0 ** rng.uniform(-5, 18, 100000)
+    values = np.concatenate([wide, domain])
+    _assert_kernel_matches_percent_g(values * rng.choice([-1.0, 1.0], values.size))
+
+
+def test_kernel_matches_percent_g_on_zeros_subnormals_and_powers_of_ten():
+    subnormals = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    powers = np.array([float(f"1e{k}") for k in range(-25, 26)])
+    edges = [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0), 99999999999999999.0,
+             np.nextafter(1e17, 0), 1e17, np.nextafter(1e17, np.inf)]
+    values = np.concatenate([[0.0], subnormals, powers, np.nextafter(powers, 0),
+                             np.nextafter(powers, np.inf), edges])
+    _assert_kernel_matches_percent_g(np.concatenate([values, -values]))
+    assert _sig17_block([99999999999999999.0, -0.0, 1e-4, 0.5]) == [
+        b"1e+17", b"-0", b"0.0001", b"0.5"]
+
+
+def test_kernel_rounds_18_digit_ties_half_even():
+    # 1e15 + k + 0.25 is exact, and its 18th digit is a 5: the kept digit
+    # 2 stays, while + 0.75 rounds the odd 7 up to 8; the same one decade down
+    k = np.arange(30000, dtype=np.float64)
+    ties = np.concatenate([1e15 + k + 0.25, 1e15 + k + 0.75, 1e14 + k + 0.125, 1e14 + k + 0.375])
+    _assert_kernel_matches_percent_g(np.concatenate([ties, -ties]))
+    assert _sig17_block([1e15 + 0.25, 1e15 + 0.75]) == [b"1000000000000000.2", b"1000000000000000.8"]
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf], ids=["low", "high"])
+def test_kernel_survives_a_log10_one_ulp_off(monkeypatch, direction):
+    # the exponent from log10 is checked against the exact product, so a
+    # libm whose log10 misses by one ulp changes no byte
+    exact = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(exact(a), direction))
+    powers = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                             3 * powers, [np.nextafter(1e17, 0)]])
+    _assert_kernel_matches_percent_g(np.concatenate([values, -values]))
+
+
+def test_kernel_spells_non_finite_values_as_sig17():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        texts = _sig17_block(np.array([np.nan, np.inf, -np.inf, 0.0, 1e300, 2.5]))
+    assert texts == [b"NaN", b"Infinity", b"-Infinity", b"0", b"1.0000000000000001e+300", b"2.5"]
+
+
+def test_grid_writer_mixes_kernel_and_per_value_texts_across_blocks(tmp_path):
+    # values outside the exact domain inside the first block and on both
+    # sides of the boundary between the first two blocks
+    re_axis, im_axis = np.array([-0.5, 0.0, 2.0]), np.linspace(-1.0, 1.0, CSV_BLOCK + 5)
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-2.0, 2.0, len(re_axis) * len(im_axis))
+    odd = [0.0, -0.0, 3e-5, -1e-300, 1e17, -2.5e20, 5e-324]
+    values[5:5 + len(odd)] = odd
+    values[CSV_BLOCK - 3:CSV_BLOCK + 4] = odd
+    write_grid_csv(tmp_path / "grid.csv", GRID_HEADER, re_axis, im_axis, (1 - 0.25j,), values)
+    rows = [[b, i, 1.0, -0.25, v] for (b, i), v in
+            zip(((b, i) for b in re_axis.tolist() for i in im_axis.tolist()), values.tolist())]
+    assert _read(tmp_path / "grid.csv") == _sig17_csv(GRID_HEADER, rows)
+
+
+@pytest.mark.parametrize("count", [3, 7])
+def test_grid_writer_rejects_a_value_column_of_the_wrong_length(tmp_path, count):
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match=f"{count} values for a 2 x 2 grid on 1 c values"):
+        write_grid_csv(path, GRID_HEADER, np.array([0.0, 1.0]), np.array([0.0, 1.0]), (0j,),
+                       np.arange(count, dtype=float))
+    assert not path.exists()
+
+
+def test_grid_writer_spells_non_finite_values_as_write_csv(tmp_path):
+    re_axis, im_axis = np.array([0.0, 1.0]), np.array([-1.0, 0.5])
+    values = np.array([np.nan, np.inf, -np.inf, 0.25])
+    write_grid_csv(tmp_path / "grid.csv", GRID_HEADER, re_axis, im_axis, (2j,), values)
+    rows = [[b, i, 0.0, 2.0, v] for (b, i), v in
+            zip(((b, i) for b in re_axis for i in im_axis), values.tolist())]
+    write_csv(tmp_path / "table.csv", GRID_HEADER, rows)
+    assert _read(tmp_path / "grid.csv") == _read(tmp_path / "table.csv")
+    assert _read(tmp_path / "grid.csv").splitlines()[1:3] == [b"0,-1,0,2,NaN", b"0,0.5,0,2,Infinity"]
 
 
 def test_json_layout(capsys):
