@@ -251,29 +251,26 @@ def cmd_verify_example(args) -> int:
               [[e["a"].real, e["a"].imag, 0.0, 0.0, e["min_eigenvalue"]] for e in entries])
     checks["alpha1_psd"] = {"n_points": len(entries), "min_eigenvalue": min_eig, "pass": all_psd}
 
+    tables = ("minor4", "minor5", "det")
     # the closed forms hold at x = 1/7 only: elsewhere they measure the step in x
     if x == minors.UNDISTILLABLE_X:
-        real_grid = minors.default_real_bc_grid(step)
-        for form in ("minor4", "minor5", "det"):
-            rpt = minors.cross_check(form, real_grid)
-            checks[f"cross_{form}"] = {
+        for rpt in minors.cross_check_family(tables, minors.default_real_bc_grid(step)):
+            checks[f"cross_{rpt.which}"] = {
                 "which": rpt.which, "n_points": rpt.n_points, "max_rel_dev": rpt.max_rel_dev,
                 "worst": rpt.worst, "non_real": rpt.non_real, "pass": rpt.passed}
 
     # proved: the table's exact certificate holds and the table matched the
     # direct minors in this run (x = 1/7 only); otherwise the grid decides
-    for spec, name, table in zip(specs, ("minor4_scan", "F_scan", "G_scan"),
-                                 ("minor4", "minor5", "det")):
-        gs = minors.scan(spec)
+    for gs, name, table in zip(minors.scan_family(specs), ("minor4_scan", "F_scan", "G_scan"),
+                               tables):
         _write_grid(_outpath(args, f"{name}.csv"), gs)
         entry = _grid_json(gs)
-        del gs  # else its value column stays alive through the next scan
         cross = checks.get(f"cross_{table}")
         if cross and cross["pass"] and minors.certify_positive(minors.CLOSED_FORMS[table][1]):
             level = "proved"
         else:
             level = "not_found_at_budget" if entry["pass"] else "searched"
-        checks[spec.which] = {**entry, "evidence_level": level}
+        checks[gs.spec.which] = {**entry, "evidence_level": level}
 
     overall = all(c["pass"] for c in checks.values())
     payload = {

@@ -16,18 +16,22 @@ they cover, compress it to a 6x6 matrix:
     form 2:  P2bc, rows (1, 0, b) and (0, 1, c): keep levels 0,1 with level-2 shears
 
 build_projected returns one compression, the per-point reference.
-scan, psd_scan_form1 and cross_check take the chunked path:
+scan_family, psd_scan_form1 and cross_check_family take the chunked path
+(scan and cross_check are their calls for one target):
 compression_bases splits a family's compression into blocks B_ij, and
 compression_chunks sums, per entry of the leading k x k block, only the
 terms whose base entry is nonzero, in chunks of (m, k, k) reduced by det
-or eigvalsh into one preallocated value column. At x = 1/7 form 2 keeps
+or eigvalsh into preallocated value columns. At x = 1/7 form 2 keeps
 26 of 144 terms at k = 4, 36 of 225 at k = 5 and 52 of 324 at k = 6, and
 form 1 31 of 144. The products c_i conj(c_j) are formed per chunk, in the
 operand order of whole-array products (ELIDE_POINTS): bitwise the dense sum.
-A scan builds the bases once for all its c panels and takes each chunk's
-points from the spec's two axes, so it holds its value column, 8 B a
-point, and one chunk: CHUNK = 2048 points, at k = 6 a 1.2 MB block and
-0.3 MB of products.
+Targets of one family share each chunk: it is assembled once at the
+largest k they need, and each target reduces its leading k x k slice,
+with the bits of a chunk assembled at its own k. A family scan builds the
+bases once for all its targets and c panels and takes each chunk's points
+from the specs' two shared axes, so it holds its value columns, 8 B a
+point per target, and one chunk: CHUNK = 2048 points, at k = 6 a 1.2 MB
+block and 0.3 MB of products.
 
 TARGETS gives each scan target its family, leading block size k and
 scale. For form 2 the objects of interest are the 4th, 5th and 6th
@@ -54,7 +58,9 @@ computed minors at x = 1/7, as deviations relative to the direct value,
 and reports them instead of correcting either side. It evaluates the
 exact set in one array pass over the grid, bitwise equal to
 eval_closed_form point by point, and the printed set point by point,
-since each non-real printed value is reported on its own.
+since each non-real printed value is reported on its own;
+cross_check_family takes the direct minors of several forms from one
+assembly of the grid.
 
 A MinorScanSpec axis runs lo, lo + step, ... up to its last point <= hi,
 and a spec of more than MAX_GRID_POINTS points is rejected when made.
@@ -241,25 +247,34 @@ def _bases(which: str, x: float) -> list:
     return compression_bases(g, TARGETS[which].form)
 
 
-def _values(which: str, bases: list, params, out: np.ndarray) -> np.ndarray:
-    """Fill out, and return it, with scan()'s value column at len(out)
-    points, for the target TARGETS[which]: the smallest eigenvalue of form 1
-    for alpha1_psd, else the leading k x k minor of form 2 times the
-    target's scale. bases comes from _bases and params is as for
-    compression_chunks. Each chunk is reduced straight into its slice of
-    out. A value that overflows comes out inf or NaN without a
-    RuntimeWarning; scan rejects it."""
-    target = TARGETS[which]
+def _values(whiches: Sequence[str], bases: list, params, outs: Sequence[np.ndarray]) -> list:
+    """Fill each outs[t], all of one length, with scan()'s value column for
+    the target TARGETS[whiches[t]], and return outs: the smallest
+    eigenvalue of form 1 for alpha1_psd, else the leading k x k minor of
+    form 2 times the target's scale. The targets share the family of
+    bases, which comes from _bases; params is as for compression_chunks.
+
+    Each chunk is assembled once, at the largest k of the targets, and each
+    target reduces its leading k x k slice straight into its slice of
+    outs[t]. The slice has the bits of a chunk assembled at its own k:
+    entry (r, s) sums the same nonzero terms in the same order for every k,
+    the operand order of the products depends on the point count only, and
+    det and eigvalsh copy each matrix before they factor it. A value that
+    overflows comes out inf or NaN without a RuntimeWarning; scan rejects
+    it."""
+    targets = [TARGETS[which] for which in whiches]
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for alphas in compression_chunks(bases, len(out), params, target.k):
+        for alphas in compression_chunks(bases, len(outs[0]), params, max(t.k for t in targets)):
             stop = start + len(alphas)
-            if which == "alpha1_psd":
-                out[start:stop] = np.linalg.eigvalsh(alphas)[:, 0]
-            else:
-                np.multiply(np.linalg.det(alphas).real, target.scale, out=out[start:stop])
+            for which, target, out in zip(whiches, targets, outs):
+                lead = alphas[:, :target.k, :target.k]
+                if which == "alpha1_psd":
+                    out[start:stop] = np.linalg.eigvalsh(lead)[:, 0]
+                else:
+                    np.multiply(np.linalg.det(lead).real, target.scale, out=out[start:stop])
             start = stop
-    return out
+    return outs
 
 
 # --- closed forms ------------------------------------------------------------
@@ -426,12 +441,32 @@ def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> Cro
     printed=True checks the source's printed polynomials (eval_printed_form)
     instead of the exact ones. Each deviation is |closed - direct| / |direct|,
     infinite where only the direct value is zero."""
-    if which not in CLOSED_FORMS:
-        raise ValueError(f"unknown closed form {which!r}")
+    return cross_check_family((which,), grid, printed)[0]
+
+
+def cross_check_family(forms: Sequence[str], grid: Sequence[tuple],
+                       printed: bool = False) -> list:
+    """cross_check of each closed form in forms over one grid, in order.
+    The direct side comes from one point array and one assembly at the
+    largest k the forms need (_values), bitwise the minors of separate
+    cross_check calls."""
+    if not forms:
+        raise ValueError("need at least one closed form")
+    for which in forms:
+        if which not in CLOSED_FORMS:
+            raise ValueError(f"unknown closed form {which!r}")
     points = np.array(grid, dtype=complex).reshape(-1, 2)
-    target = "alpha2_" + which
-    directs = _values(target, _bases(target, UNDISTILLABLE_X),
-                      _columns(points[:, 0], points[:, 1]), np.empty(len(points)))
+    targets = ["alpha2_" + which for which in forms]
+    directs = _values(targets, _bases(targets[0], UNDISTILLABLE_X),
+                      _columns(points[:, 0], points[:, 1]),
+                      [np.empty(len(points)) for _ in forms])
+    return [_cross_report(which, points, direct, printed) for which, direct in zip(forms, directs)]
+
+
+def _cross_report(which: str, points: np.ndarray, directs: np.ndarray,
+                  printed: bool) -> CrossCheckReport:
+    """The cross_check report of one closed form at the (n, 2) (b, c)
+    points, against their direct minors directs."""
     non_real = []
     if printed:  # per point, to report each non-real value
         kept, closed = [], []
@@ -585,23 +620,49 @@ def scan(spec: MinorScanSpec) -> GridScan:
     """Evaluate the chosen quantity over the grid, one value per point in
     (c value, re_b, im_b) order; for alpha1_psd b carries the a parameter
     and the value is the smallest eigenvalue on the six support rows.
+    The scan_family of spec alone."""
+    return scan_family([spec])[0]
 
-    The scan holds its value column, 8 B a point, and one chunk: each
-    chunk's b comes from the spec's axes and its c is a constant, and its
-    values go straight into the column. The frame state and the
-    compression bases are built once, for all c panels."""
-    re, im = spec.axis("re"), spec.axis("im")
+
+def _shared(spec: MinorScanSpec) -> tuple:
+    """What the specs of one scan_family share: family, x, and the bits of
+    both axes and the c panels."""
+    return (TARGETS[spec.which].form, spec.x, spec.axis("re").tobytes(),
+            spec.axis("im").tobytes(), np.array(spec.c_values, dtype=complex).tobytes())
+
+
+def scan_family(specs: Sequence[MinorScanSpec]) -> list:
+    """scan of each spec, in order, from one assembly: the specs must share
+    family, x, axes and c panels, else ValueError. Each chunk is assembled
+    once, at the largest k of the targets, and reduced into every target's
+    value column (_values), bitwise the values of separate scans.
+
+    The scans hold their value columns, 8 B a point per target, and one
+    chunk: each chunk's b comes from the axes and its c is a constant, and
+    its values go straight into the columns. The frame state and the
+    compression bases are built once, for all targets and c panels."""
+    if not specs:
+        raise ValueError("need at least one scan spec")
+    first = specs[0]
+    if any(_shared(spec) != _shared(first) for spec in specs[1:]):
+        raise ValueError("the specs of one family scan must share family, x, axes and c panels")
+    re, im = first.axis("re"), first.axis("im")
     n = re.size * im.size
-    bases = _bases(spec.which, spec.x)
-    values = np.empty(n * len(spec.c_values))
-    for p, c_val in enumerate(spec.c_values):
-        panel = _values(spec.which, bases, _panel_params(re, im, complex(c_val), spec.which),
-                        values[p * n:(p + 1) * n])
-        if not np.all(np.isfinite(panel)):
+    whiches = [spec.which for spec in specs]
+    bases = _bases(first.which, first.x)
+    columns = [np.empty(n * len(first.c_values)) for _ in specs]
+    for p, c_val in enumerate(first.c_values):
+        panels = _values(whiches, bases, _panel_params(re, im, complex(c_val), first.which),
+                         [values[p * n:(p + 1) * n] for values in columns])
+        if not all(np.all(np.isfinite(panel)) for panel in panels):
             raise linalg.NonFiniteValue("grid too large for float64: non-finite value in grid scan")
-    p, k = divmod(int(np.argmin(values)), n)
-    return GridScan(spec=spec, values=values, min_value=float(values[p * n + k]),
-                    argmin=(complex(_b_points(re, im, k, k + 1)[0]), complex(spec.c_values[p])))
+    scans = []
+    for spec, values in zip(specs, columns):
+        p, k = divmod(int(np.argmin(values)), n)
+        scans.append(GridScan(
+            spec=spec, values=values, min_value=float(values[p * n + k]),
+            argmin=(complex(_b_points(re, im, k, k + 1)[0]), complex(spec.c_values[p]))))
+    return scans
 
 
 def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
@@ -613,8 +674,8 @@ def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
         a_grid = default_a_grid()
     _check_x(x)
     points = np.array(a_grid, dtype=complex)
-    values = _values("alpha1_psd", _bases("alpha1_psd", x), _columns(points),
-                     np.empty(points.size))
+    [values] = _values(["alpha1_psd"], _bases("alpha1_psd", x), _columns(points),
+                       [np.empty(points.size)])
     entries = [{"a": complex(a), "min_eigenvalue": v, "is_psd": v >= _psd_floor(complex(a))}
                for a, v in zip(a_grid, values.tolist())]
     return entries, all(e["is_psd"] for e in entries)

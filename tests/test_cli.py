@@ -878,14 +878,14 @@ def test_verify_example_cross_check_grid_is_spaced_by_the_step(capsys, tmp_path,
     # not 7 points spaced 2/3
     from qutritdistill import minors
 
-    grids = []
-    real_cross_check = minors.cross_check
+    calls = []
+    real_cross_check_family = minors.cross_check_family
 
-    def recording(which, grid, printed=False):
-        grids.append(grid)
-        return real_cross_check(which, grid, printed)
+    def recording(forms, grid, printed=False):
+        calls.append((forms, grid))
+        return real_cross_check_family(forms, grid, printed)
 
-    monkeypatch.setattr(minors, "cross_check", recording)
+    monkeypatch.setattr(minors, "cross_check_family", recording)
     code, out, _ = run(capsys, ["verify-example", "--grid-step", "0.7", "--json",
                                 "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -894,9 +894,25 @@ def test_verify_example_cross_check_grid_is_spaced_by_the_step(capsys, tmp_path,
     for name in ("cross_minor4", "cross_minor5", "cross_det"):
         assert doc["checks"][name]["n_points"] == 36
     axis = (-2.0 + 0.7 * np.arange(6)).tolist()
-    assert len(grids) == 3
-    for grid in grids:
-        assert grid == [(complex(b), complex(c)) for b in axis for c in axis]
+    assert len(calls) == 1
+    forms, grid = calls[0]
+    assert forms == ("minor4", "minor5", "det")
+    assert grid == [(complex(b), complex(c)) for b in axis for c in axis]
+
+
+@pytest.mark.parametrize("step", ["0.5", "0.04"])
+def test_verify_example_scans_match_grid_command_bytes(capsys, tmp_path, step):
+    # verify-example's three scans come from one family scan; each CSV is
+    # the grid command's on the same five c panels, also at step 0.04,
+    # whose 22,801-point panels are past ELIDE_POINTS
+    run(capsys, ["verify-example", "--grid-step", step, "--out", str(tmp_path / "verify")])
+    panels = ["--c=0", "--c=1+1j", "--c=1-1j", "--c=-1+1j", "--c=-1-1j"]
+    for which, name in (("alpha2_minor4", "minor4_scan"), ("F", "F_scan"), ("G", "G_scan")):
+        code, _, _ = run(capsys, ["grid", "--which", which, "--step", step, *panels,
+                                  "--out", str(tmp_path / "grid")])
+        assert code == EXIT_OK
+        grid_csv = (tmp_path / "grid" / f"{which}_grid.csv").read_bytes()
+        assert (tmp_path / "verify" / f"{name}.csv").read_bytes() == grid_csv, which
 
 
 def test_verify_example_writes_master_json(capsys, tmp_path):

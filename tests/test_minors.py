@@ -618,6 +618,91 @@ def test_psd_verdict_memory_follows_the_chunk_not_the_grid():
     assert not gs.passed()
 
 
+FORM2_TARGETS = ("alpha2_minor4", "alpha2_minor5", "alpha2_det", "F", "G")
+
+
+def _int_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n_re, n_im", [(127, 129), (64, 256), (113, 145)],
+                         ids=["16383", "16384", "16385"])
+def test_scan_family_bitwise_equal_separate_scans(n_re, n_im):
+    # one side of ELIDE_POINTS = 16384, on it and past it, on non-square
+    # axes and two c panels: every target's leading slice of one k = 6
+    # assembly carries the bits of its own scan
+    step = 0.03
+    kwargs = {"re_range": (-2.0, -2.0 + (n_re - 1) * step),
+              "im_range": (-1.5, -1.5 + (n_im - 1) * step),
+              "step": step, "c_values": (0.7 - 1.3j, -0.4 + 0.2j)}
+    specs = [MinorScanSpec(which=which, **kwargs) for which in FORM2_TARGETS]
+    assert specs[0].axis("re").size == n_re and specs[0].axis("im").size == n_im
+    for fused, spec in zip(minors.scan_family(specs), specs):
+        alone = scan(spec)
+        assert fused.spec is spec
+        assert np.array_equal(fused.values, alone.values), spec.which
+        assert np.array_equal(_int_bits(fused.values), _int_bits(alone.values)), spec.which
+        assert _int_bits(np.array([fused.min_value])) == _int_bits(np.array([alone.min_value]))
+        assert fused.argmin == alone.argmin
+
+
+@pytest.mark.parametrize("other", [
+    {"which": "alpha1_psd", "c_values": (0j,)},
+    {"x": 0.2},
+    {"step": 0.25},
+    {"re_range": (-3.0, 2.5)},
+    {"im_range": (-2.5, 3.0)},
+    {"c_values": (0j, 1j)},
+    {"c_values": (complex(-0.0, 0.0),)},
+], ids=["family", "x", "step", "re_axis", "im_axis", "c_count", "c_sign_bit"])
+def test_scan_family_rejects_specs_that_do_not_share_one_assembly(other):
+    base = {"which": "alpha2_minor4", "step": 0.5, "c_values": (0j,)}
+    first = MinorScanSpec(**base)
+    with pytest.raises(ValueError, match="must share family, x, axes and c panels"):
+        minors.scan_family([first, MinorScanSpec(**{**base, "which": "G", **other})])
+    with pytest.raises(ValueError, match="need at least one scan spec"):
+        minors.scan_family([])
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 16385])
+def test_cross_check_family_bitwise_equal_per_form_values(monkeypatch, n):
+    # a tolerance of -1 logs every point with its direct minor: the one
+    # k = 6 assembly of the fused check must carry the bits of each form's
+    # own _values pass over the same points
+    rng = np.random.default_rng(89)
+    points = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    grid = [tuple(p) for p in points.tolist()]
+    index = {p: t for t, p in enumerate(grid)}
+    monkeypatch.setattr(minors, "CROSS_TOL", -1.0)
+    monkeypatch.setattr(minors, "CROSS_LOGGED", n)
+    forms = ("minor4", "minor5", "det")
+    reports = minors.cross_check_family(forms, grid)
+    bases = minors._bases("alpha2_det", minors.UNDISTILLABLE_X)
+    for which, rep in zip(forms, reports):
+        [ref] = minors._values(["alpha2_" + which], bases,
+                               minors._columns(points[:, 0], points[:, 1]), [np.empty(n)])
+        direct = np.empty(n)
+        for w in rep.worst:
+            direct[index[complex(*w["b"]), complex(*w["c"])]] = w["direct"]
+        assert rep.which == which and rep.n_points == len(rep.worst) == n
+        assert np.array_equal(direct, ref), which
+        assert np.array_equal(_int_bits(direct), _int_bits(ref)), which
+
+
+def test_cross_check_family_reports_each_form_as_cross_check_does():
+    grid = default_real_bc_grid(0.4) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
+    forms = ("det", "minor4", "minor5", "minor4")
+    for printed in (False, True):
+        fused = minors.cross_check_family(forms, grid, printed)
+        assert fused == [cross_check(which, grid, printed) for which in forms]
+        # only the printed fifth minor and determinant turn non-real, off the real slice
+        assert [bool(rep.non_real) for rep in fused] == [printed, False, printed, False]
+    with pytest.raises(ValueError, match="unknown closed form 'minor3'"):
+        minors.cross_check_family(("minor4", "minor3"), grid)
+    with pytest.raises(ValueError, match="need at least one closed form"):
+        minors.cross_check_family((), grid)
+
+
 def test_scan_f_window():
     spec = MinorScanSpec(which="F", step=0.1)
     res = scan(spec)
