@@ -70,6 +70,23 @@ def _layouts() -> np.ndarray:
     return table.reshape(-1, 24)
 
 
+def _digit_words(n) -> np.ndarray:
+    """The rows "-0." + the 17 digits of each int64 n in [10**16, 10**17) +
+    NUL padding, as (len(n), 6) native 4-byte words. The digits come from
+    floor divisions by scalars, n // 10**8 and then // 10**4 of each half,
+    with each remainder taken by a subtraction."""
+    hi = n // 10 ** 8  # digits 0-8; lo holds digits 9-16
+    lo = n - hi * 10 ** 8
+    head, tail = hi // 10 ** 4, lo // 10 ** 4  # digits 0-4 and 9-12
+    lead = head // 10 ** 4
+    words = np.zeros((len(n), 6), dtype=np.uint32)
+    words[:, 0] = _LEAD[lead]
+    for col, group in enumerate((head - lead * 10 ** 4, hi - head * 10 ** 4,
+                                 tail, lo - tail * 10 ** 4), start=1):
+        words[:, col] = _DIGITS4[group]
+    return words
+
+
 def _sig17_block(values) -> list[bytes]:
     """b"%.17g" % v for each v of a float64 block, with NaN and +-inf as
     sig17 spells them (module docstring)."""
@@ -85,12 +102,7 @@ def _sig17_block(values) -> list[bytes]:
     lo = ((ah * sh - hi) + ah * sl + al * sh) + al * sl
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     fast &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (n < 10 ** 17)
-    lead, rest = np.divmod(np.where(fast, n, 10 ** 16), 10 ** 16)
-    words = np.zeros((len(x), 6), dtype=np.uint32)
-    words[:, 0] = _LEAD[lead]
-    for col, scale in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), start=1):
-        digits, rest = np.divmod(rest, scale)
-        words[:, col] = _DIGITS4[digits]
+    words = _digit_words(np.where(fast, n, 10 ** 16))
     row = words.view(np.uint8)
     kept = 17 - np.argmax(row[:, 19:2:-1] != ord("0"), axis=1)
     idx = np.add(_layouts()[((x < 0) * 21 + e + 4) * 17 + kept - 1],

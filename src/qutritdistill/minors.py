@@ -23,15 +23,22 @@ compression_chunks sums, per entry of the leading k x k block, only the
 terms whose base entry is nonzero, in chunks of (m, k, k) reduced by det
 or eigvalsh into preallocated value columns. At x = 1/7 form 2 keeps
 26 of 144 terms at k = 4, 36 of 225 at k = 5 and 52 of 324 at k = 6, and
-form 1 31 of 144. The products c_i conj(c_j) are formed per chunk, in the
-operand order of whole-array products (ELIDE_POINTS): bitwise the dense sum.
+form 1 31 of 144. A parameter is constant over the points (c on a c
+panel) or a per-chunk array (b; both columns of a cross-check). The
+products c_i conj(c_j) take the operand order of whole-array products
+(ELIDE_POINTS): bitwise the dense sum. A product of two constants is formed
+once, and its terms are added to each chunk as scalars: an elementwise
+ufunc computes every position alike, so a constant column holds one value.
+Terms with a constant factor of +-0 are skipped. Of the 26/36/52 form-2
+terms at k = 4/5/6, 13/21/31 are constant on a c != 0 panel; on a c = 0
+panel 21/26/31 remain, 10/15/16 of them constant.
 Targets of one family share each chunk: it is assembled once at the
 largest k they need, and each target reduces its leading k x k slice,
 with the bits of a chunk assembled at its own k. A family scan builds the
 bases once for all its targets and c panels and takes each chunk's points
 from the specs' two shared axes, so it holds its value columns, 8 B a
 point per target, and one chunk: CHUNK = 2048 points, at k = 6 a 1.2 MB
-block and 0.3 MB of products.
+block and at most five 32 KB products.
 
 TARGETS gives each scan target its family, leading block size k and
 scale. For form 2 the objects of interest are the 4th, 5th and 6th
@@ -171,54 +178,86 @@ def compression_bases(g: np.ndarray, form_id: int) -> list:
 def compression_chunks(bases: list, n: int, params, k: int):
     """Compressions at n parameter points, yielded in order as chunks of
     shape (m, k, k) with m <= CHUNK: the leading k x k block of
-    sum_ij c_i conj(c_j) B_ij at each point. params(start, stop) gives the
-    parameters of points start to stop - 1, one array per parameter of the
-    family in slot order (_columns() slices whole arrays), so no array sized
-    by n need exist; bases comes from compression_bases.
+    sum_ij c_i conj(c_j) B_ij at each point. params has one entry per
+    parameter of the family, in slot order: its value at every point (c on
+    a c panel), or a callable (start, stop) giving its array at points
+    start to stop - 1 (_columns() slices whole arrays), so no array sized by
+    n need exist; bases comes from compression_bases.
 
     Most entries of the leading blocks B_ij are exact zeros, so each entry
     (r, s) sums only its terms c_i conj(c_j) B_ij[r, s] with a nonzero
     B_ij[r, s], in (i, j) order, starting from +0. That is bitwise the dense
     sum over every (i, j): in round-to-nearest a sum that starts at +0 never
-    becomes -0, and adding +0 or -0 to it changes nothing. Each term keeps
-    the dense operand order, product times base entry. Each chunk is one
-    contiguous (k, k, m) array, filled one entry (r, s) at a time over its m
-    points, and yielded as its (m, k, k) transposed view.
+    becomes -0, and adding +0 or -0 to it changes nothing. So a term with a
+    constant factor of +-0 is skipped too. Each term keeps the dense
+    operand order, product times base entry. Each chunk is one contiguous
+    (k, k, m) array, each entry written as +0 plus its first term, then
+    summed in place, and yielded as its (m, k, k) transposed view.
 
-    The products c_i conj(c_j) are formed per chunk, so their memory
-    follows CHUNK, not n, but in the operand order of the dense sum's
+    The products c_i conj(c_j) take the operand order of the dense sum's
     products over all n points: from ELIDE_POINTS points on, numpy computes
     those as conj(c_j) c_i, and complex multiply is not bitwise commutative.
+    A product of two constants (1 1, 1 conj(c), c 1, |c|^2) is formed once,
+    on a CHUNK-length column, and so is each of its terms, which is then
+    added to every chunk as a scalar: an elementwise ufunc computes each
+    element from its own operands alike at every position, so a constant
+    column holds one value. For form 2 at k = 4/5/6, 13/21/31 of the
+    26/36/52 terms are constant on a c != 0 panel; on a c = 0 panel 21/26/31
+    remain, 10/15/16 of them constant.
 
-    The skipped terms are only harmless while every product is finite: a
-    dense sum turns an overflowed product into NaN through inf * 0, so a
-    non-finite product raises linalg.NonFiniteValue, without a
-    RuntimeWarning, before its chunk is summed; earlier chunks may already
-    have been yielded."""
-    swapped = n >= ELIDE_POINTS
-    flat = [bij for brow in bases for bij in brow]
-    terms = [[(t, bij[r, s]) for t, bij in enumerate(flat) if bij[r, s] != 0]
-             for r in range(k) for s in range(k)]
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
-        coefs = [np.ones(stop - start), *params(start, stop)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = [np.multiply(cj.conj(), ci) if swapped else np.multiply(ci, cj.conj())
-                        for ci in coefs for cj in coefs]
+    The skipped terms are only harmless while every product is finite (a
+    kept |b|^2 is not when b is not): a dense sum turns an overflowed
+    product into NaN through inf * 0, so a non-finite product raises
+    linalg.NonFiniteValue, without a RuntimeWarning, a constant one before
+    the first chunk and a varying one before its chunk is summed."""
+    def product(ci, cj):
+        return np.multiply(cj.conj(), ci) if swapped else np.multiply(ci, cj.conj())
+
+    def check(products):
         if not all(np.isfinite(pij).all() for pij in products):
             raise linalg.NonFiniteValue(
                 "grid too large for float64: a parameter product c_i conj(c_j) is not finite")
-        cols = np.zeros((k, k, stop - start), dtype=complex)
-        for col, entry in zip(cols.reshape(k * k, -1), terms):
-            for t, brs in entry:
-                col += products[t] * brs
-        yield cols.transpose(2, 0, 1)
+
+    swapped = n >= ELIDE_POINTS
+    coefs = [1.0, *params]
+    kept = [i for i, c in enumerate(coefs) if callable(c) or c != 0]
+    fixed = {i: np.full(CHUNK, coefs[i]) for i in kept if not callable(coefs[i])}
+    pairs = [(i, j) for i in kept for j in kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        constant = {(i, j): product(fixed[i], fixed[j])
+                    for i, j in pairs if i in fixed and j in fixed}
+    check(constant.values())
+    varying = [pair for pair in pairs if pair not in constant]
+    # per entry (r, s), in (i, j) order: a constant term as its scalar,
+    # a varying one as (i, j) and its base entry
+    terms = [[np.multiply(constant[i, j], bases[i][j][r, s])[0] if (i, j) in constant
+              else ((i, j), bases[i][j][r, s]) for i, j in pairs if bases[i][j][r, s] != 0]
+             for r in range(k) for s in range(k)]
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        cs = {i: fixed[i][:stop - start] if i in fixed else coefs[i](start, stop) for i in kept}
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = {(i, j): product(cs[i], cs[j]) for i, j in varying}
+        check(products.values())
+        block = np.empty((k, k, stop - start), dtype=complex)
+        for col, entry in zip(block.reshape(k * k, -1), terms):
+            total = 0j  # the +0 start, a scalar until the first varying term
+            for term in entry:
+                if not isinstance(term, tuple):
+                    total += term
+                elif total is col:
+                    col += products[term[0]] * term[1]
+                else:
+                    total = np.add(total, np.multiply(products[term[0]], term[1], out=col), out=col)
+            if total is not col:
+                col[...] = total
+        yield block.transpose(2, 0, 1)
 
 
 def _columns(*arrays):
     """compression_chunks params that slice the whole arrays given, one per
     parameter of the family."""
-    return lambda start, stop: [a[start:stop] for a in arrays]
+    return [lambda start, stop, a=a: a[start:stop] for a in arrays]
 
 
 def build_projected(form_id: int, params, x: float = UNDISTILLABLE_X) -> np.ndarray:
@@ -431,7 +470,7 @@ class CrossCheckReport:
     non_real: list
 
 
-def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> CrossCheckReport:
+def cross_check(which: str, grid, printed: bool = False) -> CrossCheckReport:
     """Compare a closed-form minor against the directly computed one at
     x = 1/7 over a grid of (b, c) pairs. Deviations are reported, never
     raised; points where the closed form fails to be real are collected
@@ -444,7 +483,7 @@ def cross_check(which: str, grid: Sequence[tuple], printed: bool = False) -> Cro
     return cross_check_family((which,), grid, printed)[0]
 
 
-def cross_check_family(forms: Sequence[str], grid: Sequence[tuple],
+def cross_check_family(forms: Sequence[str], grid,
                        printed: bool = False) -> list:
     """cross_check of each closed form in forms over one grid, in order.
     The direct side comes from one point array and one assembly at the
@@ -455,7 +494,7 @@ def cross_check_family(forms: Sequence[str], grid: Sequence[tuple],
     for which in forms:
         if which not in CLOSED_FORMS:
             raise ValueError(f"unknown closed form {which!r}")
-    points = np.array(grid, dtype=complex).reshape(-1, 2)
+    points = np.asarray(grid, dtype=complex).reshape(-1, 2)
     targets = ["alpha2_" + which for which in forms]
     directs = _values(targets, _bases(targets[0], UNDISTILLABLE_X),
                       _columns(points[:, 0], points[:, 1]),
@@ -524,10 +563,13 @@ def _axis_length(lo: float, hi: float, step: float) -> float:
     return float(np.floor((hi - lo) / step * (1.0 + AXIS_TOL))) + 1.0
 
 
-def default_real_bc_grid(step: float = 0.2) -> list:
-    """The real (b, c) points of the MinorScanSpec axis on [-2, 2] at step."""
+def default_real_bc_grid(step: float = 0.2) -> np.ndarray:
+    """The real (b, c) points of the MinorScanSpec axis on [-2, 2] at step,
+    ordered by (b, c), as an (n, 2) complex array with +0 imaginary parts."""
     vals = -2.0 + step * np.arange(int(_axis_length(-2.0, 2.0, step)))
-    return [(complex(bv), complex(cv)) for bv in vals for cv in vals]
+    points = np.zeros((vals.size ** 2, 2), dtype=complex)
+    points[:, 0], points[:, 1] = np.repeat(vals, vals.size), np.tile(vals, vals.size)
+    return points
 
 
 @dataclass
@@ -581,10 +623,10 @@ def _b_points(re: np.ndarray, im: np.ndarray, start: int, stop: int) -> np.ndarr
 
 def _panel_params(re: np.ndarray, im: np.ndarray, c: complex, which: str):
     """compression_chunks params of the c panel c: b (a for alpha1_psd,
-    which takes no c) from _b_points, and c as a constant chunk."""
-    if which == "alpha1_psd":
-        return lambda start, stop: [_b_points(re, im, start, stop)]
-    return lambda start, stop: [_b_points(re, im, start, stop), np.full(stop - start, c)]
+    which takes no c) from _b_points, and c as a constant."""
+    def b(start, stop):
+        return _b_points(re, im, start, stop)
+    return [b] if which == "alpha1_psd" else [b, c]
 
 
 @dataclass

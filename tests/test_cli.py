@@ -897,7 +897,7 @@ def test_verify_example_cross_check_grid_is_spaced_by_the_step(capsys, tmp_path,
     assert len(calls) == 1
     forms, grid = calls[0]
     assert forms == ("minor4", "minor5", "det")
-    assert grid == [(complex(b), complex(c)) for b in axis for c in axis]
+    assert grid.tolist() == [[complex(b), complex(c)] for b in axis for c in axis]
 
 
 @pytest.mark.parametrize("step", ["0.5", "0.04"])

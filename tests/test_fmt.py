@@ -7,14 +7,15 @@ serialization: the one layout."""
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qutritdistill import cli
-from qutritdistill._fmt import (CSV_BLOCK, _sig17_block, json_dumps, sig17, write_csv,
-                                write_grid_csv)
+from qutritdistill._fmt import (CSV_BLOCK, _digit_words, _sig17_block, json_dumps, sig17,
+                                write_csv, write_grid_csv)
 from qutritdistill.minors import MinorScanSpec, scan
 
 HEADER = ["a", "b", "c", "d", "e"]
@@ -238,6 +239,68 @@ def test_kernel_rounds_18_digit_ties_half_even():
     ties = np.concatenate([1e15 + k + 0.25, 1e15 + k + 0.75, 1e14 + k + 0.125, 1e14 + k + 0.375])
     _assert_kernel_matches_percent_g(np.concatenate([ties, -ties]))
     assert _sig17_block([1e15 + 0.25, 1e15 + 0.75]) == [b"1000000000000000.2", b"1000000000000000.8"]
+
+
+def _digits17(text: bytes) -> int:
+    """The 17-digit integer N of a "%.17g" text in fixed notation."""
+    return int(text.lstrip(b"-").replace(b".", b"").lstrip(b"0").ljust(17, b"0"))
+
+
+# the digit groups the split forms: digits 0-8 and 9-16 (its halves), then
+# 1-4, 5-8, 9-12 and 13-16 (its four-digit groups)
+DIGIT_SPLIT_EDGES = {
+    "N = 10**16": lambda n: n == 10 ** 16,
+    "N = 10**17 - 1": lambda n: n == 10 ** 17 - 1,
+    "high half 10**8": lambda n: n // 10 ** 8 == 10 ** 8,
+    "high half 10**9 - 1": lambda n: n // 10 ** 8 == 10 ** 9 - 1,
+    "low half 0": lambda n: n % 10 ** 8 == 0,
+    "low half 10**8 - 1": lambda n: n % 10 ** 8 == 10 ** 8 - 1,
+    **{f"group {g} is {v:04d}": (lambda n, g=g, v=v: n // 10 ** (12 - 4 * g) % 10 ** 4 == v)
+       for g in range(4) for v in (0, 9999)},
+}
+
+
+def _digit_split_targets(rng):
+    """17-digit integers with every edge of DIGIT_SPLIT_EDGES, the others
+    filled with seeded random digits."""
+    targets = [10 ** 16, 10 ** 17 - 1]
+    for _ in range(12):
+        hi, lo = int(rng.integers(10 ** 8, 10 ** 9)), int(rng.integers(0, 10 ** 8))
+        targets += [10 ** 16 + lo, (10 ** 9 - 1) * 10 ** 8 + lo, hi * 10 ** 8,
+                    hi * 10 ** 8 + 10 ** 8 - 1]
+        for g in range(4):
+            for v in (0, 9999):
+                n = hi * 10 ** 8 + lo
+                scale = 10 ** (12 - 4 * g)
+                targets.append(n - (n // scale % 10 ** 4 - v) * scale)
+    return targets
+
+
+def test_digit_split_pins_every_group_edge():
+    # rows "-0." + the 17 digits, as "%017d" spells them, for every edge;
+    # N = 10**17 - 1 is the digits of no double in the exact domain, so it
+    # is pinned here, on the integers themselves
+    targets = _digit_split_targets(np.random.default_rng(61))
+    assert all(any(edge(n) for n in targets) for edge in DIGIT_SPLIT_EDGES.values())
+    rows = _digit_words(np.array(targets, dtype=np.int64)).view("S24").ravel().tolist()
+    assert rows == [b"-0.%017d" % n for n in targets]
+
+
+def test_kernel_matches_percent_g_on_digit_split_edges():
+    # the double nearest N * 10**(E - 16), kept when "%.17g" writes the
+    # digits N, for each E of the exact domain: every edge that a double
+    # reaches, with both signs
+    targets = _digit_split_targets(np.random.default_rng(67))
+    values = []
+    for n in targets:
+        for e in range(-4, 17):
+            v = float(Fraction(n) * Fraction(10) ** (e - 16))
+            if v < 1e17 and _digits17(b"%.17g" % v) == n:
+                values.append(v)
+    reached = {name for name, edge in DIGIT_SPLIT_EDGES.items()
+               if any(edge(_digits17(b"%.17g" % v)) for v in values)}
+    assert reached == set(DIGIT_SPLIT_EDGES) - {"N = 10**17 - 1"}
+    _assert_kernel_matches_percent_g(np.concatenate([values, np.negative(values)]))
 
 
 @pytest.mark.parametrize("direction", [-np.inf, np.inf], ids=["low", "high"])

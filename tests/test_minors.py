@@ -143,6 +143,61 @@ def test_compression_chunks_bitwise_equal_dense_assembly(form):
             assert got.tobytes() == _dense_compressions(bases, params, k).tobytes(), (n, k)
 
 
+@pytest.mark.parametrize("c", [0j, complex(-0.0, -0.0), 0.7 - 1.3j],
+                         ids=["zero", "minus_zero", "generic"])
+def test_compression_chunks_constant_c_bitwise_equal_dense_assembly(c):
+    # c passed as a constant, as scan passes each c panel: its products
+    # with 1 and itself are formed once and added as scalars, and on a
+    # c = +-0 panel its terms are skipped; the dense sum takes a full c
+    # column. Both bases: the scanned frame at x = 1/7, and a state at
+    # x = 0.4 with more nonzero base entries
+    rng = np.random.default_rng(47)
+    for x in (1 / 7, 0.4):
+        bases = compression_bases(linalg.partial_transpose(mixed_frame_state(x).rho), 2)
+        for n in (1, 16383, 16384, 16385, 8 * CHUNK + 1001):
+            b = 10.0 ** rng.uniform(-3, 3, n) * np.exp(2j * np.pi * rng.random(n))
+            b[::7] = 0
+            b[3::11] = complex(-0.0, 0.5)
+            for k in (4, 5, 6):
+                chunks = list(compression_chunks(bases, n, [minors._columns(b)[0], c], k))
+                assert [len(a) for a in chunks] == [min(CHUNK, n - s) for s in range(0, n, CHUNK)]
+                want = _dense_compressions(bases, (b, np.full(n, c)), k)
+                assert np.concatenate(chunks).tobytes() == want.tobytes(), (x, n, k)
+
+
+@pytest.mark.parametrize("k, kept, constant, kept_c0, constant_c0",
+                         [(4, 26, 13, 21, 10), (5, 36, 21, 26, 15), (6, 52, 31, 31, 16)])
+def test_compression_terms_per_panel_kind(k, kept, constant, kept_c0, constant_c0):
+    # the form-2 term counts the docs quote for a c panel at x = 1/7: the
+    # terms with a nonzero base entry, those whose product involves only
+    # 1 and c, and what remains when c = 0 drops every c term
+    g = linalg.partial_transpose(mixed_frame_state(1 / 7).rho)
+    bases = compression_bases(g, 2)
+    terms = [(i, j) for r in range(k) for s in range(k) for i in range(3) for j in range(3)
+             if bases[i][j][r, s] != 0]
+    on_c0 = [(i, j) for i, j in terms if 2 not in (i, j)]
+    assert len(terms) == kept and len(on_c0) == kept_c0
+    assert sum(1 not in pair for pair in terms) == constant
+    assert sum(1 not in pair for pair in on_c0) == constant_c0
+
+
+def test_compression_chunks_reject_a_constant_c_product_overflow_first():
+    # |c|^2 of a constant c past the largest float is found once, before
+    # any chunk's points are asked for, and without a warning
+    bases = compression_bases(linalg.partial_transpose(mixed_frame_state(1 / 7).rho), 2)
+    asked = []
+
+    def b(start, stop):
+        asked.append(start)
+        return np.zeros(stop - start, dtype=complex)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NonFiniteValue, match="parameter product"):
+            next(compression_chunks(bases, 3 * CHUNK, [b, 1e200 - 1e200j], 4))
+    assert asked == []
+
+
 @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
 def test_compression_chunks_reject_non_finite_products(bad):
     # 1e200 squared overflows; a dense sum would turn it into NaN through
@@ -449,7 +504,7 @@ def test_cross_check_deviation_is_relative(monkeypatch):
 def test_cross_check_matches_per_point_minors(monkeypatch):
     # a tolerance of -1 logs every point: worst is ordered by deviation,
     # largest first, with ties left in grid order
-    grid = default_real_bc_grid(2 / 3) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
+    grid = np.concatenate([default_real_bc_grid(2 / 3), [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]])
     index = {(complex(b), complex(c)): t for t, (b, c) in enumerate(grid)}
     monkeypatch.setattr(minors, "CROSS_TOL", -1.0)
     monkeypatch.setattr(minors, "CROSS_LOGGED", len(grid))
@@ -500,7 +555,7 @@ def test_closed_form_array_pass_bitwise_equal_per_point():
     # point, on verify-example's 81 x 81 grid and on random complex points
     rng = np.random.default_rng(83)
     rand = 10.0 ** rng.uniform(-2, 2, (5000, 2)) * np.exp(2j * np.pi * rng.random((5000, 2)))
-    points = np.concatenate([np.array(default_real_bc_grid(0.05), dtype=complex), rand])
+    points = np.concatenate([default_real_bc_grid(0.05), rand])
     for which in CLOSED_FORMS:
         values = eval_closed_form(which, points[:, 0], points[:, 1])
         ref = np.array([eval_closed_form(which, b, c) for b, c in points.tolist()])
@@ -690,7 +745,7 @@ def test_cross_check_family_bitwise_equal_per_form_values(monkeypatch, n):
 
 
 def test_cross_check_family_reports_each_form_as_cross_check_does():
-    grid = default_real_bc_grid(0.4) + [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]
+    grid = np.concatenate([default_real_bc_grid(0.4), [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]])
     forms = ("det", "minor4", "minor5", "minor4")
     for printed in (False, True):
         fused = minors.cross_check_family(forms, grid, printed)
