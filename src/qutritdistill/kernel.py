@@ -34,8 +34,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg, states
-from .linalg import NotSymmetric
-from .states import ZeroVector
 
 PENCIL_RESIDUAL_TOL = 1e-9
 RANK_TOL = 1e-10  # singular values below RANK_TOL max(sigma_max, 1) count as zero
@@ -44,14 +42,6 @@ LEMMA_RANK_TOL = 1e-6  # smallest singular value of the symmetric vector
 
 
 class EmptyKernel(ValueError):
-    pass
-
-
-class SchmidtRankTooHigh(ValueError):
-    pass
-
-
-class NotInKernel(ValueError):
     pass
 
 
@@ -284,39 +274,6 @@ def kernel_product_vector(state: states.QutritState, split=None) -> ProductVecto
             evidence_level="proved" if family else "certified",
         )
     return decide_kernel(rng, ker)
-
-
-# --- symmetric kernel-state canonicalization ---------------------------------
-
-
-def takagi_canonicalize_kernel_state(a: np.ndarray, state: states.QutritState):
-    """Rotate a symmetric Schmidt-rank-<=2 kernel vector to diagonal form.
-
-    Returns (transformed state, canonical vector, schmidt coefficients). The
-    same single-qutrit rotation is applied to both sides, so the canonical
-    vector has coefficient matrix diag(s0, s1, 0) with s0 >= s1 >= 0.
-    """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    if a.shape != (9,):
-        raise linalg.DimensionMismatch(f"expected a 9-component vector, got {a.shape}")
-    nrm = np.linalg.norm(a)
-    if nrm == 0.0:
-        raise ZeroVector("zero vector")
-    a = a / nrm
-    if np.linalg.norm(states.SWAP @ a - a) > 1e-10:
-        raise NotSymmetric("vector is not swap-symmetric")
-    if np.linalg.norm(state.rho @ a) > 1e-10:
-        raise NotInKernel("vector is not annihilated by the state")
-    if states.schmidt_rank(a) > 2:
-        raise SchmidtRankTooHigh("coefficient matrix has three nonzero singular values")
-
-    coeff = states.coefficient_matrix(a)
-    fac = linalg.takagi(coeff)
-    u = fac.unitary.conj().T
-    op = states.LocalOperator(u, u)
-    rotated = states.from_density(states.apply_local(state, op))
-    s = fac.singular_values
-    return rotated, np.diag(s).astype(complex).reshape(9), s
 
 
 def rank1_exclusion_margin(s0: float, s1: float, s2: float) -> float:

@@ -60,14 +60,13 @@ the sign of these minors at x = 1/7 where a grid can only sample it.
 eval_printed_form keeps the polynomials as printed in the source analysis;
 they are not minors of this compression (constant terms 737, 2680 and 24120
 against 640, 1280 and 11520, and non-real values off the real (b, c)
-slice). cross_check compares either set against directly
-computed minors at x = 1/7, as deviations relative to the direct value,
-and reports them instead of correcting either side. It evaluates the
-exact set in one array pass over the grid, bitwise equal to
-eval_closed_form point by point, and the printed set point by point,
-since each non-real printed value is reported on its own;
-cross_check_family takes the direct minors of several forms from one
-assembly of the grid.
+slice), and the tests pin that mismatch. cross_check(which, grid) compares
+the exact set against directly computed minors at x = 1/7, as deviations
+relative to the direct value, and reports them instead of correcting
+either side. It evaluates the closed form in one array pass over the grid,
+bitwise equal to eval_closed_form point by point; cross_check_family takes
+the direct minors of several forms from one assembly of the grid. Reports
+hold numbers (complex b and c); cli encodes them as JSON.
 
 A MinorScanSpec axis runs lo, lo + step, ... up to its last point <= hi,
 and a spec of more than MAX_GRID_POINTS points is rejected when made.
@@ -78,13 +77,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import distill, linalg, states
 # write_csv is unused here, but perfbench/tests checks the tracer rebinds it
-from ._fmt import complex_pair, write_csv  # noqa: F401
+from ._fmt import write_csv  # noqa: F401
 
 UNDISTILLABLE_X = 1.0 / 7.0
 
@@ -453,7 +452,7 @@ def eval_printed_form(which: str, b: complex, c: complex) -> float:
         raise ValueError(f"unknown closed form {which!r}; expected minor4, minor5 or det")
 
     val = complex(val)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
+    if abs(val.imag) > linalg.MINOR_IMAG_TOL * max(1.0, abs(val)):
         raise linalg.NonRealMinor(
             f"{which} at b={b}, c={c} evaluated to {val}; imaginary residue too large"
         )
@@ -466,25 +465,21 @@ class CrossCheckReport:
     n_points: int
     max_rel_dev: float
     passed: bool
-    worst: list
-    non_real: list
+    worst: list  # dicts of complex b and c, closed, direct and deviation
 
 
-def cross_check(which: str, grid, printed: bool = False) -> CrossCheckReport:
-    """Compare a closed-form minor against the directly computed one at
-    x = 1/7 over a grid of (b, c) pairs. Deviations are reported, never
-    raised; points where the closed form fails to be real are collected
-    separately. The check passes when no deviation exceeds CROSS_TOL, and
-    the report lists up to CROSS_LOGGED of the worst points beyond it.
-
-    printed=True checks the source's printed polynomials (eval_printed_form)
-    instead of the exact ones. Each deviation is |closed - direct| / |direct|,
-    infinite where only the direct value is zero."""
-    return cross_check_family((which,), grid, printed)[0]
+def cross_check(which: str, grid) -> CrossCheckReport:
+    """Compare the exact closed-form minor (eval_closed_form) against the
+    directly computed one at x = 1/7 over a grid of (b, c) pairs.
+    Deviations are reported, never raised. The check passes when no
+    deviation exceeds CROSS_TOL, and the report lists up to CROSS_LOGGED of
+    the worst points beyond it. Each deviation is
+    |closed - direct| / |direct|, infinite where only the direct value is
+    zero."""
+    return cross_check_family((which,), grid)[0]
 
 
-def cross_check_family(forms: Sequence[str], grid,
-                       printed: bool = False) -> list:
+def cross_check_family(forms: Sequence[str], grid) -> list:
     """cross_check of each closed form in forms over one grid, in order.
     The direct side comes from one point array and one assembly at the
     largest k the forms need (_values), bitwise the minors of separate
@@ -499,25 +494,13 @@ def cross_check_family(forms: Sequence[str], grid,
     directs = _values(targets, _bases(targets[0], UNDISTILLABLE_X),
                       _columns(points[:, 0], points[:, 1]),
                       [np.empty(len(points)) for _ in forms])
-    return [_cross_report(which, points, direct, printed) for which, direct in zip(forms, directs)]
+    return [_cross_report(which, points, direct) for which, direct in zip(forms, directs)]
 
 
-def _cross_report(which: str, points: np.ndarray, directs: np.ndarray,
-                  printed: bool) -> CrossCheckReport:
+def _cross_report(which: str, points: np.ndarray, directs: np.ndarray) -> CrossCheckReport:
     """The cross_check report of one closed form at the (n, 2) (b, c)
     points, against their direct minors directs."""
-    non_real = []
-    if printed:  # per point, to report each non-real value
-        kept, closed = [], []
-        for idx, (b, c) in enumerate(points.tolist()):
-            try:
-                closed.append(eval_printed_form(which, b, c))
-                kept.append(idx)
-            except linalg.NonRealMinor as exc:
-                non_real.append({"b": complex_pair(b), "c": complex_pair(c), "error": str(exc)})
-        points, directs, closed = points[kept], directs[kept], np.array(closed)
-    else:
-        closed = eval_closed_form(which, points[:, 0], points[:, 1])
+    closed = eval_closed_form(which, points[:, 0], points[:, 1])
     err = np.abs(closed - directs)
     with np.errstate(divide="ignore", invalid="ignore"):
         devs = np.where(directs != 0.0, err / np.abs(directs), np.where(err == 0.0, 0.0, np.inf))
@@ -525,20 +508,14 @@ def _cross_report(which: str, points: np.ndarray, directs: np.ndarray,
     max_dev = float(devs[order[0]]) if len(order) else 0.0
     worst = [
         {
-            "b": complex_pair(complex(points[t, 0])), "c": complex_pair(complex(points[t, 1])),
+            "b": complex(points[t, 0]), "c": complex(points[t, 1]),
             "closed": float(closed[t]), "direct": float(directs[t]), "deviation": float(devs[t]),
         }
         for t in order[:CROSS_LOGGED].tolist()
         if devs[t] > CROSS_TOL
     ]
-    return CrossCheckReport(
-        which=which,
-        n_points=len(devs) + len(non_real),
-        max_rel_dev=max_dev,
-        passed=(max_dev <= CROSS_TOL) and not non_real,
-        worst=worst,
-        non_real=non_real,
-    )
+    return CrossCheckReport(which=which, n_points=len(devs), max_rel_dev=max_dev,
+                            passed=max_dev <= CROSS_TOL, worst=worst)
 
 
 # --- grids -------------------------------------------------------------------
@@ -563,10 +540,15 @@ def _axis_length(lo: float, hi: float, step: float) -> float:
     return float(np.floor((hi - lo) / step * (1.0 + AXIS_TOL))) + 1.0
 
 
+def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """The axis lo + step * k, k = 0, 1, ..., _axis_length(lo, hi, step) - 1."""
+    return lo + step * np.arange(int(_axis_length(lo, hi, step)))
+
+
 def default_real_bc_grid(step: float = 0.2) -> np.ndarray:
     """The real (b, c) points of the MinorScanSpec axis on [-2, 2] at step,
     ordered by (b, c), as an (n, 2) complex array with +0 imaginary parts."""
-    vals = -2.0 + step * np.arange(int(_axis_length(-2.0, 2.0, step)))
+    vals = _axis(-2.0, 2.0, step)
     points = np.zeros((vals.size ** 2, 2), dtype=complex)
     points[:, 0], points[:, 1] = np.repeat(vals, vals.size), np.tile(vals, vals.size)
     return points
@@ -609,7 +591,7 @@ class MinorScanSpec:
 
     def axis(self, which_axis: str) -> np.ndarray:
         lo, hi = self.re_range if which_axis == "re" else self.im_range
-        return lo + self.step * np.arange(int(_axis_length(lo, hi, self.step)))
+        return _axis(lo, hi, self.step)
 
 
 def _b_points(re: np.ndarray, im: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -707,17 +689,14 @@ def scan_family(specs: Sequence[MinorScanSpec]) -> list:
     return scans
 
 
-def psd_scan_form1(a_grid: Optional[Sequence[complex]] = None,
-                   x: float = UNDISTILLABLE_X) -> tuple[list, bool]:
-    """Smallest eigenvalue of the form-1 compression per sampled a; a point
-    is PSD when the eigenvalue is at least _psd_floor(a), and the overall
-    verdict is PSD everywhere."""
-    if a_grid is None:
-        a_grid = default_a_grid()
+def psd_scan_form1(x: float = UNDISTILLABLE_X) -> tuple[list, bool]:
+    """Smallest eigenvalue of the form-1 compression per a of
+    default_a_grid(); a point is PSD when the eigenvalue is at least
+    _psd_floor(a), and the overall verdict is PSD everywhere."""
     _check_x(x)
-    points = np.array(a_grid, dtype=complex)
+    points = np.array(default_a_grid(), dtype=complex)
     [values] = _values(["alpha1_psd"], _bases("alpha1_psd", x), _columns(points),
                        [np.empty(points.size)])
-    entries = [{"a": complex(a), "min_eigenvalue": v, "is_psd": v >= _psd_floor(complex(a))}
-               for a, v in zip(a_grid, values.tolist())]
+    entries = [{"a": a, "min_eigenvalue": v, "is_psd": v >= _psd_floor(a)}
+               for a, v in zip(points.tolist(), values.tolist())]
     return entries, all(e["is_psd"] for e in entries)

@@ -873,6 +873,28 @@ def test_verify_example_runs_cross_checks_at_one_seventh(capsys, tmp_path):
         assert "refined_min" not in doc["checks"][which]
 
 
+def test_verify_example_encodes_worst_points_as_pairs(capsys, tmp_path, monkeypatch):
+    # a determinant table one unit off fails its cross-check: the payload
+    # lists the report's worst points with b and c as [re, im] pairs, and
+    # the determinant is no longer proved
+    from qutritdistill import minors
+
+    den, terms = minors.CLOSED_FORMS["det"]
+    monkeypatch.setitem(minors.CLOSED_FORMS, "det", (den, {**terms, (0, 0, 0): 11521}))
+    code, out, _ = run(capsys, ["verify-example", "--grid-step", "0.5", "--json",
+                                "--out", str(tmp_path)])
+    assert code == EXIT_NOT_FOUND
+    checks = json.loads(out)["checks"]
+    cross = checks["cross_det"]
+    assert not cross["pass"] and cross["non_real"] == []
+    rep = minors.cross_check("det", minors.default_real_bc_grid(0.5))
+    assert len(cross["worst"]) == len(rep.worst) == minors.CROSS_LOGGED
+    for entry, w in zip(cross["worst"], rep.worst):
+        assert list(entry) == ["b", "c", "closed", "direct", "deviation"]
+        assert entry == {**w, "b": [w["b"].real, w["b"].imag], "c": [w["c"].real, w["c"].imag]}
+    assert checks["G"]["evidence_level"] == "not_found_at_budget"
+
+
 def test_verify_example_cross_check_grid_is_spaced_by_the_step(capsys, tmp_path, monkeypatch):
     # 0.7 does not divide 4: the real axis is -2, -1.3, ..., 1.5 (6 points),
     # not 7 points spaced 2/3
@@ -881,9 +903,9 @@ def test_verify_example_cross_check_grid_is_spaced_by_the_step(capsys, tmp_path,
     calls = []
     real_cross_check_family = minors.cross_check_family
 
-    def recording(forms, grid, printed=False):
+    def recording(forms, grid):
         calls.append((forms, grid))
-        return real_cross_check_family(forms, grid, printed)
+        return real_cross_check_family(forms, grid)
 
     monkeypatch.setattr(minors, "cross_check_family", recording)
     code, out, _ = run(capsys, ["verify-example", "--grid-step", "0.7", "--json",

@@ -1,6 +1,5 @@
 """Product vectors in kernels: the cubic-pencil solver on C2xC3 complements,
-the exact decision on the minors of M(u), exclusion checks, and Takagi
-canonicalization."""
+the exact decision on the minors of M(u), and exclusion checks."""
 
 import itertools
 
@@ -11,9 +10,6 @@ import sympy
 from qutritdistill import cli, kernel, linalg, states
 from qutritdistill.kernel import (
     EmptyKernel,
-    NotInKernel,
-    NotSymmetric,
-    SchmidtRankTooHigh,
     antisymmetric_lemma_applies,
     candidate_product_vector,
     decide_kernel,
@@ -21,7 +17,6 @@ from qutritdistill.kernel import (
     kernel_product_vector,
     product_vector_in_2x3_complement,
     rank1_exclusion_margin,
-    takagi_canonicalize_kernel_state,
 )
 
 
@@ -436,75 +431,6 @@ def test_span_exclusion_never_contains_for_families():
             assert abs(range_residual(st, ket(0, 1)) - np.sqrt(0.5)) <= 1e-12, (case, x)
 
 
-# -------------------------------------------------- Takagi canonicalization
-
-
-def host_state_excluding(direction):
-    # rank-5 state whose kernel contains the given symmetric vector
-    e = states.SYMMETRIC_BASIS
-    cand = list(e) + [antisym(0, 1), antisym(0, 2), antisym(1, 2)]
-    span = []
-    for c in cand:
-        c2 = c - np.vdot(direction, c) * direction
-        for prev in span:
-            c2 = c2 - np.vdot(prev, c2) * prev
-        n = np.linalg.norm(c2)
-        if n > 1e-8:
-            span.append(c2 / n)
-        if len(span) == 5:
-            break
-    return states.uniform_state_on_span(span)
-
-
-def test_takagi_canonicalize_diag_difference():
-    e = states.SYMMETRIC_BASIS
-    a = e[3]  # (|00> - |11>)/sqrt2
-    st = host_state_excluding(a)
-    rot, canon, s = takagi_canonicalize_kernel_state(a, st)
-    np.testing.assert_allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], atol=1e-10)
-    c = states.coefficient_matrix(canon)
-    np.testing.assert_allclose(c, np.diag(s), atol=1e-10)
-    # canonical vector sits in the rotated state's kernel
-    assert np.linalg.norm(rot.rho @ canon) <= 1e-10
-
-
-def test_takagi_canonicalize_already_diagonal():
-    a = ket(0, 0)
-    st = host_state_excluding(a)
-    rot, canon, s = takagi_canonicalize_kernel_state(a, st)
-    np.testing.assert_allclose(s, [1.0, 0.0, 0.0], atol=1e-12)
-    assert abs(abs(np.vdot(canon, a)) - 1.0) <= 1e-12
-
-
-def test_takagi_canonicalize_symmetric_pair():
-    a = sym(0, 1)
-    st = host_state_excluding(a)
-    _, canon, s = takagi_canonicalize_kernel_state(a, st)
-    np.testing.assert_allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], atol=1e-10)
-    np.testing.assert_allclose(states.coefficient_matrix(canon), np.diag(s), atol=1e-10)
-
-
-def test_takagi_canonicalize_rejects_nonsymmetric():
-    st = explicit_range_state("i")
-    with pytest.raises(NotSymmetric):
-        takagi_canonicalize_kernel_state(ket(0, 1), st)
-
-
-def test_takagi_canonicalize_rejects_rank_three():
-    s = (0.5, 0.3, 0.2)
-    a = sum(np.sqrt(s[j]) * ket(j, j) for j in range(3))
-    st = host_state_excluding(a)
-    with pytest.raises(SchmidtRankTooHigh):
-        takagi_canonicalize_kernel_state(a, st)
-
-
-def test_takagi_canonicalize_rejects_vector_outside_kernel():
-    e = states.SYMMETRIC_BASIS
-    st = host_state_excluding(e[3])
-    with pytest.raises(NotInKernel):
-        takagi_canonicalize_kernel_state(ket(0, 0), st)
-
-
 # ----------------------------------------------------------- bulk properties
 
 
@@ -698,12 +624,7 @@ def test_lemma_verdict_is_proved_only_for_family_states():
      linalg.DimensionMismatch, "expected 6-component vectors"),
     (lambda: eq5_family_basis((0.5, -0.1, 0.6)), ValueError, "three nonnegative weights"),
     (lambda: eq5_family_basis((0.5, 0.5)), ValueError, "three nonnegative weights"),
-    (lambda: takagi_canonicalize_kernel_state(np.ones(6), explicit_range_state("i")),
-     linalg.DimensionMismatch, "expected a 9-component vector"),
-    (lambda: takagi_canonicalize_kernel_state(np.zeros(9), explicit_range_state("i")),
-     states.ZeroVector, "zero vector"),
-], ids=["complement_vector_length", "eq5_negative_weight", "eq5_two_weights",
-        "takagi_vector_length", "takagi_zero_vector"])
+], ids=["complement_vector_length", "eq5_negative_weight", "eq5_two_weights"])
 def test_kernel_rejects_malformed_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -3,7 +3,6 @@ the exact closed forms and the source's printed polynomials, cross-checks, and
 positivity scans."""
 
 import csv
-import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -323,10 +322,13 @@ def test_alpha1_psd_floor_scales_with_the_rows(x, box, step, passed):
                          step=step, x=x)
     gs = scan(spec)
     assert gs.passed() is passed
+    # psd_scan_form1's route, a list of points through _columns, gives the
+    # grid's values bit for bit
     a = gs.samples[:, 0] + 1j * gs.samples[:, 1]
-    entries, all_psd = psd_scan_form1(a.tolist(), x=x)
-    assert all_psd is passed
-    assert [e["min_eigenvalue"] for e in entries] == gs.samples[:, 4].tolist()
+    [values] = minors._values(["alpha1_psd"], minors._bases("alpha1_psd", x),
+                              minors._columns(a), [np.empty(a.size)])
+    assert all(v >= minors._psd_floor(p) for p, v in zip(a.tolist(), values.tolist())) is passed
+    assert values.tolist() == gs.samples[:, 4].tolist()
 
 
 def test_form1_scan_away_from_reference_point():
@@ -342,9 +344,15 @@ def test_form1_scan_away_from_reference_point():
 
 
 def test_closed_forms_at_origin():
-    assert abs(eval_printed_form("minor4", 0, 0) - 737 / DEN_MINOR4) <= 1e-18
-    assert abs(eval_printed_form("minor5", 0, 0) - 2680 / DEN_MINOR5) <= 1e-18
-    assert abs(eval_printed_form("det", 0, 0) - 24120 / DEN_DET) <= 1e-18
+    # DEN times the printed value at b = c = 0 against the exact constant term
+    for which, den, printed, exact in (("minor4", DEN_MINOR4, 737, 640),
+                                       ("minor5", DEN_MINOR5, 2680, 1280),
+                                       ("det", DEN_DET, 24120, 11520)):
+        value = eval_printed_form(which, 0, 0)
+        assert abs(value - printed / den) <= 1e-18
+        assert round(value * den) == printed
+        assert CLOSED_FORMS[which][1][0, 0, 0] == exact
+        assert eval_closed_form(which, 0, 0) == exact / den
 
 
 def test_direct_minors_match_stored_forms_at_origin():
@@ -514,7 +522,7 @@ def test_cross_check_matches_per_point_minors(monkeypatch):
         assert rep.max_rel_dev <= 1e-13
         keys = []
         for w in rep.worst:
-            b, c = complex(*w["b"]), complex(*w["c"])
+            b, c = w["b"], w["c"]
             direct = direct_minors(build_projected(2, (b, c)))[idx]
             assert abs(w["direct"] - direct) <= 1e-13 * abs(direct)
             assert w["closed"] == eval_closed_form(which, b, c)
@@ -523,30 +531,60 @@ def test_cross_check_matches_per_point_minors(monkeypatch):
         assert len({dev for dev, _ in keys}) < len(keys), which  # ties to order
 
 
-def test_cross_check_minor5_fully_complex_grid_reports_nonreal():
-    # off the real slice in both variables, the printed fifth-minor polynomial
-    # takes non-real values; the report collects those points instead of a
-    # deviation there
+def test_printed_forms_turn_nonreal_on_a_fully_complex_grid():
+    # off the real slice in both variables, the printed fifth minor and
+    # determinant take non-real values and raise; the printed fourth minor
+    # and the exact forms stay real, and the exact cross-check passes there
     rng = np.random.default_rng(79)
     grid = [
         (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
         for _ in range(25)
     ]
-    rep = cross_check("minor5", grid, printed=True)
-    assert rep.n_points == 25
-    assert len(rep.non_real) > 0
-    assert not rep.passed
-    doc = dataclasses.asdict(rep)
-    assert set(doc.keys()) >= {"which", "n_points", "max_rel_dev", "passed"}
+    for which in ("minor5", "det"):
+        for b, c in grid:
+            with pytest.raises(NonRealMinor, match=f"{which} at b="):
+                eval_printed_form(which, b, c)
+    assert all(np.isfinite(eval_printed_form("minor4", b, c)) for b, c in grid)
+    for which in CLOSED_FORMS:
+        rep = cross_check(which, grid)
+        assert rep.passed and rep.n_points == 25, which
 
 
-def test_cross_check_logs_worst_points():
-    rep = cross_check("minor4", default_real_bc_grid(0.4), printed=True)
-    assert 0 < len(rep.worst) <= 20
-    # worst list is sorted by deviation, largest first
+def test_printed_forms_deviate_from_the_direct_minors():
+    # the printed polynomials are not the minors of this compression: on the
+    # real grid, where they are real, every point deviates past CROSS_TOL
+    grid = default_real_bc_grid(0.4)
+    forms = ("minor4", "minor5", "det")
+    directs = minors._values(["alpha2_" + which for which in forms],
+                             minors._bases("alpha2_det", minors.UNDISTILLABLE_X),
+                             minors._columns(grid[:, 0], grid[:, 1]),
+                             [np.empty(len(grid)) for _ in forms])
+    for which, direct in zip(forms, directs):
+        printed = np.array([eval_printed_form(which, b, c) for b, c in grid.tolist()])
+        devs = np.abs(printed - direct) / np.abs(direct)
+        assert devs.min() > minors.CROSS_TOL, which
+        assert 1.0 < devs.max() < 1.3, which
+
+
+def test_cross_check_logs_worst_points(monkeypatch):
+    # the determinant table one unit off in its constant term deviates at
+    # every point of the grid; the report lists the CROSS_LOGGED worst,
+    # largest first, as complex b and c
+    den, terms = CLOSED_FORMS["det"]
+    monkeypatch.setitem(CLOSED_FORMS, "det", (den, {**terms, (0, 0, 0): 11521}))
+    grid = default_real_bc_grid(0.4)
+    rep = cross_check("det", grid)
+    assert not rep.passed and rep.n_points == len(grid) > minors.CROSS_LOGGED
+    assert len(rep.worst) == minors.CROSS_LOGGED
     devs = [w["deviation"] for w in rep.worst]
     assert devs == sorted(devs, reverse=True)
-    assert abs(devs[0] - rep.max_rel_dev) <= 1e-18
+    assert devs[0] == rep.max_rel_dev
+    assert all(type(w["b"]) is complex and type(w["c"]) is complex for w in rep.worst)
+    # the list is the head of the full ranking
+    monkeypatch.setattr(minors, "CROSS_LOGGED", len(grid))
+    full = cross_check("det", grid)
+    assert len(full.worst) == len(grid)
+    assert full.worst[:len(rep.worst)] == rep.worst
 
 
 def test_closed_form_array_pass_bitwise_equal_per_point():
@@ -738,7 +776,7 @@ def test_cross_check_family_bitwise_equal_per_form_values(monkeypatch, n):
                                minors._columns(points[:, 0], points[:, 1]), [np.empty(n)])
         direct = np.empty(n)
         for w in rep.worst:
-            direct[index[complex(*w["b"]), complex(*w["c"])]] = w["direct"]
+            direct[index[w["b"], w["c"]]] = w["direct"]
         assert rep.which == which and rep.n_points == len(rep.worst) == n
         assert np.array_equal(direct, ref), which
         assert np.array_equal(_int_bits(direct), _int_bits(ref)), which
@@ -747,11 +785,8 @@ def test_cross_check_family_bitwise_equal_per_form_values(monkeypatch, n):
 def test_cross_check_family_reports_each_form_as_cross_check_does():
     grid = np.concatenate([default_real_bc_grid(0.4), [(0.3 - 1.1j, -0.4 + 0.2j), (2.5j, -1.5)]])
     forms = ("det", "minor4", "minor5", "minor4")
-    for printed in (False, True):
-        fused = minors.cross_check_family(forms, grid, printed)
-        assert fused == [cross_check(which, grid, printed) for which in forms]
-        # only the printed fifth minor and determinant turn non-real, off the real slice
-        assert [bool(rep.non_real) for rep in fused] == [printed, False, printed, False]
+    fused = minors.cross_check_family(forms, grid)
+    assert fused == [cross_check(which, grid) for which in forms]
     with pytest.raises(ValueError, match="unknown closed form 'minor3'"):
         minors.cross_check_family(("minor4", "minor3"), grid)
     with pytest.raises(ValueError, match="need at least one closed form"):
@@ -831,6 +866,14 @@ def test_scan_axis_ends_at_its_last_point_within_range():
     assert spec.axis("im").tolist() == [0.0]
     assert scan(spec).samples[:, 0].tolist() == [0.0, 0.6]
     assert len(MinorScanSpec(which="F").axis("re")) == 121
+    # the cross-check grid's [-2, 2] axis is the spec axis, bit for bit:
+    # 4 / 0.05 and 4 / 0.7 end at -2 + 80 step and -2 + 5 step
+    for step, size in ((0.05, 81), (0.7, 6), (2 / 3, 7)):
+        axis = MinorScanSpec(which="F", re_range=(-2, 2), step=step).axis("re")
+        grid = default_real_bc_grid(step)
+        assert axis.size == size and grid.shape == (size * size, 2)
+        assert grid[::size, 0].real.tobytes() == axis.tobytes()
+        assert grid[:size, 1].real.tobytes() == axis.tobytes()
 
 
 def test_scan_spec_validation():

@@ -19,7 +19,8 @@ the commands whose output changed. The commands are:
 
 - ``bundle``, ``grid`` and ``evidence``: the benchmark workloads at seeds
   1-3, from ``perfbench.workloads.build``;
-- ``ci``: the byte set the CI workflow runs twice and compares;
+- ``ci``: the byte set of the CI workflow's console-script step, which
+  checks their files once; the workflow compares them run to run here;
 - ``verify``: ``verify-example`` at the grid steps around the chunk and
   operand-order sizes, and off the reference point.
 """
